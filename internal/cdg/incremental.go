@@ -30,6 +30,12 @@ type Reroute struct {
 // vertex numbering Build assigns, so Incremental and a fresh Build over
 // the same topology/routes return the same cycles (see the differential
 // tests in the core package).
+//
+// Bound invariant: lb[v] never exceeds the length of any cycle through v,
+// so the smallest-cycle scan can skip a vertex whose bound already reaches
+// the best cycle found. Probes raise the bounds; a relabel reroute (see
+// relabels) keeps them, because no cycle gets shorter under it; any other
+// reroute, and Restore, drops them all to 0.
 type Incremental struct {
 	top   *topology.Topology
 	chans []topology.Channel       // vertex id → channel, in id-assignment order
@@ -44,6 +50,10 @@ type Incremental struct {
 	touched map[int]bool // vertices with edge changes since the last refresh
 	cache   map[int]*sccEntry
 	valid   bool
+
+	lb     []int // lb[v] ≤ length of every cycle through v; 0 = unknown
+	origin []int // for v ≥ base: the pre-base vertex v relabels
+	base   int   // vertices below base existed when the bounds were last rebased
 
 	scratch scratch // reusable dense buffers for Tarjan and BFS
 }
@@ -61,26 +71,43 @@ type scratch struct {
 	compEpoch int
 	compStamp []int // compStamp[v] == compEpoch ⇒ v in current component
 
-	index   []int // Tarjan
-	low     []int
-	onStack []bool
+	index     []int // Tarjan
+	low       []int
+	onStack   []bool
+	compOf    []int // non-trivial component of v, or -1
+	tStack    []int
+	callStack []tarjanFrame
+	compBuf   []int   // members of every non-trivial SCC, back to back
+	comps     [][]int // views into compBuf, one per component
 }
 
+type tarjanFrame struct {
+	node int
+	next int
+}
+
+// ensure sizes the per-vertex arrays for n vertices, growing them
+// geometrically so a break that adds one duplicate VC does not reallocate.
 func (s *scratch) ensure(n int) {
 	if len(s.stamp) >= n {
 		return
 	}
-	grown := make([]int, n)
-	copy(grown, s.stamp)
-	s.stamp = grown
-	s.dist = append(s.dist, make([]int, n-len(s.dist))...)
-	s.parent = append(s.parent, make([]int, n-len(s.parent))...)
-	grownComp := make([]int, n)
-	copy(grownComp, s.compStamp)
-	s.compStamp = grownComp
-	s.index = append(s.index, make([]int, n-len(s.index))...)
-	s.low = append(s.low, make([]int, n-len(s.low))...)
-	s.onStack = append(s.onStack, make([]bool, n-len(s.onStack))...)
+	n = max(n, 2*len(s.stamp))
+	s.stamp = grow(s.stamp, n)
+	s.dist = grow(s.dist, n)
+	s.parent = grow(s.parent, n)
+	s.compStamp = grow(s.compStamp, n)
+	s.index = grow(s.index, n)
+	s.low = grow(s.low, n)
+	s.onStack = grow(s.onStack, n)
+	s.compOf = grow(s.compOf, n)
+}
+
+// grow returns s extended to length n, zero-filled past the old length.
+func grow[T any](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
 }
 
 // sccEntry caches the analysis of one non-trivial SCC: its member set and
@@ -102,6 +129,9 @@ func BuildIncremental(top *topology.Topology, table *route.Table) (*Incremental,
 		edgeFlows: make(map[[2]int][]int),
 		touched:   make(map[int]bool),
 		cache:     make(map[int]*sccEntry),
+		lb:        make([]int, len(channels)),
+		origin:    make([]int, len(channels)),
+		base:      len(channels),
 	}
 	for i, ch := range channels {
 		m.id[ch] = i
@@ -146,6 +176,8 @@ func (m *Incremental) vertex(ch topology.Channel) int {
 	m.id[ch] = v
 	m.succ = append(m.succ, nil)
 	m.pred = append(m.pred, nil)
+	m.lb = append(m.lb, 0)
+	m.origin = append(m.origin, v) // stands for no pre-base vertex until a relabel sets it
 	pos := sort.Search(len(m.order), func(i int) bool { return m.less(v, m.order[i]) })
 	m.order = append(m.order, 0)
 	copy(m.order[pos+1:], m.order[pos:])
@@ -224,7 +256,71 @@ func (m *Incremental) dropFlowEdge(from, to, flowID int) error {
 // Consecutive-channel pairs common to the old and new routes are left
 // untouched, so only the duplicated chain and its boundary dependencies
 // invalidate cached SCC analysis.
+//
+// A relabel reroute keeps the cycle-length bounds; any other reroute (or
+// one that fails part-way) drops them.
 func (m *Incremental) ApplyReroute(r Reroute) error {
+	relabel := m.relabels(r)
+	if err := m.applyReroute(r); err != nil || !relabel {
+		m.resetBounds()
+		return err
+	}
+	for i, ch := range r.New {
+		if v, ok := m.id[ch]; ok && v >= m.base && ch != r.Old[i] {
+			o := m.originOf(m.id[r.Old[i]])
+			m.origin[v] = o
+			m.lb[v] = m.lb[o]
+		}
+	}
+	return nil
+}
+
+// relabels reports whether r only relabels hops: the route keeps its
+// length, and every hop it changes moves to a vertex created since the
+// last rebase that stands for the same pre-base vertex as the hop it left.
+// Mapping each such vertex to its origin then maps every edge of the
+// current graph onto an edge of the graph at the last rebase, so every
+// cycle through v maps to a closed walk of the same length through
+// originOf(v). A closed walk through a vertex contains a cycle through it
+// that is no longer, so the bounds taken at the rebase stay valid, and a
+// new vertex inherits its origin's bound. This is exactly what a core
+// cycle break does: each hop stays or moves to a fresh duplicate VC.
+func (m *Incremental) relabels(r Reroute) bool {
+	if len(r.Old) != len(r.New) {
+		return false
+	}
+	for i, ch := range r.New {
+		if ch == r.Old[i] {
+			continue
+		}
+		old, ok := m.id[r.Old[i]]
+		if !ok {
+			return false
+		}
+		if v, ok := m.id[ch]; ok && (v < m.base || m.origin[v] != m.originOf(old)) {
+			return false
+		}
+	}
+	return true
+}
+
+// originOf maps a vertex to the pre-base vertex it relabels.
+func (m *Incremental) originOf(v int) int {
+	if v < m.base {
+		return v
+	}
+	return m.origin[v]
+}
+
+// resetBounds forgets every cycle-length bound and rebases on the current
+// graph.
+func (m *Incremental) resetBounds() {
+	clear(m.lb)
+	m.base = len(m.chans)
+}
+
+// applyReroute performs the edge updates of ApplyReroute.
+func (m *Incremental) applyReroute(r Reroute) error {
 	for i, ch := range r.New {
 		if !m.top.ValidChannel(ch) {
 			return fmt.Errorf("cdg: reroute of flow %d hop %d uses unprovisioned channel %v", r.FlowID, i, ch)
@@ -342,24 +438,35 @@ func (m *Incremental) Dependencies() []Dependency {
 // or lost an edge since the last refresh. This is the incremental hot
 // path: a break typically touches one small component, and every other
 // component's cached cycle is reused.
+//
+// Refresh also rebases the cycle-length bounds: they hold for the current
+// graph, so every vertex now stands for itself.
 func (m *Incremental) refresh() {
 	if m.valid {
 		return
 	}
+	m.base = len(m.chans)
 	comps := m.nontrivialSCCs()
 	next := make(map[int]*sccEntry, len(comps))
 	for _, comp := range comps {
 		key := comp[0]
-		if old, ok := m.cache[key]; ok && sameMembers(old.members, comp) && !m.anyTouched(comp) {
+		old, ok := m.cache[key]
+		same := ok && sameMembers(old.members, comp)
+		if same && !m.anyTouched(comp) {
 			next[key] = old
 			continue
 		}
-		e := &sccEntry{members: comp}
-		e.cycle, e.start = m.shortestCycleIn(comp)
+		e := &sccEntry{}
+		if same {
+			e.members = old.members // entries are immutable, so this is safe to share
+		} else {
+			e.members = append([]int(nil), comp...)
+		}
+		e.cycle, e.start = m.shortestCycleIn(e.members)
 		next[key] = e
 	}
 	m.cache = next
-	m.touched = make(map[int]bool)
+	clear(m.touched)
 	m.valid = true
 }
 
@@ -386,32 +493,31 @@ func sameMembers(a, b []int) bool {
 
 // nontrivialSCCs runs an iterative Tarjan pass and returns the components
 // that can contain a cycle (size ≥ 2, or a single vertex with a
-// self-loop), each sorted by canonical channel order.
+// self-loop), each sorted by canonical channel order. The components are
+// views into scratch buffers, valid until the next call.
 func (m *Incremental) nontrivialSCCs() [][]int {
 	n := len(m.chans)
-	m.scratch.ensure(n)
-	index := m.scratch.index[:n]
-	low := m.scratch.low[:n]
-	onStack := m.scratch.onStack[:n]
+	sc := &m.scratch
+	sc.ensure(n)
+	index := sc.index[:n]
+	low := sc.low[:n]
+	onStack := sc.onStack[:n]
+	compOf := sc.compOf[:n]
 	for i := range index {
 		index[i] = -1
 		onStack[i] = false
+		compOf[i] = -1
 	}
-	var (
-		comps   [][]int
-		tStack  []int
-		counter int
-	)
-	type frame struct {
-		node int
-		next int
-	}
-	var callStack []frame
+	comps := sc.comps[:0]
+	compBuf := sc.compBuf[:0]
+	tStack := sc.tStack[:0]
+	callStack := sc.callStack[:0]
+	counter := 0
 	for _, start := range m.order {
 		if index[start] != -1 {
 			continue
 		}
-		callStack = append(callStack[:0], frame{node: start})
+		callStack = append(callStack[:0], tarjanFrame{node: start})
 		index[start] = counter
 		low[start] = counter
 		counter++
@@ -429,7 +535,7 @@ func (m *Incremental) nontrivialSCCs() [][]int {
 					counter++
 					tStack = append(tStack, w)
 					onStack[w] = true
-					callStack = append(callStack, frame{node: w})
+					callStack = append(callStack, tarjanFrame{node: w})
 				} else if onStack[w] && index[w] < low[v] {
 					low[v] = index[w]
 				}
@@ -443,23 +549,36 @@ func (m *Incremental) nontrivialSCCs() [][]int {
 				}
 			}
 			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := tStack[len(tStack)-1]
-					tStack = tStack[:len(tStack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
+				k := len(tStack) - 1
+				for tStack[k] != v {
+					k--
 				}
-				if len(comp) > 1 || m.hasEdge(comp[0], comp[0]) {
-					sort.Slice(comp, func(i, j int) bool { return m.less(comp[i], comp[j]) })
-					comps = append(comps, comp)
+				comp := tStack[k:]
+				tStack = tStack[:k]
+				for _, w := range comp {
+					onStack[w] = false
+				}
+				if len(comp) > 1 || m.hasEdge(v, v) {
+					// Reserve the component's room in compBuf; it is
+					// filled in canonical order below.
+					for _, w := range comp {
+						compOf[w] = len(comps)
+					}
+					lo := len(compBuf)
+					compBuf = append(compBuf, comp...)
+					comps = append(comps, compBuf[lo:lo:len(compBuf)])
 				}
 			}
 		}
 	}
+	// One pass over the canonical vertex order sorts every component at
+	// once (a counting sort by canonical rank).
+	for _, v := range m.order {
+		if c := compOf[v]; c >= 0 {
+			comps[c] = append(comps[c], v)
+		}
+	}
+	sc.comps, sc.compBuf, sc.tStack, sc.callStack = comps, compBuf, tStack, callStack
 	return comps
 }
 
@@ -473,6 +592,10 @@ func (m *Incremental) hasEdge(from, to int) bool {
 // the component (a shortest cycle through a vertex never leaves its SCC).
 // It mirrors graph.ShortestCycle's scan-and-prune semantics so the
 // incremental and full-rebuild paths pick identical cycles.
+//
+// A member whose bound already reaches the best cycle is skipped: its
+// probe could only come back empty. Each probe raises its start's bound,
+// to the exact length when it finds a cycle and to its cutoff when not.
 func (m *Incremental) shortestCycleIn(comp []int) (cycle []int, start int) {
 	sc := &m.scratch
 	sc.ensure(len(m.chans))
@@ -483,6 +606,9 @@ func (m *Incremental) shortestCycleIn(comp []int) (cycle []int, start int) {
 	var best []int
 	bestStart := -1
 	for _, s := range comp {
+		if best != nil && m.lb[s] >= len(best) {
+			continue // no cycle through s beats best (nor can a self-loop be there)
+		}
 		if m.hasEdge(s, s) {
 			return []int{s}, s // nothing beats a self-loop
 		}
@@ -492,6 +618,9 @@ func (m *Incremental) shortestCycleIn(comp []int) (cycle []int, start int) {
 		if cyc := m.probe(s, len(best)); cyc != nil {
 			best = cyc
 			bestStart = s
+			m.lb[s] = len(cyc)
+		} else {
+			m.lb[s] = max(m.lb[s], len(best))
 		}
 	}
 	return m.rotateToMinChannel(best), bestStart
@@ -522,13 +651,9 @@ func (m *Incremental) probe(start, bound int) []int {
 				if bound > 0 && sc.dist[u]+1 >= bound {
 					return nil
 				}
-				var rev []int
-				for x := u; x != -1; x = sc.parent[x] {
-					rev = append(rev, x)
-				}
-				out := make([]int, len(rev))
-				for i, x := range rev {
-					out[len(rev)-1-i] = x
+				out := make([]int, sc.dist[u]+1)
+				for x, i := u, sc.dist[u]; x != -1; x, i = sc.parent[x], i-1 {
+					out[i] = x
 				}
 				return out
 			}

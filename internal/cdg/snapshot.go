@@ -51,6 +51,8 @@ func (m *Incremental) Snapshot() *Snapshot {
 // Restore rewinds the graph to the snapshotted state, including the
 // topology binding Rebind may have changed since. The scratch buffers are
 // left alone — they carry no graph state, only epoch-stamped work arrays.
+// The cycle-length bounds are dropped: they may describe a graph the
+// restored one has cycles shorter than.
 func (m *Incremental) Restore(s *Snapshot) {
 	m.top = s.top
 	m.chans = append(m.chans[:0], s.chans...)
@@ -63,6 +65,9 @@ func (m *Incremental) Restore(s *Snapshot) {
 	m.touched = copyBoolMap(s.touched)
 	m.cache = copyCache(s.cache)
 	m.valid = s.valid
+	m.lb = make([]int, len(m.chans))
+	m.origin = make([]int, len(m.chans))
+	m.base = len(m.chans)
 }
 
 // Rebind points the graph's channel validation at a different topology —

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/cdg"
@@ -65,6 +66,32 @@ func TestIncrementalMatchesFullRebuildBenchmarks(t *testing.T) {
 				return Remove(des.Topology, des.Routes, o)
 			})
 		}
+	}
+}
+
+// TestIncrementalMatchesFullRebuildAtScale runs the differential check on
+// designs with one large strongly connected component, where the cycle
+// search skips most members on their cycle-length bounds: the
+// removal_scale designs (rand:128x6 at 48 switches, seeds 0–3) and a
+// 64-core design at 24 switches.
+func TestIncrementalMatchesFullRebuildAtScale(t *testing.T) {
+	cases := []struct {
+		cores, switches int
+		seed            int64
+	}{
+		{128, 48, 0}, {128, 48, 1}, {128, 48, 2}, {128, 48, 3},
+		{64, 24, 99},
+	}
+	for _, c := range cases {
+		name := fmt.Sprintf("rand:%dx6#%d@%d", c.cores, c.seed, c.switches)
+		g := traffic.RandomKOut(name, c.cores, 6, c.seed)
+		des, err := synth.Synthesize(g, synth.Options{SwitchCount: c.switches})
+		if err != nil {
+			t.Fatalf("synthesize %s: %v", name, err)
+		}
+		assertSameRemoval(t, name, Options{}, func(o Options) (*Result, error) {
+			return Remove(des.Topology, des.Routes, o)
+		})
 	}
 }
 

@@ -29,8 +29,9 @@ bench:
 
 # The pinned perf-gate benchmarks: simulator hot loop, removal runtime
 # (the 14-switch paper cases plus the two large-SCC designs where the
-# cycle search's bound pruning carries the time), the Session-API
-# overhead twin (which must track BenchmarkRemoval_
+# cycle search's bound pruning carries the time), synthesis of the same
+# two designs (partition plus the dense shortest-path router), the
+# Session-API overhead twin (which must track BenchmarkRemoval_
 # within ~2%), the reconfiguration delta-vs-cold pair (the delta
 # path's whole reason to exist is being much cheaper than a from-scratch
 # removal, so a regression there is a product regression), and the
@@ -40,7 +41,7 @@ bench:
 # repeated so benchstat can establish significance. CI runs this on the
 # PR head and base and fails on a >15% sec/op regression.
 bench-pin:
-	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache)' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
 
 fmt:

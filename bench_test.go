@@ -376,6 +376,30 @@ func BenchmarkRemoveFullRebuild_128Cores(b *testing.B) { benchScaleMode(b, 128, 
 func BenchmarkRemoveIncremental_256Cores(b *testing.B) { benchScaleMode(b, 256, 6, 96, false) }
 func BenchmarkRemoveFullRebuild_256Cores(b *testing.B) { benchScaleMode(b, 256, 6, 96, true) }
 
+// --- Synthesis: partition, link construction and load-aware routing of
+// one design, the stage that dominates the paper's design loop. ---
+
+func benchSynthesize(b *testing.B, g *traffic.Graph, switches int) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := synth.Synthesize(g, synth.Options{SwitchCount: switches}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkSynthesize_128Cores(b *testing.B) {
+	benchSynthesize(b, traffic.RandomKOut("scale", 128, 6, 99), 48)
+}
+
+func BenchmarkSynthesize_D36_8_35sw(b *testing.B) {
+	g, err := traffic.ByName("D36_8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSynthesize(b, g, 35)
+}
+
 // --- Online reconfiguration: single-fault delta replay vs from-scratch
 // removal of the faulted grid. Same end state (acyclic, verified by the
 // differential tests); the ratio is the point of the online path — the

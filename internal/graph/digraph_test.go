@@ -313,33 +313,6 @@ func TestBFSPathSelf(t *testing.T) {
 	}
 }
 
-func TestDijkstraPrefersCheapPath(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1) // expensive direct hop
-	g.AddEdge(0, 2)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 1)
-	w := func(u, v int) float64 {
-		if u == 0 && v == 1 {
-			return 10
-		}
-		return 1
-	}
-	p := g.DijkstraPath(0, 1, w)
-	if len(p) != 4 {
-		t.Fatalf("DijkstraPath = %v, want 4-node detour", p)
-	}
-}
-
-func TestDijkstraUnreachable(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.Ensure(2)
-	if p := g.DijkstraPath(0, 2, func(u, v int) float64 { return 1 }); p != nil {
-		t.Errorf("DijkstraPath unreachable = %v, want nil", p)
-	}
-}
-
 func TestTopoSortDAG(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 2)

@@ -155,7 +155,12 @@ func (t *Table) LinkLoads(g *traffic.Graph) map[topology.LinkID]float64 {
 // core's switch, all channels exist in the topology, and no physical link
 // repeats within one route.
 func (t *Table) Validate(top *topology.Topology, g *traffic.Graph) error {
-	for _, f := range g.Flows() {
+	// seen[l] == epoch marks link l as used by the route being checked;
+	// each non-empty route takes a fresh epoch, so one slice serves all.
+	seen := make([]int32, top.NumLinks())
+	epoch := int32(0)
+	for id := 0; id < g.NumFlows(); id++ {
+		f := g.Flow(id)
 		r := t.Route(f.ID)
 		if r == nil {
 			return fmt.Errorf("route: flow %d has no route: %w", f.ID, nocerr.ErrInvalidInput)
@@ -175,7 +180,7 @@ func (t *Table) Validate(top *topology.Topology, g *traffic.Graph) error {
 			continue
 		}
 		cur := srcSw
-		seen := make(map[topology.LinkID]bool, len(r.Channels))
+		epoch++
 		for i, c := range r.Channels {
 			if !top.ValidChannel(c) {
 				return fmt.Errorf("route: flow %d hop %d uses invalid channel %v: %w", f.ID, i, c, nocerr.ErrInvalidInput)
@@ -187,10 +192,10 @@ func (t *Table) Validate(top *topology.Topology, g *traffic.Graph) error {
 			if l.From != cur {
 				return fmt.Errorf("route: flow %d hop %d starts at switch %d, expected %d: %w", f.ID, i, l.From, cur, nocerr.ErrInvalidInput)
 			}
-			if seen[c.Link] {
+			if seen[c.Link] == epoch {
 				return fmt.Errorf("route: flow %d revisits physical link %d: %w", f.ID, c.Link, nocerr.ErrInvalidInput)
 			}
-			seen[c.Link] = true
+			seen[c.Link] = epoch
 			cur = l.To
 		}
 		if cur != dstSw {

@@ -271,6 +271,41 @@ func TestShortestPathsLoadBalances(t *testing.T) {
 	}
 }
 
+func TestShortestPathsPrefersCheapDetour(t *testing.T) {
+	top := topology.New("t")
+	for i := 0; i < 4; i++ {
+		top.AddSwitch("")
+	}
+	direct := top.MustAddLink(0, 1) // expensive direct hop
+	top.MustAddLink(0, 2)
+	top.MustAddLink(2, 3)
+	top.MustAddLink(3, 1)
+	top.AttachCore(0, 0)
+	top.AttachCore(1, 1)
+	g := traffic.NewGraph("t")
+	g.AddCore("")
+	g.AddCore("")
+	g.MustAddFlow(0, 1, 10)
+	tab, err := ShortestPathsWeighted(top, g, map[topology.LinkID]float64{direct: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.Route(0).Len(); got != 3 {
+		t.Fatalf("route = %v, want the 3-hop detour", tab.Route(0).Channels)
+	}
+}
+
+func TestRouterUnreachableReturnsNil(t *testing.T) {
+	top := topology.New("t")
+	for i := 0; i < 3; i++ {
+		top.AddSwitch("")
+	}
+	top.MustAddLink(0, 1)
+	if p := newRouter(top, nil).path(0, 2, 1); p != nil {
+		t.Errorf("path to unreachable switch = %v, want nil", p)
+	}
+}
+
 func TestShortestPathsDeterministic(t *testing.T) {
 	top := topology.New("t")
 	g := traffic.RandomKOut("r", 8, 2, 7)

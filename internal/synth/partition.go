@@ -35,23 +35,31 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 	rng := rand.New(rand.NewSource(seed))
 	cap := (n + nParts - 1) / nParts
 
-	// Symmetric affinity matrix.
-	aff := make([][]float64, n)
-	for i := range aff {
-		aff[i] = make([]float64, n)
-	}
+	// Symmetric affinity matrix, flattened row-major, and each core's
+	// nonzero row entries in ascending partner order. Summing a row over
+	// its nonzero entries in that order gives the same floats as the dense
+	// scan, since every skipped term is +0.
+	aff := make([]float64, n*n)
 	for _, f := range g.Flows() {
-		aff[f.Src][f.Dst] += f.Bandwidth
-		aff[f.Dst][f.Src] += f.Bandwidth
+		aff[int(f.Src)*n+int(f.Dst)] += f.Bandwidth
+		aff[int(f.Dst)*n+int(f.Src)] += f.Bandwidth
+	}
+	type partner struct {
+		core int
+		w    float64
+	}
+	nbrs := make([][]partner, n)
+	volume := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j, w := range aff[i*n : (i+1)*n] {
+			if w != 0 {
+				nbrs[i] = append(nbrs[i], partner{core: j, w: w})
+				volume[i] += w
+			}
+		}
 	}
 
 	// Order cores by total traffic, heaviest first.
-	volume := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			volume[i] += aff[i][j]
-		}
-	}
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -68,14 +76,16 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 		assign[i] = -1
 	}
 	size := make([]int, nParts)
-	gainTo := func(core, part int) float64 {
-		total := 0.0
-		for other := 0; other < n; other++ {
-			if assign[other] == part {
-				total += aff[core][other]
+	// gains sets gain[p] to core's summed affinity with the cores now in
+	// cluster p, in one pass over its partners.
+	gain := make([]float64, nParts)
+	gains := func(core int) {
+		clear(gain)
+		for _, e := range nbrs[core] {
+			if p := assign[e.core]; p >= 0 {
+				gain[p] += e.w
 			}
 		}
-		return total
 	}
 	// Seed every cluster with one core first (the nParts heaviest), so a
 	// request for S switches always yields S non-empty clusters; then fill
@@ -85,16 +95,17 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 		size[p] = 1
 	}
 	for _, core := range order[nParts:] {
+		gains(core)
 		best, bestGain := -1, -1.0
 		for p := 0; p < nParts; p++ {
 			if size[p] >= cap {
 				continue
 			}
-			gain := gainTo(core, p)
+			score := gain[p]
 			// Light size penalty keeps early heavy cores from piling up.
-			gain -= 0.01 * volume[core] * float64(size[p])
-			if best == -1 || gain > bestGain {
-				best, bestGain = p, gain
+			score -= 0.01 * volume[core] * float64(size[p])
+			if best == -1 || score > bestGain {
+				best, bestGain = p, score
 			}
 		}
 		assign[core] = best
@@ -116,14 +127,15 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 			if size[cur] == 1 {
 				continue // never empty a cluster: the switch count is a contract
 			}
-			curGain := gainTo(core, cur) - aff[core][core]
+			gains(core)
+			curGain := gain[cur] - aff[core*n+core]
 			best, bestGain := cur, curGain
 			for p := 0; p < nParts; p++ {
 				if p == cur || size[p] >= cap {
 					continue
 				}
-				if gain := gainTo(core, p); gain > bestGain {
-					best, bestGain = p, gain
+				if gain[p] > bestGain {
+					best, bestGain = p, gain[p]
 				}
 			}
 			if best != cur {

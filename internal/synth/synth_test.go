@@ -1,8 +1,11 @@
 package synth
 
 import (
+	"errors"
+	"math"
 	"testing"
 
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
@@ -102,6 +105,26 @@ func TestSynthesizeRejectsBadInput(t *testing.T) {
 	empty := traffic.NewGraph("empty")
 	if _, err := Synthesize(empty, Options{SwitchCount: 2}); err == nil {
 		t.Error("empty graph accepted")
+	}
+	// Non-finite bandwidths never reach routing: the graph refuses them,
+	// and finite ones whose total overflows fail validation up front
+	// instead of routing on NaN link costs.
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g := traffic.NewGraph("nonfinite")
+		g.AddCore("")
+		g.AddCore("")
+		if _, err := g.AddFlow(0, 1, bw); !errors.Is(err, nocerr.ErrInvalidInput) {
+			t.Errorf("bandwidth %v: AddFlow err = %v, want ErrInvalidInput", bw, err)
+		}
+	}
+	huge := traffic.NewGraph("overflow")
+	for i := 0; i < 3; i++ {
+		huge.AddCore("")
+	}
+	huge.MustAddFlow(0, 1, math.MaxFloat64)
+	huge.MustAddFlow(1, 2, math.MaxFloat64)
+	if _, err := Synthesize(huge, Options{SwitchCount: 3}); !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Errorf("overflowing total bandwidth: err = %v, want ErrInvalidInput", err)
 	}
 }
 

@@ -7,7 +7,10 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"sort"
+
+	"github.com/nocdr/nocdr/internal/nocerr"
 )
 
 // CoreID identifies an application core (a vertex of G).
@@ -54,16 +57,19 @@ func (g *Graph) AddCore(name string) CoreID {
 	return id
 }
 
-// AddFlow appends a flow src→dst and returns its ID. Self-flows and
-// unknown cores are rejected. A non-positive bandwidth defaults to 1 MB/s
-// and a non-positive packet length to 4 flits, so hand-built graphs stay
-// simulable.
+// AddFlow appends a flow src→dst and returns its ID. Self-flows, unknown
+// cores and non-finite bandwidths are rejected. A non-positive bandwidth
+// defaults to 1 MB/s and the packet length to 4 flits, so hand-built
+// graphs stay simulable.
 func (g *Graph) AddFlow(src, dst CoreID, bandwidth float64) (int, error) {
 	if !g.ValidCore(src) || !g.ValidCore(dst) {
 		return 0, fmt.Errorf("traffic: flow %d→%d references unknown core", src, dst)
 	}
 	if src == dst {
 		return 0, fmt.Errorf("traffic: self-flow on core %d", src)
+	}
+	if !finite(bandwidth) {
+		return 0, fmt.Errorf("traffic: flow %d→%d bandwidth %v is not finite: %w", src, dst, bandwidth, nocerr.ErrInvalidInput)
 	}
 	if bandwidth <= 0 {
 		bandwidth = 1
@@ -163,7 +169,8 @@ func (g *Graph) OutDegree(id CoreID) int {
 }
 
 // Validate checks structural invariants: endpoints exist, no self-flows,
-// positive bandwidths and packet lengths, dense flow IDs.
+// positive finite bandwidths with a finite total, positive packet
+// lengths, dense flow IDs.
 func (g *Graph) Validate() error {
 	for i, f := range g.flows {
 		if f.ID != i {
@@ -175,6 +182,9 @@ func (g *Graph) Validate() error {
 		if f.Src == f.Dst {
 			return fmt.Errorf("traffic %q: flow %d is a self-flow", g.Name, f.ID)
 		}
+		if !finite(f.Bandwidth) {
+			return fmt.Errorf("traffic %q: flow %d bandwidth %v is not finite: %w", g.Name, f.ID, f.Bandwidth, nocerr.ErrInvalidInput)
+		}
 		if f.Bandwidth <= 0 {
 			return fmt.Errorf("traffic %q: flow %d bandwidth %f", g.Name, f.ID, f.Bandwidth)
 		}
@@ -182,8 +192,16 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("traffic %q: flow %d packet length %d", g.Name, f.ID, f.PacketFlits)
 		}
 	}
+	// Routing divides link loads by the total: an infinite total drops
+	// the load term, and a link load that overflows too makes a cost NaN.
+	if total := g.TotalBandwidth(); !finite(total) {
+		return fmt.Errorf("traffic %q: total bandwidth %v is not finite: %w", g.Name, total, nocerr.ErrInvalidInput)
+	}
 	return nil
 }
+
+// finite reports whether bw is neither NaN nor infinite.
+func finite(bw float64) bool { return !math.IsNaN(bw) && !math.IsInf(bw, 0) }
 
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {

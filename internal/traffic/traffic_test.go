@@ -2,9 +2,13 @@ package traffic
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"github.com/nocdr/nocdr/internal/nocerr"
 )
 
 func TestAddCoreAndFlow(t *testing.T) {
@@ -40,6 +44,35 @@ func TestAddFlowValidation(t *testing.T) {
 	}
 	if g.Flow(id).Bandwidth != 1 {
 		t.Errorf("non-positive bandwidth not defaulted: %f", g.Flow(id).Bandwidth)
+	}
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := g.AddFlow(a, b, bw); !errors.Is(err, nocerr.ErrInvalidInput) {
+			t.Errorf("AddFlow bandwidth %v: err = %v, want ErrInvalidInput", bw, err)
+		}
+	}
+	if g.NumFlows() != 1 {
+		t.Errorf("rejected flows were appended: %d flows", g.NumFlows())
+	}
+}
+
+func TestValidateRejectsNonFiniteBandwidth(t *testing.T) {
+	for _, bw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		g := NewGraph("t")
+		a := g.AddCore("")
+		b := g.AddCore("")
+		g.MustAddFlow(a, b, 10)
+		g.flows[0].Bandwidth = bw
+		if err := g.Validate(); !errors.Is(err, nocerr.ErrInvalidInput) {
+			t.Errorf("Validate bandwidth %v: err = %v, want ErrInvalidInput", bw, err)
+		}
+	}
+	g := NewGraph("overflow")
+	a := g.AddCore("")
+	b := g.AddCore("")
+	g.MustAddFlow(a, b, math.MaxFloat64)
+	g.MustAddFlow(b, a, math.MaxFloat64)
+	if err := g.Validate(); !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Errorf("Validate overflowing total: err = %v, want ErrInvalidInput", err)
 	}
 }
 

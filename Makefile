@@ -11,7 +11,7 @@ FUZZ_PKGS ?= ./...
 # Minimum total statement coverage accepted by the cover gate.
 COVER_MIN ?= 75
 
-.PHONY: build test race bench bench-pin fmt vet lint vulncheck cover fuzz-smoke sweep-smoke sweep-smoke-sharded deep-sweep deep-loadsweep reconfigure-smoke deep-reconfigure certify-smoke deep-certify examples fabric-conformance compose-smoke k8s-validate ci
+.PHONY: build test race bench bench-pin loc fmt vet lint vulncheck cover fuzz-smoke sweep-smoke sweep-smoke-sharded deep-sweep deep-loadsweep reconfigure-smoke deep-reconfigure certify-smoke deep-certify examples fabric-conformance compose-smoke k8s-validate ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,13 @@ bench:
 bench-pin:
 	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
+
+# Go line counts of the root module, non-test and test, as the ROADMAP
+# tracks them. The benchmark module and its build cache are excluded.
+GO_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
+loc:
+	@echo "non-test Go lines: $$($(GO_FILES) ! -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test Go lines: $$($(GO_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 fmt:
 	@out="$$(gofmt -l .)"; \

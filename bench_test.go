@@ -157,15 +157,12 @@ func BenchmarkRemoval_D35Bot(b *testing.B)   { benchRemoval(b, "D35_bot", 14) }
 func BenchmarkRemoval_D38TVO(b *testing.B)   { benchRemoval(b, "D38_tvo", 14) }
 
 // --- Simulator hot loop: steady-state Step cost on the six paper
-// benchmarks after removal, at saturation load. BenchmarkSimStep runs the
-// dense/worklist engine; BenchmarkSimStepMapBaseline runs the same
-// workload through the Reference arbitration path (full channel scan +
-// map-based next-hop resolution + per-link map grouping — the seed
-// engine's cost profile). Both paths decide identical moves, so the ratio
-// is a pure hot-loop speedup. The perf-regression CI job pins
-// BenchmarkSimStep with benchstat. ---
+// benchmarks after removal. The perf-regression CI job pins
+// BenchmarkSimStep with benchstat; internal/wormhole's
+// BenchmarkSimStepMapBaseline steps the same workload through the seed
+// engine's map-based arbitration, the test oracle. ---
 
-func benchSimStep(b *testing.B, name string, reference bool) {
+func benchSimStep(b *testing.B, name string) {
 	g, err := traffic.ByName(name)
 	if err != nil {
 		b.Fatal(err)
@@ -182,7 +179,6 @@ func benchSimStep(b *testing.B, name string, reference bool) {
 		MaxCycles:  1 << 62,
 		LoadFactor: 0.1,
 		Seed:       11,
-		Reference:  reference,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -200,13 +196,7 @@ func benchSimStep(b *testing.B, name string, reference bool) {
 
 func BenchmarkSimStep(b *testing.B) {
 	for _, name := range traffic.BenchmarkNames() {
-		b.Run(name, func(b *testing.B) { benchSimStep(b, name, false) })
-	}
-}
-
-func BenchmarkSimStepMapBaseline(b *testing.B) {
-	for _, name := range traffic.BenchmarkNames() {
-		b.Run(name, func(b *testing.B) { benchSimStep(b, name, true) })
+		b.Run(name, func(b *testing.B) { benchSimStep(b, name) })
 	}
 }
 

@@ -62,7 +62,6 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	noCache := fs.Bool("no-cache", false,
 		"recompute every cell even on a cache hit (fresh results still refresh the cache)")
 	jsonOut := fs.String("json", "", "write the deterministic JSON report to this file")
-	fullRebuild := fs.Bool("full-rebuild", false, "use the full-rebuild Remove path instead of the incremental one")
 	simulate := fs.Bool("simulate", false,
 		"run flit-level wormhole simulations per cell: a pre-removal negative control (must deadlock when the CDG is cyclic) and a post-removal measurement (must never deadlock); a post-removal deadlock fails the sweep")
 	certifyCells := fs.Bool("certify", false,
@@ -149,12 +148,11 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 
 	opts := runner.Options{
-		Parallel:    *parallel,
-		FullRebuild: *fullRebuild,
-		Simulate:    *simulate,
-		Sim:         runner.SimParams{Cycles: *simCycles, Load: *simLoad, Adaptive: adaptiveSel},
-		Certify:     *certifyCells,
-		NoCache:     *noCache,
+		Parallel: *parallel,
+		Simulate: *simulate,
+		Sim:      runner.SimParams{Cycles: *simCycles, Load: *simLoad, Adaptive: adaptiveSel},
+		Certify:  *certifyCells,
+		NoCache:  *noCache,
 	}
 	if !*quiet {
 		opts.Progress = stderr

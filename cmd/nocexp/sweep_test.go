@@ -56,10 +56,10 @@ func TestSweepTableOutput(t *testing.T) {
 	}
 }
 
-func TestSweepRandSpecAndFullRebuild(t *testing.T) {
+func TestSweepRandSpec(t *testing.T) {
 	var out bytes.Buffer
 	err := runSweep(context.Background(), []string{"-benchmarks", "rand:16x4", "-switches", "6,8", "-seeds", "1,2",
-		"-full-rebuild", "-quiet"}, &out, io.Discard)
+		"-quiet"}, &out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,5 +299,11 @@ func TestSweepLoadsCurves(t *testing.T) {
 	if err := runSweep(context.Background(), []string{"-benchmarks", "torus:4:transpose", "-simulate", "-loads", "1.5", "-quiet"},
 		io.Discard, io.Discard); err == nil {
 		t.Error("out-of-range -loads accepted")
+	}
+	// A NaN measurement load must fail the simulated cell, not inject at
+	// an implementation-defined rate.
+	if err := runSweep(context.Background(), []string{"-benchmarks", "mesh:4", "-simulate", "-sim-cycles", "2000", "-sim-load", "NaN", "-quiet"},
+		io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "LoadFactor") {
+		t.Errorf("-sim-load NaN: got %v, want a LoadFactor error", err)
 	}
 }

@@ -24,14 +24,13 @@ type CellCache interface {
 // (Parallel, Progress, shard assignment) deliberately do not — the same
 // cell computed anywhere must hit the same address.
 type cellKeyParts struct {
-	Job         Job       `json:"job"`
-	Policy      int       `json:"policy"`
-	VCLimit     int       `json:"vc_limit"`
-	FullRebuild bool      `json:"full_rebuild"`
-	Simulate    bool      `json:"simulate"`
-	Sim         SimParams `json:"sim"`
-	MaxPaths    int       `json:"max_paths"`
-	Loads       []float64 `json:"loads,omitempty"`
+	Job      Job       `json:"job"`
+	Policy   int       `json:"policy"`
+	VCLimit  int       `json:"vc_limit"`
+	Simulate bool      `json:"simulate"`
+	Sim      SimParams `json:"sim"`
+	MaxPaths int       `json:"max_paths"`
+	Loads    []float64 `json:"loads,omitempty"`
 	// Certify participates with omitempty so uncertified runs keep their
 	// pre-existing addresses; certified and uncertified evaluations of
 	// the same cell are distinct results and never alias.
@@ -45,13 +44,12 @@ type cellKeyParts struct {
 // not simulate, where they cannot influence the result.
 func CellKey(j Job, opts Options, loads []float64) string {
 	p := cellKeyParts{
-		Job:         j,
-		Policy:      int(opts.Policy),
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
-		Simulate:    opts.Simulate,
-		MaxPaths:    opts.maxPaths,
-		Certify:     opts.Certify,
+		Job:      j,
+		Policy:   int(opts.Policy),
+		VCLimit:  opts.VCLimit,
+		Simulate: opts.Simulate,
+		MaxPaths: opts.maxPaths,
+		Certify:  opts.Certify,
 	}
 	if opts.Simulate {
 		p.Sim = opts.Sim.withDefaults()

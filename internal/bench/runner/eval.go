@@ -16,18 +16,9 @@ import (
 
 // EvalOptions configures one grid-point evaluation.
 type EvalOptions struct {
-	Selection   core.CycleSelection
-	Policy      core.DirectionPolicy
-	VCLimit     int
-	FullRebuild bool
-	// Simulate runs the flit-level verification stage (see SimEval) on
-	// the evaluated design, filling Point.Sim.
-	Simulate bool
-	// Sim parameterizes the simulations when Simulate is set.
-	Sim SimParams
-	// Certify runs the independent-checker verification stage on the
-	// pre- and post-removal designs, filling Point.Cert.
-	Certify bool
+	Selection core.CycleSelection
+	Policy    core.DirectionPolicy
+	VCLimit   int
 	// MaxPaths caps candidate paths per flow in adaptive evaluations
 	// (0 = route.MaxDefaultPaths).
 	MaxPaths int
@@ -48,30 +39,17 @@ type Point struct {
 	// single-path evaluations).
 	Paths       int
 	RemovalTime time.Duration
-	// Sim holds the flit-level verification outcome (nil unless
-	// EvalOptions.Simulate was set).
-	Sim *SimResult
-	// Cert holds the independent-checker verification outcome (nil
-	// unless EvalOptions.Certify was set).
-	Cert *CertResult
 }
 
 // Evaluate synthesizes an application-specific topology for the graph at
 // the given switch count, runs deadlock removal and the resource-ordering
-// baseline, and reports both VC overheads — plus, with opts.Simulate, the
-// flit-level verification of the pre- and post-removal designs.
+// baseline, and reports both VC overheads.
 func Evaluate(g *traffic.Graph, switchCount int, opts EvalOptions) (Point, error) {
-	return EvaluateContext(context.Background(), g, switchCount, opts)
-}
-
-// EvaluateContext is Evaluate with cooperative cancellation threaded
-// through synthesis, removal and the simulation stage.
-func EvaluateContext(ctx context.Context, g *traffic.Graph, switchCount int, opts EvalOptions) (Point, error) {
-	de, err := buildSynth(ctx, g, switchCount, opts)
+	de, err := buildSynth(context.Background(), g, switchCount, opts)
 	if err != nil {
 		return Point{}, err
 	}
-	return de.finish(ctx, opts)
+	return de.point, nil
 }
 
 // buildSynth synthesizes and evaluates an application-specific design
@@ -84,53 +62,16 @@ func buildSynth(ctx context.Context, g *traffic.Graph, switchCount int, opts Eva
 	return buildRouted(ctx, g, des.Topology, des.Routes, opts, fmt.Sprintf("%s @ %d", g.Name, switchCount))
 }
 
-// EvaluateRegular evaluates a regular-topology preset: a mesh or torus
-// with dimension-ordered routes, the configuration whose wrap-around
-// dependencies are the textbook dateline deadlock. The removal algorithm
-// and the ordering baseline run on the DOR routes directly — there is no
+// buildRegular evaluates a regular-topology preset — a mesh or torus
+// under dimension-ordered routes, whose wrap-around dependencies are the
+// textbook dateline deadlock — without the simulation stage. There is no
 // synthesis step, so the preset carries its own switch count.
-func EvaluateRegular(grid *regular.Grid, g *traffic.Graph, opts EvalOptions) (Point, error) {
-	return EvaluateRegularContext(context.Background(), grid, g, opts)
-}
-
-// EvaluateRegularContext is EvaluateRegular with cooperative
-// cancellation.
-func EvaluateRegularContext(ctx context.Context, grid *regular.Grid, g *traffic.Graph, opts EvalOptions) (Point, error) {
-	de, err := buildRegular(ctx, grid, g, opts)
-	if err != nil {
-		return Point{}, err
-	}
-	return de.finish(ctx, opts)
-}
-
-// buildRegular evaluates a regular-topology preset under dimension-ordered
-// routes without the simulation stage.
 func buildRegular(ctx context.Context, grid *regular.Grid, g *traffic.Graph, opts EvalOptions) (*designEval, error) {
 	tab, err := regular.DORRoutes(grid, g)
 	if err != nil {
 		return nil, fmt.Errorf("runner: DOR routes for %s: %w", grid.Topology.Name, err)
 	}
 	return buildRouted(ctx, g, grid.Topology, tab, opts, grid.Topology.Name)
-}
-
-// EvaluateAdaptive evaluates a regular-topology preset under an adaptive
-// routing function: a multi-candidate route set generated by the given
-// turn model (routing around any masked link faults), deadlock removal
-// over the union CDG, the resource-ordering baseline on the flattened
-// pseudo-flow table, and — with opts.Simulate — the flit-level
-// verification stage on the adaptive simulator.
-func EvaluateAdaptive(grid *regular.Grid, g *traffic.Graph, model route.TurnModel, opts EvalOptions) (Point, error) {
-	return EvaluateAdaptiveContext(context.Background(), grid, g, model, opts)
-}
-
-// EvaluateAdaptiveContext is EvaluateAdaptive with cooperative
-// cancellation.
-func EvaluateAdaptiveContext(ctx context.Context, grid *regular.Grid, g *traffic.Graph, model route.TurnModel, opts EvalOptions) (Point, error) {
-	de, err := buildAdaptive(ctx, grid, g, model, opts)
-	if err != nil {
-		return Point{}, err
-	}
-	return de.finish(ctx, opts)
 }
 
 // designEval is a fully built and removed design: the seed-independent
@@ -152,18 +93,11 @@ type designEval struct {
 	adaptive        bool
 }
 
-// simulate runs the per-cell verification stage on the built design —
-// the sequential oracle the batched path is pinned against.
-func (de *designEval) simulate(ctx context.Context, params SimParams) (*SimResult, error) {
-	if de.adaptive {
-		return SimEvalSetContext(ctx, de.g, de.preTop, de.preSet, de.initialAcyclic, de.postTop, de.postSet, params)
-	}
-	return SimEvalContext(ctx, de.g, de.preTop, de.preTab, de.initialAcyclic, de.postTop, de.postTab, params)
-}
-
-// buildAdaptive evaluates a regular-topology preset under a turn model:
-// route-set generation, union-CDG removal, the ordering baseline on the
-// flattened table. No simulation.
+// buildAdaptive evaluates a regular-topology preset under an adaptive
+// routing function: a multi-candidate route set generated by the given
+// turn model (routing around any masked link faults), deadlock removal
+// over the union CDG, and the resource-ordering baseline on the flattened
+// pseudo-flow table. No simulation.
 func buildAdaptive(ctx context.Context, grid *regular.Grid, g *traffic.Graph, model route.TurnModel, opts EvalOptions) (*designEval, error) {
 	top := grid.Topology
 	label := fmt.Sprintf("%s/%s", top.Name, model)
@@ -174,10 +108,9 @@ func buildAdaptive(ctx context.Context, grid *regular.Grid, g *traffic.Graph, mo
 	var p Point
 	start := time.Now()
 	rm, err := core.RemoveSetContext(ctx, top, set, core.Options{
-		Selection:   opts.Selection,
-		Policy:      opts.Policy,
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
+		Selection: opts.Selection,
+		Policy:    opts.Policy,
+		VCLimit:   opts.VCLimit,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("runner: remove %s: %w", label, err)
@@ -210,10 +143,9 @@ func buildRouted(ctx context.Context, g *traffic.Graph, top *topology.Topology, 
 	var p Point
 	start := time.Now()
 	rm, err := core.RemoveContext(ctx, top, tab, core.Options{
-		Selection:   opts.Selection,
-		Policy:      opts.Policy,
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
+		Selection: opts.Selection,
+		Policy:    opts.Policy,
+		VCLimit:   opts.VCLimit,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("runner: remove %s: %w", label, err)
@@ -235,22 +167,4 @@ func buildRouted(ctx context.Context, g *traffic.Graph, top *topology.Topology, 
 		preTop: top, postTop: rm.Topology,
 		initialAcyclic: rm.InitialAcyclic,
 	}, nil
-}
-
-// finish attaches the optional per-cell verification stages to the built
-// design's point: the flit-level simulation and the independent-checker
-// certification (which cross-checks the simulation when both ran).
-func (de *designEval) finish(ctx context.Context, opts EvalOptions) (Point, error) {
-	p := de.point
-	if opts.Simulate {
-		sim, err := de.simulate(ctx, opts.Sim)
-		if err != nil {
-			return p, err
-		}
-		p.Sim = sim
-	}
-	if opts.Certify {
-		p.Cert = de.certify().withSim(p.Sim)
-	}
-	return p, nil
 }

@@ -148,18 +148,48 @@ func TestShardedLateJoinPicksUpUnownedShards(t *testing.T) {
 	}
 }
 
-// TestShardedJoinGraceExpires pins the bounded wait: an empty source
-// that never produces a worker must fail with the join-grace error, not
-// hang forever.
+// TestShardedJoinGraceExpires pins the bounded wait: a source that never
+// produces a worker must fail with the join-grace error, not hang. The
+// grace runs from the moment the fleet empties, so a source that keeps
+// signalling membership changes without offering a worker (a
+// crash-looping worker re-registering at a retired URL looks like this)
+// must not restart it.
 func TestShardedJoinGraceExpires(t *testing.T) {
 	grid := runner.Grid{Benchmarks: []string{"mesh:3"}, Seeds: []int64{0}}
-	sh := &runner.Sharded{
-		Source:    newFakeSource(),
-		JoinGrace: 30 * time.Millisecond,
-	}
-	_, err := sh.RunContext(context.Background(), grid, runner.Options{})
-	if err == nil || !strings.Contains(err.Error(), "no worker joined within") {
-		t.Fatalf("expected join-grace failure, got %v", err)
+	for _, flapping := range []bool{false, true} {
+		src := newFakeSource()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		if flapping {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tick := time.NewTicker(20 * time.Millisecond)
+				defer tick.Stop()
+				for {
+					select {
+					case <-tick.C:
+						src.set()
+					case <-stop:
+						return
+					}
+				}
+			}()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		sh := &runner.Sharded{Source: src, JoinGrace: 60 * time.Millisecond}
+		start := time.Now()
+		_, err := sh.RunContext(ctx, grid, runner.Options{})
+		waited := time.Since(start)
+		cancel()
+		close(stop)
+		wg.Wait()
+		if err == nil || !strings.Contains(err.Error(), "no worker joined within") {
+			t.Fatalf("flapping=%v: expected join-grace failure, got %v", flapping, err)
+		}
+		if waited > time.Second {
+			t.Fatalf("flapping=%v: a 60ms join grace took %v to expire", flapping, waited)
+		}
 	}
 }
 
@@ -407,9 +437,6 @@ func TestCellKeyDiscriminates(t *testing.T) {
 	other.Seed++
 	if k := runner.CellKey(other, runner.Options{}, nil); k == base {
 		t.Fatal("seed change did not change the cell key")
-	}
-	if k := runner.CellKey(job, runner.Options{FullRebuild: true}, nil); k == base {
-		t.Fatal("FullRebuild did not change the cell key")
 	}
 	if k := runner.CellKey(job, runner.Options{Simulate: true}, nil); k == base {
 		t.Fatal("Simulate did not change the cell key")

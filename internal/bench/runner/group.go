@@ -81,9 +81,9 @@ var designBuildHook func(Job)
 // runGroup evaluates one design group: the design is built once from the
 // group's first member and the simulation stage runs as a lockstep batch
 // across the members' derived seeds (times the measurement loads, when a
-// load sweep is configured). Every failure mode mirrors runJob exactly —
-// each member's Result must be byte-identical to an independent runJob of
-// that cell, which the conformance tests pin differentially.
+// load sweep is configured). Each member's Result must be byte-identical
+// to an independent evaluation of that cell, failures included; the
+// per-cell oracle in oracle_test.go pins this differentially.
 func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, opts Options, loads []float64, laneParallel int) {
 	job0 := jobs[members[0]]
 	emit := func(mk func(Job) Result) {
@@ -98,11 +98,10 @@ func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, 
 		return
 	}
 	evalOpts := EvalOptions{
-		Selection:   policy,
-		Policy:      opts.Policy,
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
-		MaxPaths:    opts.maxPaths,
+		Selection: policy,
+		Policy:    opts.Policy,
+		VCLimit:   opts.VCLimit,
+		MaxPaths:  opts.maxPaths,
 	}
 
 	if hook := designBuildHook; hook != nil {
@@ -171,8 +170,7 @@ func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, 
 
 	// The certification, like the removal, is design-level: the checker
 	// runs once per group and only the agreement check (which consults
-	// each member's simulation) is derived per cell — byte-identical to
-	// an independent runJob of every member.
+	// each member's simulation) is derived per cell.
 	var ce *certEval
 	if opts.Certify {
 		ce = de.certify()
@@ -204,7 +202,7 @@ func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, 
 
 	// Derive the per-cell simulation seeds from the job seeds so the
 	// seeds axis varies the injection process even on deterministic
-	// benchmarks — the same derivation runJob uses.
+	// benchmarks.
 	seeds := make([]int64, len(members))
 	for k, i := range members {
 		seeds[k] = opts.Sim.Seed + jobs[i].Seed + 1

@@ -53,38 +53,55 @@ func TestGroupedSweepBuildsEachDesignOnce(t *testing.T) {
 // TestGroupedSweepMatchesPerCell is the scheduler-level differential: on
 // a simulated multi-seed sweep, every cell of the grouped run must be
 // deeply equal to an independent per-cell runJob of the same job — the
-// oracle path that builds its own design and simulator per cell.
+// oracle path that builds, certifies and simulates its own design per
+// cell. The inputs cover fault-free single-path and adaptive cells (D36_8
+// at 8 switches is cyclic, and its witness deadlocks at a cycle that
+// depends on the witness load), and certified adaptive cells on faulted
+// meshes, whose design depends on the seed.
 func TestGroupedSweepMatchesPerCell(t *testing.T) {
-	grid := Grid{
-		Benchmarks:   []string{"torus:4:transpose", "D26_media"},
-		SwitchCounts: []int{8},
-		Routings:     []string{"dor", "odd-even"},
-		Seeds:        []int64{0, 1, 2},
-	}
-	opts := Options{
-		Parallel: 4,
-		Simulate: true,
-		Sim:      SimParams{Cycles: 3000, Load: 0.8},
-	}
-	rep, err := Run(grid, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := grid.Jobs()
-	if len(rep.Results) != len(jobs) {
-		t.Fatalf("got %d results for %d jobs", len(rep.Results), len(jobs))
-	}
-	normalized := grid.normalized()
-	cellOpts := opts
-	cellOpts.maxPaths = normalized.MaxPaths
-	for i, job := range jobs {
-		want := runJob(context.Background(), job, cellOpts)
-		got := rep.Results[i]
-		// Wall-clock differs by construction; everything serialized must
-		// not.
-		want.RemovalTime, got.RemovalTime = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("cell %d (%s) diverges from per-cell oracle:\n got %+v\nwant %+v", i, job.Key(), got, want)
+	sim := SimParams{Cycles: 3000, Load: 0.8}
+	for _, tc := range []struct {
+		grid Grid
+		opts Options
+	}{
+		{
+			Grid{
+				Benchmarks:   []string{"torus:4:transpose", "D26_media", "D36_8"},
+				SwitchCounts: []int{8},
+				Routings:     []string{"dor", "odd-even"},
+				Seeds:        []int64{0, 1, 2},
+			},
+			Options{Parallel: 4, Simulate: true, Sim: sim},
+		},
+		{
+			Grid{
+				Benchmarks: []string{"mesh:4:transpose"},
+				Routings:   []string{"west-first", "odd-even"},
+				Faults:     1,
+				Seeds:      []int64{0, 1, 2},
+			},
+			Options{Parallel: 4, Simulate: true, Sim: sim, Certify: true},
+		},
+	} {
+		rep, err := Run(tc.grid, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := tc.grid.Jobs()
+		if len(rep.Results) != len(jobs) {
+			t.Fatalf("got %d results for %d jobs", len(rep.Results), len(jobs))
+		}
+		cellOpts := tc.opts
+		cellOpts.maxPaths = tc.grid.normalized().MaxPaths
+		for i, job := range jobs {
+			want := runJob(context.Background(), job, cellOpts)
+			got := rep.Results[i]
+			// Wall-clock differs by construction; everything serialized
+			// must not.
+			want.RemovalTime, got.RemovalTime = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("cell %d (%s) diverges from per-cell oracle:\n got %+v\nwant %+v", i, job.Key(), got, want)
+			}
 		}
 	}
 }

@@ -290,12 +290,10 @@ type Options struct {
 	// VCLimit caps the VCs each cell's removal may add (0 = unlimited);
 	// cells that would exceed it fail with their error recorded.
 	VCLimit int
-	// FullRebuild routes every Remove through the rebuild-per-iteration
-	// path (for baseline comparisons).
-	FullRebuild bool
 	// Simulate adds the flit-level verification stage to every job: a
 	// negative-control simulation of the pre-removal design and a
-	// measurement simulation of the post-removal design (see SimEval).
+	// measurement simulation of the post-removal design (see
+	// simEvalBatch).
 	Simulate bool
 	// Sim parameterizes the simulations; the per-job seed is derived from
 	// the job's seed on top of these.
@@ -509,98 +507,6 @@ feed:
 		rep.Curves = BuildCurves(rep)
 	}
 	return rep, nil
-}
-
-// runJob evaluates one grid point in isolation — the per-cell oracle the
-// grouped scheduler is differentially pinned against (each cell of a
-// grouped sweep must be byte-identical to an independent runJob). All
-// failure modes are folded into the result so one bad point cannot sink a
-// long sweep; a cancellation surfacing from the evaluation marks the
-// result canceled rather than errored.
-func runJob(ctx context.Context, job Job, opts Options) Result {
-	res := Result{Job: job}
-	policy, err := ParsePolicy(job.Policy)
-	if err != nil {
-		res.Error = err.Error()
-		return res
-	}
-	evalOpts := EvalOptions{
-		Selection:   policy,
-		Policy:      opts.Policy,
-		VCLimit:     opts.VCLimit,
-		FullRebuild: opts.FullRebuild,
-		Simulate:    opts.Simulate,
-		Sim:         opts.Sim,
-		Certify:     opts.Certify,
-		MaxPaths:    opts.maxPaths,
-	}
-	// Derive the simulation seed from the job seed so the seeds axis
-	// varies the injection process even on deterministic benchmarks.
-	evalOpts.Sim.Seed = opts.Sim.Seed + job.Seed + 1
-
-	var p Point
-	if preset, ok := parsePreset(job.Benchmark); ok {
-		grid, g, err := preset.build()
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		res.Cores = g.NumCores()
-		model, err := route.ParseTurnModel(job.Routing)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		if job.Faults > 0 {
-			// Seeded per-cell fault scenario: mask links, keep the network
-			// connected, and let the routing regenerate around them.
-			ids, err := regular.SelectFaults(grid, job.Faults, job.Seed)
-			if err != nil {
-				res.Error = err.Error()
-				return res
-			}
-			if err := grid.Topology.Fault(ids...); err != nil {
-				res.Error = err.Error()
-				return res
-			}
-		}
-		if model == route.DOR && job.Faults == 0 {
-			// The classic single-path pipeline, byte-identical to
-			// pre-routing-axis sweeps.
-			p, err = EvaluateRegularContext(ctx, grid, g, evalOpts)
-		} else {
-			p, err = EvaluateAdaptiveContext(ctx, grid, g, model, evalOpts)
-		}
-		if err != nil {
-			return res.fail(err)
-		}
-	} else {
-		g, err := resolveBenchmark(job.Benchmark, job.Seed)
-		if err != nil {
-			res.Error = err.Error()
-			return res
-		}
-		res.Cores = g.NumCores()
-		if job.SwitchCount > g.NumCores() {
-			res.Skipped = true
-			return res
-		}
-		p, err = EvaluateContext(ctx, g, job.SwitchCount, evalOpts)
-		if err != nil {
-			return res.fail(err)
-		}
-	}
-	res.Links = p.Links
-	res.MaxRouteLen = p.MaxRouteLen
-	res.InitialAcyclic = p.InitialAcyclic
-	res.RemovalVCs = p.RemovalVCs
-	res.OrderingVCs = p.OrderingVCs
-	res.Breaks = p.Breaks
-	res.Paths = p.Paths
-	res.Sim = p.Sim
-	res.Certify = p.Cert
-	res.RemovalTime = p.RemovalTime
-	return res
 }
 
 // fail folds an evaluation error into the result: cancellations mark the

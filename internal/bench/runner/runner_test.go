@@ -71,30 +71,6 @@ func TestRunRepeatedRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestFullRebuildMatchesIncrementalSweep runs the same grid through both
-// Remove paths: the reported VC counts and break counts must agree.
-func TestFullRebuildMatchesIncrementalSweep(t *testing.T) {
-	grid := Grid{
-		Benchmarks:   traffic.BenchmarkNames(),
-		SwitchCounts: []int{10, 14},
-	}
-	inc, err := Run(grid, Options{Parallel: runtime.NumCPU()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Run(grid, Options{Parallel: runtime.NumCPU(), FullRebuild: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range inc.Results {
-		a, b := inc.Results[i], full.Results[i]
-		if a.RemovalVCs != b.RemovalVCs || a.Breaks != b.Breaks || a.OrderingVCs != b.OrderingVCs {
-			t.Errorf("%s@%d: incremental removal=%d/breaks=%d, full rebuild removal=%d/breaks=%d",
-				a.Benchmark, a.SwitchCount, a.RemovalVCs, a.Breaks, b.RemovalVCs, b.Breaks)
-		}
-	}
-}
-
 func TestGridJobsOrderAndDefaults(t *testing.T) {
 	jobs := Grid{}.Jobs()
 	want := len(traffic.BenchmarkNames()) * len(DefaultSwitchCounts)

@@ -141,10 +141,9 @@ type shardRequest struct {
 	Certify  bool      `json:"certify,omitempty"`
 	Parallel int       `json:"parallel,omitempty"`
 	Options  struct {
-		VCLimit     int    `json:"vc_limit"`
-		FullRebuild bool   `json:"full_rebuild"`
-		Policy      string `json:"policy"`
-		NoCache     bool   `json:"no_cache,omitempty"`
+		VCLimit int    `json:"vc_limit"`
+		Policy  string `json:"policy"`
+		NoCache bool   `json:"no_cache,omitempty"`
 	} `json:"options"`
 }
 
@@ -343,7 +342,13 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		fatal       error
 		interrupted bool
 		progressed  int
+		// graceBy is the join-grace deadline of an empty fleet: set when
+		// the fleet empties, cleared when a worker is admitted, so
+		// membership updates that admit no one cannot extend it.
+		graceBy time.Time
+		grace   waiter
 	)
+	defer grace.stop()
 	noteResults := func(rep *Report) {
 		for i := range rep.Results {
 			res := rep.Results[i]
@@ -392,6 +397,9 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			// Live-membership mode: wait (bounded) for a join instead of
 			// failing — a fresh worker registering with the coordinator
 			// picks the unowned shards up.
+			if graceBy.IsZero() {
+				graceBy = time.Now().Add(d.joinGrace())
+			}
 			select {
 			case _, ok := <-updates:
 				if !ok {
@@ -403,7 +411,10 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 				for _, u := range d.Source.WorkerURLs() {
 					spawn(u)
 				}
-			case <-time.After(d.joinGrace()):
+				if len(free) > 0 {
+					graceBy = time.Time{}
+				}
+			case <-grace.arm(time.Until(graceBy)):
 				fatal = fmt.Errorf("%w: %d shard(s) unassigned and no worker joined within %v", nocerr.ErrWorker, len(pending), d.joinGrace())
 			case <-ctxDone:
 				interrupted = true
@@ -516,25 +527,29 @@ const streamIdleTimeout = 60 * time.Second
 // a fresh timer per 25ms tick and leak each until expiry.
 type waiter struct{ t *time.Timer }
 
-// sleep blocks for dur or until ctx is done (returning ctx's error).
-func (w *waiter) sleep(ctx context.Context, dur time.Duration) error {
+// arm (re)starts the timer for dur and returns its channel, first
+// discarding any expiry an earlier select left unreceived.
+func (w *waiter) arm(dur time.Duration) <-chan time.Time {
 	if w.t == nil {
 		w.t = time.NewTimer(dur)
-	} else {
-		w.t.Reset(dur)
+		return w.t.C
 	}
+	if !w.t.Stop() {
+		select {
+		case <-w.t.C:
+		default:
+		}
+	}
+	w.t.Reset(dur)
+	return w.t.C
+}
+
+// sleep blocks for dur or until ctx is done (returning ctx's error).
+func (w *waiter) sleep(ctx context.Context, dur time.Duration) error {
 	select {
-	case <-w.t.C:
+	case <-w.arm(dur):
 		return nil
 	case <-ctx.Done():
-		if !w.t.Stop() {
-			// The timer fired while we were leaving the select; drain the
-			// channel so the next Reset starts clean.
-			select {
-			case <-w.t.C:
-			default:
-			}
-		}
 		return ctx.Err()
 	}
 }
@@ -586,7 +601,6 @@ func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard,
 		Parallel: d.WorkerParallel,
 	}
 	req.Options.VCLimit = opts.VCLimit
-	req.Options.FullRebuild = opts.FullRebuild
 	req.Options.Policy = policyWire(opts.Policy)
 	req.Options.NoCache = opts.NoCache
 	body, err := json.Marshal(req)

@@ -143,12 +143,11 @@ func TestShardedSimulatedMatchesSerial(t *testing.T) {
 }
 
 // TestShardedOptionsForwarded pins that the removal configuration
-// (policy, full rebuild) reaches the workers: a forward-only full-rebuild
-// sharded run must match the identically configured local run, not the
-// default-policy one.
+// reaches the workers: a forward-only sharded run must match the
+// identically configured local run, not the default-policy one.
 func TestShardedOptionsForwarded(t *testing.T) {
 	grid := runner.Grid{Benchmarks: []string{"torus:4x4:uniform"}, Seeds: []int64{0}}
-	opts := runner.Options{Policy: core.ForwardOnly, FullRebuild: true}
+	opts := runner.Options{Policy: core.ForwardOnly}
 	serial, err := runner.Run(grid, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -156,142 +156,6 @@ func witnessFromCDG(g *traffic.Graph, c *cdg.CDG, refs []route.PathRef) (*traffi
 	return w, len(hot), nil
 }
 
-// SimEval runs the flit-level verification stage for one evaluated cell.
-// For a cyclic design it constructs the witness workload and simulates it
-// on both the pre-removal design (negative control: must deadlock to
-// demonstrate the hazard) and the post-removal design (must survive the
-// identical adversarial workload). The post-removal design additionally
-// runs the plain workload at the configured load for latency percentiles
-// and throughput.
-func SimEval(g *traffic.Graph,
-	preTop *topology.Topology, preTab *route.Table, initialAcyclic bool,
-	postTop *topology.Topology, postTab *route.Table,
-	params SimParams) (*SimResult, error) {
-	return SimEvalContext(context.Background(), g, preTop, preTab, initialAcyclic, postTop, postTab, params)
-}
-
-// SimEvalContext is SimEval with cooperative cancellation threaded into
-// every simulation run's flit-stepping loop.
-func SimEvalContext(ctx context.Context, g *traffic.Graph,
-	preTop *topology.Topology, preTab *route.Table, initialAcyclic bool,
-	postTop *topology.Topology, postTab *route.Table,
-	params SimParams) (*SimResult, error) {
-
-	return simEval(ctx, g, initialAcyclic, params,
-		func(w *traffic.Graph) (*traffic.Graph, int, error) { return witnessWorkload(w, preTop, preTab) },
-		func(w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-			return wormhole.New(preTop, w, preTab, cfg)
-		},
-		func(w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-			return wormhole.New(postTop, w, postTab, cfg)
-		})
-}
-
-// SimEvalSet is SimEval for adaptive route sets: the witness workload is
-// derived from the union CDG, and both designs simulate under the
-// adaptive engine with params.Adaptive output selection.
-func SimEvalSet(g *traffic.Graph,
-	preTop *topology.Topology, preSet *route.RouteSet, initialAcyclic bool,
-	postTop *topology.Topology, postSet *route.RouteSet,
-	params SimParams) (*SimResult, error) {
-	return SimEvalSetContext(context.Background(), g, preTop, preSet, initialAcyclic, postTop, postSet, params)
-}
-
-// SimEvalSetContext is SimEvalSet with cooperative cancellation.
-func SimEvalSetContext(ctx context.Context, g *traffic.Graph,
-	preTop *topology.Topology, preSet *route.RouteSet, initialAcyclic bool,
-	postTop *topology.Topology, postSet *route.RouteSet,
-	params SimParams) (*SimResult, error) {
-
-	return simEval(ctx, g, initialAcyclic, params,
-		func(w *traffic.Graph) (*traffic.Graph, int, error) { return witnessWorkloadSet(w, preTop, preSet) },
-		func(w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-			return wormhole.NewAdaptive(preTop, w, preSet, cfg)
-		},
-		func(w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-			return wormhole.NewAdaptive(postTop, w, postSet, cfg)
-		})
-}
-
-// simEval is the verification-stage harness shared by the single-path
-// and adaptive evaluations: negative control on the pre-removal design
-// under the constructed witness (when the CDG was cyclic), the identical
-// witness on the post-removal design, then the plain measurement run.
-func simEval(ctx context.Context, g *traffic.Graph, initialAcyclic bool, params SimParams,
-	witness func(*traffic.Graph) (*traffic.Graph, int, error),
-	preSim, postSim func(*traffic.Graph, wormhole.Config) (*wormhole.Simulator, error)) (*SimResult, error) {
-
-	params = params.withDefaults()
-	res := &SimResult{}
-	cfg := wormhole.Config{
-		MaxCycles:   params.Cycles,
-		LoadFactor:  params.Load,
-		BufferDepth: params.BufferDepth,
-		Seed:        params.Seed,
-		Adaptive:    params.Adaptive,
-	}
-
-	if !initialAcyclic {
-		w, nflows, err := witness(g)
-		if err != nil {
-			return nil, fmt.Errorf("runner: witness workload: %w", err)
-		}
-		if w != nil {
-			res.PreRan = true
-			res.WitnessFlows = nflows
-			// The witness's point is to saturate the cycle-inducing
-			// flows; a sub-saturation -sim-load must not de-fang the
-			// negative control, so the witness runs always pin load 1.
-			witnessCfg := cfg
-			witnessCfg.LoadFactor = 1.0
-			pre, err := preSim(w, witnessCfg)
-			if err != nil {
-				return nil, fmt.Errorf("runner: pre-removal sim: %w", err)
-			}
-			st, err := pre.RunContext(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("runner: pre-removal sim: %w", err)
-			}
-			res.PreDeadlock = st.Deadlocked
-			res.PreDeadlockCycle = st.DeadlockCycle
-
-			// The removed design must survive the same adversarial
-			// workload that just deadlocked (or at least stressed) the
-			// original.
-			postW, err := postSim(w, witnessCfg)
-			if err != nil {
-				return nil, fmt.Errorf("runner: post-removal witness sim: %w", err)
-			}
-			wst, err := postW.RunContext(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("runner: post-removal witness sim: %w", err)
-			}
-			if wst.Deadlocked {
-				res.PostDeadlock = true
-			}
-		}
-	}
-
-	postCfg := cfg
-	postCfg.CollectLatencies = true
-	post, err := postSim(g, postCfg)
-	if err != nil {
-		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
-	}
-	st, err := post.RunContext(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
-	}
-	res.PostDeadlock = res.PostDeadlock || st.Deadlocked
-	res.PostDelivered = st.DeliveredPackets
-	res.PostAvgLatency = st.AvgLatency()
-	res.PostP50 = st.LatencyPercentile(50)
-	res.PostP95 = st.LatencyPercentile(95)
-	res.PostP99 = st.LatencyPercentile(99)
-	res.PostThroughput = st.ThroughputFlitsPerCycle()
-	return res, nil
-}
-
 // newBatch builds a lockstep batch over one of the design's two halves.
 func (de *designEval) newBatch(pre bool, w *traffic.Graph, cfg wormhole.Config, vs []wormhole.Variant) (*wormhole.Batch, error) {
 	top, tab, set := de.postTop, de.postTab, de.postSet
@@ -304,14 +168,18 @@ func (de *designEval) newBatch(pre bool, w *traffic.Graph, cfg wormhole.Config, 
 	return wormhole.NewBatch(top, w, tab, cfg, vs)
 }
 
-// simEvalBatch is the batched verification stage: simEval's exact
-// pre-witness → post-witness → measurement sequence, with each stage run
-// as one lockstep batch across the group's per-cell seeds instead of a
-// simulator per cell. Per-cell outcomes are byte-identical to simEval
-// with the same seed (the grouped-sweep differential pins this). When
-// loads is non-empty, the measurement batch additionally carries one
-// lane per (seed, load) pair and the extra points land in each cell's
-// LoadSweep, leaving the canonical params.Load measurement untouched.
+// simEvalBatch is the flit-level verification stage of a design group.
+// For a cyclic design it constructs the witness workload and simulates it
+// on both the pre-removal design (negative control: must deadlock to
+// demonstrate the hazard) and the post-removal design (must survive the
+// identical adversarial workload); the post-removal design then runs the
+// plain workload at params.Load for latency percentiles and throughput.
+// Each of the three steps is one lockstep batch across the group's
+// per-cell seeds, and each cell's outcome is byte-identical to simulating
+// that cell alone (the grouped-sweep differential pins this). When loads
+// is non-empty, the measurement batch additionally carries one lane per
+// (seed, load) pair and the extra points land in each cell's LoadSweep,
+// leaving the canonical params.Load measurement untouched.
 func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds []int64, loads []float64, parallel int) ([]*SimResult, error) {
 	params = params.withDefaults()
 	results := make([]*SimResult, len(seeds))
@@ -326,7 +194,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 	}
 	// One witness lane per seed. A seed of 0 normalizes to the base
 	// config's defaulted seed inside the batch — the same fallback a
-	// zero Config.Seed gets on the per-cell path.
+	// zero Config.Seed gets from a single simulator.
 	witnessVs := make([]wormhole.Variant, len(seeds))
 	for i, s := range seeds {
 		witnessVs[i] = wormhole.Variant{Seed: s}
@@ -345,7 +213,9 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 			return nil, fmt.Errorf("runner: witness workload: %w", err)
 		}
 		if w != nil {
-			// See simEval: the witness runs always pin load 1.
+			// The witness's point is to saturate the cycle-inducing
+			// flows; a sub-saturation -sim-load must not de-fang the
+			// negative control, so the witness runs always pin load 1.
 			witnessCfg := cfg
 			witnessCfg.LoadFactor = 1.0
 			pre, err := de.newBatch(true, w, witnessCfg, witnessVs)

@@ -163,7 +163,6 @@ type removeRequest struct {
 		MaxIterations int    `json:"max_iterations"`
 		Policy        string `json:"policy"`    // "", "best", "forward", "backward"
 		Selection     string `json:"selection"` // "", "smallest", "first"
-		FullRebuild   bool   `json:"full_rebuild"`
 		// NoCache forces recomputation, refreshing (never consulting)
 		// the result cache. It does not participate in the cache key.
 		NoCache bool `json:"no_cache"`
@@ -192,7 +191,6 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 	opts := []nocdr.Option{
 		nocdr.WithVCLimit(req.Options.VCLimit),
 		nocdr.WithMaxIterations(req.Options.MaxIterations),
-		nocdr.WithFullRebuild(req.Options.FullRebuild),
 	}
 	switch req.Options.Policy {
 	case "", "best":
@@ -260,9 +258,8 @@ type sweepRequest struct {
 	// coordinator can forward its full configuration and keep shard
 	// results byte-identical to a local run.
 	Options struct {
-		VCLimit     int    `json:"vc_limit"`
-		FullRebuild bool   `json:"full_rebuild"`
-		Policy      string `json:"policy"` // "", "best", "forward", "backward"
+		VCLimit int    `json:"vc_limit"`
+		Policy  string `json:"policy"` // "", "best", "forward", "backward"
 		// NoCache forces recomputation of every cell, refreshing (never
 		// consulting) the per-cell result cache.
 		NoCache bool `json:"no_cache"`
@@ -308,10 +305,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	extra := []nocdr.Option{
-		nocdr.WithVCLimit(req.Options.VCLimit),
-		nocdr.WithFullRebuild(req.Options.FullRebuild),
-	}
+	extra := []nocdr.Option{nocdr.WithVCLimit(req.Options.VCLimit)}
 	switch req.Options.Policy {
 	case "", "best":
 		extra = append(extra, nocdr.WithPolicy(nocdr.BestOfBoth))

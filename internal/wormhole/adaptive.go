@@ -24,14 +24,8 @@ import (
 // some src→dst path of the set, and once the set's union CDG is acyclic
 // (post-removal) the per-flow transition graph is a DAG, so any walk the
 // selector takes terminates at the destination.
-//
-// Config.Reference is incompatible with adaptive selection — the seed
-// engine predates multi-candidate routing.
 func NewAdaptive(top *topology.Topology, g *traffic.Graph, set *route.RouteSet, cfg Config) (*Simulator, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Reference {
-		return nil, fmt.Errorf("wormhole: Reference arbitration does not support adaptive routing")
-	}
 	if err := set.Validate(top, g); err != nil {
 		return nil, err
 	}

@@ -210,16 +210,40 @@ func TestAdaptiveSinglePathMatchesTableEngine(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRejectsReference pins the documented incompatibility.
-func TestAdaptiveRejectsReference(t *testing.T) {
+// TestReferenceFieldIgnored pins the deprecated Config.Reference as a
+// no-op on both engines: a run with it set is identical to one without.
+func TestReferenceFieldIgnored(t *testing.T) {
 	grid, g := meshTranspose(t, 3)
+	tab, err := regular.DORRoutes(grid, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	set, err := route.GridRoutes(grid.Topology, g, grid.Spec(), route.WestFirst, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = wormhole.NewAdaptive(grid.Topology, g, set, wormhole.Config{MaxCycles: 10, Reference: true})
-	if err == nil {
-		t.Fatal("Reference + adaptive accepted")
+	engines := map[string]func(wormhole.Config) (*wormhole.Simulator, error){
+		"table": func(cfg wormhole.Config) (*wormhole.Simulator, error) {
+			return wormhole.New(grid.Topology, g, tab, cfg)
+		},
+		"adaptive": func(cfg wormhole.Config) (*wormhole.Simulator, error) {
+			return wormhole.NewAdaptive(grid.Topology, g, set, cfg)
+		},
+	}
+	for name, mk := range engines {
+		var outcomes [2]*wormhole.Stats
+		for i, reference := range []bool{false, true} {
+			sim, err := mk(wormhole.Config{MaxCycles: 2000, LoadFactor: 0.6, Seed: 4, Reference: reference})
+			if err != nil {
+				t.Fatalf("%s, Reference=%v: %v", name, reference, err)
+			}
+			if outcomes[i], err = sim.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(outcomes[0], outcomes[1]) {
+			t.Errorf("%s: Reference changed the run:\nwithout: %+v\nwith:    %+v", name, outcomes[0], outcomes[1])
+		}
 	}
 }
 

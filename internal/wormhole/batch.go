@@ -26,10 +26,10 @@ type Variant struct {
 
 // Batch steps N seed/load variants of one design. Construction work —
 // channel indexing, route validation, dense route indices, adaptive
-// transition tables, the reference engine's next-hop maps — happens once
-// and is shared read-only across every lane; each lane owns only its
-// mutable state (channel FIFOs carved from one contiguous per-lane flit
-// block, source queues, packet freelist, worklists, RNG, stats).
+// transition tables — happens once and is shared read-only across every
+// lane; each lane owns only its mutable state (channel FIFOs carved from
+// one contiguous per-lane flit block, source queues, packet freelist,
+// worklists, RNG, stats).
 //
 // Variant isolation invariant: lanes share nothing mutable, so each
 // lane's statistics are byte-identical to an independent Simulator built
@@ -89,7 +89,8 @@ func newBatch(proto *Simulator, cfg Config, variants []Variant) (*Batch, error) 
 		if v.Load == 0 {
 			v.Load = cfg.LoadFactor
 		}
-		if v.Load < 0 || v.Load > 1 {
+		// Positive-form check so NaN fails too.
+		if !(v.Load >= 0 && v.Load <= 1) {
 			return nil, fmt.Errorf("wormhole: variant %d load %f must be in (0,1]: %w", i, v.Load, nocerr.ErrInvalidInput)
 		}
 		b.variants[i] = v
@@ -213,12 +214,11 @@ func runLockstep(ctx context.Context, lanes []*Simulator, out []*Stats, errs []e
 
 // cloneVariant carves a fresh lane off a just-constructed prototype:
 // everything immutable — the channel index, dense per-channel metadata,
-// per-flow routes, adaptive transition tables, the reference engine's
-// next-hop maps — is shared by reference; everything the stepping loop
-// mutates is allocated fresh. The lane's injection probabilities are
-// recomputed with the exact float expression the constructors use, so a
-// lane is byte-for-byte the simulator New/NewAdaptive would return for
-// laneCfg.
+// per-flow routes, adaptive transition tables — is shared by reference;
+// everything the stepping loop mutates is allocated fresh. The lane's
+// injection probabilities are recomputed with the exact float expression
+// the constructors use, so a lane is byte-for-byte the simulator
+// New/NewAdaptive would return for laneCfg.
 func (s *Simulator) cloneVariant(cfg Config) *Simulator {
 	n := len(s.chans)
 	c := &Simulator{
@@ -243,22 +243,15 @@ func (s *Simulator) cloneVariant(cfg Config) *Simulator {
 		c.chans[i] = chanState{
 			buf:   block[i*cfg.BufferDepth : (i+1)*cfg.BufferDepth],
 			owner: -1,
-			// refHop is written only during construction; sharing it
-			// read-only keeps the Reference path's per-flit lookup cost
-			// identical per lane.
-			refHop: s.chans[i].refHop,
 		}
 		c.activePos[i] = -1
-	}
-	if cfg.Reference {
-		c.refPackets = make(map[int]*packet)
 	}
 	if s.linkOcc != nil {
 		c.linkOcc = make([]int32, len(s.linkOcc))
 	}
 	c.stats.PerFlow = make([]FlowStats, len(s.stats.PerFlow))
 	for i := range s.flows {
-		fs := s.flows[i] // value copy shares routeCh/routeIdx/first/adj/final
+		fs := s.flows[i] // value copy shares routeIdx/first/adj/final
 		fs.queue = nil
 		fs.qhead = 0
 		fs.created = 0

@@ -82,13 +82,10 @@ type Config struct {
 	// OnEpoch receives the periodic snapshots. It runs on the simulating
 	// goroutine; a slow callback slows the simulation.
 	OnEpoch func(EpochStats)
-	// Reference selects the unoptimized arbitration path: a full scan
-	// over every channel per cycle with map-based next-hop resolution and
-	// per-link map grouping — the seed engine's cost profile. It decides
-	// exactly the same moves as the default dense/worklist path (the
-	// differential tests pin this) and exists as the baseline for
-	// BenchmarkSimStep and as the reference half of the repo's
-	// two-paths-one-answer invariant. Incompatible with NewAdaptive.
+	// Reference is ignored: the engine has one arbitration. The map-based
+	// arbitration it used to select is this package's test oracle now.
+	//
+	// Deprecated: setting it has no effect.
 	Reference bool
 	// Adaptive selects the per-hop output policy for simulators built
 	// with NewAdaptive; it is ignored by the single-path engine.
@@ -159,7 +156,8 @@ func (c Config) Validate() error {
 	if c.BufferDepth < 1 {
 		return fmt.Errorf("wormhole: BufferDepth %d must be >= 1", c.BufferDepth)
 	}
-	if c.LoadFactor < 0 || c.LoadFactor > 1 {
+	// Positive-form check so NaN fails too.
+	if !(c.LoadFactor >= 0 && c.LoadFactor <= 1) {
 		return fmt.Errorf("wormhole: LoadFactor %f must be in [0,1]", c.LoadFactor)
 	}
 	if c.Adaptive != FirstFree && c.Adaptive != LeastCongested {

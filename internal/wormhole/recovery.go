@@ -73,9 +73,6 @@ func (s *Simulator) stepRecovery() {
 	s.stats.RecoveredPackets++
 	s.recordDelivery(p)
 	s.live--
-	if s.refPackets != nil {
-		delete(s.refPackets, p.id)
-	}
 	s.freePacket(p)
 	s.rec = nil
 	s.lastProgress = s.now

@@ -47,23 +47,16 @@ type chanState struct {
 	owner   int       // packet ID, -1 if free
 	hop     int       // owner's hop index at this channel (valid while owner != -1)
 	nextIdx int32     // owner's next channel index, -1 at the final hop, adaptivePending while undecided
-
-	// refHop is the seed engine's flowID → hop-index table, built and
-	// consulted only on the Reference path so the baseline pays the same
-	// per-flit map lookups the original implementation did.
-	refHop map[int]int
 }
 
 // front returns the flit at the head of the FIFO; the caller must have
 // checked n > 0.
 func (cs *chanState) front() flitRef { return cs.buf[cs.head] }
 
-// flowState tracks a flow's injection side. The route is held twice: as
-// channels (construction, diagnostics, the reference arbitration path)
-// and as dense channel indices (the hot path).
+// flowState tracks a flow's injection side; its route is held as dense
+// channel indices.
 type flowState struct {
 	id       int
-	routeCh  []topology.Channel
 	routeIdx []int32
 	probBits uint64    // per-cycle creation probability, scaled to [0, 2^63]
 	bw       float64   // declared bandwidth, kept so lanes can rescale probBits per load
@@ -106,16 +99,12 @@ type Simulator struct {
 	cfg      Config
 	adaptive bool                     // NewAdaptive engine: per-hop output selection
 	rngState uint64                   // splitmix64 state driving the injection process
-	idx      map[topology.Channel]int // channel → dense index (construction + reference path)
+	idx      map[topology.Channel]int // channel → dense index (construction only)
 	chans    []chanState
 	flows    []flowState
 	live     int       // packets currently in the fabric (injected, not yet delivered)
 	free     []*packet // delivered packet structs, recycled by createPackets
 	nextPkt  int
-
-	// refPackets mirrors the seed engine's live-packet table, maintained
-	// and consulted only on the Reference path (see Config.Reference).
-	refPackets map[int]*packet
 
 	// Dense per-channel metadata, indexed like chans.
 	chanLink []int32 // physical link of each channel
@@ -174,12 +163,6 @@ func newSkeleton(top *topology.Topology, g *traffic.Graph, cfg Config) (*Simulat
 		s.chanLink[i] = int32(ch.Link)
 		s.chanVC[i] = int32(ch.VC)
 		s.activePos[i] = -1
-		if cfg.Reference {
-			s.chans[i].refHop = map[int]int{}
-		}
-	}
-	if cfg.Reference {
-		s.refPackets = make(map[int]*packet)
 	}
 
 	s.stats.PerFlow = make([]FlowStats, g.NumFlows())
@@ -220,7 +203,6 @@ func New(top *topology.Topology, g *traffic.Graph, tab *route.Table, cfg Config)
 		}
 		fs := flowState{
 			id:       f.ID,
-			routeCh:  r.Channels,
 			routeIdx: make([]int32, len(r.Channels)),
 			probBits: uint64(cfg.LoadFactor * f.Bandwidth / maxBW * (1 << 63)),
 			bw:       f.Bandwidth,
@@ -242,9 +224,6 @@ func New(top *topology.Topology, g *traffic.Graph, tab *route.Table, cfg Config)
 			}
 			seen[ci] = true
 			fs.routeIdx[hopIdx] = int32(ci)
-			if cfg.Reference {
-				s.chans[ci].refHop[f.ID] = hopIdx
-			}
 		}
 		s.flows = append(s.flows, fs)
 	}
@@ -317,12 +296,12 @@ type move struct {
 func (s *Simulator) Step() bool {
 	s.stepRecovery()
 	s.createPackets()
-	var moves []move
-	if s.cfg.Reference {
-		moves = s.arbitrateReference()
-	} else {
-		moves = s.arbitrate()
-	}
+	return s.commit(s.arbitrate())
+}
+
+// commit applies the cycle's arbitrated moves and does the progress
+// bookkeeping that closes the cycle, reporting whether anything moved.
+func (s *Simulator) commit(moves []move) bool {
 	for _, m := range moves {
 		s.apply(m)
 	}
@@ -375,9 +354,6 @@ func (s *Simulator) createPackets() {
 			continue
 		}
 		s.live++
-		if s.refPackets != nil {
-			s.refPackets[p.id] = p
-		}
 		s.enqueue(i, p)
 		s.stats.InjectedPackets++
 	}
@@ -614,91 +590,6 @@ func sortCands(cands []cand) {
 	}
 }
 
-// arbitrateReference reproduces the seed engine's arbitration: a full scan
-// over every channel (idle or not), flit resolution through the
-// live-packet table, hop resolution through the per-channel flow→hop map,
-// next-hop resolution through the channel→index map, and per-link
-// candidate grouping in a freshly allocated map with an explicit link
-// sort. It decides exactly the same moves as arbitrate — the differential
-// tests pin that — and exists as the map-based baseline for
-// BenchmarkSimStep and as the reference half of the two-paths-one-answer
-// invariant.
-func (s *Simulator) arbitrateReference() []move {
-	var moves []move
-	// Ejections first: final-hop buffers always drain one flit.
-	for ci := range s.chans {
-		cs := &s.chans[ci]
-		if cs.n == 0 {
-			continue
-		}
-		p := s.refPackets[cs.front().pkt.id]
-		hop := cs.refHop[p.flow]
-		if hop == len(s.flows[p.flow].routeCh)-1 {
-			moves = append(moves, move{src: ci, dst: -1})
-		}
-	}
-	// Link transfers: gather candidates per link, pick one round-robin.
-	byLink := make(map[topology.LinkID][]cand)
-	for ci := range s.chans {
-		cs := &s.chans[ci]
-		if cs.n == 0 {
-			continue
-		}
-		fr := cs.front()
-		p := s.refPackets[fr.pkt.id]
-		rt := s.flows[p.flow].routeCh
-		hop := cs.refHop[p.flow]
-		if hop == len(rt)-1 {
-			continue // ejection, handled above
-		}
-		next := rt[hop+1]
-		ni := s.idx[next]
-		if !s.admissible(ni, fr) {
-			continue
-		}
-		byLink[next.Link] = append(byLink[next.Link], cand{
-			m:   move{src: ci, dst: ni},
-			key: candKey(int32(next.VC), 0, ci),
-		})
-	}
-	// Injection candidates.
-	for i := range s.flows {
-		fs := &s.flows[i]
-		if fs.qlen() == 0 {
-			continue
-		}
-		p := fs.qfront()
-		first := fs.routeCh[0]
-		ni := s.idx[first]
-		fr := flitRef{pkt: p, isHead: p.injected == 0, isTail: p.injected == p.flits-1}
-		if !s.admissible(ni, fr) {
-			continue
-		}
-		byLink[first.Link] = append(byLink[first.Link], cand{
-			m:   move{src: -1, fl: fs.id, dst: ni},
-			key: candKey(int32(first.VC), 1, len(s.chans)+fs.id),
-		})
-	}
-	// Iterate links in ID order so the cycle outcome is independent of
-	// map iteration order.
-	links := make([]topology.LinkID, 0, len(byLink))
-	for link := range byLink {
-		links = append(links, link)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	for _, link := range links {
-		cands := byLink[link]
-		pick := 0
-		if len(cands) > 1 {
-			sortCands(cands)
-			pick = s.linkRR[link] % len(cands)
-			s.linkRR[link]++
-		}
-		moves = append(moves, cands[pick].m)
-	}
-	return moves
-}
-
 // admissible reports whether flit fr may enter channel ci this cycle
 // (ownership and buffer space against start-of-cycle state).
 func (s *Simulator) admissible(ci int, fr flitRef) bool {
@@ -728,9 +619,6 @@ func (s *Simulator) apply(m move) {
 			s.recordDelivery(p)
 			s.live--
 			s.stats.DeliveredPackets++
-			if s.refPackets != nil {
-				delete(s.refPackets, p.id)
-			}
 			s.freePacket(p)
 		}
 		return
@@ -880,16 +768,22 @@ func (s *Simulator) startRun() laneRun {
 	return laneRun{s: s, nextEpoch: nextEpoch}
 }
 
-// stepOnce advances the run by one cycle: step, epoch emission, stall
-// watchdog (recovery or deadlock confirmation), drain check. It returns
-// false when the run is over — horizon reached, deadlock confirmed, or
-// drained — after which the caller finalizes with finishStats/Stats.
+// stepOnce advances the run by one cycle. It returns false when the run
+// is over — horizon reached, deadlock confirmed, or drained — after which
+// the caller finalizes with finishStats/Stats.
 func (lr *laneRun) stepOnce() bool {
-	s := lr.s
-	if s.now >= s.cfg.MaxCycles {
+	if lr.s.now >= lr.s.cfg.MaxCycles {
 		return false
 	}
-	s.Step()
+	lr.s.Step()
+	return lr.endCycle()
+}
+
+// endCycle is the run protocol after a step: epoch emission, stall
+// watchdog (recovery or deadlock confirmation), drain check. It returns
+// false when the run is over.
+func (lr *laneRun) endCycle() bool {
+	s := lr.s
 	if lr.nextEpoch >= 0 && s.now >= lr.nextEpoch {
 		s.cfg.OnEpoch(EpochStats{
 			Cycle:            s.now,

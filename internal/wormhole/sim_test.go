@@ -1,6 +1,7 @@
 package wormhole
 
 import (
+	"math"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/core"
@@ -66,11 +67,12 @@ func lineExample(flits int) (*topology.Topology, *traffic.Graph, *route.Table) {
 
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
-		{},                                   // MaxCycles missing
-		{MaxCycles: 100, LoadFactor: 2},      // load > 1
-		{MaxCycles: 100, LoadFactor: -0.5},   // negative load
-		{MaxCycles: 100, PacketsPerFlow: -1}, // negative budget
-		{MaxCycles: 100, WarmupCycles: -1},   // negative warmup
+		{},                                       // MaxCycles missing
+		{MaxCycles: 100, LoadFactor: 2},          // load > 1
+		{MaxCycles: 100, LoadFactor: -0.5},       // negative load
+		{MaxCycles: 100, LoadFactor: math.NaN()}, // NaN load
+		{MaxCycles: 100, PacketsPerFlow: -1},     // negative budget
+		{MaxCycles: 100, WarmupCycles: -1},       // negative warmup
 	}
 	for i, cfg := range cases {
 		top, g, tab := lineExample(4)

@@ -3,22 +3,184 @@ package wormhole
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
+	"github.com/nocdr/nocdr/internal/synth"
 	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
 
-// --- Differential: the dense/worklist engine and the Reference path must
-// decide identical moves on every cycle (two paths, one answer). ---
+// --- The reference arbitration: the seed engine's map-based decision
+// procedure, kept as the oracle the dense/worklist arbitrate must agree
+// with on every cycle (two paths, one answer). ---
+
+// refStepper steps a Simulator with the reference arbitration in place of
+// arbitrate. Recovery, packet creation and move application are the
+// engine's own code; the stepper adds only the seed engine's lookup
+// tables around them.
+type refStepper struct {
+	s      *Simulator
+	routes [][]topology.Channel // flow ID → route channels
+	hop    []map[int]int        // channel → flow ID → hop index
+	// packets is the seed engine's live-packet table, keyed by packet ID.
+	packets map[int]*packet
+}
+
+// newRefStepper wraps a simulator that New built from tab.
+func newRefStepper(s *Simulator, tab *route.Table) *refStepper {
+	r := &refStepper{
+		s:       s,
+		routes:  make([][]topology.Channel, len(s.flows)),
+		hop:     make([]map[int]int, len(s.chans)),
+		packets: make(map[int]*packet),
+	}
+	for ci := range r.hop {
+		r.hop[ci] = map[int]int{}
+	}
+	for _, fs := range s.flows {
+		r.routes[fs.id] = tab.Route(fs.id).Channels
+		for h, ch := range r.routes[fs.id] {
+			r.hop[s.idx[ch]][fs.id] = h
+		}
+	}
+	return r
+}
+
+// step is Simulator.Step with the reference arbitration, keeping the
+// live-packet table in step with the packets the engine creates and
+// delivers.
+func (r *refStepper) step() bool {
+	s := r.s
+	if s.rec != nil && s.now >= s.rec.deliver {
+		delete(r.packets, s.rec.pkt.id) // stepRecovery delivers it
+	}
+	s.stepRecovery()
+	next := s.nextPkt
+	s.createPackets()
+	for _, fi := range s.ready {
+		fs := &s.flows[fi]
+		for _, p := range fs.queue[fs.qhead:] {
+			if p.id >= next {
+				r.packets[p.id] = p
+			}
+		}
+	}
+	moves := r.arbitrate()
+	for _, m := range moves {
+		if m.dst != -1 {
+			continue
+		}
+		if fr := s.chans[m.src].front(); fr.isTail {
+			delete(r.packets, fr.pkt.id)
+		}
+	}
+	return s.commit(moves)
+}
+
+// arbitrate reproduces the seed engine's arbitration: a full scan over
+// every channel (idle or not), flit resolution through the live-packet
+// table, hop resolution through the per-channel flow→hop map, next-hop
+// resolution through the channel→index map, and per-link candidate
+// grouping in a freshly allocated map with an explicit link sort.
+func (r *refStepper) arbitrate() []move {
+	s := r.s
+	var moves []move
+	// Ejections first: final-hop buffers always drain one flit.
+	for ci := range s.chans {
+		cs := &s.chans[ci]
+		if cs.n == 0 {
+			continue
+		}
+		p := r.packets[cs.front().pkt.id]
+		if r.hop[ci][p.flow] == len(r.routes[p.flow])-1 {
+			moves = append(moves, move{src: ci, dst: -1})
+		}
+	}
+	// Link transfers: gather candidates per link, pick one round-robin.
+	byLink := make(map[topology.LinkID][]cand)
+	for ci := range s.chans {
+		cs := &s.chans[ci]
+		if cs.n == 0 {
+			continue
+		}
+		fr := cs.front()
+		p := r.packets[fr.pkt.id]
+		rt := r.routes[p.flow]
+		hop := r.hop[ci][p.flow]
+		if hop == len(rt)-1 {
+			continue // ejection, handled above
+		}
+		next := rt[hop+1]
+		ni := s.idx[next]
+		if !s.admissible(ni, fr) {
+			continue
+		}
+		byLink[next.Link] = append(byLink[next.Link], cand{
+			m:   move{src: ci, dst: ni},
+			key: candKey(int32(next.VC), 0, ci),
+		})
+	}
+	// Injection candidates.
+	for i := range s.flows {
+		fs := &s.flows[i]
+		if fs.qlen() == 0 {
+			continue
+		}
+		p := fs.qfront()
+		first := r.routes[fs.id][0]
+		ni := s.idx[first]
+		fr := flitRef{pkt: p, isHead: p.injected == 0, isTail: p.injected == p.flits-1}
+		if !s.admissible(ni, fr) {
+			continue
+		}
+		byLink[first.Link] = append(byLink[first.Link], cand{
+			m:   move{src: -1, fl: fs.id, dst: ni},
+			key: candKey(int32(first.VC), 1, len(s.chans)+fs.id),
+		})
+	}
+	// Iterate links in ID order so the cycle outcome is independent of
+	// map iteration order.
+	links := make([]topology.LinkID, 0, len(byLink))
+	for link := range byLink {
+		links = append(links, link)
+	}
+	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
+	for _, link := range links {
+		cands := byLink[link]
+		pick := 0
+		if len(cands) > 1 {
+			sortCands(cands)
+			pick = s.linkRR[link] % len(cands)
+			s.linkRR[link]++
+		}
+		moves = append(moves, cands[pick].m)
+	}
+	return moves
+}
+
+// run is Simulator.Run with the reference arbitration: the engine's own
+// run protocol (watchdog, recovery, drain) around each reference step.
+func (r *refStepper) run() Stats {
+	s := r.s
+	lr := s.startRun()
+	for s.now < s.cfg.MaxCycles {
+		r.step()
+		if !lr.endCycle() {
+			break
+		}
+	}
+	s.finishStats()
+	return s.Stats()
+}
 
 // diffStats compares two stats snapshots field by field, ignoring the
 // collection order of Latencies (both runs record the same multiset; only
-// Run's finish pass sorts it).
+// the finish pass sorts it).
 func diffStats(t *testing.T, label string, a, b Stats) {
 	t.Helper()
 	a.Latencies, b.Latencies = nil, nil
@@ -27,38 +189,52 @@ func diffStats(t *testing.T, label string, a, b Stats) {
 	}
 }
 
-func diffScenario(t *testing.T, label string, build func() (*topology.Topology, *traffic.Graph, *route.Table), cfg Config, cycles int) {
+// diffScenario steps the engine and the reference side by side through
+// the run protocol until the engine's run ends — deadlock confirmed,
+// drained, or the horizon — requiring the same progress every cycle, the
+// same statistics every 64 cycles, and the same final outcome, which it
+// returns.
+func diffScenario(t *testing.T, label string, build func() (*topology.Topology, *traffic.Graph, *route.Table), cfg Config) Stats {
 	t.Helper()
 	top, g, tab := build()
 	fast, err := New(top, g, tab, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refCfg := cfg
-	refCfg.Reference = true
-	ref, err := New(top, g, tab, refCfg)
+	refSim, err := New(top, g, tab, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < cycles; i++ {
-		fm := fast.Step()
-		rm := ref.Step()
-		if fm != rm {
-			t.Fatalf("%s: cycle %d: fast progressed=%v, reference progressed=%v", label, i, fm, rm)
+	ref := newRefStepper(refSim, tab)
+	fastRun, refRun := fast.startRun(), refSim.startRun()
+	for fast.now < fast.cfg.MaxCycles {
+		cycle := fast.now
+		if fm, rm := fast.Step(), ref.step(); fm != rm {
+			t.Fatalf("%s: cycle %d: fast progressed=%v, reference progressed=%v", label, cycle, fm, rm)
 		}
-		if i%64 == 0 {
-			diffStats(t, fmt.Sprintf("%s @ cycle %d", label, i), fast.Stats(), ref.Stats())
+		fastOn, refOn := fastRun.endCycle(), refRun.endCycle()
+		if fastOn != refOn {
+			t.Fatalf("%s: cycle %d: fast run goes on=%v, reference run goes on=%v", label, cycle, fastOn, refOn)
+		}
+		if !fastOn {
+			break
+		}
+		if cycle%64 == 0 {
+			diffStats(t, fmt.Sprintf("%s @ cycle %d", label, cycle), fast.Stats(), refSim.Stats())
 		}
 	}
-	diffStats(t, label+" final", fast.Stats(), ref.Stats())
+	fast.finishStats()
+	refSim.finishStats()
+	want, got := fast.Stats(), refSim.Stats()
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: final stats diverge:\nfast: %+v\nref:  %+v", label, want, got)
+	}
+	return want
 }
 
-func TestReferenceMatchesFastStepwise(t *testing.T) {
-	saturated := Config{MaxCycles: 1 << 30, LoadFactor: 1.0, Seed: 7, BufferDepth: 2}
-	moderate := Config{MaxCycles: 1 << 30, LoadFactor: 0.4, Seed: 3}
-	drain := Config{MaxCycles: 1 << 30, PacketsPerFlow: 10, Seed: 5}
-
-	removed := func() (*topology.Topology, *traffic.Graph, *route.Table) {
+// removedRing is the Figure 1 ring after deadlock removal.
+func removedRing(t *testing.T) func() (*topology.Topology, *traffic.Graph, *route.Table) {
+	return func() (*topology.Topology, *traffic.Graph, *route.Table) {
 		top, g, tab := ringExample()
 		res, err := core.Remove(top, tab, core.Options{})
 		if err != nil {
@@ -66,46 +242,89 @@ func TestReferenceMatchesFastStepwise(t *testing.T) {
 		}
 		return res.Topology, g, res.Routes
 	}
+}
 
-	diffScenario(t, "cyclic ring saturated", ringExample, saturated, 2000)
-	diffScenario(t, "removed ring saturated", removed, saturated, 3000)
-	diffScenario(t, "removed ring moderate", removed, moderate, 3000)
-	diffScenario(t, "removed ring drain", removed, drain, 3000)
+func TestReferenceMatchesFastStepwise(t *testing.T) {
+	saturated := Config{MaxCycles: 3000, LoadFactor: 1.0, Seed: 7, BufferDepth: 2, CollectLatencies: true}
+	moderate := Config{MaxCycles: 3000, LoadFactor: 0.4, Seed: 3, CollectLatencies: true}
+	drain := Config{MaxCycles: 1 << 30, PacketsPerFlow: 10, Seed: 5, CollectLatencies: true}
+	recovery := Config{MaxCycles: 1 << 30, PacketsPerFlow: 25, Seed: 3, BufferDepth: 2, Recovery: true, CollectLatencies: true}
+
+	if st := diffScenario(t, "cyclic ring saturated", ringExample, saturated); !st.Deadlocked {
+		t.Errorf("cyclic ring saturated: run ended at cycle %d without a confirmed deadlock", st.Cycles)
+	}
+	diffScenario(t, "removed ring saturated", removedRing(t), saturated)
+	diffScenario(t, "removed ring moderate", removedRing(t), moderate)
+	if st := diffScenario(t, "removed ring drain", removedRing(t), drain); !st.Drained {
+		t.Errorf("removed ring drain: run ended at cycle %d undrained", st.Cycles)
+	}
+	if st := diffScenario(t, "cyclic ring recovery", ringExample, recovery); !st.Drained || st.Recoveries == 0 {
+		t.Errorf("cyclic ring recovery: drained=%v after %d recoveries", st.Drained, st.Recoveries)
+	}
 }
 
 func TestReferenceMatchesFastRunOutcome(t *testing.T) {
 	// Full Run comparison including deadlock confirmation on the cyclic
 	// ring and clean completion after removal, with latency collection.
-	run := func(reference bool, remove bool) Stats {
-		top, g, tab := ringExample()
-		if remove {
-			res, err := core.Remove(top, tab, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			top, tab = res.Topology, res.Routes
-		}
-		sim, err := New(top, g, tab, Config{
-			MaxCycles:        20000,
-			LoadFactor:       1.0,
-			Seed:             9,
-			CollectLatencies: true,
-			Reference:        reference,
-		})
+	cfg := Config{MaxCycles: 20000, LoadFactor: 1.0, Seed: 9, CollectLatencies: true}
+	for name, build := range map[string]func() (*topology.Topology, *traffic.Graph, *route.Table){
+		"cyclic ring":  ringExample,
+		"removed ring": removedRing(t),
+	} {
+		top, g, tab := build()
+		fast, err := New(top, g, tab, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := sim.Run()
+		want, err := fast.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return *st
+		refSim, err := New(top, g, tab, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := newRefStepper(refSim, tab).run(); !reflect.DeepEqual(*want, got) {
+			t.Errorf("%s: Run outcomes diverge:\nfast: %+v\nref:  %+v", name, *want, got)
+		}
 	}
-	for _, remove := range []bool{false, true} {
-		fast, ref := run(false, remove), run(true, remove)
-		if !reflect.DeepEqual(fast, ref) {
-			t.Errorf("remove=%v: Run outcomes diverge:\nfast: %+v\nref:  %+v", remove, fast, ref)
-		}
+}
+
+// BenchmarkSimStepMapBaseline steps the root package's BenchmarkSimStep
+// workload — the six paper benchmarks synthesized at 14 switches, with
+// deadlocks removed, at load 0.1 — through the reference arbitration.
+// Both arbitrations decide identical moves, so the ratio of the two
+// benchmarks is the dense engine's hot-loop speedup over the seed engine.
+func BenchmarkSimStepMapBaseline(b *testing.B) {
+	for _, name := range traffic.BenchmarkNames() {
+		b.Run(name, func(b *testing.B) {
+			g, err := traffic.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			des, err := synth.Synthesize(g, synth.Options{SwitchCount: 14})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rm, err := core.Remove(des.Topology, des.Routes, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sim, err := New(rm.Topology, g, rm.Routes, Config{MaxCycles: 1 << 62, LoadFactor: 0.1, Seed: 11})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ref := newRefStepper(sim, rm.Routes)
+			// Warm the network into steady state before timing.
+			for i := 0; i < 2000; i++ {
+				ref.step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ref.step()
+			}
+		})
 	}
 }
 

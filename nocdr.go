@@ -187,14 +187,15 @@ func BenchmarkNames() []string { return traffic.BenchmarkNames() }
 
 // sessionFromRemovalOptions builds the Session equivalent of a legacy
 // RemovalOptions value, so the deprecated wrappers stay byte-identical
-// to the Session path (pinned by the differential tests).
+// to the Session path (pinned by the differential tests). FullRebuild has
+// no Session equivalent and is ignored: both removal loops give the same
+// result.
 func sessionFromRemovalOptions(opts RemovalOptions) *Session {
 	return &Session{
 		vcLimit:       opts.VCLimit,
 		maxIterations: opts.MaxIterations,
 		policy:        opts.Policy,
 		selection:     opts.Selection,
-		fullRebuild:   opts.FullRebuild,
 		parallel:      1,
 		onBreak:       opts.OnBreak,
 	}
@@ -234,11 +235,11 @@ func DeadlockFree(top *Topology, tab *RouteTable) (bool, error) {
 // RemoveDeadlocks runs the paper's Algorithm 1: it returns modified
 // copies of the topology and routes whose CDG is acyclic, adding the
 // minimum virtual channels its cost heuristic finds. Inputs are never
-// mutated.
+// mutated. opts.FullRebuild is ignored.
 //
 // Deprecated: use NewSession (WithPolicy, WithSelection, WithVCLimit,
-// WithFullRebuild, WithMaxIterations) and (*Session).RemoveDeadlocks,
-// which accepts a context.Context and streams progress events.
+// WithMaxIterations) and (*Session).RemoveDeadlocks, which accepts a
+// context.Context and streams progress events.
 func RemoveDeadlocks(top *Topology, tab *RouteTable, opts RemovalOptions) (*RemovalResult, error) {
 	return sessionFromRemovalOptions(opts).RemoveDeadlocks(context.Background(), top, tab)
 }

@@ -42,7 +42,6 @@ type Session struct {
 	maxIterations int
 	policy        DirectionPolicy
 	selection     CycleSelection
-	fullRebuild   bool
 	parallel      int
 	routings      []string
 	faults        int
@@ -84,10 +83,13 @@ func WithPolicy(p DirectionPolicy) Option { return func(s *Session) { s.policy =
 // SmallestFirst, the paper's heuristic).
 func WithSelection(c CycleSelection) Option { return func(s *Session) { s.selection = c } }
 
-// WithFullRebuild routes removal through the rebuild-per-iteration
-// Algorithm 1 loop instead of the incremental CDG (same results, slower;
-// kept for differential comparisons).
-func WithFullRebuild(on bool) Option { return func(s *Session) { s.fullRebuild = on } }
+// WithFullRebuild has no effect: removal always maintains the CDG
+// incrementally. The rebuild-per-iteration loop, which gives the same
+// results, is kept only for the core package's differential tests and
+// benchmarks.
+//
+// Deprecated: removal has one path; drop the option.
+func WithFullRebuild(bool) Option { return func(*Session) {} }
 
 // WithParallel sets Sweep's in-process worker count (default 1 =
 // serial). Any value produces a byte-identical report; this only changes
@@ -192,7 +194,6 @@ func (s *Session) removalOptions() RemovalOptions {
 		VCLimit:       s.vcLimit,
 		Policy:        s.policy,
 		Selection:     s.selection,
-		FullRebuild:   s.fullRebuild,
 		OnBreak:       s.onBreak,
 	}
 	if s.progress != nil {
@@ -281,14 +282,14 @@ func (s *Session) simConfig(cfg SimConfig) SimConfig {
 
 // Sweep fans the grid's (benchmark × switches × policy × seed) jobs out
 // across WithParallel workers and aggregates a deterministic report —
-// the same engine behind `nocexp sweep`. The Session's WithPolicy,
-// WithVCLimit and WithFullRebuild apply to every cell's removal; the
-// grid's Policies axis governs cycle selection per cell (when the grid
-// leaves it empty, it defaults to the Session's WithSelection instead
-// of the paper default), and a grid without Routings/Faults/MaxPaths
-// inherits the Session's WithRouting/WithFaults/WithMaxPaths. Each
-// cell's removal and simulations honor ctx;
-// on cancellation the partial report is returned together with an error
+// the same engine behind `nocexp sweep`. The Session's WithPolicy and
+// WithVCLimit apply to every cell's removal; the grid's Policies axis
+// governs cycle selection per cell (when the grid leaves it empty, it
+// defaults to the Session's WithSelection instead of the paper default),
+// and a grid without Routings/Faults/MaxPaths inherits the Session's
+// WithRouting/WithFaults/WithMaxPaths. Each cell's removal and
+// simulations honor ctx; on cancellation the partial report is returned
+// together with an error
 // wrapping ErrCanceled, with Report.Canceled set and unfinished cells
 // marked canceled. Completed cells emit EventSweepCell on the Session's
 // progress feed.
@@ -306,17 +307,16 @@ func (s *Session) Sweep(ctx context.Context, grid SweepGrid, opts SweepOptions) 
 		grid.MaxPaths = s.maxPaths
 	}
 	ropts := runner.Options{
-		Parallel:    s.parallel,
-		Policy:      s.policy,
-		VCLimit:     s.vcLimit,
-		FullRebuild: s.fullRebuild,
-		Simulate:    opts.Simulate,
-		Sim:         opts.Sim,
-		Certify:     opts.Certify,
-		ShardIndex:  opts.ShardIndex,
-		ShardCount:  opts.ShardCount,
-		CellCache:   s.resultCache,
-		NoCache:     opts.NoCache,
+		Parallel:   s.parallel,
+		Policy:     s.policy,
+		VCLimit:    s.vcLimit,
+		Simulate:   opts.Simulate,
+		Sim:        opts.Sim,
+		Certify:    opts.Certify,
+		ShardIndex: opts.ShardIndex,
+		ShardCount: opts.ShardCount,
+		CellCache:  s.resultCache,
+		NoCache:    opts.NoCache,
 	}
 	if s.progress != nil {
 		ropts.OnResult = func(i, total int, res SweepResult) {

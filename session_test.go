@@ -33,8 +33,8 @@ func torusWorkload(t *testing.T) (*Topology, *TrafficGraph, *RouteTable) {
 
 // TestSessionDifferentialRemoval pins that the deprecated free function
 // and the Session path produce byte-identical results — same break
-// sequences, same modified topology and routes — across policies and
-// both CDG maintenance paths.
+// sequences, same modified topology and routes — across policies, and
+// with the deprecated full-rebuild switches set (both are no-ops).
 func TestSessionDifferentialRemoval(t *testing.T) {
 	top, _, tab := torusWorkload(t)
 	for _, tc := range []struct {

@@ -11,7 +11,7 @@ FUZZ_PKGS ?= ./...
 # Minimum total statement coverage accepted by the cover gate.
 COVER_MIN ?= 75
 
-.PHONY: build test race bench bench-pin loc fmt vet lint vulncheck cover fuzz-smoke sweep-smoke sweep-smoke-sharded deep-sweep deep-loadsweep reconfigure-smoke deep-reconfigure certify-smoke deep-certify examples fabric-conformance compose-smoke k8s-validate ci
+.PHONY: build test race bench bench-pin bench-test loc fmt vet lint vulncheck cover fuzz-smoke sweep-smoke sweep-smoke-sharded deep-sweep deep-loadsweep reconfigure-smoke deep-reconfigure certify-smoke deep-certify examples fabric-conformance compose-smoke k8s-validate ci
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,14 @@ bench:
 bench-pin:
 	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
+
+# nocbench's own tests: every workload for a few ops at seed 0 against
+# its golden report digests, the traced replay's fidelity, and the metric
+# names against BENCHMARK.json. benchmark/ is a separate module the root
+# `go test ./...` cannot see, so it runs here, in the environment
+# benchmark/run.sh builds it in.
+bench-test:
+	cd benchmark && GOFLAGS= GOWORK=off GOTOOLCHAIN=local $(GO) test ./...
 
 # Go line counts of the root module, non-test and test, as the ROADMAP
 # tracks them. The benchmark module and its build cache are excluded.
@@ -261,4 +269,4 @@ compose-smoke:
 	docker compose down -v
 	@echo "compose-smoke: OK"
 
-ci: build vet fmt lint vulncheck race cover examples sweep-smoke sweep-smoke-sharded reconfigure-smoke certify-smoke fabric-conformance k8s-validate
+ci: build vet fmt lint vulncheck race cover bench-test examples sweep-smoke sweep-smoke-sharded reconfigure-smoke certify-smoke fabric-conformance k8s-validate

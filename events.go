@@ -95,7 +95,8 @@ type (
 )
 
 // SweepOptions configures Session.Sweep beyond what the Session already
-// carries (worker count, removal policy, rebuild path).
+// carries (worker count, removal policy, VC limit, workers, result
+// cache).
 type SweepOptions struct {
 	// Simulate adds the flit-level verification stage to every cell.
 	Simulate bool

@@ -7,6 +7,9 @@
 package runner
 
 import (
+	"encoding/json"
+
+	"github.com/nocdr/nocdr/internal/certify"
 	"github.com/nocdr/nocdr/internal/fabric"
 )
 
@@ -56,4 +59,49 @@ func CellKey(j Job, opts Options, loads []float64) string {
 		p.Loads = loads
 	}
 	return fabric.Key("sweep-cell", p)
+}
+
+// cellKeys addresses every job of a sweep once, so a cell's lookup and
+// its store share one hash; nil when the sweep has no cache.
+func cellKeys(jobs []Job, opts Options, loads []float64) []string {
+	if opts.CellCache == nil {
+		return nil
+	}
+	keys := make([]string, len(jobs))
+	for i, j := range jobs {
+		keys[i] = CellKey(j, opts, loads)
+	}
+	return keys
+}
+
+// cacheHit looks job j up under key and returns the stored result and
+// its bytes when they are usable verbatim: they decode, they are j's own
+// result, and a certified run finds a certificate issued by the running
+// checker. A stored certificate from a different checker build (possible
+// when the cache persisted across a checker change without an
+// engine-salt bump) voids the hit, so the cell re-certifies.
+func cacheHit(opts Options, key string, j Job) (Result, []byte, bool) {
+	data, ok := opts.CellCache.Get(key)
+	if !ok {
+		return Result{}, nil, false
+	}
+	var r Result
+	if err := json.Unmarshal(data, &r); err != nil || r.Job != j {
+		return Result{}, nil, false
+	}
+	if opts.Certify && (r.Certify == nil || r.Certify.Salt != certify.Salt) {
+		return Result{}, nil, false
+	}
+	return r, data, true
+}
+
+// storeClean stores a computed result under key. Errored and canceled
+// cells are never stored: they must re-run next time.
+func storeClean(c CellCache, key string, r Result) {
+	if r.Error != "" || r.Canceled {
+		return
+	}
+	if data, err := json.Marshal(r); err == nil {
+		c.Put(key, data)
+	}
 }

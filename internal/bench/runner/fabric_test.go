@@ -132,9 +132,8 @@ func TestShardedLateJoinPicksUpUnownedShards(t *testing.T) {
 		src.set(urls...)
 	}()
 	sh := &runner.Sharded{
-		Source:       src,
-		JoinGrace:    30 * time.Second,
-		PollInterval: 5 * time.Millisecond,
+		Source:    src,
+		JoinGrace: 30 * time.Second,
 	}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
@@ -193,10 +192,10 @@ func TestShardedJoinGraceExpires(t *testing.T) {
 	}
 }
 
-// TestShardedEmptySourceFailsFast pins the zero-grace path: an empty
-// fleet with JoinGrace unset (0 through the struct literal is
-// interpreted as "fail fast", the CLI's behavior for a coordinator with
-// no registered workers is bounded by the default grace instead).
+// TestShardedEmptySourceFailsFast pins the zero-grace path: a fleet
+// empty at start with JoinGrace unset fails at once, as the Session and
+// the CLI see it. Only a fleet that empties mid-run waits out the
+// default grace.
 func TestShardedEmptySourceFailsFast(t *testing.T) {
 	grid := runner.Grid{Benchmarks: []string{"mesh:3"}, Seeds: []int64{0}}
 	sh := &runner.Sharded{Source: newFakeSource()}
@@ -223,7 +222,7 @@ func TestShardedCacheSecondRunDispatchesNothing(t *testing.T) {
 	cache := fabric.NewCache(fabric.CacheOptions{})
 	opts := runner.Options{CellCache: cache}
 
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep1, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +266,7 @@ func TestShardedCachePartialEviction(t *testing.T) {
 	urls := startWorkers(t, 1, countSubmits(counts))
 	cache := newMapCache()
 	opts := runner.Options{CellCache: cache}
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	if _, err := sh.RunContext(context.Background(), grid, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +310,7 @@ func TestShardedNoCacheBypassesButRefreshes(t *testing.T) {
 	urls := startWorkers(t, 1, nil)
 	cache := newMapCache()
 	opts := runner.Options{CellCache: cache}
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	if _, err := sh.RunContext(context.Background(), grid, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -395,9 +394,8 @@ func TestShardedHeartbeatRetirementRequeues(t *testing.T) {
 	defer src.Close()
 
 	sh := &runner.Sharded{
-		Source:       src,
-		PollInterval: 5 * time.Millisecond,
-		JoinGrace:    30 * time.Second,
+		Source:    src,
+		JoinGrace: 30 * time.Second,
 	}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {

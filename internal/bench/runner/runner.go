@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/nocdr/nocdr/internal/certify"
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/regular"
@@ -373,29 +372,16 @@ func RunContext(ctx context.Context, grid Grid, opts Options) (*Report, error) {
 	// clean result are filled in place and never scheduled. The stored
 	// bytes are the canonical Result encoding, so a cache-served report
 	// is byte-identical to a cold one.
+	keys := cellKeys(jobs, opts, grid.Loads)
 	var cached []bool
 	if opts.CellCache != nil && !opts.NoCache {
 		cached = make([]bool, len(jobs))
 		for i, j := range jobs {
-			data, ok := opts.CellCache.Get(CellKey(j, opts, grid.Loads))
-			if !ok {
-				continue
+			if r, _, ok := cacheHit(opts, keys[i], j); ok {
+				results[i] = r
+				scheduled[i] = true
+				cached[i] = true
 			}
-			var r Result
-			if err := json.Unmarshal(data, &r); err != nil || r.Job != j {
-				continue
-			}
-			// Certified runs never reuse a certificate issued by a
-			// different checker build: a hit whose stored salt does not
-			// match the running checker (possible when the cache
-			// persisted across a checker change without an engine-salt
-			// bump) is treated as a miss and the cell re-certifies.
-			if opts.Certify && (r.Certify == nil || r.Certify.Salt != certify.Salt) {
-				continue
-			}
-			results[i] = r
-			scheduled[i] = true
-			cached[i] = true
 		}
 	}
 
@@ -452,14 +438,8 @@ func RunContext(ctx context.Context, grid Grid, opts Options) (*Report, error) {
 				members := groups[gi]
 				runGroup(ctx, jobs, members, results, opts, grid.Loads, laneParallel)
 				if opts.CellCache != nil {
-					// Store every clean member under its content address;
-					// failures and cancellations must re-run next time.
 					for _, i := range members {
-						if r := results[i]; r.Error == "" && !r.Canceled {
-							if data, err := json.Marshal(r); err == nil {
-								opts.CellCache.Put(CellKey(jobs[i], opts, grid.Loads), data)
-							}
-						}
+						storeClean(opts.CellCache, keys[i], results[i])
 					}
 				}
 				if opts.Progress != nil || opts.OnResult != nil {

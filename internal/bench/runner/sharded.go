@@ -1,10 +1,10 @@
 // The sharded sweep dispatcher: the coordinator side of the distributed
 // backend. It cuts the grid into DefaultShardCount shards (ShardOf),
 // hands shards to remote `nocdr serve` workers over the /v1/sweep job
-// API, follows each job's SSE event stream to its terminal state (status
-// polling is the degrade path), requeues shards whose worker dies
-// mid-flight, drains partial results on cancellation, and merges the
-// shard reports into a report byte-identical to a single-process run.
+// API, follows each job's SSE event stream to its terminal state,
+// requeues shards whose worker dies mid-flight, drains partial results
+// on cancellation, and merges the shard reports into a report
+// byte-identical to a single-process run.
 
 package runner
 
@@ -17,12 +17,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"github.com/nocdr/nocdr/internal/certify"
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/fabric"
 	"github.com/nocdr/nocdr/internal/nocerr"
@@ -54,38 +54,18 @@ type Sharded struct {
 	Source WorkerSource
 	// JoinGrace bounds how long a run with a Source waits for a worker
 	// to join while shards are pending and none are live (default 30s);
-	// past it the run fails like an all-workers-dead run.
+	// past it the run fails like an all-workers-dead run. A run whose
+	// fleet is empty at start fails at once unless JoinGrace is set.
 	JoinGrace time.Duration
 	// AuthToken is the fleet bearer token attached to every worker call
 	// ("" = open fleet).
 	AuthToken string
-	// Shards overrides DefaultShardCount. The shard count — not the
-	// worker count — is the granularity of assignment, load balancing
-	// and requeue, so it may exceed the worker count freely.
-	Shards int
-	// Client is the HTTP client; nil uses a plain &http.Client{} (no
-	// global timeout — sweep jobs are long-lived and their SSE streams
-	// stay open for the life of a shard; cancellation flows through the
-	// run context instead). TLS fleets pass a client built from
-	// fabric.HTTPClient(fabric.ClientTLS(...), 0).
+	// Client is the HTTP client; nil uses a plain &http.Client{}. Sweep
+	// jobs are long-lived, so the client needs no global timeout: the
+	// dispatcher bounds each request by its own idle limit instead, and
+	// cancellation flows through the run context. TLS fleets pass a
+	// client built from fabric.HTTPClient(fabric.ClientTLS(...), 0).
 	Client *http.Client
-	// DisableStream skips the SSE subscription and drives every shard by
-	// status polling alone — the degrade path, forced (tests, proxies
-	// that buffer event streams).
-	DisableStream bool
-	// PollInterval is the job-status polling period on the degrade path
-	// (default 25ms).
-	PollInterval time.Duration
-	// Retries is the attempt budget per shard across all workers
-	// (default 3): a shard failing that many times fails the run with an
-	// error wrapping nocerr.ErrWorker.
-	Retries int
-	// WorkerParallel overrides each worker's per-sweep runner pool size
-	// (0 keeps the worker's own default).
-	WorkerParallel int
-	// DrainTimeout bounds how long a canceled run waits for workers to
-	// surrender partial shard reports (default 10s).
-	DrainTimeout time.Duration
 	// OnAssign, when non-nil, observes every shard→worker assignment
 	// (including reassignments after a failure).
 	OnAssign func(shard, shards int, worker string)
@@ -94,32 +74,43 @@ type Sharded struct {
 	OnRetry func(shard int, worker string, err error)
 }
 
-func (d *Sharded) client() *http.Client {
-	if d.Client != nil {
-		return d.Client
-	}
-	return &http.Client{}
-}
+const (
+	// shardAttempts is the attempt budget per shard across all workers:
+	// a shard failing that many times fails the run with an error
+	// wrapping nocerr.ErrWorker.
+	shardAttempts = 3
+	// drainTimeout bounds how long a canceled run waits for workers to
+	// surrender partial shard reports.
+	drainTimeout = 10 * time.Second
+	// maxBackpressure bounds how many 429 rounds one shard submission
+	// rides out before the attempt is surrendered to the retry budget.
+	maxBackpressure = 20
+)
 
-func (d *Sharded) pollInterval() time.Duration {
-	if d.PollInterval > 0 {
-		return d.PollInterval
-	}
-	return 25 * time.Millisecond
-}
+// requestIdle is the idle limit of every request the dispatcher sends,
+// counted from the moment the request is sent: a seed, submit or cancel
+// answer must arrive within it, and an event stream may not stay silent
+// longer (serve pings quiet streams every 15s). A worker that accepts a
+// connection and never answers fails the request instead of stalling
+// the sweep. A var so tests can shorten it.
+var requestIdle = 60 * time.Second
 
-func (d *Sharded) drainTimeout() time.Duration {
-	if d.DrainTimeout > 0 {
-		return d.DrainTimeout
-	}
-	return 10 * time.Second
-}
+// errSilent fails an event stream that outlived requestIdle without a
+// line.
+var errSilent = errors.New("event stream silent past the idle limit")
 
 func (d *Sharded) joinGrace() time.Duration {
 	if d.JoinGrace > 0 {
 		return d.JoinGrace
 	}
 	return 30 * time.Second
+}
+
+func (d *Sharded) client() *http.Client {
+	if d.Client != nil {
+		return d.Client
+	}
+	return &http.Client{}
 }
 
 // WorkerSource supplies live worker membership to the sharded
@@ -139,7 +130,6 @@ type shardRequest struct {
 	Simulate bool      `json:"simulate"`
 	Sim      SimParams `json:"sim"`
 	Certify  bool      `json:"certify,omitempty"`
-	Parallel int       `json:"parallel,omitempty"`
 	Options  struct {
 		VCLimit int    `json:"vc_limit"`
 		Policy  string `json:"policy"`
@@ -147,8 +137,8 @@ type shardRequest struct {
 	} `json:"options"`
 }
 
-// wireStatus is the slice of serve's job-status document the dispatcher
-// reads while polling.
+// wireStatus is the slice of serve's job-status snapshot that a terminal
+// `state` event carries.
 type wireStatus struct {
 	State  string          `json:"state"`
 	Error  string          `json:"error"`
@@ -173,8 +163,8 @@ type outcome struct {
 	worker int
 	rep    *Report
 	err    error
-	// dead marks the worker unusable: transport failures and unparseable
-	// responses retire it; the shard requeues to the survivors.
+	// dead marks the worker unusable: a request failing twice, or a
+	// corrupt answer, retires it; the shard requeues to the survivors.
 	dead bool
 }
 
@@ -197,11 +187,9 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	}
 	grid = grid.normalized()
 	opts.maxPaths = grid.MaxPaths
-	shards := d.Shards
-	if shards <= 0 {
-		shards = DefaultShardCount
-	}
+	const shards = DefaultShardCount
 	jobs := grid.Jobs()
+	keys := cellKeys(jobs, opts, grid.Loads)
 	shardJobs := make([][]int, shards)
 	for i, j := range jobs {
 		s := ShardOf(j, shards)
@@ -224,34 +212,22 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		cachedShards = make([]bool, shards)
 		warm         map[int][]fabric.CacheEntry
 	)
-	for s := 0; s < shards; s++ {
-		if len(shardJobs[s]) == 0 {
+	for s, cells := range shardJobs {
+		if len(cells) == 0 {
 			continue
 		}
-		hits := make([]Result, 0, len(shardJobs[s]))
+		hits := make([]Result, 0, len(cells))
 		var entries []fabric.CacheEntry
 		if opts.CellCache != nil && !opts.NoCache {
-			for _, i := range shardJobs[s] {
-				key := CellKey(jobs[i], opts, grid.Loads)
-				data, ok := opts.CellCache.Get(key)
-				if !ok {
-					continue
+			for _, i := range cells {
+				// A rejected hit re-runs remotely with the rest of its shard.
+				if r, data, ok := cacheHit(opts, keys[i], jobs[i]); ok {
+					hits = append(hits, r)
+					entries = append(entries, fabric.CacheEntry{Key: keys[i], Value: data})
 				}
-				var r Result
-				if err := json.Unmarshal(data, &r); err != nil || r.Job != jobs[i] {
-					continue
-				}
-				// Same poisoned-salt guard as the local pre-pass: a stored
-				// certificate from a different checker build voids the hit
-				// (and, at shard granularity, that cell re-runs remotely).
-				if opts.Certify && (r.Certify == nil || r.Certify.Salt != certify.Salt) {
-					continue
-				}
-				hits = append(hits, r)
-				entries = append(entries, fabric.CacheEntry{Key: key, Value: data})
 			}
 		}
-		if len(hits) == len(shardJobs[s]) && len(hits) > 0 {
+		if len(hits) == len(cells) {
 			cachedShards[s] = true
 			if cacheRep == nil {
 				cacheRep = &Report{Grid: grid}
@@ -272,10 +248,14 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		// is empty at start and the caller didn't opt into waiting.
 		return nil, fmt.Errorf("%w: %d shard(s) to run and no live workers registered", nocerr.ErrWorker, len(pending))
 	}
-	retries := d.Retries
-	if retries <= 0 {
-		retries = 3
-	}
+
+	// Every shard sends the same request; the shard index rides in the
+	// URL.
+	req := &shardRequest{Grid: grid, Simulate: opts.Simulate, Sim: opts.Sim, Certify: opts.Certify}
+	req.Options.VCLimit = opts.VCLimit
+	req.Options.Policy = policyWire(opts.Policy)
+	req.Options.NoCache = opts.NoCache
+	client := d.client()
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -296,12 +276,12 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		free    []int
 		updates <-chan struct{}
 	)
-	spawn := func(url string) {
-		if url == "" || known[url] {
+	spawn := func(u string) {
+		if u == "" || known[u] {
 			return
 		}
-		known[url] = true
-		w := &remote{url: url, feed: make(chan int)}
+		known[u] = true
+		w := &remote{url: u, feed: make(chan int)}
 		wi := len(fleet)
 		fleet = append(fleet, w)
 		free = append(free, wi)
@@ -309,7 +289,11 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		go func() {
 			defer wg.Done()
 			for shard := range w.feed {
-				rep, dead, err := d.runShard(cctx, w.url, grid, shard, shards, warm[shard], opts)
+				s := shardCall{client: client, worker: strings.TrimSuffix(w.url, "/"), shard: shard}
+				for _, i := range shardJobs[shard] {
+					s.cells = append(s.cells, jobs[i])
+				}
+				rep, dead, err := d.runShard(cctx, s, req, warm[shard])
 				done <- outcome{shard: shard, worker: wi, rep: rep, err: err, dead: dead}
 			}
 		}()
@@ -342,13 +326,16 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		fatal       error
 		interrupted bool
 		progressed  int
-		// graceBy is the join-grace deadline of an empty fleet: set when
-		// the fleet empties, cleared when a worker is admitted, so
+		// grace is the join-grace deadline of an empty fleet: armed when
+		// the fleet empties, disarmed when a worker is admitted, so
 		// membership updates that admit no one cannot extend it.
-		graceBy time.Time
-		grace   waiter
+		grace *time.Timer
 	)
-	defer grace.stop()
+	defer func() {
+		if grace != nil {
+			grace.Stop()
+		}
+	}()
 	noteResults := func(rep *Report) {
 		for i := range rep.Results {
 			res := rep.Results[i]
@@ -397,8 +384,8 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			// Live-membership mode: wait (bounded) for a join instead of
 			// failing — a fresh worker registering with the coordinator
 			// picks the unowned shards up.
-			if graceBy.IsZero() {
-				graceBy = time.Now().Add(d.joinGrace())
+			if grace == nil {
+				grace = time.NewTimer(d.joinGrace())
 			}
 			select {
 			case _, ok := <-updates:
@@ -412,9 +399,10 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 					spawn(u)
 				}
 				if len(free) > 0 {
-					graceBy = time.Time{}
+					grace.Stop()
+					grace = nil
 				}
-			case <-grace.arm(time.Until(graceBy)):
+			case <-grace.C:
 				fatal = fmt.Errorf("%w: %d shard(s) unassigned and no worker joined within %v", nocerr.ErrWorker, len(pending), d.joinGrace())
 			case <-ctxDone:
 				interrupted = true
@@ -451,7 +439,7 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 				if d.OnRetry != nil {
 					d.OnRetry(o.shard, fleet[o.worker].url, o.err)
 				}
-				if attempts[o.shard] >= retries {
+				if attempts[o.shard] >= shardAttempts {
 					fatal = fmt.Errorf("%w: shard %d/%d failed after %d attempt(s): %v",
 						nocerr.ErrWorker, o.shard, shards, attempts[o.shard], o.err)
 					cancel()
@@ -497,67 +485,32 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	if opts.CellCache != nil {
 		// Feed the coordinator cache from the merged report: every clean
 		// cell a worker computed this run (cache-served shards already
-		// hold these exact bytes and are skipped). rep.Results is in
-		// jobs order, so index i is cell jobs[i].
-		for i := range rep.Results {
-			r := rep.Results[i]
-			if cachedShards[ShardOf(jobs[i], shards)] || r.Error != "" || r.Canceled {
+		// hold these exact bytes). rep.Results is in jobs order, so index
+		// i is cell jobs[i].
+		for s, cells := range shardJobs {
+			if cachedShards[s] {
 				continue
 			}
-			if data, err := json.Marshal(r); err == nil {
-				opts.CellCache.Put(CellKey(jobs[i], opts, grid.Loads), data)
+			for _, i := range cells {
+				storeClean(opts.CellCache, keys[i], rep.Results[i])
 			}
 		}
 	}
 	return rep, nil
 }
 
-// maxBackpressure bounds how many 429 rounds one shard submission rides
-// out before the attempt is surrendered to the retry budget.
-const maxBackpressure = 20
-
-// streamIdleTimeout closes an SSE subscription that has gone silent: the
-// server pings every ssePingInterval, so a stream this quiet means the
-// peer is gone without having closed the connection. The dispatcher then
-// degrades to status polling, whose per-request failures detect death.
-const streamIdleTimeout = 60 * time.Second
-
-// waiter is a reusable timer for the dispatcher's wait loops: one
-// runtime timer serves every iteration, where time.After would allocate
-// a fresh timer per 25ms tick and leak each until expiry.
-type waiter struct{ t *time.Timer }
-
-// arm (re)starts the timer for dur and returns its channel, first
-// discarding any expiry an earlier select left unreceived.
-func (w *waiter) arm(dur time.Duration) <-chan time.Time {
-	if w.t == nil {
-		w.t = time.NewTimer(dur)
-		return w.t.C
-	}
-	if !w.t.Stop() {
-		select {
-		case <-w.t.C:
-		default:
-		}
-	}
-	w.t.Reset(dur)
-	return w.t.C
+// shardCall is one shard attempt on one worker: the client every request
+// goes through, the worker's base URL, and the cells the shard must
+// answer with, in grid order.
+type shardCall struct {
+	client *http.Client
+	worker string
+	shard  int
+	cells  []Job
 }
 
-// sleep blocks for dur or until ctx is done (returning ctx's error).
-func (w *waiter) sleep(ctx context.Context, dur time.Duration) error {
-	select {
-	case <-w.arm(dur):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (w *waiter) stop() {
-	if w.t != nil {
-		w.t.Stop()
-	}
+func (s shardCall) fail(what string, err error) error {
+	return fmt.Errorf("worker %s: %s shard %d/%d: %w", s.worker, what, s.shard, DefaultShardCount, err)
 }
 
 // backpressureError is a worker's 429 submit answer: the job table is
@@ -582,118 +535,74 @@ func parseRetryAfter(h string) time.Duration {
 	return time.Duration(secs) * time.Second
 }
 
-// runShard submits one shard to a worker and follows its job to a
-// terminal state: first over the job's SSE event stream (zero status
-// polls on the happy path), falling back to polling when the stream is
-// unavailable or drops. A 429 submit answer is backpressure, not
-// failure — the worker's Retry-After is honored and the submit retried
-// without retiring anyone. A failed or malformed submission gets one
-// immediate resubmission, and a failed status poll one immediate
-// re-poll, before the worker is declared dead (dead=true retires the
-// worker; the coordinator requeues the shard elsewhere). On cancellation
-// the worker-side job is canceled and its partial report drained.
-func (d *Sharded) runShard(ctx context.Context, worker string, grid Grid, shard, shards int, seed []fabric.CacheEntry, opts Options) (rep *Report, dead bool, err error) {
-	req := shardRequest{
-		Grid:     grid,
-		Simulate: opts.Simulate,
-		Sim:      opts.Sim,
-		Certify:  opts.Certify,
-		Parallel: d.WorkerParallel,
-	}
-	req.Options.VCLimit = opts.VCLimit
-	req.Options.Policy = policyWire(opts.Policy)
-	req.Options.NoCache = opts.NoCache
+// runShard submits one shard to a worker and follows the job's SSE
+// event stream to its terminal `state` event, which carries the job's
+// full status snapshot. A 429 submit answer is backpressure, not failure
+// — the worker's Retry-After is honored and the submit retried without
+// retiring anyone. Any other failed request gets one second chance per
+// phase: one resubmission (shared with the cache seed hand-off, so a
+// worker that never answers costs at most two idle limits), and one
+// reopened stream. A second failure — or a report that is not exactly
+// the shard's cells — retires the worker (dead=true); the coordinator
+// requeues the shard elsewhere. On cancellation the worker-side job is
+// canceled and its partial report drained.
+func (d *Sharded) runShard(ctx context.Context, s shardCall, req *shardRequest, seed []fabric.CacheEntry) (*Report, bool, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, false, err
 	}
-
-	wait := &waiter{}
-	defer wait.stop()
-
 	// Warm hand-off: ship the coordinator's cached cells for this shard
 	// before submitting, so the worker's own cache pre-pass answers them
-	// without computing. Best-effort — a worker without a cache (409) or
-	// a failed POST just computes those cells cold.
+	// without computing. Best-effort — a worker without a cache (409)
+	// just computes those cells cold — but a seed POST that got no answer
+	// at all spends the submit's second chance.
+	retried := false
 	if len(seed) > 0 {
-		_ = fabric.SeedEntries(ctx, worker, d.AuthToken, d.client(), seed)
+		sctx, cancel := context.WithTimeout(ctx, requestIdle)
+		var unanswered *url.Error
+		retried = errors.As(fabric.SeedEntries(sctx, s.worker, d.AuthToken, s.client, seed), &unanswered)
+		cancel()
 	}
-
-	id, err := d.submitBackoff(ctx, worker, shard, shards, body, wait)
+	id, err := d.submit(ctx, s, body, retried)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, false, fmt.Errorf("%w: %w", nocerr.ErrCanceled, ctx.Err())
 		}
-		return nil, true, fmt.Errorf("worker %s: submit shard %d/%d: %w", worker, shard, shards, err)
+		return nil, true, s.fail("submit", err)
 	}
-
-	var st *wireStatus
-	if !d.DisableStream {
-		st = d.streamTerminal(ctx, worker, id)
-	}
-	if st == nil && ctx.Err() != nil {
-		return d.drain(worker, id)
-	}
-	// Degrade path: the stream was unavailable (older worker, buffering
-	// proxy) or dropped mid-job. The job is unaffected server-side, so
-	// fall back to status polling.
-	pollFailures := 0
-	for st == nil {
-		cur, err := d.jobStatus(ctx, worker, id)
-		if err != nil {
-			if ctx.Err() != nil {
-				return d.drain(worker, id)
-			}
-			// Absorb one poll hiccup (the job keeps running server-side);
-			// two consecutive failures retire the worker.
-			if pollFailures++; pollFailures > 1 {
-				return nil, true, fmt.Errorf("worker %s: poll shard %d/%d: %w", worker, shard, shards, err)
-			}
-			if wait.sleep(ctx, d.pollInterval()) != nil {
-				return d.drain(worker, id)
-			}
-			continue
+	st, err := d.follow(ctx, s, id)
+	if err != nil {
+		if ctx.Err() != nil {
+			return d.drain(s, id)
 		}
-		pollFailures = 0
-		switch cur.State {
-		case "done", "failed", "canceled":
-			st = cur
-		default:
-			if wait.sleep(ctx, d.pollInterval()) != nil {
-				return d.drain(worker, id)
-			}
-		}
+		return nil, true, s.fail("stream", err)
 	}
 	switch st.State {
 	case "done":
-		rep, err := decodeShardReport(st.Result)
+		rep, err := shardReport(st.Result, s.cells)
 		if err != nil {
-			return nil, true, fmt.Errorf("worker %s: shard %d/%d result: %w", worker, shard, shards, err)
+			return nil, true, s.fail("result of", err)
 		}
 		return rep, false, nil
 	case "failed":
-		return nil, false, fmt.Errorf("worker %s: shard %d/%d failed: %s", worker, shard, shards, st.Error)
+		return nil, false, s.fail("run", errors.New(st.Error))
 	default: // canceled
 		// Canceled server-side (shutdown, operator): whatever partial
 		// result exists still merges; missing cells surface as
 		// canceled slots.
-		rep, _ := decodeShardReport(st.Result)
-		if rep != nil {
-			rep.Canceled = true
-		}
-		return rep, false, nil
+		return canceledReport(st, s.cells), false, nil
 	}
 }
 
-// submitBackoff submits the shard, absorbing backpressure and transient
-// hiccups: a 429 answer waits out the worker's Retry-After and resubmits
-// (the worker is healthy, just full — up to maxBackpressure rounds),
-// while any other failure gets one immediate retry before giving up.
-func (d *Sharded) submitBackoff(ctx context.Context, worker string, shard, shards int, body []byte, wait *waiter) (string, error) {
-	retried := false
+// submit POSTs the shard's sweep request and returns the accepted job
+// ID, absorbing backpressure and transient hiccups: a 429 answer waits
+// out the worker's Retry-After and resubmits (the worker is healthy,
+// just full — up to maxBackpressure rounds), while any other failure
+// gets one immediate retry unless retried says it was already spent.
+func (d *Sharded) submit(ctx context.Context, s shardCall, body []byte, retried bool) (string, error) {
 	backpressured := 0
 	for {
-		id, err := d.submit(ctx, worker, shard, shards, body)
+		id, err := d.submitOnce(ctx, s, body)
 		var full *backpressureError
 		switch {
 		case err == nil:
@@ -704,7 +613,11 @@ func (d *Sharded) submitBackoff(ctx context.Context, worker string, shard, shard
 			if backpressured++; backpressured > maxBackpressure {
 				return "", err
 			}
-			if werr := wait.sleep(ctx, full.after); werr != nil {
+			t := time.NewTimer(full.after)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
 				return "", err
 			}
 		case !retried:
@@ -715,117 +628,18 @@ func (d *Sharded) submitBackoff(ctx context.Context, worker string, shard, shard
 	}
 }
 
-// streamTerminal subscribes to the job's SSE event feed and blocks until
-// the terminal `state` event arrives, returning its status document. A
-// nil return means the stream was unavailable or dropped — the caller
-// degrades to status polling; the job is unaffected server-side. An idle
-// watchdog closes streams silent past streamIdleTimeout (the server
-// pings idle streams, so that much silence means a dead peer).
-func (d *Sharded) streamTerminal(ctx context.Context, worker, id string) *wireStatus {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimSuffix(worker, "/")+"/v1/jobs/"+id+"/events", nil)
-	if err != nil {
-		return nil
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	fabric.SetAuth(req, d.AuthToken)
-	resp, err := d.client().Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK ||
-		!strings.HasPrefix(resp.Header.Get("Content-Type"), "text/event-stream") {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return nil
-	}
-	dog := time.AfterFunc(streamIdleTimeout, func() { resp.Body.Close() })
-	defer dog.Stop()
-
-	var event string
-	var data bytes.Buffer
-	sc := bufio.NewScanner(resp.Body)
-	// Terminal state events embed the full shard report; size the line
-	// budget like the job API's own body budget.
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		dog.Reset(streamIdleTimeout)
-		line := sc.Text()
-		switch {
-		case line == "":
-			// Blank line dispatches the accumulated event.
-			if event == "state" && data.Len() > 0 {
-				var st wireStatus
-				if json.Unmarshal(data.Bytes(), &st) == nil {
-					switch st.State {
-					case "done", "failed", "canceled":
-						return &st
-					}
-				}
-			}
-			event = ""
-			data.Reset()
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			if data.Len() > 0 {
-				data.WriteByte('\n')
-			}
-			data.WriteString(strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " "))
-		}
-		// id: lines and ": ping" comments need no handling.
-	}
-	return nil
-}
-
-// drain is the cancellation path of runShard: cancel the worker-side job
-// and poll (off the run context, bounded by DrainTimeout) until it goes
-// terminal, so the partial shard report is not lost. A worker that
-// cannot be drained simply contributes nothing — its cells merge as
-// canceled slots.
-func (d *Sharded) drain(worker, id string) (*Report, bool, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d.drainTimeout())
+// submitOnce sends one submit, bounded by the idle limit.
+func (d *Sharded) submitOnce(ctx context.Context, s shardCall, body []byte) (string, error) {
+	ctx, cancel := context.WithTimeout(ctx, requestIdle)
 	defer cancel()
-	creq, err := http.NewRequestWithContext(ctx, http.MethodPost, worker+"/v1/jobs/"+id+"/cancel", nil)
-	if err != nil {
-		return nil, false, nil
-	}
-	fabric.SetAuth(creq, d.AuthToken)
-	if resp, err := d.client().Do(creq); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	wait := &waiter{}
-	defer wait.stop()
-	for {
-		st, err := d.jobStatus(ctx, worker, id)
-		if err != nil {
-			return nil, false, nil
-		}
-		switch st.State {
-		case "done", "failed", "canceled":
-			rep, _ := decodeShardReport(st.Result)
-			if rep != nil && st.State != "done" {
-				rep.Canceled = true
-			}
-			return rep, false, nil
-		}
-		if wait.sleep(ctx, d.pollInterval()) != nil {
-			return nil, false, nil
-		}
-	}
-}
-
-// submit POSTs the shard's sweep request and returns the accepted job ID.
-func (d *Sharded) submit(ctx context.Context, worker string, shard, shards int, body []byte) (string, error) {
-	url := fmt.Sprintf("%s/v1/sweep?shard=%d/%d", strings.TrimSuffix(worker, "/"), shard, shards)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
+	target := fmt.Sprintf("%s/v1/sweep?shard=%d/%d", s.worker, s.shard, DefaultShardCount)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {
 		return "", err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	fabric.SetAuth(req, d.AuthToken)
-	resp, err := d.client().Do(req)
+	resp, err := s.client.Do(req)
 	if err != nil {
 		return "", err
 	}
@@ -849,42 +663,146 @@ func (d *Sharded) submit(ctx context.Context, worker string, shard, shards int, 
 	return accepted.ID, nil
 }
 
-// jobStatus fetches one job-status document.
-func (d *Sharded) jobStatus(ctx context.Context, worker, id string) (*wireStatus, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, strings.TrimSuffix(worker, "/")+"/v1/jobs/"+id, nil)
+// follow reads the job's event stream to its terminal state, reopening
+// it once if it fails or ends early: serve replays the job's whole event
+// buffer to every subscriber, so the reopened stream — or one opened
+// after the job finished — still ends in the terminal state.
+func (d *Sharded) follow(ctx context.Context, s shardCall, id string) (*wireStatus, error) {
+	st, err := d.stream(ctx, s, id)
+	if err != nil && ctx.Err() == nil {
+		st, err = d.stream(ctx, s, id)
+	}
+	return st, err
+}
+
+// stream subscribes once to GET /v1/jobs/{id}/events and blocks until
+// the terminal `state` event arrives, returning its status snapshot. The
+// idle limit runs from the moment the request is sent and restarts with
+// every line the worker sends.
+func (d *Sharded) stream(ctx context.Context, s shardCall, id string) (st *wireStatus, err error) {
+	ctx, cancel := context.WithCancelCause(ctx)
+	dog := time.AfterFunc(requestIdle, func() { cancel(errSilent) })
+	defer func() {
+		dog.Stop()
+		if err != nil && errors.Is(context.Cause(ctx), errSilent) {
+			err = errSilent
+		}
+		cancel(nil)
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.worker+"/v1/jobs/"+id+"/events", nil)
 	if err != nil {
 		return nil, err
 	}
+	req.Header.Set("Accept", "text/event-stream")
 	fabric.SetAuth(req, d.AuthToken)
-	resp, err := d.client().Do(req)
+	resp, err := s.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "text/event-stream") {
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return nil, fmt.Errorf("status %d, %q: %s", resp.StatusCode, ct, truncateBody(data))
+	}
+
+	var event string
+	var data bytes.Buffer
+	sc := bufio.NewScanner(resp.Body)
+	// Terminal state events embed the full shard report; size the line
+	// budget like the job API's own body budget.
+	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	for sc.Scan() {
+		dog.Reset(requestIdle)
+		line := sc.Text()
+		switch {
+		case line == "":
+			// Blank line dispatches the accumulated event.
+			if event == "state" {
+				st = &wireStatus{}
+				if err := json.Unmarshal(data.Bytes(), st); err != nil {
+					return nil, fmt.Errorf("malformed state event %q", truncateBody(data.Bytes()))
+				}
+				switch st.State {
+				case "done", "failed", "canceled":
+					return st, nil
+				}
+			}
+			event = ""
+			data.Reset()
+		case strings.HasPrefix(line, "event:"):
+			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
+		case strings.HasPrefix(line, "data:"):
+			if data.Len() > 0 {
+				data.WriteByte('\n')
+			}
+			data.WriteString(strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " "))
+		}
+		// id: lines and ": ping" comments need no handling.
+	}
+	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, truncateBody(data))
-	}
-	var st wireStatus
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("malformed status response %q", truncateBody(data))
-	}
-	return &st, nil
+	return nil, errors.New("event stream ended before the job did")
 }
 
-// decodeShardReport parses a sweep job's result document.
-func decodeShardReport(raw json.RawMessage) (*Report, error) {
-	if len(raw) == 0 || string(raw) == "null" {
-		return nil, nil
+// drain is the cancellation path of runShard: cancel the worker-side job
+// and follow its stream (off the run context, bounded by drainTimeout)
+// to the terminal state, so the partial shard report is not lost. A
+// worker that cannot be drained simply contributes nothing — its cells
+// merge as canceled slots.
+func (d *Sharded) drain(s shardCall, id string) (*Report, bool, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	cctx, ccancel := context.WithTimeout(ctx, requestIdle)
+	defer ccancel()
+	creq, err := http.NewRequestWithContext(cctx, http.MethodPost, s.worker+"/v1/jobs/"+id+"/cancel", nil)
+	if err != nil {
+		return nil, false, nil
 	}
+	fabric.SetAuth(creq, d.AuthToken)
+	if resp, err := s.client.Do(creq); err == nil {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	st, err := d.follow(ctx, s, id)
+	if err != nil {
+		return nil, false, nil
+	}
+	return canceledReport(st, s.cells), false, nil
+}
+
+// shardReport decodes a terminal job's result as the shard's report. It
+// must hold exactly the shard's cells, in grid order — what the
+// worker-side shard filter produces, whether the job finished or was
+// canceled part way. Anything else is a corrupt answer.
+func shardReport(raw json.RawMessage, cells []Job) (*Report, error) {
 	var rep Report
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("malformed report %q", truncateBody(raw))
 	}
+	if len(rep.Results) != len(cells) {
+		return nil, fmt.Errorf("report holds %d cell(s), the shard has %d", len(rep.Results), len(cells))
+	}
+	for k, j := range cells {
+		if got := rep.Results[k].Job; got != j {
+			return nil, fmt.Errorf("report cell %d is %q, want %q", k, got.Key(), j.Key())
+		}
+	}
 	return &rep, nil
+}
+
+// canceledReport keeps whatever valid partial report a job that ended
+// off the happy path holds (nil when it holds none), marked canceled
+// unless the job finished anyway.
+func canceledReport(st *wireStatus, cells []Job) *Report {
+	rep, err := shardReport(st.Result, cells)
+	if err != nil {
+		return nil
+	}
+	if st.State != "done" {
+		rep.Canceled = true
+	}
+	return rep
 }
 
 // truncateBody keeps error messages readable when a worker answers with

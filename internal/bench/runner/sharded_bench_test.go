@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"github.com/nocdr/nocdr/internal/bench/runner"
 	"github.com/nocdr/nocdr/internal/serve"
@@ -19,8 +18,8 @@ import (
 // near-linear scaling with available cores is the acceptance bar of the
 // sharded backend (≥2.5x at 4 workers on a ≥4-core machine). The
 // workers=1 run doubles as the overhead gauge — it must track the
-// in-process serial run within a few percent, pinning the HTTP+poll tax
-// the distributed path pays per shard.
+// in-process serial run within a few percent, pinning the HTTP+stream
+// tax the distributed path pays per shard.
 func BenchmarkShardedSweep(b *testing.B) {
 	grid := runner.Grid{
 		Benchmarks: []string{"mesh:8x8:bitrev", "mesh:8x8:transpose", "torus:6"},
@@ -43,7 +42,7 @@ func BenchmarkShardedSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer shutdown()
-			sh := &runner.Sharded{Workers: urls, PollInterval: 2 * time.Millisecond}
+			sh := &runner.Sharded{Workers: urls}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rep, err := sh.RunContext(context.Background(), grid, opts)

@@ -10,11 +10,13 @@ package runner_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,7 +106,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 	for workers := 1; workers <= 4; workers++ {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			urls := startWorkers(t, workers, jitter(int64(workers)))
-			sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+			sh := &runner.Sharded{Workers: urls}
 			rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -132,7 +134,7 @@ func TestShardedSimulatedMatchesSerial(t *testing.T) {
 		t.Fatal("serial negative control did not deadlock; the conformance check has no teeth")
 	}
 	urls := startWorkers(t, 2, nil)
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -153,91 +155,13 @@ func TestShardedOptionsForwarded(t *testing.T) {
 		t.Fatal(err)
 	}
 	urls := startWorkers(t, 2, nil)
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(reportBytes(t, serial), reportBytes(t, rep)) {
 		t.Fatal("sharded run with forwarded options differs from the identically configured local run")
-	}
-}
-
-// TestShardedWorkerDeathRequeues kills one of three workers mid-grid —
-// the server stops answering between polls — and requires the surviving
-// workers to absorb its shards with the final report still
-// byte-identical to serial.
-func TestShardedWorkerDeathRequeues(t *testing.T) {
-	grid := conformanceGrid()
-	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportBytes(t, serial)
-
-	// Worker 0 serves its first sweep submission and first status poll,
-	// then aborts every further connection.
-	var requests atomic.Int32
-	wrap := func(i int, h http.Handler) http.Handler {
-		if i != 0 {
-			return h
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/jobs/") && requests.Add(1) > 1 {
-				panic(http.ErrAbortHandler)
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	urls := startWorkers(t, 3, wrap)
-	var retries atomic.Int32
-	sh := &runner.Sharded{
-		Workers:      urls,
-		PollInterval: 5 * time.Millisecond,
-		OnRetry:      func(shard int, worker string, err error) { retries.Add(1) },
-	}
-	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retries.Load() == 0 {
-		t.Fatal("worker death produced no requeue; the chaos did not bite")
-	}
-	if got := reportBytes(t, rep); !bytes.Equal(want, got) {
-		t.Fatalf("report after worker death differs from serial:\nserial:\n%s\nsharded:\n%s", want, got)
-	}
-}
-
-// TestShardedSurvivesTransientPollFailure pins that one dropped status
-// poll does not retire a worker: with a single worker whose connection
-// hiccups exactly once mid-poll, the run must still complete — the job
-// keeps running server-side and the re-poll finds it.
-func TestShardedSurvivesTransientPollFailure(t *testing.T) {
-	grid := runner.Grid{Benchmarks: []string{"D26_media"}, SwitchCounts: []int{8, 14}}
-	serial, err := runner.Run(grid, runner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dropped atomic.Bool
-	wrap := func(_ int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasPrefix(r.URL.Path, "/v1/jobs/") && dropped.CompareAndSwap(false, true) {
-				panic(http.ErrAbortHandler)
-			}
-			h.ServeHTTP(w, r)
-		})
-	}
-	urls := startWorkers(t, 1, wrap)
-	sh := &runner.Sharded{Workers: urls, PollInterval: 2 * time.Millisecond}
-	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
-	if err != nil {
-		t.Fatalf("one dropped poll killed the run: %v", err)
-	}
-	if !dropped.Load() {
-		t.Fatal("the chaos never fired")
-	}
-	if !bytes.Equal(reportBytes(t, serial), reportBytes(t, rep)) {
-		t.Fatal("report after a transient poll failure differs from serial")
 	}
 }
 
@@ -251,7 +175,7 @@ func TestShardedCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var fired atomic.Bool
-	sh := &runner.Sharded{Workers: urls, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	rep, err := sh.RunContext(ctx, grid, runner.Options{
 		OnResult: func(i, total int, res runner.Result) {
 			if fired.CompareAndSwap(false, true) {
@@ -285,32 +209,98 @@ func TestShardedCancelMidSweep(t *testing.T) {
 	}
 }
 
-// TestShardedCorruptWorker pins the malformed-response contract: a
-// worker answering garbage (at submit or at poll) is retried, then the
-// run fails with a typed nocerr error — never a panic, never a mangled
-// report.
+// sseState writes a job-event stream holding only the terminal state
+// frame, the way serve ends every job's stream.
+func sseState(w http.ResponseWriter, state any) {
+	data, err := json.Marshal(state)
+	if err != nil {
+		panic(err)
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	fmt.Fprintf(w, "event: state\ndata: %s\n\n", data)
+}
+
+// TestShardedCorruptWorker pins the malformed-response contract. A
+// worker answering garbage — at submit, at the job read, or with a
+// finished report that is not exactly its shard's cells — is retired.
+// Alone, it fails the run with a typed nocerr error, never a panic or a
+// mangled report; next to a healthy peer, its shards requeue there and
+// the report is the serial one.
 func TestShardedCorruptWorker(t *testing.T) {
-	grid := runner.Grid{Benchmarks: []string{"D26_media"}, SwitchCounts: []int{8}}
-	cases := map[string]http.HandlerFunc{
-		"corrupt-submit": func(w http.ResponseWriter, r *http.Request) {
+	grid := faultGrid()
+	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportBytes(t, serial)
+	jobs := grid.Jobs()
+	// doneWith answers every submit with a job ID naming the shard, and
+	// the job's stream with a finished report built by results.
+	doneWith := func(results func(shard int) []runner.Result) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/sweep" {
+				shard, _, _ := strings.Cut(r.URL.Query().Get("shard"), "/")
+				w.WriteHeader(http.StatusAccepted)
+				fmt.Fprintf(w, `{"id": "shard-%s"}`, shard)
+				return
+			}
+			shard, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/shard-"), "/events"))
+			if err != nil {
+				http.NotFound(w, r)
+				return
+			}
+			sseState(w, map[string]any{"state": "done", "result": runner.Report{Results: results(shard)}})
+		}
+	}
+	cases := []struct {
+		name    string
+		handler http.HandlerFunc
+		// peer adds a healthy worker next to the corrupt one.
+		peer bool
+	}{
+		{name: "corrupt-submit", handler: func(w http.ResponseWriter, r *http.Request) {
 			w.WriteHeader(http.StatusAccepted)
 			fmt.Fprint(w, `{"id": "job-1"`) // truncated JSON
-		},
-		"corrupt-poll": func(w http.ResponseWriter, r *http.Request) {
+		}},
+		{name: "corrupt-poll", handler: func(w http.ResponseWriter, r *http.Request) {
 			if r.Method == http.MethodPost {
 				w.WriteHeader(http.StatusAccepted)
 				fmt.Fprint(w, `{"id": "job-1"}`)
 				return
 			}
-			fmt.Fprint(w, `{"state": "done", "result": {"results": [`) // truncated
-		},
+			fmt.Fprint(w, `{"state": "done", "result": {"results": [`) // truncated, and no event stream
+		}},
+		{name: "empty-results", peer: true, handler: doneWith(func(int) []runner.Result {
+			return []runner.Result{}
+		})},
+		{name: "foreign-cell", peer: true, handler: doneWith(func(shard int) []runner.Result {
+			for _, j := range jobs {
+				if runner.ShardOf(j, runner.DefaultShardCount) != shard {
+					return []runner.Result{{Job: j}}
+				}
+			}
+			panic("grid has a single shard")
+		})},
 	}
-	for name, handler := range cases {
-		t.Run(name, func(t *testing.T) {
-			ts := httptest.NewServer(handler)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.handler)
 			defer ts.Close()
-			sh := &runner.Sharded{Workers: []string{ts.URL}, PollInterval: time.Millisecond}
-			_, err := sh.RunContext(context.Background(), grid, runner.Options{})
+			workers := []string{ts.URL}
+			if tc.peer {
+				workers = append(workers, startWorkers(t, 1, nil)...)
+			}
+			sh := &runner.Sharded{Workers: workers}
+			rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
+			if tc.peer {
+				if err != nil {
+					t.Fatalf("a healthy peer could not absorb the corrupt worker: %v", err)
+				}
+				if got := reportBytes(t, rep); !bytes.Equal(want, got) {
+					t.Fatalf("report next to a corrupt worker differs from serial:\nserial:\n%s\ngot:\n%s", want, got)
+				}
+				return
+			}
 			if err == nil {
 				t.Fatal("corrupt worker produced no error")
 			}
@@ -324,30 +314,28 @@ func TestShardedCorruptWorker(t *testing.T) {
 // TestShardedRetryBudgetExhausted drives a worker that always fails its
 // jobs (without dying) into the per-shard retry cap.
 func TestShardedRetryBudgetExhausted(t *testing.T) {
-	// A healthy transport whose every sweep job reports "failed".
+	// A healthy transport whose every sweep job ends "failed".
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost {
 			w.WriteHeader(http.StatusAccepted)
 			fmt.Fprint(w, `{"id": "job-1"}`)
 			return
 		}
-		fmt.Fprint(w, `{"state": "failed", "error": "synthetic"}`)
+		sseState(w, map[string]string{"state": "failed", "error": "synthetic"})
 	})
 	ts := httptest.NewServer(handler)
 	defer ts.Close()
 	var retries atomic.Int32
 	sh := &runner.Sharded{
-		Workers:      []string{ts.URL},
-		PollInterval: time.Millisecond,
-		Retries:      2,
-		OnRetry:      func(int, string, error) { retries.Add(1) },
+		Workers: []string{ts.URL},
+		OnRetry: func(int, string, error) { retries.Add(1) },
 	}
 	_, err := sh.RunContext(context.Background(), runner.Grid{Benchmarks: []string{"D26_media"}, SwitchCounts: []int{8}}, runner.Options{})
-	if !errors.Is(err, nocerr.ErrWorker) {
-		t.Fatalf("expected nocerr.ErrWorker after retry exhaustion, got %v", err)
+	if !errors.Is(err, nocerr.ErrWorker) || !strings.Contains(err.Error(), "synthetic") {
+		t.Fatalf("expected nocerr.ErrWorker naming the job failure after retry exhaustion, got %v", err)
 	}
-	if retries.Load() == 0 {
-		t.Fatal("retry budget consumed without OnRetry firing")
+	if n := retries.Load(); n != 3 {
+		t.Fatalf("OnRetry fired %d time(s), want one per attempt of the 3-attempt budget", n)
 	}
 }
 

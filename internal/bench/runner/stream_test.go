@@ -1,8 +1,8 @@
 package runner_test
 
-// Fabric phase 2 conformance: streamed dispatch (SSE-first, polling as
-// the degrade path), coordinator→worker cache seeding, 429 backpressure
-// handling, and a TLS fleet end to end. The invariant stays the same
+// Fabric phase 2 conformance: streamed dispatch (the job's SSE stream is
+// the only completion path), coordinator→worker cache seeding, 429
+// backpressure handling, and a TLS fleet end to end. The invariant stays the same
 // throughout: byte-identity with the serial run.
 
 import (
@@ -42,9 +42,9 @@ func countJobReads(polls, streams *atomic.Int64) func(int, http.Handler) http.Ha
 }
 
 // TestShardedStreamZeroStatusPolls is the streamed-dispatch conformance
-// check: on the happy path every shard is followed over its SSE event
-// stream and the worker sees zero status polls; forcing the degrade path
-// polls as before. Both produce the serial report byte for byte.
+// check: every shard is followed over its SSE event stream alone, so the
+// worker sees zero status polls, and the report is the serial one byte
+// for byte.
 func TestShardedStreamZeroStatusPolls(t *testing.T) {
 	grid := conformanceGrid()
 	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
@@ -65,27 +65,10 @@ func TestShardedStreamZeroStatusPolls(t *testing.T) {
 		t.Fatalf("streamed report differs from serial:\nserial:\n%s\nstreamed:\n%s", want, got)
 	}
 	if n := polls.Load(); n != 0 {
-		t.Fatalf("happy path issued %d status poll(s), want 0 — SSE must carry the terminal state", n)
+		t.Fatalf("dispatch issued %d status poll(s), want 0 — SSE must carry the terminal state", n)
 	}
 	if streams.Load() == 0 {
 		t.Fatal("no SSE subscription was ever opened")
-	}
-
-	// Forced degrade path: no streams, polls only, same bytes.
-	streams.Store(0)
-	sh = &runner.Sharded{Workers: urls, DisableStream: true, PollInterval: 2 * time.Millisecond}
-	rep, err = sh.RunContext(context.Background(), grid, runner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reportBytes(t, rep); !bytes.Equal(want, got) {
-		t.Fatalf("degrade-path report differs from serial:\nserial:\n%s\npolled:\n%s", want, got)
-	}
-	if polls.Load() == 0 {
-		t.Fatal("degrade path never polled")
-	}
-	if streams.Load() != 0 {
-		t.Fatalf("DisableStream still opened %d stream(s)", streams.Load())
 	}
 }
 
@@ -107,19 +90,35 @@ func TestShardedWarmSeedHandoff(t *testing.T) {
 
 	// Cold run against a throwaway worker to fill the coordinator cache.
 	coldURLs := startWorkers(t, 1, nil)
-	sh := &runner.Sharded{Workers: coldURLs, Shards: 1, PollInterval: 5 * time.Millisecond}
+	sh := &runner.Sharded{Workers: coldURLs}
 	if _, err := sh.RunContext(context.Background(), grid, opts); err != nil {
 		t.Fatal(err)
 	}
 	if coord.len() != len(jobs) {
 		t.Fatalf("coordinator cache holds %d entries after the cold run, want %d", coord.len(), len(jobs))
 	}
-	evicted := runner.CellKey(jobs[0], opts, grid.Loads)
+	// Evict one cell of the fullest shard, so its shard dispatches with
+	// the most warm cells riding along.
+	var shards [runner.DefaultShardCount][]runner.Job
+	fullest := 0
+	for _, j := range jobs {
+		s := runner.ShardOf(j, runner.DefaultShardCount)
+		shards[s] = append(shards[s], j)
+		if len(shards[s]) > len(shards[fullest]) {
+			fullest = s
+		}
+	}
+	warm := len(shards[fullest]) - 1
+	if warm == 0 {
+		t.Fatal("no shard holds two cells; the hand-off has nothing to ship")
+	}
+	evicted := runner.CellKey(shards[fullest][0], opts, grid.Loads)
 	coord.delete(evicted)
 
-	// A fresh worker with its own empty result cache: the single shard
-	// dispatches whole (one cell is cold), but the seed hand-off must
-	// answer every other cell from the worker's cache.
+	// A fresh worker with its own empty result cache: the evicted cell's
+	// shard dispatches whole (one cell is cold), but the seed hand-off
+	// must answer every other cell of it from the worker's cache. Every
+	// other shard is served by the coordinator and never dispatched.
 	wcache := fabric.NewCache(fabric.CacheOptions{})
 	wsrv := serve.New(serve.Options{Workers: 2, SweepParallel: 2, Cache: wcache})
 	wts := httptest.NewServer(wsrv.Handler())
@@ -130,7 +129,7 @@ func TestShardedWarmSeedHandoff(t *testing.T) {
 		wcache.Close()
 	})
 
-	sh = &runner.Sharded{Workers: []string{wts.URL}, Shards: 1, PollInterval: 5 * time.Millisecond}
+	sh = &runner.Sharded{Workers: []string{wts.URL}}
 	rep, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -142,8 +141,8 @@ func TestShardedWarmSeedHandoff(t *testing.T) {
 	if st.Misses != 1 {
 		t.Fatalf("fresh worker computed %d cell(s) cold, want exactly 1 (the evicted one): %+v", st.Misses, st)
 	}
-	if st.Hits < uint64(len(jobs)-1) {
-		t.Fatalf("seeded worker hit only %d of %d warm cells: %+v", st.Hits, len(jobs)-1, st)
+	if st.Hits < uint64(warm) {
+		t.Fatalf("seeded worker hit only %d of %d warm cells: %+v", st.Hits, warm, st)
 	}
 	if coord.len() != len(jobs) {
 		t.Fatalf("coordinator cache not repopulated: %d entries, want %d", coord.len(), len(jobs))
@@ -178,9 +177,8 @@ func TestShardedBackpressureResubmit(t *testing.T) {
 	urls := startWorkers(t, 1, wrap)
 	var retries atomic.Int32
 	sh := &runner.Sharded{
-		Workers:      urls,
-		PollInterval: 2 * time.Millisecond,
-		OnRetry:      func(int, string, error) { retries.Add(1) },
+		Workers: urls,
+		OnRetry: func(int, string, error) { retries.Add(1) },
 	}
 	start := time.Now()
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
@@ -252,9 +250,8 @@ func TestShardedOverTLS(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := &runner.Sharded{
-		Workers:      []string{ts.URL},
-		Client:       fabric.HTTPClient(ccfg, 0),
-		PollInterval: 5 * time.Millisecond,
+		Workers: []string{ts.URL},
+		Client:  fabric.HTTPClient(ccfg, 0),
 	}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
@@ -265,7 +262,7 @@ func TestShardedOverTLS(t *testing.T) {
 	}
 
 	// No CA pin, no fleet: the default client must refuse the listener.
-	bare := &runner.Sharded{Workers: []string{ts.URL}, Retries: 1, PollInterval: 5 * time.Millisecond}
+	bare := &runner.Sharded{Workers: []string{ts.URL}}
 	if _, err := bare.RunContext(context.Background(), grid, runner.Options{}); err == nil {
 		t.Fatal("dispatcher without the CA reached a TLS worker")
 	} else if !strings.Contains(err.Error(), nocerr.ErrWorker.Error()) {
@@ -273,14 +270,13 @@ func TestShardedOverTLS(t *testing.T) {
 	}
 }
 
-// TestShardedPollingGoroutineStable drives the forced polling path hard
-// and requires the goroutine count to return to baseline: the reused
-// per-loop timer must not leak tickers, and no stream or poll goroutine
-// may outlive its run.
-func TestShardedPollingGoroutineStable(t *testing.T) {
+// TestShardedGoroutineStable runs streamed sweeps back to back and
+// requires the goroutine count to return to baseline: no stream, idle
+// timer or worker goroutine may outlive its run.
+func TestShardedGoroutineStable(t *testing.T) {
 	grid := runner.Grid{Benchmarks: []string{"mesh:4"}, Seeds: []int64{0, 1}}
 	urls := startWorkers(t, 1, nil)
-	sh := &runner.Sharded{Workers: urls, DisableStream: true, PollInterval: time.Millisecond}
+	sh := &runner.Sharded{Workers: urls}
 	if _, err := sh.RunContext(context.Background(), grid, runner.Options{}); err != nil {
 		t.Fatal(err) // warm-up: lazy pools and http transports settle
 	}
@@ -296,7 +292,7 @@ func TestShardedPollingGoroutineStable(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines grew from %d to %d across polled runs and never settled",
+			t.Fatalf("goroutines grew from %d to %d across streamed runs and never settled",
 				before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -133,9 +133,10 @@ func WithWorkers(urls ...string) Option {
 // distributed dispatch, on top of (or instead of) the static WithWorkers
 // list: workers the source reports that were never seen before are
 // admitted mid-run and immediately take unowned shards. The fabric
-// package's coordinator-registry watcher implements the contract. With a
-// source attached, Sweep may start with zero workers and wait for the
-// first join.
+// package's coordinator-registry watcher implements the contract. A
+// Sweep with shards to dispatch and an empty fleet at start fails at
+// once with ErrWorker; one whose fleet empties mid-run waits up to 30s
+// for a worker to join before failing.
 func WithWorkerSource(src WorkerSource) Option { return func(s *Session) { s.workerSource = src } }
 
 // WithWorkerAuth attaches the fleet bearer token to every request a

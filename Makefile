@@ -36,12 +36,14 @@ bench:
 # path's whole reason to exist is being much cheaper than a from-scratch
 # removal, so a regression there is a product regression), and the
 # lockstep batch-vs-sequential pair (the batch engine's ≥5x multi-core
-# advantage over 16 independent runs must not erode), and the fabric
+# advantage over 16 independent runs must not erode), the fabric
 # result-cache hot path (the per-cell overhead every cached sweep pays),
+# and a fully cache-served sweep (the fixed cost every sweep request pays
+# around its cells: validation, enumeration, keys and lookups),
 # repeated so benchstat can establish significance. CI runs this on the
 # PR head and base and fails on a >15% sec/op regression.
 bench-pin:
-	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache)' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
 
 # nocbench's own tests: every workload for a few ops at seed 0 against

@@ -771,3 +771,42 @@ func BenchmarkCacheKey(b *testing.B) {
 		runner.CellKey(job, runner.Options{}, nil)
 	}
 }
+
+// BenchmarkSweepWarmCache pins a sweep's fixed cost: Session.Sweep over
+// the 36-cell fleet grid (three transpose presets × three adaptive
+// routings × four seeds, one fault) with every cell served from a
+// pre-filled in-memory result cache. What it times is what each request
+// pays before and around the cells: grid validation, job enumeration,
+// cache keys, lookups and decoding.
+func BenchmarkSweepWarmCache(b *testing.B) {
+	grid := nocdr.SweepGrid{
+		Benchmarks:   []string{"mesh:4x4:transpose", "torus:4x4:transpose", "mesh:6x6:transpose"},
+		SwitchCounts: []int{16},
+		Policies:     []string{"smallest"},
+		Routings:     []string{"west-first", "odd-even", "min-adaptive"},
+		Faults:       1,
+		Seeds:        []int64{0, 1, 2, 3},
+	}
+	cache := fabric.NewCache(fabric.CacheOptions{})
+	s := nocdr.NewSession(nocdr.WithResultCache(cache))
+	ctx := context.Background()
+	if _, err := s.Sweep(ctx, grid, nocdr.SweepOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	before := cache.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := s.Sweep(ctx, grid, nocdr.SweepOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Results) != 36 {
+			b.Fatalf("got %d results, want 36", len(rep.Results))
+		}
+	}
+	b.StopTimer()
+	if st := cache.Stats(); st.Misses != before.Misses || st.Hits-before.Hits != uint64(36*b.N) {
+		b.Fatalf("warm sweeps missed the cache: %+v then %+v", before, st)
+	}
+}

@@ -29,10 +29,11 @@ type groupKey struct {
 // seeded traffic graph, and faulted preset cells mask a seeded link
 // selection.
 func designDependsOnSeed(job Job) bool {
-	if _, ok := parsePreset(job.Benchmark); ok {
+	s, _ := parseSpec(job.Benchmark)
+	if s.preset() {
 		return job.Faults > 0
 	}
-	return randSpec.MatchString(job.Benchmark)
+	return s.family == "rand"
 }
 
 func keyOf(job Job) groupKey {
@@ -116,8 +117,13 @@ func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, 
 			return r.fail(err)
 		})
 	}
-	if preset, ok := parsePreset(job0.Benchmark); ok {
-		grid, g, err := preset.build()
+	s, err := parseSpec(job0.Benchmark)
+	if err != nil {
+		emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
+		return
+	}
+	if s.preset() {
+		grid, g, err := s.build()
 		if err != nil {
 			emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
 			return
@@ -151,7 +157,7 @@ func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, 
 			return
 		}
 	} else {
-		g, err := resolveBenchmark(job0.Benchmark, job0.Seed)
+		g, err := s.graph(job0.Seed)
 		if err != nil {
 			emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
 			return

@@ -35,8 +35,13 @@ func runJob(ctx context.Context, job Job, opts Options) Result {
 	}
 
 	var de *designEval
-	if preset, ok := parsePreset(job.Benchmark); ok {
-		grid, g, err := preset.build()
+	s, err := parseSpec(job.Benchmark)
+	if err != nil {
+		res.Error = err.Error()
+		return res
+	}
+	if s.preset() {
+		grid, g, err := s.build()
 		if err != nil {
 			res.Error = err.Error()
 			return res
@@ -67,7 +72,7 @@ func runJob(ctx context.Context, job Job, opts Options) Result {
 			return res.fail(err)
 		}
 	} else {
-		g, err := resolveBenchmark(job.Benchmark, job.Seed)
+		g, err := s.graph(job.Seed)
 		if err != nil {
 			res.Error = err.Error()
 			return res

@@ -14,15 +14,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"regexp"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/nocerr"
-	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
@@ -50,6 +47,9 @@ type Grid struct {
 	// with <pattern> one of transpose, bitrev, hotspot, uniform. The
 	// torus presets are the textbook dateline stress: DOR routes cross
 	// the wrap-around links, so the initial CDG is cyclic.
+	//
+	// A spec may name at most MaxSpecCores cores, and the grid may hold
+	// at most MaxGridCells cells.
 	Benchmarks []string `json:"benchmarks"`
 	// SwitchCounts is the synthesis sweep axis (Figures 8 and 9).
 	SwitchCounts []int `json:"switch_counts"`
@@ -128,13 +128,23 @@ func (g Grid) Jobs() []Job {
 	if len(routings) == 0 {
 		routings = []string{""}
 	}
-	out := make([]Job, 0, len(g.Benchmarks)*len(g.SwitchCounts)*len(routings)*len(g.Policies)*len(g.Seeds))
-	for _, b := range g.Benchmarks {
+	// A spec that does not parse enumerates as a synthesized benchmark;
+	// Validate rejects it.
+	specs := make([]spec, len(g.Benchmarks))
+	presets := 0
+	for i, b := range g.Benchmarks {
+		if specs[i], _ = parseSpec(b); specs[i].preset() {
+			presets++
+		}
+	}
+	n, _ := g.cellCount(presets)
+	out := make([]Job, 0, n)
+	for i, b := range g.Benchmarks {
 		counts := g.SwitchCounts
 		rts := []string{""}
 		faults := 0
-		if p, ok := parsePreset(b); ok {
-			counts = []int{p.cols * p.rows}
+		if s := specs[i]; s.preset() {
+			counts = []int{s.a * s.b}
 			rts = routings
 			faults = g.Faults
 		}
@@ -151,19 +161,26 @@ func (g Grid) Jobs() []Job {
 	return out
 }
 
-// Validate resolves every benchmark spec and policy name, failing fast on
-// typos before any work is scheduled.
+// Validate checks every axis of the grid, failing fast on typos and on
+// oversized requests before any work is scheduled. It builds nothing: a
+// benchmark spec is parsed and put through the argument checks its
+// generators run first, so it passes exactly when its design would build.
+// A number in a spec that does not fit an int, a spec naming more than
+// MaxSpecCores cores, and a grid of more than MaxGridCells cells are
+// errors wrapping nocerr.ErrInvalidInput.
 func (g Grid) Validate() error {
 	n := g.normalized()
+	presets := 0
 	for _, b := range n.Benchmarks {
-		if p, ok := parsePreset(b); ok {
-			if _, _, err := p.build(); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := resolveBenchmark(b, 0); err != nil {
+		s, err := parseSpec(b)
+		if err != nil {
 			return err
+		}
+		if err := s.check(); err != nil {
+			return err
+		}
+		if s.preset() {
+			presets++
 		}
 	}
 	for _, p := range n.Policies {
@@ -195,6 +212,9 @@ func (g Grid) Validate() error {
 		if s < 1 {
 			return fmt.Errorf("runner: switch count %d out of range", s)
 		}
+	}
+	if cells, ok := n.cellCount(presets); !ok || cells > MaxGridCells {
+		return fmt.Errorf("%w: grid spans more than %d cells", nocerr.ErrInvalidInput, MaxGridCells)
 	}
 	return nil
 }
@@ -561,101 +581,4 @@ func ParsePolicy(s string) (core.CycleSelection, error) {
 		return core.FirstFound, nil
 	}
 	return 0, fmt.Errorf("runner: unknown selection policy %q (valid: smallest, first)", s)
-}
-
-var (
-	randSpec    = regexp.MustCompile(`^rand:(\d+)x(\d+)$`)
-	patternSpec = regexp.MustCompile(`^(transpose|bitrev):(\d+)$`)
-	hotspotSpec = regexp.MustCompile(`^hotspot:(\d+)(?:x(\d+))?$`)
-	presetSpec  = regexp.MustCompile(`^(mesh|torus):(\d+)(?:x(\d+))?(?::(transpose|bitrev|hotspot|uniform))?$`)
-)
-
-// resolveBenchmark turns a synthesized benchmark spec into a traffic
-// graph: a paper benchmark by name, "rand:<cores>x<fanout>" seeded by the
-// job's seed, or one of the deterministic adversarial patterns
-// (transpose:<n>, bitrev:<n>, hotspot:<n>x<h>).
-func resolveBenchmark(spec string, seed int64) (*traffic.Graph, error) {
-	if m := randSpec.FindStringSubmatch(spec); m != nil {
-		cores, _ := strconv.Atoi(m[1])
-		fanout, _ := strconv.Atoi(m[2])
-		if cores < 2 || fanout < 1 || fanout >= cores {
-			return nil, fmt.Errorf("runner: rand spec %q out of range (need 2 ≤ cores, 1 ≤ fanout < cores)", spec)
-		}
-		name := fmt.Sprintf("%s#%d", spec, seed)
-		return traffic.RandomKOut(name, cores, fanout, seed), nil
-	}
-	if m := patternSpec.FindStringSubmatch(spec); m != nil {
-		n, _ := strconv.Atoi(m[2])
-		if m[1] == "transpose" {
-			return traffic.Transpose(n)
-		}
-		return traffic.BitReversal(n)
-	}
-	if m := hotspotSpec.FindStringSubmatch(spec); m != nil {
-		n, _ := strconv.Atoi(m[1])
-		h := max(1, n/8)
-		if m[2] != "" {
-			h, _ = strconv.Atoi(m[2])
-		}
-		return traffic.Hotspot(n, h)
-	}
-	return traffic.ByName(spec)
-}
-
-// preset is a parsed regular-topology benchmark spec.
-type preset struct {
-	wrap    bool // torus if true
-	cols    int
-	rows    int
-	pattern string
-}
-
-// parsePreset recognizes mesh:/torus: specs. "mesh:<n>" is shorthand for
-// the square uniform grid "mesh:<n>x<n>:uniform"; an omitted pattern
-// defaults to uniform.
-func parsePreset(spec string) (preset, bool) {
-	m := presetSpec.FindStringSubmatch(spec)
-	if m == nil {
-		return preset{}, false
-	}
-	cols, _ := strconv.Atoi(m[2])
-	rows := cols
-	if m[3] != "" {
-		rows, _ = strconv.Atoi(m[3])
-	}
-	pattern := m[4]
-	if pattern == "" {
-		pattern = "uniform"
-	}
-	return preset{wrap: m[1] == "torus", cols: cols, rows: rows, pattern: pattern}, true
-}
-
-// build materializes the preset's grid topology and traffic pattern.
-func (p preset) build() (*regular.Grid, *traffic.Graph, error) {
-	var grid *regular.Grid
-	var err error
-	if p.wrap {
-		grid, err = regular.Torus(p.cols, p.rows)
-	} else {
-		grid, err = regular.Mesh(p.cols, p.rows)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	n := p.cols * p.rows
-	var g *traffic.Graph
-	if p.pattern == "uniform" {
-		g, err = regular.UniformTraffic(n, n/2, 100)
-	} else {
-		// The non-uniform patterns share their construction (and the
-		// hotspot default fan-in) with the synthesized specs.
-		if p.pattern == "transpose" && p.cols != p.rows {
-			return nil, nil, fmt.Errorf("runner: transpose preset needs a square grid, got %dx%d", p.cols, p.rows)
-		}
-		g, err = resolveBenchmark(fmt.Sprintf("%s:%d", p.pattern, n), 0)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return grid, g, nil
 }

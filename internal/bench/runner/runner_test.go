@@ -258,7 +258,12 @@ func TestPatternSpecs(t *testing.T) {
 		"hotspot:24x3": 24,
 		"hotspot:24":   24,
 	} {
-		g, err := resolveBenchmark(spec, 0)
+		s, err := parseSpec(spec)
+		if err != nil {
+			t.Errorf("%s: %v", spec, err)
+			continue
+		}
+		g, err := s.graph(0)
 		if err != nil {
 			t.Errorf("%s: %v", spec, err)
 			continue

@@ -10,6 +10,7 @@ package runner
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 )
@@ -25,7 +26,19 @@ const DefaultShardCount = 32
 // distinguishes one job from another, joined in a fixed order. Two jobs
 // with equal keys are the same cell and evaluate to the same result.
 func (j Job) Key() string {
-	return fmt.Sprintf("%s|%d|%s|%d|%s|%d", j.Benchmark, j.SwitchCount, j.Routing, j.Faults, j.Policy, j.Seed)
+	var buf [64]byte
+	b := append(buf[:0], j.Benchmark...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(j.SwitchCount), 10)
+	b = append(b, '|')
+	b = append(b, j.Routing...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(j.Faults), 10)
+	b = append(b, '|')
+	b = append(b, j.Policy...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, j.Seed, 10)
+	return string(b)
 }
 
 // ShardOf deterministically assigns a cell to one of shards buckets: the

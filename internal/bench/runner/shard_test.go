@@ -2,9 +2,92 @@ package runner
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
+
+// TestJobKeyGolden pins the bytes of Job.Key and the ShardOf assignment.
+// A worker filters its shard with its own ShardOf and the dispatcher
+// retires a worker whose report does not hold exactly the shard's cells,
+// so a change to either splits coordinators and workers of different
+// builds. The rows are the 36 cells of the fleet grid (three transpose
+// presets × three adaptive routings × four seeds, one fault) and a few
+// edge jobs.
+func TestJobKeyGolden(t *testing.T) {
+	golden := []struct {
+		job   Job
+		key   string
+		shard int
+	}{
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 0}, "mesh:4x4:transpose|16|west-first|1|smallest|0", 22},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 1}, "mesh:4x4:transpose|16|west-first|1|smallest|1", 9},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 2}, "mesh:4x4:transpose|16|west-first|1|smallest|2", 16},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 3}, "mesh:4x4:transpose|16|west-first|1|smallest|3", 3},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 0}, "mesh:4x4:transpose|16|odd-even|1|smallest|0", 14},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 1}, "mesh:4x4:transpose|16|odd-even|1|smallest|1", 1},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 2}, "mesh:4x4:transpose|16|odd-even|1|smallest|2", 8},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 3}, "mesh:4x4:transpose|16|odd-even|1|smallest|3", 27},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 0}, "mesh:4x4:transpose|16|min-adaptive|1|smallest|0", 21},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 1}, "mesh:4x4:transpose|16|min-adaptive|1|smallest|1", 2},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 2}, "mesh:4x4:transpose|16|min-adaptive|1|smallest|2", 15},
+		{Job{Benchmark: "mesh:4x4:transpose", SwitchCount: 16, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 3}, "mesh:4x4:transpose|16|min-adaptive|1|smallest|3", 28},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 0}, "torus:4x4:transpose|16|west-first|1|smallest|0", 28},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 1}, "torus:4x4:transpose|16|west-first|1|smallest|1", 15},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 2}, "torus:4x4:transpose|16|west-first|1|smallest|2", 2},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 3}, "torus:4x4:transpose|16|west-first|1|smallest|3", 21},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 0}, "torus:4x4:transpose|16|odd-even|1|smallest|0", 12},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 1}, "torus:4x4:transpose|16|odd-even|1|smallest|1", 31},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 2}, "torus:4x4:transpose|16|odd-even|1|smallest|2", 18},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 3}, "torus:4x4:transpose|16|odd-even|1|smallest|3", 5},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 0}, "torus:4x4:transpose|16|min-adaptive|1|smallest|0", 31},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 1}, "torus:4x4:transpose|16|min-adaptive|1|smallest|1", 12},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 2}, "torus:4x4:transpose|16|min-adaptive|1|smallest|2", 5},
+		{Job{Benchmark: "torus:4x4:transpose", SwitchCount: 16, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 3}, "torus:4x4:transpose|16|min-adaptive|1|smallest|3", 18},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 0}, "mesh:6x6:transpose|36|west-first|1|smallest|0", 8},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 1}, "mesh:6x6:transpose|36|west-first|1|smallest|1", 27},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 2}, "mesh:6x6:transpose|36|west-first|1|smallest|2", 14},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "west-first", Faults: 1, Policy: "smallest", Seed: 3}, "mesh:6x6:transpose|36|west-first|1|smallest|3", 1},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 0}, "mesh:6x6:transpose|36|odd-even|1|smallest|0", 24},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 1}, "mesh:6x6:transpose|36|odd-even|1|smallest|1", 11},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 2}, "mesh:6x6:transpose|36|odd-even|1|smallest|2", 30},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "odd-even", Faults: 1, Policy: "smallest", Seed: 3}, "mesh:6x6:transpose|36|odd-even|1|smallest|3", 17},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 0}, "mesh:6x6:transpose|36|min-adaptive|1|smallest|0", 19},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 1}, "mesh:6x6:transpose|36|min-adaptive|1|smallest|1", 0},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 2}, "mesh:6x6:transpose|36|min-adaptive|1|smallest|2", 25},
+		{Job{Benchmark: "mesh:6x6:transpose", SwitchCount: 36, Routing: "min-adaptive", Faults: 1, Policy: "smallest", Seed: 3}, "mesh:6x6:transpose|36|min-adaptive|1|smallest|3", 6},
+		{Job{Benchmark: "D36_8", SwitchCount: 14, Routing: "", Faults: 0, Policy: "smallest", Seed: 0}, "D36_8|14||0|smallest|0", 7},
+		{Job{Benchmark: "D26_media", SwitchCount: 8, Routing: "", Faults: 0, Policy: "first", Seed: -7}, "D26_media|8||0|first|-7", 22},
+		{Job{Benchmark: "rand:128x6", SwitchCount: 48, Routing: "", Faults: 0, Policy: "smallest", Seed: math.MaxInt64}, "rand:128x6|48||0|smallest|9223372036854775807", 28},
+		{Job{Benchmark: "rand:24x4", SwitchCount: 12, Routing: "", Faults: 0, Policy: "smallest", Seed: math.MinInt64}, "rand:24x4|12||0|smallest|-9223372036854775808", 4},
+		{Job{Benchmark: "torus:8", SwitchCount: 64, Routing: "odd-even", Faults: 3, Policy: "first", Seed: 1099511627776}, "torus:8|64|odd-even|3|first|1099511627776", 30},
+		{Job{Benchmark: "", SwitchCount: 0, Routing: "", Faults: 0, Policy: "", Seed: 0}, "|0||0||0", 25},
+	}
+	for _, c := range golden {
+		if got := c.job.Key(); got != c.key {
+			t.Errorf("%+v: Key %q, want %q", c.job, got, c.key)
+		}
+		if got := ShardOf(c.job, DefaultShardCount); got != c.shard {
+			t.Errorf("%q: ShardOf %d, want %d", c.key, got, c.shard)
+		}
+	}
+	fleet := Grid{
+		Benchmarks: []string{"mesh:4x4:transpose", "torus:4x4:transpose", "mesh:6x6:transpose"},
+		Policies:   []string{"smallest"},
+		Routings:   []string{"west-first", "odd-even", "min-adaptive"},
+		Faults:     1,
+		Seeds:      []int64{0, 1, 2, 3},
+	}
+	jobs := fleet.Jobs()
+	if len(jobs) != 36 {
+		t.Fatalf("fleet grid has %d cells, want 36", len(jobs))
+	}
+	for i, j := range jobs {
+		if j != golden[i].job {
+			t.Errorf("fleet grid cell %d is %+v, want %+v", i, j, golden[i].job)
+		}
+	}
+}
 
 // TestShardOfStableAndBounded pins the assignment contract: pure function
 // of the cell key, in range, and indifferent to everything but identity.

@@ -49,9 +49,19 @@ func Torus(cols, rows int) (*Grid, error) {
 	return grid(cols, rows, true)
 }
 
-func grid(cols, rows int, wrap bool) (*Grid, error) {
+// CheckGrid returns the error Mesh and Torus fail with on a cols×rows
+// grid, or nil if they accept it. It builds nothing, so a caller can
+// validate grid dimensions ahead of construction.
+func CheckGrid(cols, rows int) error {
 	if cols < 2 || rows < 1 {
-		return nil, fmt.Errorf("regular: grid %dx%d too small", cols, rows)
+		return fmt.Errorf("regular: grid %dx%d too small", cols, rows)
+	}
+	return nil
+}
+
+func grid(cols, rows int, wrap bool) (*Grid, error) {
+	if err := CheckGrid(cols, rows); err != nil {
+		return nil, err
 	}
 	top := topology.New(fmt.Sprintf("%s_%dx%d", kind(wrap), cols, rows))
 	g := &Grid{Topology: top, Cols: cols, Rows: rows, Wrap: wrap}
@@ -202,8 +212,8 @@ func dirStep(cur, dst, n int, wrap bool) int {
 // classic permutation workload that exercises every wrap link of a ring
 // or torus dimension.
 func UniformTraffic(n, stride int, bandwidth float64) (*traffic.Graph, error) {
-	if n < 2 || stride%n == 0 {
-		return nil, fmt.Errorf("regular: bad uniform traffic n=%d stride=%d", n, stride)
+	if err := CheckUniformTraffic(n, stride); err != nil {
+		return nil, err
 	}
 	g := traffic.NewGraph(fmt.Sprintf("uniform_n%d_s%d", n, stride))
 	for i := 0; i < n; i++ {
@@ -213,4 +223,13 @@ func UniformTraffic(n, stride int, bandwidth float64) (*traffic.Graph, error) {
 		g.MustAddFlow(traffic.CoreID(i), traffic.CoreID((i+stride)%n), bandwidth)
 	}
 	return g, nil
+}
+
+// CheckUniformTraffic returns the error UniformTraffic fails with on n
+// cores and the given stride, or nil if it accepts them.
+func CheckUniformTraffic(n, stride int) error {
+	if n < 2 || stride%n == 0 {
+		return fmt.Errorf("regular: bad uniform traffic n=%d stride=%d", n, stride)
+	}
+	return nil
 }

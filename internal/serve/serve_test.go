@@ -430,6 +430,46 @@ func TestSweepJobReportShape(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsOversizedGrid: a sweep body under the size limit can
+// still name an enormous grid, through its axes' cross product or one
+// spec's core count. Submission must reject it with a 400, where it used
+// to be accepted and then bring the process down sizing the job list or
+// building the design.
+func TestSweepRejectsOversizedGrid(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	const n = 100000
+	switches, routings, policies, seeds := make([]int, n), make([]string, n), make([]string, n), make([]int64, n)
+	for i := range switches {
+		switches[i], routings[i], policies[i], seeds[i] = i+1, "dor", "smallest", int64(i)
+	}
+	for name, grid := range map[string]map[string]any{
+		"100000 entries per axis": {
+			"benchmarks":    []string{"D36_8"},
+			"switch_counts": switches,
+			"routings":      routings,
+			"policies":      policies,
+			"seeds":         seeds,
+		},
+		"a mesh with 2^63-1 columns": {"benchmarks": []string{"mesh:99999999999999999999"}},
+		"a 3000x3000 mesh":           {"benchmarks": []string{"mesh:3000x3000"}},
+		"3000000 random cores":       {"benchmarks": []string{"rand:3000000x2"}},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, ts.URL+"/v1/sweep", map[string]any{"grid": grid}, &e); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", name, code)
+		}
+		if !strings.Contains(e.Error, "invalid input") {
+			t.Errorf("%s: error %q does not report invalid input", name, e.Error)
+		}
+	}
+	var hz map[string]any
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz["status"] != "ok" {
+		t.Fatalf("healthz after oversized sweeps: %d %v", code, hz)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	var hz map[string]any

@@ -17,29 +17,53 @@ import (
 // for the TV picture-in-picture design). All are deterministic: the random
 // family uses fixed seeds.
 
+// benchmarks are the paper's benchmarks in the order of Figure 10, each
+// with its constructor.
+var benchmarks = [...]struct {
+	name  string
+	build func() *Graph
+}{
+	{"D26_media", D26Media},
+	{"D36_4", func() *Graph { return D36(4) }},
+	{"D36_6", func() *Graph { return D36(6) }},
+	{"D36_8", func() *Graph { return D36(8) }},
+	{"D35_bot", D35Bot},
+	{"D38_tvo", D38TVO},
+}
+
 // BenchmarkNames lists the paper's benchmarks in the order of Figure 10.
 func BenchmarkNames() []string {
-	return []string{"D26_media", "D36_4", "D36_6", "D36_8", "D35_bot", "D38_tvo"}
+	names := make([]string, len(benchmarks))
+	for i, b := range benchmarks {
+		names[i] = b.name
+	}
+	return names
+}
+
+// CheckName returns the error ByName fails with on name, or nil if name
+// is one of BenchmarkNames. It builds nothing.
+func CheckName(name string) error {
+	_, err := lookup(name)
+	return err
+}
+
+func lookup(name string) (func() *Graph, error) {
+	for _, b := range benchmarks {
+		if b.name == name {
+			return b.build, nil
+		}
+	}
+	return nil, fmt.Errorf("traffic: unknown benchmark %q (valid: %v): %w", name, BenchmarkNames(), nocerr.ErrNotFound)
 }
 
 // ByName returns the named benchmark graph. Valid names are those in
 // BenchmarkNames.
 func ByName(name string) (*Graph, error) {
-	switch name {
-	case "D26_media":
-		return D26Media(), nil
-	case "D36_4":
-		return D36(4), nil
-	case "D36_6":
-		return D36(6), nil
-	case "D36_8":
-		return D36(8), nil
-	case "D35_bot":
-		return D35Bot(), nil
-	case "D38_tvo":
-		return D38TVO(), nil
+	build, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("traffic: unknown benchmark %q (valid: %v): %w", name, BenchmarkNames(), nocerr.ErrNotFound)
+	return build(), nil
 }
 
 // AllBenchmarks returns every benchmark graph in BenchmarkNames order.
@@ -259,8 +283,8 @@ func D38TVO() *Graph {
 // distinct peers, like the D36 family but with caller-controlled size and
 // seed. It is used by property tests and scaling studies.
 func RandomKOut(name string, n, k int, seed int64) *Graph {
-	if n < 2 || k < 1 || k >= n {
-		panic(fmt.Sprintf("traffic: RandomKOut(%d, %d) out of range", n, k))
+	if err := CheckRandomKOut(n, k); err != nil {
+		panic(err)
 	}
 	g := NewGraph(name)
 	for i := 0; i < n; i++ {
@@ -284,4 +308,13 @@ func RandomKOut(name string, n, k int, seed int64) *Graph {
 		}
 	}
 	return g
+}
+
+// CheckRandomKOut returns the error RandomKOut panics with on n cores of
+// out-degree k, or nil if it accepts them.
+func CheckRandomKOut(n, k int) error {
+	if n < 2 || k < 1 || k >= n {
+		return fmt.Errorf("traffic: RandomKOut(%d, %d) out of range", n, k)
+	}
+	return nil
 }

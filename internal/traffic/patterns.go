@@ -18,10 +18,10 @@ import (
 // dimension-ordered routing this pattern concentrates turns along the
 // diagonal; it is the canonical adversary for XY routing.
 func Transpose(n int) (*Graph, error) {
-	k := isqrt(n)
-	if k*k != n || n < 4 {
-		return nil, fmt.Errorf("traffic: transpose needs a square core count >= 4, got %d", n)
+	if err := CheckTranspose(n); err != nil {
+		return nil, err
 	}
+	k := isqrt(n)
 	g := NewGraph(fmt.Sprintf("transpose_%d", n))
 	for i := 0; i < n; i++ {
 		g.AddCore("")
@@ -44,8 +44,8 @@ func Transpose(n int) (*Graph, error) {
 // routing and is the standard worst-case permutation for FFT-style
 // traffic.
 func BitReversal(n int) (*Graph, error) {
-	if n < 4 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("traffic: bit-reversal needs a power-of-two core count >= 4, got %d", n)
+	if err := CheckBitReversal(n); err != nil {
+		return nil, err
 	}
 	w := bits.Len(uint(n)) - 1
 	g := NewGraph(fmt.Sprintf("bitrev_%d", n))
@@ -68,8 +68,8 @@ func BitReversal(n int) (*Graph, error) {
 // concentrate load the way D35_bot's bottleneck does, but with a
 // caller-controlled core count and hotspot fan-in.
 func Hotspot(n, h int) (*Graph, error) {
-	if n < 3 || h < 1 || h >= n {
-		return nil, fmt.Errorf("traffic: hotspot needs 1 <= hotspots < cores and cores >= 3, got %d cores, %d hotspots", n, h)
+	if err := CheckHotspot(n, h); err != nil {
+		return nil, err
 	}
 	g := NewGraph(fmt.Sprintf("hotspot_%dx%d", n, h))
 	for i := 0; i < n; i++ {
@@ -81,6 +81,35 @@ func Hotspot(n, h int) (*Graph, error) {
 		g.MustAddFlow(hot, CoreID(i), 32)
 	}
 	return g, nil
+}
+
+// CheckTranspose returns the error Transpose fails with on n cores, or
+// nil if it accepts them. Like the other Check functions it builds
+// nothing, so a caller can validate a pattern's arguments ahead of
+// construction with the generator's own check.
+func CheckTranspose(n int) error {
+	if k := isqrt(n); k*k != n || n < 4 {
+		return fmt.Errorf("traffic: transpose needs a square core count >= 4, got %d", n)
+	}
+	return nil
+}
+
+// CheckBitReversal returns the error BitReversal fails with on n cores,
+// or nil if it accepts them.
+func CheckBitReversal(n int) error {
+	if n < 4 || n&(n-1) != 0 {
+		return fmt.Errorf("traffic: bit-reversal needs a power-of-two core count >= 4, got %d", n)
+	}
+	return nil
+}
+
+// CheckHotspot returns the error Hotspot fails with on n cores and h
+// hotspots, or nil if it accepts them.
+func CheckHotspot(n, h int) error {
+	if n < 3 || h < 1 || h >= n {
+		return fmt.Errorf("traffic: hotspot needs 1 <= hotspots < cores and cores >= 3, got %d cores, %d hotspots", n, h)
+	}
+	return nil
 }
 
 // isqrt returns the integer square root of n.

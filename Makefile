@@ -27,7 +27,8 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# The pinned perf-gate benchmarks: simulator hot loop, removal runtime
+# The pinned perf-gate benchmarks: simulator hot loop on routes and on
+# route sets (the adaptive step at load 1), removal runtime
 # (the 14-switch paper cases plus the two large-SCC designs where the
 # cycle search's bound pruning carries the time), synthesis of the same
 # two designs (partition plus the dense shortest-path router), the
@@ -38,12 +39,13 @@ bench:
 # lockstep batch-vs-sequential pair (the batch engine's ≥5x multi-core
 # advantage over 16 independent runs must not erode), the fabric
 # result-cache hot path (the per-cell overhead every cached sweep pays),
-# and a fully cache-served sweep (the fixed cost every sweep request pays
-# around its cells: validation, enumeration, keys and lookups),
-# repeated so benchstat can establish significance. CI runs this on the
+# a fully cache-served sweep (the fixed cost every sweep request pays
+# around its cells: validation, enumeration, keys and lookups) and one
+# simulated, certified mesh_verify op end to end, all repeated so
+# benchstat can establish significance. CI runs this on the
 # PR head and base and fails on a >15% sec/op regression.
 bench-pin:
-	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$)' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepVerified$$)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
 
 # nocbench's own tests: every workload for a few ops at seed 0 against

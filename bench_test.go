@@ -200,6 +200,56 @@ func BenchmarkSimStep(b *testing.B) {
 	}
 }
 
+// BenchmarkSimStepAdaptive is BenchmarkSimStep's adaptive twin: steady-
+// state Step cost of the route-set engine on a faulted 8x8 mesh under
+// odd-even routing at load 1, the regime mesh_verify's measurement lanes
+// run in — pending heads choosing among candidates, deep queues and
+// contended links every cycle.
+func BenchmarkSimStepAdaptive(b *testing.B) {
+	grid, err := regular.Mesh(8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := regular.SelectFaults(grid, 2, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := grid.Topology.Fault(ids...); err != nil {
+		b.Fatal(err)
+	}
+	g, err := regular.UniformTraffic(64, 32, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := route.GridRoutes(grid.Topology, g, grid.Spec(), route.OddEven, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := nocdr.NewSession()
+	rm, err := s.RemoveDeadlocksSet(context.Background(), grid.Topology, set)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := s.NewAdaptiveSimulator(rm.Topology, g, rm.Routes, nocdr.SimConfig{
+		MaxCycles:   1 << 62,
+		LoadFactor:  1,
+		BufferDepth: 2,
+		Seed:        11,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm the network into steady state before timing.
+	for i := 0; i < 2000; i++ {
+		sim.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Step()
+	}
+}
+
 // --- E11: simulation validation (cycles simulated per second, and the
 // deadlock outcome as a metric: 1 = deadlocked). ---
 
@@ -769,6 +819,43 @@ func BenchmarkCacheKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runner.CellKey(job, runner.Options{}, nil)
+	}
+}
+
+// BenchmarkSweepVerified is one op of nocbench's mesh_verify workload
+// through Session.Sweep: a simulated and certified sweep of the 8x8
+// dateline torus under DOR (cyclic, so its negative control must
+// deadlock) and of the 8x8 mesh under odd-even routing with two faulted
+// links, each over two seeds, on two workers. The simulator is most of
+// its time.
+func BenchmarkSweepVerified(b *testing.B) {
+	grid := func(benchmark string) nocdr.SweepGrid {
+		return nocdr.SweepGrid{
+			Benchmarks:   []string{benchmark},
+			SwitchCounts: []int{64},
+			Policies:     []string{"smallest"},
+			Seeds:        []int64{0, 1},
+		}
+	}
+	torus, mesh := grid("torus:8x8:uniform"), grid("mesh:8x8")
+	mesh.Routings, mesh.Faults = []string{"odd-even"}, 2
+	s := nocdr.NewSession(nocdr.WithParallel(2))
+	opts := nocdr.SweepOptions{Simulate: true, Certify: true}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range []nocdr.SweepGrid{torus, mesh} {
+			rep, err := s.Sweep(ctx, g, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range rep.Results {
+				if r.Error != "" || r.Certify == nil || !r.Certify.Agree {
+					b.Fatalf("cell %s failed verification: %+v", r.Job.Key(), r)
+				}
+			}
+		}
 	}
 }
 

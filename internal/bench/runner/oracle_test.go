@@ -114,10 +114,14 @@ func runJob(ctx context.Context, job Job, opts Options) Result {
 }
 
 // newSim builds a single simulator over one of the design's two halves.
-func (de *designEval) newSim(pre bool, w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
-	top, tab, set := de.postTop, de.postTab, de.postSet
+// A non-nil set replaces an adaptive design's route set.
+func (de *designEval) newSim(pre bool, set *route.RouteSet, w *traffic.Graph, cfg wormhole.Config) (*wormhole.Simulator, error) {
+	top, tab, half := de.postTop, de.postTab, de.postSet
 	if pre {
-		top, tab, set = de.preTop, de.preTab, de.preSet
+		top, tab, half = de.preTop, de.preTab, de.preSet
+	}
+	if set == nil {
+		set = half
 	}
 	if de.adaptive {
 		return wormhole.NewAdaptive(top, w, set, cfg)
@@ -127,8 +131,9 @@ func (de *designEval) newSim(pre bool, w *traffic.Graph, cfg wormhole.Config) (*
 
 // simEval is the sequential verification stage for one cell: the negative
 // control on the pre-removal design under the constructed witness (when
-// the CDG was cyclic), the identical witness on the post-removal design,
-// then the plain measurement run.
+// the CDG was cyclic) with the saturated flows pinned to their cycle
+// paths, the identical witness traffic on the post-removal design, then
+// the plain measurement run.
 func (de *designEval) simEval(ctx context.Context, params SimParams) (*SimResult, error) {
 	params = params.withDefaults()
 	res := &SimResult{}
@@ -141,14 +146,7 @@ func (de *designEval) simEval(ctx context.Context, params SimParams) (*SimResult
 	}
 
 	if !de.initialAcyclic {
-		var w *traffic.Graph
-		var nflows int
-		var err error
-		if de.adaptive {
-			w, nflows, err = witnessWorkloadSet(de.g, de.preTop, de.preSet)
-		} else {
-			w, nflows, err = witnessWorkload(de.g, de.preTop, de.preTab)
-		}
+		w, pinned, nflows, err := de.witness()
 		if err != nil {
 			return nil, fmt.Errorf("runner: witness workload: %w", err)
 		}
@@ -158,7 +156,7 @@ func (de *designEval) simEval(ctx context.Context, params SimParams) (*SimResult
 			// The witness runs always pin load 1, whatever -sim-load says.
 			witnessCfg := cfg
 			witnessCfg.LoadFactor = 1.0
-			pre, err := de.newSim(true, w, witnessCfg)
+			pre, err := de.newSim(true, pinned, w, witnessCfg)
 			if err != nil {
 				return nil, fmt.Errorf("runner: pre-removal sim: %w", err)
 			}
@@ -169,7 +167,7 @@ func (de *designEval) simEval(ctx context.Context, params SimParams) (*SimResult
 			res.PreDeadlock = st.Deadlocked
 			res.PreDeadlockCycle = st.DeadlockCycle
 
-			postW, err := de.newSim(false, w, witnessCfg)
+			postW, err := de.newSim(false, nil, w, witnessCfg)
 			if err != nil {
 				return nil, fmt.Errorf("runner: post-removal witness sim: %w", err)
 			}
@@ -183,7 +181,7 @@ func (de *designEval) simEval(ctx context.Context, params SimParams) (*SimResult
 
 	postCfg := cfg
 	postCfg.CollectLatencies = true
-	post, err := de.newSim(false, de.g, postCfg)
+	post, err := de.newSim(false, nil, de.g, postCfg)
 	if err != nil {
 		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
 	}

@@ -88,79 +88,92 @@ type SimResult struct {
 // holdings actually interlock.
 const witnessFlits = 16
 
-// witnessWorkload constructs the adversarial counterexample for a cyclic
-// design: it finds the CDG's smallest cycle, identifies the flows whose
-// routes induce its dependency edges, and returns a copy of the traffic
-// graph in which exactly those flows inject saturated long-packet traffic
-// while every other flow is throttled to near silence. A blind saturation
-// run almost never trips an application-specific design's cycle (the
-// involved flows are usually low-bandwidth); driving the inducing flows
-// directly makes the latent hazard manifest within a short horizon. The
-// second return value is the number of saturated flows; a nil graph means
-// the CDG is acyclic.
-func witnessWorkload(g *traffic.Graph, top *topology.Topology, tab *route.Table) (*traffic.Graph, int, error) {
-	c, err := cdg.Build(top, tab)
-	if err != nil {
-		return nil, 0, err
-	}
-	return witnessFromCDG(g, c, nil)
-}
-
-// witnessWorkloadSet is witnessWorkload over a route set: the smallest
-// cycle is found in the union CDG, and the pseudo-flows inducing its
-// edges are mapped back to the real flows that own the candidate paths.
-func witnessWorkloadSet(g *traffic.Graph, top *topology.Topology, set *route.RouteSet) (*traffic.Graph, int, error) {
+// witnessWorkloadSet constructs the adversarial counterexample for a cyclic
+// design: it finds the union CDG's smallest cycle, identifies the flows
+// whose candidate paths induce its dependency edges, and returns a copy
+// of the traffic graph in which exactly those flows inject saturated
+// long-packet traffic while every other flow is throttled to near
+// silence. A blind saturation run almost never trips an
+// application-specific design's cycle (the involved flows are usually
+// low-bandwidth); driving the inducing flows directly makes the latent
+// hazard manifest within a short horizon.
+//
+// It also returns the route set the pre-removal run uses: each saturated
+// flow keeps only its candidate paths that induce a cycle edge, every
+// other flow keeps its whole set. Left free, adaptive heads would route
+// around the cycle the certificate names; pinned, they drive exactly the
+// dependencies the union CDG (and with it removal and the checker)
+// assumes a packet may take. A single-path design is a one-path set, for
+// which the pinned set is the design's own. The last return value is the
+// number of saturated flows; a nil graph means the CDG is acyclic.
+func witnessWorkloadSet(g *traffic.Graph, top *topology.Topology, set *route.RouteSet) (*traffic.Graph, *route.RouteSet, int, error) {
 	c, refs, err := cdg.BuildSet(top, set)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
-	return witnessFromCDG(g, c, refs)
-}
-
-// witnessFromCDG builds the witness graph given the (possibly flattened)
-// CDG; refs maps pseudo-flow attributions back to real flows (nil for an
-// unflattened CDG).
-func witnessFromCDG(g *traffic.Graph, c *cdg.CDG, refs []route.PathRef) (*traffic.Graph, int, error) {
 	cyc := c.SmallestCycle()
 	if len(cyc) == 0 {
-		return nil, 0, nil
+		return nil, nil, 0, nil
 	}
-	hot := map[int]bool{}
+	hot := map[int]map[int]bool{} // flow ID → indices of its cycle-inducing paths
 	for i := range cyc {
-		for _, f := range c.FlowsOn(cyc[i], cyc[(i+1)%len(cyc)]) {
-			if refs != nil {
-				f = refs[f].FlowID
+		for _, pf := range c.FlowsOn(cyc[i], cyc[(i+1)%len(cyc)]) {
+			ref := refs[pf]
+			if hot[ref.FlowID] == nil {
+				hot[ref.FlowID] = map[int]bool{}
 			}
-			hot[f] = true
+			hot[ref.FlowID][ref.Index] = true
+		}
+	}
+	pinned := route.NewRouteSet(set.NumFlows())
+	for f := 0; f < set.NumFlows(); f++ {
+		for i, p := range set.Paths(f) {
+			if paths, ok := hot[f]; !ok || paths[i] {
+				pinned.Add(f, p)
+			}
 		}
 	}
 	// Rebuild the graph flow by flow in ID order so flow IDs (and with
-	// them the route table mapping) are preserved.
+	// them the route mapping) are preserved.
 	w := traffic.NewGraph(g.Name + "_witness")
 	for range g.Cores() {
 		w.AddCore("")
 	}
 	for _, f := range g.Flows() {
 		bw, flits := 0.001, f.PacketFlits
-		if hot[f.ID] {
+		if hot[f.ID] != nil {
 			bw, flits = 100, witnessFlits
 		}
 		id, err := w.AddFlow(f.Src, f.Dst, bw)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		if err := w.SetPacketFlits(id, flits); err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 	}
-	return w, len(hot), nil
+	return w, pinned, len(hot), nil
+}
+
+// witness is witnessWorkloadSet over the pre-removal design, a table lifted
+// to its one-path set.
+func (de *designEval) witness() (*traffic.Graph, *route.RouteSet, int, error) {
+	set := de.preSet
+	if !de.adaptive {
+		set = route.FromTable(de.preTab)
+	}
+	return witnessWorkloadSet(de.g, de.preTop, set)
 }
 
 // newBatch builds a lockstep batch over one of the design's two halves.
-func (de *designEval) newBatch(pre bool, w *traffic.Graph, cfg wormhole.Config, vs []wormhole.Variant) (*wormhole.Batch, error) {
-	top, tab, set := de.postTop, de.postTab, de.postSet
+// A non-nil set replaces an adaptive design's route set.
+func (de *designEval) newBatch(pre bool, set *route.RouteSet, w *traffic.Graph, cfg wormhole.Config, vs []wormhole.Variant) (*wormhole.Batch, error) {
+	top, tab, half := de.postTop, de.postTab, de.postSet
 	if pre {
-		top, tab, set = de.preTop, de.preTab, de.preSet
+		top, tab, half = de.preTop, de.preTab, de.preSet
+	}
+	if set == nil {
+		set = half
 	}
 	if de.adaptive {
 		return wormhole.NewAdaptiveBatch(top, w, set, cfg, vs)
@@ -201,14 +214,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 	}
 
 	if !de.initialAcyclic {
-		var w *traffic.Graph
-		var nflows int
-		var err error
-		if de.adaptive {
-			w, nflows, err = witnessWorkloadSet(de.g, de.preTop, de.preSet)
-		} else {
-			w, nflows, err = witnessWorkload(de.g, de.preTop, de.preTab)
-		}
+		w, pinned, nflows, err := de.witness()
 		if err != nil {
 			return nil, fmt.Errorf("runner: witness workload: %w", err)
 		}
@@ -218,7 +224,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 			// negative control, so the witness runs always pin load 1.
 			witnessCfg := cfg
 			witnessCfg.LoadFactor = 1.0
-			pre, err := de.newBatch(true, w, witnessCfg, witnessVs)
+			pre, err := de.newBatch(true, pinned, w, witnessCfg, witnessVs)
 			if err != nil {
 				return nil, fmt.Errorf("runner: pre-removal sim: %w", err)
 			}
@@ -226,7 +232,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 			if err != nil {
 				return nil, fmt.Errorf("runner: pre-removal sim: %w", err)
 			}
-			postW, err := de.newBatch(false, w, witnessCfg, witnessVs)
+			postW, err := de.newBatch(false, nil, w, witnessCfg, witnessVs)
 			if err != nil {
 				return nil, fmt.Errorf("runner: post-removal witness sim: %w", err)
 			}
@@ -258,7 +264,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 	}
 	postCfg := cfg
 	postCfg.CollectLatencies = true
-	post, err := de.newBatch(false, de.g, postCfg, measureVs)
+	post, err := de.newBatch(false, nil, de.g, postCfg, measureVs)
 	if err != nil {
 		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
 	}

@@ -40,7 +40,7 @@ import (
 // arbitration changes, report-shape changes) — stale cached results can
 // then never survive an engine change, because every key derived after
 // the bump is disjoint from every key derived before it.
-const EngineVersion = "nocdr-engine/8"
+const EngineVersion = "nocdr-engine/9"
 
 // Key returns the content address of a job's semantic inputs: the
 // SHA-256 of the deterministic JSON encoding of parts, salted with

@@ -2,7 +2,6 @@ package wormhole
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -16,7 +15,9 @@ import (
 // and the worm's body follows the committed choice. The decision
 // procedure is seeded and deterministic: candidate lists are sorted,
 // ties break to the lowest channel, and the only randomness is the
-// injection process already driven by Config.Seed.
+// injection process already driven by Config.Seed. A hop with a single
+// permitted next channel commits on entry, so a one-path set steps
+// exactly like New on the equivalent table.
 //
 // The set must be valid for (top, g) — every flow has at least one path,
 // all over provisioned, non-faulted channels (see route.RouteSet
@@ -29,104 +30,55 @@ func NewAdaptive(top *topology.Topology, g *traffic.Graph, set *route.RouteSet, 
 	if err := set.Validate(top, g); err != nil {
 		return nil, err
 	}
-	s, maxBW, err := newSkeleton(top, g, cfg)
+	s, err := newSkeleton(top, g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s.adaptive = true
 	if cfg.Adaptive == LeastCongested {
 		s.linkOcc = make([]int32, top.NumLinks())
 	}
 	for _, f := range g.Flows() {
 		paths := set.Paths(f.ID)
-		fs := flowState{
-			id:       f.ID,
-			probBits: uint64(cfg.LoadFactor * f.Bandwidth / maxBW * (1 << 63)),
-			bw:       f.Bandwidth,
-			flits:    f.PacketFlits,
-			adj:      make(map[int32][]int32),
-			final:    make(map[int32]bool),
-			local:    len(paths) == 1 && len(paths[0]) == 0,
-		}
-		firstSet := make(map[int32]bool)
-		for _, p := range paths {
-			if len(p) == 0 {
-				if !fs.local {
-					return nil, fmt.Errorf("wormhole: flow %d mixes local and fabric paths", f.ID)
-				}
-				continue
+		idxs := make([][]int32, len(paths))
+		for i, p := range paths {
+			if len(p) == 0 && len(paths) > 1 {
+				return nil, fmt.Errorf("wormhole: flow %d mixes local and fabric paths", f.ID)
 			}
-			if len(p) > fs.maxLen {
-				fs.maxLen = len(p)
-			}
-			idxs := make([]int32, len(p))
-			for i, ch := range p {
+			idxs[i] = make([]int32, len(p))
+			for h, ch := range p {
 				ci, ok := s.idx[ch]
 				if !ok {
 					return nil, fmt.Errorf("wormhole: flow %d uses unprovisioned channel %v", f.ID, ch)
 				}
-				idxs[i] = int32(ci)
-			}
-			firstSet[idxs[0]] = true
-			fs.final[idxs[len(idxs)-1]] = true
-			for i := 0; i+1 < len(idxs); i++ {
-				fs.adj[idxs[i]] = appendUnique(fs.adj[idxs[i]], idxs[i+1])
+				idxs[i][h] = int32(ci)
 			}
 		}
-		// A channel that ends some path cannot also continue another:
-		// the head must know on entry whether the worm ejects there.
-		for ci := range fs.final {
-			if len(fs.adj[ci]) > 0 {
-				return nil, fmt.Errorf("wormhole: flow %d channel %d is both final and transitive in its route set", f.ID, ci)
-			}
+		if err := s.addFlow(f, idxs); err != nil {
+			return nil, err
 		}
-		fs.first = make([]int32, 0, len(firstSet))
-		for ci := range firstSet {
-			fs.first = append(fs.first, ci)
-		}
-		sort.Slice(fs.first, func(i, j int) bool { return fs.first[i] < fs.first[j] })
-		for _, cands := range fs.adj {
-			sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-		}
-		s.flows = append(s.flows, fs)
 	}
-	s.finishInit()
 	return s, nil
 }
 
-func appendUnique(s []int32, v int32) []int32 {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
-}
-
-// chooseAdaptive picks the next channel for a head flit among the sorted
-// candidates, honoring the configured selection policy; -1 means no
+// choose picks a pending head's next channel among the successors of its
+// table node, honoring the configured selection policy; -1 means no
 // candidate is admissible this cycle. Only free channels qualify (a head
 // entering a channel its own packet already owns would fold the worm
-// onto itself). An admissible channel's own buffer is necessarily empty,
-// so LeastCongested measures congestion on the candidate's *physical
-// link* — flits buffered across its other VCs, which compete for the
-// same link bandwidth — and ties break to the lowest-ordered candidate.
-func (s *Simulator) chooseAdaptive(cands []int32, fr flitRef) int {
-	best, bestOcc := -1, int32(0)
-	for _, nc := range cands {
-		ni := int(nc)
-		// admissible alone would admit a channel this worm already owns
-		// (that allowance exists for body flits following their head); a
-		// head re-entering its own channel would land behind its own
-		// body, so adaptive choice is restricted to free channels.
-		if s.chans[ni].owner != -1 || !s.admissible(ni, fr) {
+// onto itself), and a free channel's buffer is empty, so LeastCongested
+// measures congestion on the candidate's *physical link* — flits
+// buffered across its other VCs, which compete for the same link
+// bandwidth — and ties break to the lowest-ordered candidate.
+func (s *Simulator) choose(node int32) int32 {
+	best, bestOcc := int32(-1), int32(0)
+	for _, e := range s.tab.out(node) {
+		if s.chans[e.ch].owner != -1 {
 			continue
 		}
 		if s.cfg.Adaptive == FirstFree {
-			return ni
+			return e.ch
 		}
-		if occ := s.linkOcc[s.chanLink[ni]]; best == -1 || occ < bestOcc {
-			best, bestOcc = ni, occ
+		if occ := s.linkOcc[s.chanLink[e.ch]]; best == -1 || occ < bestOcc {
+			best, bestOcc = e.ch, occ
 		}
 	}
 	return best

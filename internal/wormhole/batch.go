@@ -25,11 +25,10 @@ type Variant struct {
 }
 
 // Batch steps N seed/load variants of one design. Construction work —
-// channel indexing, route validation, dense route indices, adaptive
-// transition tables — happens once and is shared read-only across every
-// lane; each lane owns only its mutable state (channel FIFOs carved from
-// one contiguous per-lane flit block, source queues, packet freelist,
-// worklists, RNG, stats).
+// channel indexing, route validation, the transition table — happens once
+// and is shared read-only across every lane; each lane owns only its
+// mutable state (channel rings in one contiguous per-lane flit block,
+// source queues, packet slots, worklists, RNG, stats).
 //
 // Variant isolation invariant: lanes share nothing mutable, so each
 // lane's statistics are byte-identical to an independent Simulator built
@@ -214,51 +213,32 @@ func runLockstep(ctx context.Context, lanes []*Simulator, out []*Stats, errs []e
 
 // cloneVariant carves a fresh lane off a just-constructed prototype:
 // everything immutable — the channel index, dense per-channel metadata,
-// per-flow routes, adaptive transition tables — is shared by reference;
-// everything the stepping loop mutates is allocated fresh. The lane's
-// injection probabilities are recomputed with the exact float expression
-// the constructors use, so a lane is byte-for-byte the simulator
-// New/NewAdaptive would return for laneCfg.
+// the transition table — is shared by reference; everything the stepping
+// loop mutates is allocated fresh. The lane's injection probabilities are
+// recomputed with the exact float expression the constructors use, so a
+// lane is byte-for-byte the simulator New/NewAdaptive would return for
+// laneCfg.
 func (s *Simulator) cloneVariant(cfg Config) *Simulator {
-	n := len(s.chans)
 	c := &Simulator{
-		cfg:       cfg,
-		adaptive:  s.adaptive,
-		rngState:  uint64(cfg.Seed),
-		idx:       s.idx,
-		chans:     make([]chanState, n),
-		flows:     make([]flowState, len(s.flows)),
-		chanLink:  s.chanLink,
-		chanVC:    s.chanVC,
-		activePos: make([]int32, n),
-		buckets:   make([][]cand, len(s.buckets)),
-		linkRR:    make([]int, len(s.linkRR)),
-		maxBW:     s.maxBW,
+		idx:      s.idx,
+		tab:      s.tab,
+		flows:    make([]flowState, len(s.flows)),
+		chanLink: s.chanLink,
+		chanVC:   s.chanVC,
+		maxBW:    s.maxBW,
 	}
-	// One contiguous flit block per lane: the channel FIFOs — the hot
-	// mutable state — are carved out of it so a lane's working set stays
-	// cache-contiguous instead of scattered across n small allocations.
-	block := make([]flitRef, n*cfg.BufferDepth)
-	for i := range c.chans {
-		c.chans[i] = chanState{
-			buf:   block[i*cfg.BufferDepth : (i+1)*cfg.BufferDepth],
-			owner: -1,
-		}
-		c.activePos[i] = -1
-	}
+	c.initLane(cfg, len(s.linkRR), len(s.flows))
 	if s.linkOcc != nil {
 		c.linkOcc = make([]int32, len(s.linkOcc))
 	}
-	c.stats.PerFlow = make([]FlowStats, len(s.stats.PerFlow))
 	for i := range s.flows {
-		fs := s.flows[i] // value copy shares routeIdx/first/adj/final
+		fs := s.flows[i]
+		fs.next = s.tab.enter[fs.src]
 		fs.queue = nil
 		fs.qhead = 0
 		fs.created = 0
-		fs.curFirst = 0
 		fs.probBits = uint64(cfg.LoadFactor * fs.bw / s.maxBW * (1 << 63))
 		c.flows[i] = fs
 	}
-	c.finishInit()
 	return c
 }

@@ -3,10 +3,10 @@ package wormhole
 import "sort"
 
 // confirmDeadlock builds the packet wait-for graph at the current cycle
-// and returns the packet IDs on a cyclic wait, ascending. It is called
-// after the progress watchdog fires; during a genuine global stall every
-// in-flight packet's frontier is blocked on a channel held by another
-// packet, so the graph must contain a cycle.
+// and returns the slots of the packets on a cyclic wait, ascending by
+// packet ID. It is called after the progress watchdog fires; during a
+// genuine global stall every in-flight packet's frontier is blocked on a
+// channel held by another packet, so the graph must contain a cycle.
 //
 // Wait edges: packet P → packet Q when P's next transmission needs a
 // channel currently owned by Q. Two blocking causes produce an edge:
@@ -18,84 +18,41 @@ import "sort"
 //     skipped.
 //
 // This is the cold path: it runs once per confirmed stall, so it scans
-// every channel rather than the active worklist. It returns the packets
-// themselves (not just IDs) so recovery can act on the cycle without a
-// live-packet lookup table existing anywhere.
-func (s *Simulator) confirmDeadlock() []*packet {
+// every channel rather than the active worklist, and it is the only
+// place besides HeldChannels that maps slots to packet IDs.
+func (s *Simulator) confirmDeadlock() []int32 {
 	wait := make(map[int][]int)   // packet ID → packet IDs it waits on
-	byID := make(map[int]*packet) // every packet with an outgoing wait edge
+	slotOf := make(map[int]int32) // every packet with an outgoing wait edge
 
-	addEdge := func(p *packet, q int) {
-		if p.id == q {
-			return
+	// waitOn adds P's edges toward the owners of next, or — for a head
+	// still choosing at node — of every successor: the watchdog only fires
+	// after a long global stall, so a successor that is free would already
+	// have been taken.
+	waitOn := func(p int32, next, node int32) {
+		targets := []edge{{ch: next}}
+		if next == pending {
+			targets = s.tab.out(node)
 		}
-		wait[p.id] = append(wait[p.id], q)
-		byID[p.id] = p
-	}
-
-	// Blocked buffer fronts. In adaptive mode an undecided head waits on
-	// every permitted candidate it cannot take: the watchdog only fires
-	// after a cycle-long global stall, so a candidate that is free would
-	// already have been taken — each one is either owned by another worm
-	// (a wait edge) or back-pressured along this packet's own worm
-	// (covered transitively, skipped like the table-mode self case).
-	for ci := range s.chans {
-		cs := &s.chans[ci]
-		if cs.n == 0 {
-			continue
-		}
-		p := cs.front().pkt
-		if s.adaptive {
-			switch cs.nextIdx {
-			case -1: // ejection always possible: not blocked
-			case adaptivePending:
-				for _, nc := range s.flows[p.flow].adj[int32(ci)] {
-					if o := s.chans[nc].owner; o != -1 && o != p.id {
-						addEdge(p, o)
-					}
-				}
-			default:
-				if next := &s.chans[cs.nextIdx]; next.owner != -1 && next.owner != p.id {
-					addEdge(p, next.owner)
-				}
+		for _, e := range targets {
+			if o := s.chans[e.ch].owner; o != -1 && o != p {
+				id := s.pkts[p].id
+				wait[id] = append(wait[id], s.pkts[o].id)
+				slotOf[id] = p
 			}
-			continue
 		}
-		ridx := s.flows[p.flow].routeIdx
-		if cs.hop == len(ridx)-1 {
-			continue // ejection always possible: not blocked
-		}
-		next := &s.chans[ridx[cs.hop+1]]
-		if next.owner != -1 && next.owner != p.id {
-			addEdge(p, next.owner)
+	}
+	// Blocked buffer fronts; a final-hop front can always eject.
+	for ci := range s.chans {
+		if cs := &s.chans[ci]; cs.n > 0 && cs.next != -1 {
+			waitOn(cs.owner, cs.next, cs.node)
 		}
 	}
 	// Blocked injections (the queued packet holds nothing yet, but its
 	// wait still participates in the graph; it can never be part of a
 	// cycle because nothing waits on it).
 	for i := range s.flows {
-		fs := &s.flows[i]
-		if fs.qlen() == 0 || fs.local {
-			continue
-		}
-		p := fs.qfront()
-		if s.adaptive {
-			if p.injected > 0 {
-				if o := s.chans[fs.curFirst].owner; o != -1 && o != p.id {
-					addEdge(p, o)
-				}
-				continue
-			}
-			for _, nc := range fs.first {
-				if o := s.chans[nc].owner; o != -1 && o != p.id {
-					addEdge(p, o)
-				}
-			}
-			continue
-		}
-		first := &s.chans[fs.routeIdx[0]]
-		if first.owner != -1 && first.owner != p.id {
-			addEdge(p, first.owner)
+		if fs := &s.flows[i]; fs.qlen() > 0 && !fs.local {
+			waitOn(fs.qfront(), fs.next, fs.src)
 		}
 	}
 
@@ -142,36 +99,36 @@ func (s *Simulator) confirmDeadlock() []*packet {
 	if cycleAt == -1 {
 		return nil
 	}
-	var cyc []*packet
+	var cyc []int32
 	for v := cycleEnd; ; v = parent[v] {
-		// Every cycle node has an outgoing wait edge, so byID covers it.
-		cyc = append(cyc, byID[v])
+		// Every cycle node has an outgoing wait edge, so slotOf covers it.
+		cyc = append(cyc, slotOf[v])
 		if v == cycleAt {
 			break
 		}
 	}
-	sort.Slice(cyc, func(i, j int) bool { return cyc[i].id < cyc[j].id })
+	sort.Slice(cyc, func(i, j int) bool { return s.pkts[cyc[i]].id < s.pkts[cyc[j]].id })
 	return cyc
 }
 
-// packetIDs projects a packet list onto its IDs (for Stats reporting).
-func packetIDs(pkts []*packet) []int {
-	if len(pkts) == 0 {
+// packetIDs projects packet slots onto their IDs (for Stats reporting).
+func (s *Simulator) packetIDs(slots []int32) []int {
+	if len(slots) == 0 {
 		return nil
 	}
-	ids := make([]int, len(pkts))
-	for i, p := range pkts {
-		ids[i] = p.id
+	ids := make([]int, len(slots))
+	for i, slot := range slots {
+		ids[i] = s.pkts[slot].id
 	}
 	return ids
 }
 
 // HeldChannels returns the channels currently owned by the given packet,
-// in route order. Useful for diagnostics and tests.
+// in channel order. Useful for diagnostics and tests.
 func (s *Simulator) HeldChannels(pkt int) []int {
 	var out []int
-	for ci := range s.chans {
-		if s.chans[ci].owner == pkt {
+	for ci, cs := range s.chans {
+		if cs.owner != -1 && s.pkts[cs.owner].id == pkt {
 			out = append(out, ci)
 		}
 	}

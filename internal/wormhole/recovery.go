@@ -18,7 +18,7 @@ package wormhole
 
 // recovery tracks the in-flight recovery, if any.
 type recovery struct {
-	pkt     *packet
+	slot    int32 // the recovering packet
 	deliver int64 // cycle at which the packet completes
 }
 
@@ -35,24 +35,24 @@ func (s *Simulator) tryRecover() bool {
 	if len(cyc) == 0 {
 		return false
 	}
-	p := cyc[0] // lowest ID: the deterministic token grant
+	slot := cyc[0] // lowest ID: the deterministic token grant
+	p := &s.pkts[slot]
 	// Pull the worm out of the normal network, freeing its channels.
 	for ci := range s.chans {
-		if s.chans[ci].owner != p.id {
-			continue
+		if s.chans[ci].owner == slot {
+			s.clearChannel(ci)
 		}
-		s.clearChannel(ci)
 	}
 	// Flits still queued at the source keep injecting through the lane
 	// as well; time the drain as (remaining flits) + (remaining hops).
 	// Adaptive flows bound the hop count by their longest candidate path.
 	remFlits := int64(p.flits - p.ejected)
 	remHops := int64(s.flows[p.flow].maxLen)
-	s.rec = &recovery{pkt: p, deliver: s.now + remFlits + remHops}
+	s.rec = &recovery{slot: slot, deliver: s.now + remFlits + remHops}
 	// If the packet was mid-injection, take it off the source queue so
 	// the next packet of the flow can start once the lane drain ends.
 	fs := &s.flows[p.flow]
-	if fs.qlen() > 0 && fs.qfront() == p {
+	if fs.qlen() > 0 && fs.qfront() == slot {
 		s.stats.InjectedFlits += int64(p.flits - p.injected)
 		p.injected = p.flits
 		s.dequeue(p.flow)
@@ -67,13 +67,13 @@ func (s *Simulator) stepRecovery() {
 	if s.rec == nil || s.now < s.rec.deliver {
 		return
 	}
-	p := s.rec.pkt
+	p := &s.pkts[s.rec.slot]
 	s.stats.DeliveredFlits += int64(p.flits - p.ejected)
 	s.stats.DeliveredPackets++
 	s.stats.RecoveredPackets++
 	s.recordDelivery(p)
 	s.live--
-	s.freePacket(p)
+	s.free = append(s.free, s.rec.slot)
 	s.rec = nil
 	s.lastProgress = s.now
 }

@@ -11,7 +11,8 @@ import (
 	"github.com/nocdr/nocdr/internal/traffic"
 )
 
-// packet is one in-flight wormhole packet.
+// packet is one in-flight wormhole packet. Packets live in a per-lane
+// slot slice; everything else refers to them by slot.
 type packet struct {
 	id      int
 	flow    int
@@ -22,70 +23,59 @@ type packet struct {
 	ejected  int // flits that have left the network at the destination
 }
 
-// flitRef carries the owning packet by pointer so the per-cycle hot loop
-// never consults a lookup table to resolve a flit.
+// flitRef is one buffered flit: its packet's slot and its position in
+// the worm. It holds no pointer, so storing one in a ring costs the
+// garbage collector nothing.
 type flitRef struct {
-	pkt    *packet
+	slot   int32
 	isHead bool
 	isTail bool
 }
 
-// adaptivePending marks a channel whose owning worm's head has not yet
-// committed to a next channel — the adaptive engine re-evaluates the
-// permitted candidates every cycle until one is admissible; the head's
-// departure then freezes the choice so body flits follow it.
-const adaptivePending = -2
+// pending marks a head that has not committed to its next channel: it
+// chooses among its node's successors every cycle until one is
+// admissible, and its departure freezes the choice for the body flits.
+const pending = -2
 
-// chanState is the runtime state of one channel: its downstream FIFO
-// (a fixed-capacity ring over a preallocated slice) and owning packet.
+// chanState is the runtime state of one channel: its downstream FIFO (a
+// ring of BufferDepth slots in the lane's flit block) and owning packet.
 // Invariant: the buffer holds only the owner's flits, and owner == -1
 // exactly when the buffer is empty and no worm spans the channel.
 type chanState struct {
-	buf     []flitRef // ring storage, len == Config.BufferDepth
-	head    int       // index of the front flit
-	n       int       // occupied slots
-	owner   int       // packet ID, -1 if free
-	hop     int       // owner's hop index at this channel (valid while owner != -1)
-	nextIdx int32     // owner's next channel index, -1 at the final hop, adaptivePending while undecided
+	head  int32 // ring index of the front flit
+	n     int32 // occupied slots
+	owner int32 // packet slot, -1 if free
+	node  int32 // owner's transition-table node at this channel (valid while owner != -1)
+	next  int32 // owner's next channel, -1 at the final hop, pending while undecided
 }
 
-// front returns the flit at the head of the FIFO; the caller must have
-// checked n > 0.
-func (cs *chanState) front() flitRef { return cs.buf[cs.head] }
-
-// flowState tracks a flow's injection side; its route is held as dense
-// channel indices.
+// flowState tracks a flow's injection side. The fields arbitration reads
+// come first, so they share a cache line.
 type flowState struct {
-	id       int
-	routeIdx []int32
-	probBits uint64    // per-cycle creation probability, scaled to [0, 2^63]
-	bw       float64   // declared bandwidth, kept so lanes can rescale probBits per load
-	flits    int       // packet length, hoisted out of the creation loop
-	local    bool      // same-switch flow: packets bypass the fabric
-	maxLen   int       // longest candidate path in hops (route length in table mode)
-	queue    []*packet // pending packets; queue[qhead:] are live
-	qhead    int       // consumed prefix, reclaimed when the queue empties
-	created  int       // packets created so far (for PacketsPerFlow budgeting)
-
-	// Adaptive-mode routing tables (nil in single-path mode): first are
-	// the permitted injection channels, adj the permitted transitions out
-	// of each channel, final the channels that end at the destination
-	// switch. All candidate lists are deduplicated and sorted ascending,
-	// so adaptive selection is deterministic.
-	first []int32
-	adj   map[int32][]int32
-	final map[int32]bool
-	// curFirst is the channel the currently-injecting packet's head chose;
-	// body flits of the same packet must follow it. Valid while the front
-	// packet is mid-injection.
-	curFirst int32
+	id int
+	// src is the flow's source node in the transition table; its
+	// successors are the permitted first channels.
+	src int32
+	// next is the queue front's first channel, committed like
+	// chanState.next: the only first channel, the one its head took, or
+	// pending while the head may still choose.
+	next     int32
+	queue    []int32 // slots of pending packets; queue[qhead:] are live
+	qhead    int     // consumed prefix, reclaimed when the queue empties
+	probBits uint64  // per-cycle creation probability, scaled to [0, 2^63]
+	bw       float64 // declared bandwidth, kept so lanes can rescale probBits per load
+	flits    int     // packet length, hoisted out of the creation loop
+	local    bool    // same-switch flow: packets bypass the fabric
+	maxLen   int     // longest candidate path in hops
+	created  int     // packets created so far (for PacketsPerFlow budgeting)
 }
 
 // qlen returns the number of queued packets.
 func (fs *flowState) qlen() int { return len(fs.queue) - fs.qhead }
 
-// qfront returns the packet next to inject; the caller checks qlen > 0.
-func (fs *flowState) qfront() *packet { return fs.queue[fs.qhead] }
+// qfront returns the slot of the packet next to inject; the caller checks
+// qlen > 0.
+func (fs *flowState) qfront() int32 { return fs.queue[fs.qhead] }
 
 // Simulator runs a wormhole NoC. Create with New, advance with Step or
 // Run.
@@ -97,33 +87,42 @@ func (fs *flowState) qfront() *packet { return fs.queue[fs.qhead] }
 // same inputs from different goroutines (pinned by a -race test).
 type Simulator struct {
 	cfg      Config
-	adaptive bool                     // NewAdaptive engine: per-hop output selection
 	rngState uint64                   // splitmix64 state driving the injection process
 	idx      map[topology.Channel]int // channel → dense index (construction only)
+	tab      *table                   // the design's transition table, shared by every lane
 	chans    []chanState
+	flits    []flitRef // every channel's ring, BufferDepth slots each
+	depth    int32     // Config.BufferDepth
 	flows    []flowState
-	live     int       // packets currently in the fabric (injected, not yet delivered)
-	free     []*packet // delivered packet structs, recycled by createPackets
+	pkts     []packet // packet slots
+	free     []int32  // slots of delivered packets, recycled by createPackets
+	live     int      // packets currently in the fabric (injected, not yet delivered)
 	nextPkt  int
 
 	// Dense per-channel metadata, indexed like chans.
 	chanLink []int32 // physical link of each channel
 	chanVC   []int32 // VC index of each channel
 	// linkOcc counts flits buffered across all VCs of each link — the
-	// LeastCongested congestion signal. It is allocated (and maintained)
-	// only by NewAdaptive under that policy, so the single-path engine
-	// and FirstFree runs pay nothing for it.
+	// LeastCongested congestion signal. NewAdaptive allocates (and the
+	// engine maintains) it only under that policy, so FirstFree runs and
+	// routes pay nothing for it.
 	linkOcc []int32
 
 	// Per-step scratch, reused to keep the steady-state loop allocation-free.
-	active    []int32  // channels with a non-empty buffer (the worklist)
-	activePos []int32  // channel → position in active, -1 if absent
-	ready     []int32  // flows with a non-empty source queue
-	readyPos  []int32  // flow → position in ready, -1 if absent
-	moves     []move   // this cycle's decided moves
-	buckets   [][]cand // per-link transfer candidates
-	touched   []int32  // links with candidates this cycle
-	linkRR    []int    // per-link round-robin counters
+	active    []int32 // channels with a non-empty buffer (the worklist)
+	activePos []int32 // channel → position in active, -1 if absent
+	ready     []int32 // flows with a non-empty source queue
+	readyPos  []int32 // flow → position in ready, -1 if absent
+	moves     []move  // this cycle's decided moves
+	// This cycle's transfer candidates, chained per destination link:
+	// linkHead[l] is the link's latest candidate (-1 if none), candNext[i]
+	// the one before candidate i.
+	cands    []move
+	candNext []int32
+	linkHead []int32
+	touched  []int32 // links with candidates this cycle
+	sorted   []cand  // a contended link's candidates, by key
+	linkRR   []int   // per-link round-robin counters
 
 	now          int64
 	lastProgress int64
@@ -136,63 +135,97 @@ type Simulator struct {
 	maxBW float64
 }
 
-// newSkeleton builds the per-channel state shared by both engines and
-// returns the simulator plus the bandwidth normalizer for probBits.
-func newSkeleton(top *topology.Topology, g *traffic.Graph, cfg Config) (*Simulator, float64, error) {
+// newSkeleton builds the per-channel metadata and one lane's mutable
+// state, shared by both constructors.
+func newSkeleton(top *topology.Topology, g *traffic.Graph, cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if err := g.Validate(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	channels := top.Channels()
 	s := &Simulator{
-		cfg:       cfg,
-		rngState:  uint64(cfg.Seed),
-		idx:       make(map[topology.Channel]int, len(channels)),
-		chans:     make([]chanState, len(channels)),
-		chanLink:  make([]int32, len(channels)),
-		chanVC:    make([]int32, len(channels)),
-		activePos: make([]int32, len(channels)),
-		buckets:   make([][]cand, top.NumLinks()),
-		linkRR:    make([]int, top.NumLinks()),
+		idx:      make(map[topology.Channel]int, len(channels)),
+		tab:      &table{succOff: []int32{0}},
+		chanLink: make([]int32, len(channels)),
+		chanVC:   make([]int32, len(channels)),
 	}
 	for i, ch := range channels {
 		s.idx[ch] = i
-		s.chans[i] = chanState{buf: make([]flitRef, cfg.BufferDepth), owner: -1}
 		s.chanLink[i] = int32(ch.Link)
 		s.chanVC[i] = int32(ch.VC)
-		s.activePos[i] = -1
 	}
-
-	s.stats.PerFlow = make([]FlowStats, g.NumFlows())
-	maxBW := 0.0
 	for _, f := range g.Flows() {
-		if f.Bandwidth > maxBW {
-			maxBW = f.Bandwidth
+		if f.Bandwidth > s.maxBW {
+			s.maxBW = f.Bandwidth
 		}
 	}
-	if maxBW == 0 {
-		maxBW = 1
+	if s.maxBW == 0 {
+		s.maxBW = 1
 	}
-	s.maxBW = maxBW
-	return s, maxBW, nil
+	s.initLane(cfg, top.NumLinks(), g.NumFlows())
+	return s, nil
 }
 
-// finishInit sizes the ready worklist once the flow states exist.
-func (s *Simulator) finishInit() {
-	s.readyPos = make([]int32, len(s.flows))
+// initLane allocates a lane's mutable state for cfg: channel rings in one
+// flat flit block, worklists, candidate chains and statistics.
+func (s *Simulator) initLane(cfg Config, links, flows int) {
+	n := len(s.chanLink)
+	s.cfg = cfg
+	s.rngState = uint64(cfg.Seed)
+	s.depth = int32(cfg.BufferDepth)
+	s.chans = make([]chanState, n)
+	s.flits = make([]flitRef, n*cfg.BufferDepth)
+	s.activePos = make([]int32, n)
+	for i := range s.chans {
+		s.chans[i].owner = -1
+		s.activePos[i] = -1
+	}
+	s.linkHead = make([]int32, links)
+	for l := range s.linkHead {
+		s.linkHead[l] = -1
+	}
+	s.linkRR = make([]int, links)
+	s.readyPos = make([]int32, flows)
 	for i := range s.readyPos {
 		s.readyPos[i] = -1
 	}
+	s.stats.PerFlow = make([]FlowStats, flows)
+}
+
+// addFlow registers flow f with its candidate paths as dense channel
+// indices: its nodes go into the transition table, its injection state
+// into s.flows.
+func (s *Simulator) addFlow(f traffic.Flow, paths [][]int32) error {
+	src, err := s.tab.addFlow(f.ID, paths)
+	if err != nil {
+		return err
+	}
+	fs := flowState{
+		id:       f.ID,
+		src:      src,
+		next:     s.tab.enter[src],
+		probBits: uint64(s.cfg.LoadFactor * f.Bandwidth / s.maxBW * (1 << 63)),
+		bw:       f.Bandwidth,
+		flits:    f.PacketFlits,
+		local:    len(s.tab.out(src)) == 0,
+	}
+	for _, p := range paths {
+		fs.maxLen = max(fs.maxLen, len(p))
+	}
+	s.flows = append(s.flows, fs)
+	return nil
 }
 
 // New builds a simulator for a routed workload. Every flow must have a
 // route whose channels are provisioned (and not faulted) in the
 // topology. The inputs are never mutated, neither here nor by Step/Run.
+// A route is a one-path transition table, so this engine and NewAdaptive
+// step the same way.
 func New(top *topology.Topology, g *traffic.Graph, tab *route.Table, cfg Config) (*Simulator, error) {
 	cfg = cfg.withDefaults()
-	s, maxBW, err := newSkeleton(top, g, cfg)
+	s, err := newSkeleton(top, g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -201,15 +234,7 @@ func New(top *topology.Topology, g *traffic.Graph, tab *route.Table, cfg Config)
 		if r == nil {
 			return nil, fmt.Errorf("wormhole: flow %d has no route", f.ID)
 		}
-		fs := flowState{
-			id:       f.ID,
-			routeIdx: make([]int32, len(r.Channels)),
-			probBits: uint64(cfg.LoadFactor * f.Bandwidth / maxBW * (1 << 63)),
-			bw:       f.Bandwidth,
-			flits:    f.PacketFlits,
-			local:    len(r.Channels) == 0,
-			maxLen:   len(r.Channels),
-		}
+		path := make([]int32, len(r.Channels))
 		seen := make(map[int]bool, len(r.Channels))
 		for hopIdx, ch := range r.Channels {
 			ci, ok := s.idx[ch]
@@ -223,17 +248,18 @@ func New(top *topology.Topology, g *traffic.Graph, tab *route.Table, cfg Config)
 				return nil, fmt.Errorf("wormhole: flow %d visits channel %v twice", f.ID, ch)
 			}
 			seen[ci] = true
-			fs.routeIdx[hopIdx] = int32(ci)
+			path[hopIdx] = int32(ci)
 		}
-		s.flows = append(s.flows, fs)
+		if err := s.addFlow(f, [][]int32{path}); err != nil {
+			return nil, err
+		}
 	}
-	s.finishInit()
 	return s, nil
 }
 
 // enqueue appends a packet to flow fi's source queue, maintaining the
 // ready worklist.
-func (s *Simulator) enqueue(fi int, p *packet) {
+func (s *Simulator) enqueue(fi int, slot int32) {
 	fs := &s.flows[fi]
 	if fs.qlen() == 0 {
 		// Reclaim the consumed prefix so steady-state queue storage is
@@ -243,20 +269,20 @@ func (s *Simulator) enqueue(fi int, p *packet) {
 		s.readyPos[fi] = int32(len(s.ready))
 		s.ready = append(s.ready, int32(fi))
 	}
-	fs.queue = append(fs.queue, p)
+	fs.queue = append(fs.queue, slot)
 }
 
 // dequeue removes flow fi's front packet, maintaining the ready worklist.
+// The next packet's head has not chosen a first channel yet.
 func (s *Simulator) dequeue(fi int) {
 	fs := &s.flows[fi]
-	fs.queue[fs.qhead] = nil
+	fs.next = s.tab.enter[fs.src]
 	fs.qhead++
 	if fs.qhead >= 16 {
 		// Compact in place so a queue that never fully drains (sustained
 		// load) still keeps its backing array bounded at O(cap + 16)
 		// instead of growing one slot per delivered packet.
 		n := copy(fs.queue, fs.queue[fs.qhead:])
-		clear(fs.queue[n:])
 		fs.queue = fs.queue[:n]
 		fs.qhead = 0
 	}
@@ -283,10 +309,10 @@ func (s *Simulator) Stats() Stats {
 // move describes one flit transmission decided this cycle.
 type move struct {
 	// src: source buffer channel index, or -1 for injection from flow fl.
-	src int
-	fl  int
+	src int32
+	fl  int32
 	// dst: destination channel index, or -1 for ejection.
-	dst int
+	dst int32
 }
 
 // Step advances the simulation by one cycle and reports whether anything
@@ -332,13 +358,7 @@ func (s *Simulator) createPackets() {
 		} else if s.nextRand()>>1 >= fs.probBits {
 			continue
 		}
-		p := s.newPacket()
-		*p = packet{
-			id:      s.nextPkt,
-			flow:    fs.id,
-			flits:   fs.flits,
-			created: s.now,
-		}
+		id := s.nextPkt
 		s.nextPkt++
 		fs.created++
 		s.stats.PerFlow[fs.id].Injected++
@@ -350,11 +370,12 @@ func (s *Simulator) createPackets() {
 			// counts.
 			s.stats.LocalPackets++
 			s.stats.PerFlow[fs.id].Delivered++
-			s.freePacket(p)
 			continue
 		}
+		slot := s.newPacket()
+		s.pkts[slot] = packet{id: id, flow: fs.id, flits: fs.flits, created: s.now}
 		s.live++
-		s.enqueue(i, p)
+		s.enqueue(i, slot)
 		s.stats.InjectedPackets++
 	}
 }
@@ -372,35 +393,30 @@ func (s *Simulator) nextRand() uint64 {
 	return z ^ (z >> 31)
 }
 
-// newPacket takes a packet struct off the free list, or allocates one.
-func (s *Simulator) newPacket() *packet {
+// newPacket takes a packet slot off the free list, or grows the slots.
+func (s *Simulator) newPacket() int32 {
 	if n := len(s.free); n > 0 {
-		p := s.free[n-1]
+		slot := s.free[n-1]
 		s.free = s.free[:n-1]
-		return p
+		return slot
 	}
-	return new(packet)
-}
-
-// freePacket recycles a delivered packet. The caller must guarantee no
-// flitRef or queue slot still points at it.
-func (s *Simulator) freePacket(p *packet) {
-	s.free = append(s.free, p)
+	s.pkts = append(s.pkts, packet{})
+	return int32(len(s.pkts) - 1)
 }
 
 // push appends a flit to channel ci's FIFO and maintains the active
-// worklist. The caller must have established buffer space (admissible).
-func (s *Simulator) push(ci int, fr flitRef) {
+// worklist. The caller must have established buffer space.
+func (s *Simulator) push(ci int32, fr flitRef) {
 	cs := &s.chans[ci]
 	if cs.n == 0 {
 		s.activePos[ci] = int32(len(s.active))
-		s.active = append(s.active, int32(ci))
+		s.active = append(s.active, ci)
 	}
 	pos := cs.head + cs.n
-	if pos >= len(cs.buf) {
-		pos -= len(cs.buf)
+	if pos >= s.depth {
+		pos -= s.depth
 	}
-	cs.buf[pos] = fr
+	s.flits[ci*s.depth+pos] = fr
 	cs.n++
 	if s.linkOcc != nil {
 		s.linkOcc[s.chanLink[ci]]++
@@ -409,12 +425,11 @@ func (s *Simulator) push(ci int, fr flitRef) {
 
 // pop removes and returns channel ci's front flit, maintaining the
 // worklist.
-func (s *Simulator) pop(ci int) flitRef {
+func (s *Simulator) pop(ci int32) flitRef {
 	cs := &s.chans[ci]
-	fr := cs.buf[cs.head]
-	cs.buf[cs.head] = flitRef{}
+	fr := s.flits[ci*s.depth+cs.head]
 	cs.head++
-	if cs.head == len(cs.buf) {
+	if cs.head == s.depth {
 		cs.head = 0
 	}
 	cs.n--
@@ -431,15 +446,12 @@ func (s *Simulator) pop(ci int) flitRef {
 // the network) and returns how many flits were discarded.
 func (s *Simulator) clearChannel(ci int) int {
 	cs := &s.chans[ci]
-	n := cs.n
+	n := int(cs.n)
 	if n > 0 {
-		for i := range cs.buf {
-			cs.buf[i] = flitRef{}
-		}
 		if s.linkOcc != nil {
-			s.linkOcc[s.chanLink[ci]] -= int32(n)
+			s.linkOcc[s.chanLink[ci]] -= cs.n
 		}
-		s.deactivate(ci)
+		s.deactivate(int32(ci))
 	}
 	cs.head, cs.n = 0, 0
 	cs.owner = -1
@@ -447,7 +459,7 @@ func (s *Simulator) clearChannel(ci int) int {
 }
 
 // deactivate removes channel ci from the active worklist (swap-remove).
-func (s *Simulator) deactivate(ci int) {
+func (s *Simulator) deactivate(ci int32) {
 	pos := s.activePos[ci]
 	last := s.active[len(s.active)-1]
 	s.active[pos] = last
@@ -471,113 +483,99 @@ func candKey(vc int32, kind, src int) int64 {
 	return int64(int(vc)*2+kind)<<32 | int64(src)
 }
 
+// keyOf is a move's candidate key; only contended links compute it.
+func (s *Simulator) keyOf(m move) int64 {
+	if m.src == -1 {
+		return candKey(s.chanVC[m.dst], 1, len(s.chans)+int(m.fl))
+	}
+	return candKey(s.chanVC[m.dst], 0, int(m.src))
+}
+
 // arbitrate collects at most one move per physical link plus unlimited
 // ejections, all judged against start-of-cycle state. It walks only the
-// active worklist — idle channels cost nothing — and uses the dense
-// per-flow route indices, so the steady-state cycle does no map lookups
-// and no allocation.
+// active worklist and the ready flows — idle channels cost nothing — and
+// reads only channel and flow state, never a flit, so the steady-state
+// cycle does no map lookups and no allocation.
 func (s *Simulator) arbitrate() []move {
-	moves := s.moves[:0]
-	s.touched = s.touched[:0]
+	moves, chans, depth := s.moves[:0], s.chans, s.depth
+	s.cands, s.candNext, s.touched = s.cands[:0], s.candNext[:0], s.touched[:0]
 	// One pass over occupied channels yields both ejections (final-hop
-	// buffers always drain one flit) and transfer candidates. The owner's
-	// next-hop channel is cached on the channel itself, so this loop
-	// never touches flow state.
-	for _, ci32 := range s.active {
-		ci := int(ci32)
-		cs := &s.chans[ci]
-		if cs.nextIdx == -1 {
+	// buffers always drain one flit) and transfer candidates. A committed
+	// next channel is admissible when it has space and is free or already
+	// the owner's: body flits only ever follow into a channel their own
+	// packet holds, so a free one means the head is at the front.
+	for _, ci := range s.active {
+		cs := &chans[ci]
+		ni := cs.next
+		switch {
+		case ni == -1:
 			moves = append(moves, move{src: ci, dst: -1})
 			continue
-		}
-		fr := cs.front()
-		var ni int
-		if cs.nextIdx == adaptivePending {
-			// Undecided adaptive head: FIFO order guarantees the front
-			// flit is the head, so choose among the flow's permitted next
-			// channels now; the choice only commits when the move lands.
-			ni = s.chooseAdaptive(s.flows[fr.pkt.flow].adj[ci32], fr)
-			if ni < 0 {
+		case ni == pending:
+			// FIFO order guarantees the front flit is the head; the
+			// choice only commits when the move lands.
+			if ni = s.choose(cs.node); ni < 0 {
 				continue
 			}
-		} else {
-			ni = int(cs.nextIdx)
-			if !s.admissible(ni, fr) {
+		default:
+			dst := &chans[ni]
+			if dst.n >= depth || dst.owner != cs.owner && dst.owner != -1 {
 				continue
 			}
 		}
-		s.addCand(ni, cand{
-			m:   move{src: ci, dst: ni},
-			key: candKey(s.chanVC[ni], 0, ci),
-		})
+		s.addCand(move{src: ci, dst: ni})
 	}
-	// Injection candidates, off the ready worklist. The admissibility
-	// test is unrolled so a blocked flow (full or foreign-owned first
-	// channel — the common case under load) bails before touching its
-	// queue.
-	depth := s.cfg.BufferDepth
+	// Injection candidates, off the ready worklist, by the same rule: a
+	// blocked flow (full or foreign-owned first channel — the common case
+	// under load) bails before touching its queue.
 	for _, fi := range s.ready {
 		fs := &s.flows[fi]
-		var ni int
-		if s.adaptive {
-			p := fs.qfront()
-			if p.injected == 0 {
-				// New head: adaptive choice among the permitted injection
-				// channels.
-				fr := flitRef{pkt: p, isHead: true, isTail: p.flits == 1}
-				ni = s.chooseAdaptive(fs.first, fr)
-				if ni < 0 {
-					continue
-				}
-			} else {
-				// Body flits follow the head's committed first channel.
-				ni = int(fs.curFirst)
-				cs := &s.chans[ni]
-				if cs.n >= depth || cs.owner != p.id {
-					continue
-				}
+		ni := fs.next
+		if ni == pending {
+			if ni = s.choose(fs.src); ni < 0 {
+				continue
 			}
 		} else {
-			ni = int(fs.routeIdx[0])
-			cs := &s.chans[ni]
-			if cs.n >= depth {
-				continue
-			}
-			p := fs.qfront()
-			if cs.owner != p.id && (cs.owner != -1 || p.injected != 0) {
+			dst := &chans[ni]
+			if dst.n >= depth || dst.owner != -1 && dst.owner != fs.qfront() {
 				continue
 			}
 		}
-		s.addCand(ni, cand{
-			m:   move{src: -1, fl: fs.id, dst: ni},
-			key: candKey(s.chanVC[ni], 1, len(s.chans)+fs.id),
-		})
+		s.addCand(move{src: -1, fl: int32(fs.id), dst: ni})
 	}
-	// One winner per contended link. Winners on different links are
-	// independent and the keys are unique, so the outcome does not depend
-	// on the order links were touched in.
+	// One winner per link. Winners on different links are independent
+	// and the keys are unique, so the outcome does not depend on the
+	// order links were touched in.
 	for _, l := range s.touched {
-		cands := s.buckets[l]
-		pick := 0
-		if len(cands) > 1 {
-			sortCands(cands)
-			pick = s.linkRR[l] % len(cands)
-			s.linkRR[l]++
+		i := s.linkHead[l]
+		s.linkHead[l] = -1
+		if s.candNext[i] == -1 {
+			moves = append(moves, s.cands[i])
+			continue
 		}
-		moves = append(moves, cands[pick].m)
-		s.buckets[l] = cands[:0]
+		sorted := s.sorted[:0]
+		for ; i != -1; i = s.candNext[i] {
+			sorted = append(sorted, cand{m: s.cands[i], key: s.keyOf(s.cands[i])})
+		}
+		sortCands(sorted)
+		moves = append(moves, sorted[s.linkRR[l]%len(sorted)].m)
+		s.linkRR[l]++
+		s.sorted = sorted
 	}
 	s.moves = moves
 	return moves
 }
 
-// addCand buckets a transfer candidate by its destination's physical link.
-func (s *Simulator) addCand(ni int, c cand) {
-	l := s.chanLink[ni]
-	if len(s.buckets[l]) == 0 {
+// addCand chains a transfer candidate onto its destination's physical
+// link.
+func (s *Simulator) addCand(m move) {
+	l := s.chanLink[m.dst]
+	if s.linkHead[l] == -1 {
 		s.touched = append(s.touched, l)
 	}
-	s.buckets[l] = append(s.buckets[l], c)
+	s.candNext = append(s.candNext, s.linkHead[l])
+	s.linkHead[l] = int32(len(s.cands))
+	s.cands = append(s.cands, m)
 }
 
 // sortCands is an insertion sort: candidate lists are per-link and tiny,
@@ -590,19 +588,6 @@ func sortCands(cands []cand) {
 	}
 }
 
-// admissible reports whether flit fr may enter channel ci this cycle
-// (ownership and buffer space against start-of-cycle state).
-func (s *Simulator) admissible(ci int, fr flitRef) bool {
-	cs := &s.chans[ci]
-	if cs.n >= s.cfg.BufferDepth {
-		return false
-	}
-	if cs.owner == fr.pkt.id {
-		return true
-	}
-	return cs.owner == -1 && fr.isHead
-}
-
 // apply executes one move decided by arbitrate. Moves within a cycle
 // commute: every source channel appears in at most one move, every
 // destination channel gains at most one flit, and admissibility was
@@ -611,7 +596,7 @@ func (s *Simulator) apply(m move) {
 	if m.dst == -1 {
 		// Ejection.
 		fr := s.pop(m.src)
-		p := fr.pkt
+		p := &s.pkts[fr.slot]
 		p.ejected++
 		s.stats.DeliveredFlits++
 		if fr.isTail {
@@ -619,58 +604,46 @@ func (s *Simulator) apply(m move) {
 			s.recordDelivery(p)
 			s.live--
 			s.stats.DeliveredPackets++
-			s.freePacket(p)
+			s.free = append(s.free, fr.slot)
 		}
 		return
 	}
 	var fr flitRef
-	hop := 0
+	var from int32 // the table node the flit leaves
 	if m.src == -1 {
 		// Injection: consume the next flit of the flow's head packet.
 		fs := &s.flows[m.fl]
-		p := fs.qfront()
-		fr = flitRef{pkt: p, isHead: p.injected == 0, isTail: p.injected == p.flits-1}
+		fr.slot = fs.qfront()
+		p := &s.pkts[fr.slot]
+		fr.isHead, fr.isTail = p.injected == 0, p.injected == p.flits-1
 		p.injected++
 		s.stats.InjectedFlits++
+		from = fs.src
 		if fr.isHead {
 			// Commit the head's injection choice so body flits follow.
-			fs.curFirst = int32(m.dst)
+			fs.next = m.dst
 		}
 		if fr.isTail {
-			s.dequeue(m.fl)
+			s.dequeue(int(m.fl))
 		}
 	} else {
 		src := &s.chans[m.src]
-		hop = src.hop + 1
+		from = src.node
 		fr = s.pop(m.src)
-		if fr.isHead && s.adaptive {
-			// The head's departure freezes the adaptive choice for the
-			// body flits still queued behind it in the source channel.
-			src.nextIdx = int32(m.dst)
+		if fr.isHead {
+			// The head's departure freezes its choice for the body flits
+			// still queued behind it in the source channel.
+			src.next = m.dst
 		}
 		if fr.isTail {
 			src.owner = -1
 		}
 	}
-	dst := &s.chans[m.dst]
 	if fr.isHead {
-		dst.owner = fr.pkt.id
-		dst.hop = hop
-		if s.adaptive {
-			fs := &s.flows[fr.pkt.flow]
-			if fs.final[int32(m.dst)] {
-				dst.nextIdx = -1
-			} else {
-				dst.nextIdx = adaptivePending
-			}
-		} else {
-			ridx := s.flows[fr.pkt.flow].routeIdx
-			if hop == len(ridx)-1 {
-				dst.nextIdx = -1
-			} else {
-				dst.nextIdx = ridx[hop+1]
-			}
-		}
+		dst := &s.chans[m.dst]
+		dst.owner = fr.slot
+		dst.node = s.tab.step(from, m.dst)
+		dst.next = s.tab.enter[dst.node]
 	}
 	s.push(m.dst, fr)
 }
@@ -801,7 +774,7 @@ func (lr *laneRun) endCycle() bool {
 		pkts := s.confirmDeadlock()
 		s.stats.Deadlocked = true
 		s.stats.DeadlockCycle = s.now
-		s.stats.DeadlockPackets = packetIDs(pkts)
+		s.stats.DeadlockPackets = s.packetIDs(pkts)
 		return false
 	}
 	if s.drained() {

@@ -343,14 +343,14 @@ func TestWormholeInvariants(t *testing.T) {
 				t.Fatalf("cycle %d: channel %d owner/buffer invariant broken (owner %d, %d flits)",
 					i, ci, cs.owner, cs.n)
 			}
-			if cs.n > sim.cfg.BufferDepth {
+			if cs.n > sim.depth {
 				t.Fatalf("cycle %d: channel %d overflows (%d flits)", i, ci, cs.n)
 			}
-			for k := 0; k < cs.n; k++ {
-				fr := cs.buf[(cs.head+k)%len(cs.buf)]
-				if fr.pkt.id != cs.owner {
-					t.Fatalf("cycle %d: foreign flit (pkt %d) in channel %d owned by %d",
-						i, fr.pkt.id, ci, cs.owner)
+			for k := int32(0); k < cs.n; k++ {
+				fr := sim.flits[int32(ci)*sim.depth+(cs.head+k)%sim.depth]
+				if fr.slot != cs.owner {
+					t.Fatalf("cycle %d: foreign flit (slot %d) in channel %d owned by slot %d",
+						i, fr.slot, ci, cs.owner)
 				}
 			}
 			// The active worklist must mirror buffer occupancy exactly.
@@ -455,5 +455,64 @@ func TestHigherLoadHigherLatencyOnSharedLink(t *testing.T) {
 	}
 	if high.Deadlocked || low.Deadlocked {
 		t.Error("acyclic two-VC link deadlocked")
+	}
+}
+
+// TestLoopingRouteSetKeepsHeadsChoosing pins the one case where a hop
+// with a single permitted next channel must not commit on entry: a flow
+// whose candidate paths together loop (A→B→C→A here) could meet its own
+// worm, and only a free channel may take a head. The single transition
+// A→B stays pending, so a head that comes round the loop waits at A
+// until its own tail has left B, and every packet drains with its worms
+// intact.
+func TestLoopingRouteSetKeepsHeadsChoosing(t *testing.T) {
+	top := topology.New("loop")
+	for i := 0; i < 5; i++ { // s, A, B, C, d
+		top.AddSwitch("")
+	}
+	s, a, b, c, d := topology.SwitchID(0), topology.SwitchID(1), topology.SwitchID(2), topology.SwitchID(3), topology.SwitchID(4)
+	// Link IDs order the channels, so first-free prefers the loop: from
+	// B it takes C before d, from C it takes A before d.
+	ab, bc, ca := top.MustAddLink(a, b), top.MustAddLink(b, c), top.MustAddLink(c, a)
+	sb, sc := top.MustAddLink(s, b), top.MustAddLink(s, c)
+	ad, cd := top.MustAddLink(a, d), top.MustAddLink(c, d)
+	top.AttachCore(0, s)
+	top.AttachCore(1, d)
+	g := traffic.NewGraph("loop")
+	g.AddCore("")
+	g.AddCore("")
+	g.SetPacketFlits(g.MustAddFlow(0, 1, 100), 4)
+	ch := func(ids ...topology.LinkID) []topology.Channel {
+		out := make([]topology.Channel, len(ids))
+		for i, id := range ids {
+			out[i] = topology.Chan(id, 0)
+		}
+		return out
+	}
+	set := route.NewRouteSet(1)
+	set.Add(0, ch(sc, ca, ab, bc, cd)) // A→B only ever continues to C
+	set.Add(0, ch(sb, bc, ca, ad))
+	sim, err := NewAdaptive(top, g, set, Config{MaxCycles: 400, PacketsPerFlow: 3, BufferDepth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, next := range sim.tab.enter {
+		if next >= 0 {
+			t.Fatalf("node %d commits to channel %d on entry although its flow loops", v, next)
+		}
+	}
+	lr := sim.startRun()
+	for lr.stepOnce() {
+		for ci, cs := range sim.chans {
+			for k := int32(0); k < cs.n; k++ {
+				fr := sim.flits[int32(ci)*sim.depth+(cs.head+k)%sim.depth]
+				if fr.slot != cs.owner || fr.isHead && k > 0 {
+					t.Fatalf("cycle %d: channel %d (owner %d) holds flit %+v at %d", sim.now, ci, cs.owner, fr, k)
+				}
+			}
+		}
+	}
+	if st := sim.Stats(); !st.Drained || st.DeliveredPackets != 3 {
+		t.Fatalf("looping set did not drain: %+v", st)
 	}
 }

@@ -22,22 +22,19 @@ import (
 // refStepper steps a Simulator with the reference arbitration in place of
 // arbitrate. Recovery, packet creation and move application are the
 // engine's own code; the stepper adds only the seed engine's lookup
-// tables around them.
+// tables and admission rule around them.
 type refStepper struct {
 	s      *Simulator
 	routes [][]topology.Channel // flow ID → route channels
 	hop    []map[int]int        // channel → flow ID → hop index
-	// packets is the seed engine's live-packet table, keyed by packet ID.
-	packets map[int]*packet
 }
 
 // newRefStepper wraps a simulator that New built from tab.
 func newRefStepper(s *Simulator, tab *route.Table) *refStepper {
 	r := &refStepper{
-		s:       s,
-		routes:  make([][]topology.Channel, len(s.flows)),
-		hop:     make([]map[int]int, len(s.chans)),
-		packets: make(map[int]*packet),
+		s:      s,
+		routes: make([][]topology.Channel, len(s.flows)),
+		hop:    make([]map[int]int, len(s.chans)),
 	}
 	for ci := range r.hop {
 		r.hop[ci] = map[int]int{}
@@ -51,40 +48,32 @@ func newRefStepper(s *Simulator, tab *route.Table) *refStepper {
 	return r
 }
 
-// step is Simulator.Step with the reference arbitration, keeping the
-// live-packet table in step with the packets the engine creates and
-// delivers.
+// step is Simulator.Step with the reference arbitration.
 func (r *refStepper) step() bool {
-	s := r.s
-	if s.rec != nil && s.now >= s.rec.deliver {
-		delete(r.packets, s.rec.pkt.id) // stepRecovery delivers it
+	r.s.stepRecovery()
+	r.s.createPackets()
+	return r.s.commit(r.arbitrate())
+}
+
+// front returns channel ci's front flit, read straight off its ring.
+func (r *refStepper) front(ci int) flitRef {
+	return r.s.flits[ci*int(r.s.depth)+int(r.s.chans[ci].head)]
+}
+
+// admissible is the seed engine's admission rule: flit fr may enter
+// channel ci when the buffer has space and the channel is its own
+// packet's, or free and fr is a head.
+func (r *refStepper) admissible(ci int, fr flitRef) bool {
+	cs := &r.s.chans[ci]
+	if cs.n >= r.s.depth {
+		return false
 	}
-	s.stepRecovery()
-	next := s.nextPkt
-	s.createPackets()
-	for _, fi := range s.ready {
-		fs := &s.flows[fi]
-		for _, p := range fs.queue[fs.qhead:] {
-			if p.id >= next {
-				r.packets[p.id] = p
-			}
-		}
-	}
-	moves := r.arbitrate()
-	for _, m := range moves {
-		if m.dst != -1 {
-			continue
-		}
-		if fr := s.chans[m.src].front(); fr.isTail {
-			delete(r.packets, fr.pkt.id)
-		}
-	}
-	return s.commit(moves)
+	return cs.owner == fr.slot || cs.owner == -1 && fr.isHead
 }
 
 // arbitrate reproduces the seed engine's arbitration: a full scan over
-// every channel (idle or not), flit resolution through the live-packet
-// table, hop resolution through the per-channel flow→hop map, next-hop
+// every channel (idle or not), flit resolution to the packet and its
+// flow, hop resolution through the per-channel flow→hop map, next-hop
 // resolution through the channel→index map, and per-link candidate
 // grouping in a freshly allocated map with an explicit link sort.
 func (r *refStepper) arbitrate() []move {
@@ -92,24 +81,22 @@ func (r *refStepper) arbitrate() []move {
 	var moves []move
 	// Ejections first: final-hop buffers always drain one flit.
 	for ci := range s.chans {
-		cs := &s.chans[ci]
-		if cs.n == 0 {
+		if s.chans[ci].n == 0 {
 			continue
 		}
-		p := r.packets[cs.front().pkt.id]
+		p := s.pkts[r.front(ci).slot]
 		if r.hop[ci][p.flow] == len(r.routes[p.flow])-1 {
-			moves = append(moves, move{src: ci, dst: -1})
+			moves = append(moves, move{src: int32(ci), dst: -1})
 		}
 	}
 	// Link transfers: gather candidates per link, pick one round-robin.
 	byLink := make(map[topology.LinkID][]cand)
 	for ci := range s.chans {
-		cs := &s.chans[ci]
-		if cs.n == 0 {
+		if s.chans[ci].n == 0 {
 			continue
 		}
-		fr := cs.front()
-		p := r.packets[fr.pkt.id]
+		fr := r.front(ci)
+		p := s.pkts[fr.slot]
 		rt := r.routes[p.flow]
 		hop := r.hop[ci][p.flow]
 		if hop == len(rt)-1 {
@@ -117,11 +104,11 @@ func (r *refStepper) arbitrate() []move {
 		}
 		next := rt[hop+1]
 		ni := s.idx[next]
-		if !s.admissible(ni, fr) {
+		if !r.admissible(ni, fr) {
 			continue
 		}
 		byLink[next.Link] = append(byLink[next.Link], cand{
-			m:   move{src: ci, dst: ni},
+			m:   move{src: int32(ci), dst: int32(ni)},
 			key: candKey(int32(next.VC), 0, ci),
 		})
 	}
@@ -131,15 +118,16 @@ func (r *refStepper) arbitrate() []move {
 		if fs.qlen() == 0 {
 			continue
 		}
-		p := fs.qfront()
+		slot := fs.qfront()
+		p := s.pkts[slot]
 		first := r.routes[fs.id][0]
 		ni := s.idx[first]
-		fr := flitRef{pkt: p, isHead: p.injected == 0, isTail: p.injected == p.flits-1}
-		if !s.admissible(ni, fr) {
+		fr := flitRef{slot: slot, isHead: p.injected == 0, isTail: p.injected == p.flits-1}
+		if !r.admissible(ni, fr) {
 			continue
 		}
 		byLink[first.Link] = append(byLink[first.Link], cand{
-			m:   move{src: -1, fl: fs.id, dst: ni},
+			m:   move{src: -1, fl: int32(fs.id), dst: int32(ni)},
 			key: candKey(int32(first.VC), 1, len(s.chans)+fs.id),
 		})
 	}

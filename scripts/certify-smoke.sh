@@ -7,7 +7,8 @@
 #      certificate must convince a verifier that shares nothing with the
 #      Go toolchain that produced it;
 #   2. run a small sweep with -certify and let the in-tool three-leg
-#      agreement gate be the verdict;
+#      agreement gate be the verdict, then one cyclic adaptive cell whose
+#      pre-removal design must deadlock under its witness;
 #   3. seeded-bug check: a hand-built cyclic design paired with a forged
 #      "acyclic" certificate (correct digest, correct shape, impossible
 #      witness) MUST fail the shell re-check — proving the re-check can
@@ -44,6 +45,12 @@ echo "== certified sweep (in-tool three-leg gate)"
     -benchmarks mesh:3x3,torus:4x4 -seeds 0 -quiet \
     -json "$DIR/certify-sweep.json"
 jq -e '[.results[].certify.agree] | all' "$DIR/certify-sweep.json" >/dev/null
+
+echo "== cyclic adaptive cell (the pre design must deadlock under its witness)"
+"$DIR/nocexp" sweep -certify -simulate -sim-cycles 3000 \
+    -benchmarks mesh:8x8:bitrev -routing min-adaptive -seeds 0 -quiet \
+    -json "$DIR/certify-adaptive.json"
+jq -e '[.results[] | .certify.agree and .sim.pre_deadlock] | all' "$DIR/certify-adaptive.json" >/dev/null
 
 echo "== seeded-bug fixture (forged certificate must be rejected)"
 # A 3-ring of single-VC links closed by one route: the CDG is the cycle

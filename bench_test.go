@@ -46,6 +46,7 @@ func design(b *testing.B, name string, switches int) *synth.Result {
 
 func benchRemoval(b *testing.B, name string, switches int) {
 	des := design(b, name, switches)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var added int
 	for i := 0; i < b.N; i++ {
@@ -301,6 +302,7 @@ func BenchmarkSimulation_RingAfterRemoval(b *testing.B) {
 
 func benchAblationRemoval(b *testing.B, opts core.Options) {
 	des := design(b, "D36_8", 22)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var added int
 	for i := 0; i < b.N; i++ {
@@ -381,6 +383,7 @@ func BenchmarkScale_256Cores(b *testing.B) { benchScale(b, 256, 6, 96) }
 func benchRemovalMode(b *testing.B, name string, switches int, fullRebuild bool) {
 	des := design(b, name, switches)
 	opts := core.Options{FullRebuild: fullRebuild}
+	b.ReportAllocs()
 	b.ResetTimer()
 	var added int
 	for i := 0; i < b.N; i++ {
@@ -403,6 +406,7 @@ func benchScaleMode(b *testing.B, cores, fanout, switches int, fullRebuild bool)
 		b.Fatal(err)
 	}
 	opts := core.Options{FullRebuild: fullRebuild}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Remove(des.Topology, des.Routes, opts); err != nil {

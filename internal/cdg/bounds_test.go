@@ -48,6 +48,19 @@ func checkSmallestCycle(t *testing.T, step string, m *Incremental, top *topology
 	}
 }
 
+// checkDependencies requires the incremental graph's edges and their flow
+// lists to equal those of a from-scratch Build.
+func checkDependencies(t *testing.T, step string, m *Incremental, top *topology.Topology, tab *route.Table) {
+	t.Helper()
+	full, err := Build(top, tab)
+	if err != nil {
+		t.Fatalf("%s: Build: %v", step, err)
+	}
+	if got, want := m.Dependencies(), full.Dependencies(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Dependencies = %v, Build has %v", step, got, want)
+	}
+}
+
 // reroute applies one reroute to both the incremental graph and the table.
 func reroute(t *testing.T, m *Incremental, tab *route.Table, flow int, to []topology.Channel) {
 	t.Helper()
@@ -94,8 +107,8 @@ func TestArbitraryRerouteDropsBounds(t *testing.T) {
 	}
 	dup := topology.Chan(6, vc)
 	reroute(t, m, tab, 3, []topology.Channel{topology.Chan(5, 0), dup, topology.Chan(3, 0)})
-	if m.lb[m.id[dup]] != 4 {
-		t.Fatalf("duplicate of L6 has bound %d, want the inherited 4", m.lb[m.id[dup]])
+	if m.lb[m.lookup(dup)] != 4 {
+		t.Fatalf("duplicate of L6 has bound %d, want the inherited 4", m.lb[m.lookup(dup)])
 	}
 	checkSmallestCycle(t, "after relabel", m, top, tab)
 
@@ -128,7 +141,7 @@ func TestRestoreDropsBounds(t *testing.T) {
 	}
 	reroute(t, m, tab, 4, []topology.Channel{topology.Chan(6, vc), topology.Chan(4, 0)})
 	checkSmallestCycle(t, "after relabel", m, top, tab)
-	if got := m.lb[m.id[topology.Chan(4, 0)]]; got != 4 {
+	if got := m.lb[m.lookup(topology.Chan(4, 0))]; got != 4 {
 		t.Fatalf("L4 has bound %d after the relabel, want 4", got)
 	}
 
@@ -188,9 +201,9 @@ func randomWalk(rng *rand.Rand, top *topology.Topology) []topology.Channel {
 
 // FuzzIncrementalSmallestCycle drives an Incremental CDG through a random
 // mix of relabel breaks, arbitrary reroutes and snapshot/restore, and
-// requires SmallestCycle to match a from-scratch Build after every step.
-// Each step byte picks the kind of step; the seed drives the design and
-// the details:
+// requires SmallestCycle and Dependencies to match a from-scratch Build
+// after every step. Each step byte picks the kind of step; the seed
+// drives the design and the details:
 //
 //	0, 1  relabel break: a hop range of one flow moves onto fresh duplicate
 //	      VCs, and other flows move their hops on those channels onto the
@@ -286,7 +299,9 @@ func FuzzIncrementalSmallestCycle(f *testing.F) {
 					tab = snapTab.Clone()
 				}
 			}
-			checkSmallestCycle(t, fmt.Sprintf("step %d (kind %d)", i, b%6), m, top, tab)
+			step := fmt.Sprintf("step %d (kind %d)", i, b%6)
+			checkSmallestCycle(t, step, m, top, tab)
+			checkDependencies(t, step, m, top, tab)
 		}
 	})
 }

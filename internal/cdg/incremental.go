@@ -2,6 +2,7 @@ package cdg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/nocdr/nocdr/internal/route"
@@ -38,16 +39,15 @@ type Reroute struct {
 // reroute, and Restore, drops them all to 0.
 type Incremental struct {
 	top   *topology.Topology
-	chans []topology.Channel       // vertex id → channel, in id-assignment order
-	id    map[topology.Channel]int // channel → vertex id
-	order []int                    // all vertex ids sorted by canonical channel order
+	chans []topology.Channel // vertex id → channel, in id-assignment order
+	id    [][]int            // id[link][vc] → vertex id, -1 when absent
+	order []int              // all vertex ids sorted by canonical channel order
 
-	succ      [][]int          // adjacency, each list sorted by canonical channel order
-	pred      [][]int          // reverse adjacency, same ordering
-	edgeFlows map[[2]int][]int // edge → flow IDs creating it, ascending
-	nEdges    int
+	succ   [][]int   // adjacency, each list sorted by canonical channel order
+	flows  [][][]int // flows[v][k]: flow IDs creating v→succ[v][k], ascending
+	nEdges int
 
-	touched map[int]bool // vertices with edge changes since the last refresh
+	touched []bool // touched[v]: v gained or lost an edge since the last refresh
 	cache   map[int]*sccEntry
 	valid   bool
 
@@ -123,37 +123,50 @@ type sccEntry struct {
 func BuildIncremental(top *topology.Topology, table *route.Table) (*Incremental, error) {
 	channels := top.Channels()
 	m := &Incremental{
-		top:       top,
-		chans:     channels,
-		id:        make(map[topology.Channel]int, len(channels)),
-		edgeFlows: make(map[[2]int][]int),
-		touched:   make(map[int]bool),
-		cache:     make(map[int]*sccEntry),
-		lb:        make([]int, len(channels)),
-		origin:    make([]int, len(channels)),
-		base:      len(channels),
+		top:     top,
+		chans:   channels,
+		id:      make([][]int, top.NumLinks()),
+		order:   make([]int, len(channels)),
+		succ:    make([][]int, len(channels)),
+		flows:   make([][][]int, len(channels)),
+		touched: make([]bool, len(channels)),
+		cache:   make(map[int]*sccEntry),
+		lb:      make([]int, len(channels)),
+		origin:  make([]int, len(channels)),
+		base:    len(channels),
 	}
-	for i, ch := range channels {
-		m.id[ch] = i
-	}
-	m.order = make([]int, len(channels))
 	for i := range m.order {
 		m.order[i] = i // top.Channels() is already in canonical order
 	}
-	m.succ = make([][]int, len(channels))
-	m.pred = make([][]int, len(channels))
+	// Channels come link by link, VC by VC, so each link's table is a
+	// stretch of one array; capping it makes a later duplicate VC copy
+	// the stretch instead of writing into the next link's.
+	ids, lo := slices.Clone(m.order), 0
+	for l := range m.id {
+		n := top.Link(topology.LinkID(l)).VCs
+		m.id[l] = ids[lo : lo+n : lo+n]
+		lo += n
+	}
 	for _, r := range table.Routes() {
 		for i, ch := range r.Channels {
-			if _, ok := m.id[ch]; !ok {
+			if m.lookup(ch) < 0 {
 				return nil, fmt.Errorf("cdg: flow %d hop %d uses unprovisioned channel %v",
 					r.FlowID, i, ch)
 			}
 		}
 		for i := 0; i+1 < len(r.Channels); i++ {
-			m.addFlowEdge(m.id[r.Channels[i]], m.id[r.Channels[i+1]], r.FlowID)
+			m.addFlowEdge(m.lookup(r.Channels[i]), m.lookup(r.Channels[i+1]), r.FlowID)
 		}
 	}
 	return m, nil
+}
+
+// lookup returns the vertex id of ch, or -1 when the graph has none.
+func (m *Incremental) lookup(ch topology.Channel) int {
+	if ch.Link < 0 || int(ch.Link) >= len(m.id) || ch.VC < 0 || ch.VC >= len(m.id[ch.Link]) {
+		return -1
+	}
+	return m.id[ch.Link][ch.VC]
 }
 
 // less orders vertex ids by their channel's canonical (link, VC) order.
@@ -168,14 +181,21 @@ func (m *Incremental) less(a, b int) bool {
 // vertex returns the id of ch, creating a fresh vertex when the channel is
 // new (a duplicate added by a break).
 func (m *Incremental) vertex(ch topology.Channel) int {
-	if v, ok := m.id[ch]; ok {
+	if v := m.lookup(ch); v >= 0 {
 		return v
 	}
 	v := len(m.chans)
 	m.chans = append(m.chans, ch)
-	m.id[ch] = v
+	for int(ch.Link) >= len(m.id) {
+		m.id = append(m.id, nil)
+	}
+	for ch.VC >= len(m.id[ch.Link]) {
+		m.id[ch.Link] = append(m.id[ch.Link], -1)
+	}
+	m.id[ch.Link][ch.VC] = v
 	m.succ = append(m.succ, nil)
-	m.pred = append(m.pred, nil)
+	m.flows = append(m.flows, nil)
+	m.touched = append(m.touched, false)
 	m.lb = append(m.lb, 0)
 	m.origin = append(m.origin, v) // stands for no pre-base vertex until a relabel sets it
 	pos := sort.Search(len(m.order), func(i int) bool { return m.less(v, m.order[i]) })
@@ -185,66 +205,53 @@ func (m *Incremental) vertex(ch topology.Channel) int {
 	return v
 }
 
-// insertSorted inserts v into list keeping canonical channel order.
-func (m *Incremental) insertSorted(list []int, v int) []int {
-	pos := sort.Search(len(list), func(i int) bool { return m.less(v, list[i]) })
-	list = append(list, 0)
-	copy(list[pos+1:], list[pos:])
-	list[pos] = v
-	return list
+// edge returns the position of to in succ[from], or -1 when there is no
+// edge from→to. Adjacency lists hold a few entries, so a scan beats any
+// index.
+func (m *Incremental) edge(from, to int) int {
+	return slices.Index(m.succ[from], to)
 }
 
-func removeValue(list []int, v int) []int {
-	for i, x := range list {
-		if x == v {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
+func (m *Incremental) hasEdge(from, to int) bool { return m.edge(from, to) >= 0 }
 
 // addFlowEdge records that flowID creates the dependency from→to, adding
 // the edge if it did not exist.
 func (m *Incremental) addFlowEdge(from, to, flowID int) {
-	key := [2]int{from, to}
-	flows, existed := m.edgeFlows[key]
-	idx := sort.SearchInts(flows, flowID)
-	if idx == len(flows) || flows[idx] != flowID {
-		flows = append(flows, 0)
-		copy(flows[idx+1:], flows[idx:])
-		flows[idx] = flowID
+	if k := m.edge(from, to); k >= 0 {
+		flows := m.flows[from][k]
+		if idx, found := slices.BinarySearch(flows, flowID); !found {
+			m.flows[from][k] = slices.Insert(flows, idx, flowID)
+		}
+		return
 	}
-	m.edgeFlows[key] = flows
-	if !existed {
-		m.succ[from] = m.insertSorted(m.succ[from], to)
-		m.pred[to] = m.insertSorted(m.pred[to], from)
-		m.nEdges++
-		m.touched[from] = true
-		m.touched[to] = true
-		m.valid = false
-	}
+	succ := m.succ[from]
+	pos := sort.Search(len(succ), func(i int) bool { return m.less(to, succ[i]) })
+	m.succ[from] = slices.Insert(succ, pos, to)
+	m.flows[from] = slices.Insert(m.flows[from], pos, []int{flowID})
+	m.nEdges++
+	m.touched[from] = true
+	m.touched[to] = true
+	m.valid = false
 }
 
 // dropFlowEdge removes flowID from the dependency from→to, deleting the
 // edge when no flow creates it anymore.
 func (m *Incremental) dropFlowEdge(from, to, flowID int) error {
-	key := [2]int{from, to}
-	flows, ok := m.edgeFlows[key]
-	if !ok {
+	k := m.edge(from, to)
+	if k < 0 {
 		return fmt.Errorf("cdg: reroute removes missing dependency %v→%v", m.chans[from], m.chans[to])
 	}
-	idx := sort.SearchInts(flows, flowID)
-	if idx == len(flows) || flows[idx] != flowID {
+	flows := m.flows[from][k]
+	idx, found := slices.BinarySearch(flows, flowID)
+	if !found {
 		return fmt.Errorf("cdg: flow %d does not create dependency %v→%v", flowID, m.chans[from], m.chans[to])
 	}
-	flows = append(flows[:idx], flows[idx+1:]...)
-	if len(flows) > 0 {
-		m.edgeFlows[key] = flows
+	if len(flows) > 1 {
+		m.flows[from][k] = slices.Delete(flows, idx, idx+1)
 		return nil
 	}
-	delete(m.edgeFlows, key)
-	m.succ[from] = removeValue(m.succ[from], to)
-	m.pred[to] = removeValue(m.pred[to], from)
+	m.succ[from] = slices.Delete(m.succ[from], k, k+1)
+	m.flows[from] = slices.Delete(m.flows[from], k, k+1)
 	m.nEdges--
 	m.touched[from] = true
 	m.touched[to] = true
@@ -266,8 +273,8 @@ func (m *Incremental) ApplyReroute(r Reroute) error {
 		return err
 	}
 	for i, ch := range r.New {
-		if v, ok := m.id[ch]; ok && v >= m.base && ch != r.Old[i] {
-			o := m.originOf(m.id[r.Old[i]])
+		if v := m.lookup(ch); v >= m.base && ch != r.Old[i] {
+			o := m.originOf(m.lookup(r.Old[i]))
 			m.origin[v] = o
 			m.lb[v] = m.lb[o]
 		}
@@ -293,11 +300,11 @@ func (m *Incremental) relabels(r Reroute) bool {
 		if ch == r.Old[i] {
 			continue
 		}
-		old, ok := m.id[r.Old[i]]
-		if !ok {
+		old := m.lookup(r.Old[i])
+		if old < 0 {
 			return false
 		}
-		if v, ok := m.id[ch]; ok && (v < m.base || m.origin[v] != m.originOf(old)) {
+		if v := m.lookup(ch); v >= 0 && (v < m.base || m.origin[v] != m.originOf(old)) {
 			return false
 		}
 	}
@@ -326,51 +333,37 @@ func (m *Incremental) applyReroute(r Reroute) error {
 			return fmt.Errorf("cdg: reroute of flow %d hop %d uses unprovisioned channel %v", r.FlowID, i, ch)
 		}
 	}
-	oldPairs := routePairs(r.Old)
-	newPairs := routePairs(r.New)
-	common := make(map[[2]topology.Channel]bool, len(oldPairs))
-	inNew := make(map[[2]topology.Channel]bool, len(newPairs))
-	for _, p := range newPairs {
-		inNew[p] = true
-	}
-	for _, p := range oldPairs {
-		if inNew[p] {
-			common[p] = true
-		}
-	}
-	for _, p := range oldPairs {
-		if common[p] {
+	for i := 0; i+1 < len(r.Old); i++ {
+		a, b := r.Old[i], r.Old[i+1]
+		if hasPair(r.New, a, b) {
 			continue
 		}
-		from, okF := m.id[p[0]]
-		to, okT := m.id[p[1]]
-		if !okF || !okT {
-			return fmt.Errorf("cdg: reroute removes dependency %v→%v between unknown channels", p[0], p[1])
+		from, to := m.lookup(a), m.lookup(b)
+		if from < 0 || to < 0 {
+			return fmt.Errorf("cdg: reroute removes dependency %v→%v between unknown channels", a, b)
 		}
 		if err := m.dropFlowEdge(from, to, r.FlowID); err != nil {
 			return err
 		}
 	}
-	for _, p := range newPairs {
-		if common[p] {
-			continue
+	for i := 0; i+1 < len(r.New); i++ {
+		a, b := r.New[i], r.New[i+1]
+		if !hasPair(r.Old, a, b) {
+			m.addFlowEdge(m.vertex(a), m.vertex(b), r.FlowID)
 		}
-		m.addFlowEdge(m.vertex(p[0]), m.vertex(p[1]), r.FlowID)
 	}
 	return nil
 }
 
-// routePairs lists the consecutive-channel pairs of a route. Routes never
-// repeat a channel, so the pairs are distinct.
-func routePairs(chs []topology.Channel) [][2]topology.Channel {
-	if len(chs) < 2 {
-		return nil
-	}
-	out := make([][2]topology.Channel, 0, len(chs)-1)
+// hasPair reports whether b directly follows a somewhere in route chs.
+// Routes are short, so the scan is cheaper than indexing their pairs.
+func hasPair(chs []topology.Channel, a, b topology.Channel) bool {
 	for i := 0; i+1 < len(chs); i++ {
-		out = append(out, [2]topology.Channel{chs[i], chs[i+1]})
+		if chs[i] == a && chs[i+1] == b {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
 // CycleFlows returns the ascending union of the flows creating any
@@ -379,27 +372,18 @@ func routePairs(chs []topology.Channel) [][2]topology.Channel {
 // contributes no cost row — so the break hot path uses this instead of
 // scanning the whole route table per cycle.
 func (m *Incremental) CycleFlows(cycle []topology.Channel) []int {
-	n := len(cycle)
-	if n == 0 {
-		return nil
-	}
-	seen := make(map[int]bool)
 	var out []int
-	for i := 0; i < n; i++ {
-		from, okF := m.id[cycle[i]]
-		to, okT := m.id[cycle[(i+1)%n]]
-		if !okF || !okT {
+	for i, ch := range cycle {
+		from, to := m.lookup(ch), m.lookup(cycle[(i+1)%len(cycle)])
+		if from < 0 || to < 0 {
 			continue
 		}
-		for _, f := range m.edgeFlows[[2]int{from, to}] {
-			if !seen[f] {
-				seen[f] = true
-				out = append(out, f)
-			}
+		if k := m.edge(from, to); k >= 0 {
+			out = append(out, m.flows[from][k]...)
 		}
 	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // NumChannels returns the number of CDG vertices.
@@ -412,23 +396,15 @@ func (m *Incremental) NumDependencies() int { return m.nEdges }
 // canonical (from, to) channel order — directly comparable with the
 // immutable CDG's Dependencies for differential testing.
 func (m *Incremental) Dependencies() []Dependency {
-	keys := make([][2]int, 0, len(m.edgeFlows))
-	for k := range m.edgeFlows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return m.less(keys[i][0], keys[j][0])
+	out := make([]Dependency, 0, m.nEdges)
+	for _, v := range m.order {
+		for k, w := range m.succ[v] {
+			out = append(out, Dependency{
+				From:  m.chans[v],
+				To:    m.chans[w],
+				Flows: append([]int(nil), m.flows[v][k]...),
+			})
 		}
-		return m.less(keys[i][1], keys[j][1])
-	})
-	out := make([]Dependency, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, Dependency{
-			From:  m.chans[k[0]],
-			To:    m.chans[k[1]],
-			Flows: append([]int(nil), m.edgeFlows[k]...),
-		})
 	}
 	return out
 }
@@ -580,11 +556,6 @@ func (m *Incremental) nontrivialSCCs() [][]int {
 	}
 	sc.comps, sc.compBuf, sc.tStack, sc.callStack = comps, compBuf, tStack, callStack
 	return comps
-}
-
-func (m *Incremental) hasEdge(from, to int) bool {
-	_, ok := m.edgeFlows[[2]int{from, to}]
-	return ok
 }
 
 // shortestCycleIn finds the shortest cycle inside one SCC: members are

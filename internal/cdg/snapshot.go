@@ -1,6 +1,10 @@
 package cdg
 
-import "github.com/nocdr/nocdr/internal/topology"
+import (
+	"slices"
+
+	"github.com/nocdr/nocdr/internal/topology"
+)
 
 // Snapshot is a point-in-time copy of an Incremental CDG's complete
 // mutable state. It exists for the online-reconfiguration commit
@@ -10,23 +14,21 @@ import "github.com/nocdr/nocdr/internal/topology"
 // byte-identical instead of staying half-mutated. Take a Snapshot before
 // the batch, Restore it on any error, drop it on commit.
 //
-// A Snapshot is independent of later mutations (every slice and map is
-// deep-copied, except the immutable-after-construction SCC cache entries,
-// which are shared) and is reusable: Restore copies out of the snapshot
-// rather than aliasing it, so the same Snapshot can rescue several failed
-// attempts.
+// A Snapshot is independent of later mutations (every slice and the SCC
+// cache map are deep-copied; the cache entries, immutable once built, are
+// shared) and is reusable: Restore copies out of the snapshot rather than
+// aliasing it, so the same Snapshot can rescue several failed attempts.
 type Snapshot struct {
-	top       *topology.Topology
-	chans     []topology.Channel
-	id        map[topology.Channel]int
-	order     []int
-	succ      [][]int
-	pred      [][]int
-	edgeFlows map[[2]int][]int
-	nEdges    int
-	touched   map[int]bool
-	cache     map[int]*sccEntry
-	valid     bool
+	top     *topology.Topology
+	chans   []topology.Channel
+	id      [][]int
+	order   []int
+	succ    [][]int
+	flows   [][][]int
+	nEdges  int
+	touched []bool
+	cache   map[int]*sccEntry
+	valid   bool
 }
 
 // Snapshot captures the graph's current state. Cost is O(V + E) — far
@@ -34,17 +36,16 @@ type Snapshot struct {
 // reconfiguration event is cheap.
 func (m *Incremental) Snapshot() *Snapshot {
 	return &Snapshot{
-		top:       m.top,
-		chans:     append([]topology.Channel(nil), m.chans...),
-		id:        copyIntMap(m.id),
-		order:     append([]int(nil), m.order...),
-		succ:      copyAdj(m.succ),
-		pred:      copyAdj(m.pred),
-		edgeFlows: copyEdgeFlows(m.edgeFlows),
-		nEdges:    m.nEdges,
-		touched:   copyBoolMap(m.touched),
-		cache:     copyCache(m.cache),
-		valid:     m.valid,
+		top:     m.top,
+		chans:   slices.Clone(m.chans),
+		id:      copyLists(m.id),
+		order:   slices.Clone(m.order),
+		succ:    copyLists(m.succ),
+		flows:   copyFlows(m.flows),
+		nEdges:  m.nEdges,
+		touched: slices.Clone(m.touched),
+		cache:   copyCache(m.cache),
+		valid:   m.valid,
 	}
 }
 
@@ -56,13 +57,12 @@ func (m *Incremental) Snapshot() *Snapshot {
 func (m *Incremental) Restore(s *Snapshot) {
 	m.top = s.top
 	m.chans = append(m.chans[:0], s.chans...)
-	m.id = copyIntMap(s.id)
+	m.id = copyLists(s.id)
 	m.order = append(m.order[:0], s.order...)
-	m.succ = copyAdj(s.succ)
-	m.pred = copyAdj(s.pred)
-	m.edgeFlows = copyEdgeFlows(s.edgeFlows)
+	m.succ = copyLists(s.succ)
+	m.flows = copyFlows(s.flows)
 	m.nEdges = s.nEdges
-	m.touched = copyBoolMap(s.touched)
+	m.touched = append(m.touched[:0], s.touched...)
 	m.cache = copyCache(s.cache)
 	m.valid = s.valid
 	m.lb = make([]int, len(m.chans))
@@ -81,36 +81,20 @@ func (m *Incremental) Rebind(top *topology.Topology) {
 	m.top = top
 }
 
-func copyIntMap(src map[topology.Channel]int) map[topology.Channel]int {
-	out := make(map[topology.Channel]int, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
-}
-
-func copyBoolMap(src map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
-}
-
-func copyAdj(src [][]int) [][]int {
+// copyLists deep-copies a slice of lists.
+func copyLists(src [][]int) [][]int {
 	out := make([][]int, len(src))
 	for i, list := range src {
-		if list != nil {
-			out[i] = append([]int(nil), list...)
-		}
+		out[i] = slices.Clone(list)
 	}
 	return out
 }
 
-func copyEdgeFlows(src map[[2]int][]int) map[[2]int][]int {
-	out := make(map[[2]int][]int, len(src))
-	for k, v := range src {
-		out[k] = append([]int(nil), v...)
+// copyFlows deep-copies the per-edge flow lists.
+func copyFlows(src [][][]int) [][][]int {
+	out := make([][][]int, len(src))
+	for v, lists := range src {
+		out[v] = copyLists(lists)
 	}
 	return out
 }

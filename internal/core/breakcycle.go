@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/nocdr/nocdr/internal/cdg"
 	"github.com/nocdr/nocdr/internal/route"
@@ -31,16 +32,9 @@ type BreakRecord struct {
 // sequence so the caller can maintain an incremental CDG without
 // rescanning the route table. A non-nil flows restricts the scan for the
 // broken dependency's creators to that candidate subset (ascending IDs;
-// see buildCostTable for the equivalence argument).
+// see chooseBreak for the equivalence argument).
 func breakCycle(top *topology.Topology, tab *route.Table, cycle []topology.Channel,
 	edge int, dir Direction, cost int, flows []int) (*BreakRecord, []cdg.Reroute, error) {
-
-	n := len(cycle)
-	from, to := cycle[edge], cycle[(edge+1)%n]
-	inCycle := make(map[topology.Channel]bool, n)
-	for _, ch := range cycle {
-		inCycle[ch] = true
-	}
 
 	// Find the flows creating the broken dependency and the chain of
 	// route positions each must vacate.
@@ -49,25 +43,17 @@ func breakCycle(top *topology.Topology, tab *route.Table, cycle []topology.Chann
 		lo, hi int
 	}
 	var chains []chain
-	scan := func(r *route.Route) {
+	from, to := cycle[edge], cycle[(edge+1)%len(cycle)]
+	k := newCostKernel(cycle)
+	for _, r := range scanRoutes(tab, flows) {
 		for i := 0; i+1 < len(r.Channels); i++ {
 			if r.Channels[i] != from || r.Channels[i+1] != to {
 				continue
 			}
-			lo, hi := chainBounds(dir, r.Channels, i, inCycle)
+			k.positions(r.Channels)
+			lo, hi := chainBounds(dir, k.pos, i)
 			chains = append(chains, chain{flowID: r.FlowID, lo: lo, hi: hi})
 			break // a route cannot repeat a channel, so the edge occurs once
-		}
-	}
-	if flows == nil {
-		for _, r := range tab.Routes() {
-			scan(r)
-		}
-	} else {
-		for _, id := range flows {
-			if r := tab.Route(id); r != nil {
-				scan(r)
-			}
 		}
 	}
 	if len(chains) == 0 {
@@ -76,8 +62,8 @@ func breakCycle(top *topology.Topology, tab *route.Table, cycle []topology.Chann
 
 	// Duplicate each distinct chain channel once; rerouted flows share the
 	// duplicates (the paper reroutes "the flows", plural, onto "the new
-	// vertices").
-	dup := make(map[topology.Channel]topology.Channel)
+	// vertices"). orig[j] is the channel rec.NewChannels[j] duplicates.
+	var orig []topology.Channel
 	rec := &BreakRecord{
 		Cycle:     append([]topology.Channel(nil), cycle...),
 		Direction: dir,
@@ -85,27 +71,26 @@ func breakCycle(top *topology.Topology, tab *route.Table, cycle []topology.Chann
 		Cost:      cost,
 	}
 	for _, c := range chains {
-		r := tab.Route(c.flowID)
-		for i := c.lo; i <= c.hi; i++ {
-			ch := r.Channels[i]
-			if _, done := dup[ch]; done {
+		for _, ch := range tab.Route(c.flowID).Channels[c.lo : c.hi+1] {
+			if slices.Contains(orig, ch) {
 				continue
 			}
 			vc, err := top.AddVC(ch.Link)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: duplicating %v: %w", ch, err)
 			}
-			dup[ch] = topology.Chan(ch.Link, vc)
-			rec.NewChannels = append(rec.NewChannels, dup[ch])
+			orig = append(orig, ch)
+			rec.NewChannels = append(rec.NewChannels, topology.Chan(ch.Link, vc))
 		}
 	}
 	reroutes := make([]cdg.Reroute, 0, len(chains))
 	for _, c := range chains {
-		r := tab.Route(c.flowID)
-		old := append([]topology.Channel(nil), r.Channels...)
-		channels := append([]topology.Channel(nil), r.Channels...)
+		// The table drops the old channel slice for the new one, so the
+		// reroute can keep it unchanged without a copy.
+		old := tab.Route(c.flowID).Channels
+		channels := append([]topology.Channel(nil), old...)
 		for i := c.lo; i <= c.hi; i++ {
-			channels[i] = dup[channels[i]]
+			channels[i] = rec.NewChannels[slices.Index(orig, channels[i])]
 		}
 		tab.Set(c.flowID, channels)
 		rec.Reroutes = append(rec.Reroutes, c.flowID)

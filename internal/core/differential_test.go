@@ -69,12 +69,18 @@ func TestIncrementalMatchesFullRebuildBenchmarks(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesFullRebuildAtScale runs the differential check on
-// designs with one large strongly connected component, where the cycle
-// search skips most members on their cycle-length bounds: the
-// removal_scale designs (rand:128x6 at 48 switches, seeds 0–3) and a
-// 64-core design at 24 switches.
-func TestIncrementalMatchesFullRebuildAtScale(t *testing.T) {
+// namedDesign is one synthesized design a test runs removal on.
+type namedDesign struct {
+	name string
+	des  *synth.Result
+}
+
+// scaleDesigns synthesizes designs with one large strongly connected
+// component, where the cycle search skips most members on their
+// cycle-length bounds: the removal_scale designs (rand:128x6 at 48
+// switches, seeds 0–3) and a 64-core design at 24 switches.
+func scaleDesigns(t *testing.T) []namedDesign {
+	t.Helper()
 	cases := []struct {
 		cores, switches int
 		seed            int64
@@ -82,6 +88,7 @@ func TestIncrementalMatchesFullRebuildAtScale(t *testing.T) {
 		{128, 48, 0}, {128, 48, 1}, {128, 48, 2}, {128, 48, 3},
 		{64, 24, 99},
 	}
+	var out []namedDesign
 	for _, c := range cases {
 		name := fmt.Sprintf("rand:%dx6#%d@%d", c.cores, c.seed, c.switches)
 		g := traffic.RandomKOut(name, c.cores, 6, c.seed)
@@ -89,8 +96,17 @@ func TestIncrementalMatchesFullRebuildAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatalf("synthesize %s: %v", name, err)
 		}
-		assertSameRemoval(t, name, Options{}, func(o Options) (*Result, error) {
-			return Remove(des.Topology, des.Routes, o)
+		out = append(out, namedDesign{name, des})
+	}
+	return out
+}
+
+// TestIncrementalMatchesFullRebuildAtScale runs the differential check on
+// the scale designs.
+func TestIncrementalMatchesFullRebuildAtScale(t *testing.T) {
+	for _, d := range scaleDesigns(t) {
+		assertSameRemoval(t, d.name, Options{}, func(o Options) (*Result, error) {
+			return Remove(d.des.Topology, d.des.Routes, o)
 		})
 	}
 }
@@ -112,6 +128,28 @@ func TestIncrementalMatchesFullRebuildPolicies(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzRemoveMatchesFullRebuild drives the whole break loop on random
+// designs: under every direction policy and cycle selection, the
+// incremental removal must reproduce the full-rebuild one break for
+// break.
+func FuzzRemoveMatchesFullRebuild(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(60), byte(0))
+	f.Add(int64(2), uint8(8), uint8(40), byte(1))
+	f.Add(int64(3), uint8(10), uint8(50), byte(2))
+	f.Add(int64(4), uint8(12), uint8(60), byte(3))
+	f.Add(int64(5), uint8(14), uint8(80), byte(5))
+	f.Fuzz(func(t *testing.T, seed int64, switches, flows uint8, mode byte) {
+		nSwitch := 2 + int(switches)%15 // bounds per-exec work
+		nFlow := int(flows) % 100
+		opts := Options{Policy: DirectionPolicy(mode % 3), Selection: CycleSelection(mode / 3 % 2)}
+		top, _, tab := randomSetup(seed, nSwitch, nFlow)
+		name := fmt.Sprintf("seed %d, %d switches, %d flows, %+v", seed, nSwitch, nFlow, opts)
+		assertSameRemoval(t, name, opts, func(o Options) (*Result, error) {
+			return Remove(top, tab, o)
+		})
+	})
 }
 
 // TestIncrementalCDGTracksRebuild pins the maintained CDG itself: after

@@ -136,11 +136,11 @@ func (res *Result) applyBreak(cycle []topology.Channel, opts Options, m *cdg.Inc
 	if m != nil {
 		cycleFlows = m.CycleFlows(cycle)
 	}
-	dir, ct, err := chooseBreak(cycle, res.Routes, opts.Policy, cycleFlows)
+	c, err := chooseBreak(cycle, res.Routes, opts.Policy, cycleFlows)
 	if err != nil {
 		return err
 	}
-	rec, reroutes, err := breakCycle(res.Topology, res.Routes, cycle, ct.BestEdge, dir, ct.BestCost, cycleFlows)
+	rec, reroutes, err := breakCycle(res.Topology, res.Routes, cycle, c.edge, c.dir, c.cost, cycleFlows)
 	if err != nil {
 		return err
 	}
@@ -200,31 +200,66 @@ func selectCycleIncremental(m *cdg.Incremental, sel CycleSelection) []topology.C
 	}
 }
 
-// chooseBreak evaluates Algorithm 2 in the allowed directions and picks
-// the cheaper one (forward wins ties, per Algorithm 1 step 7). A non-nil
-// flows restricts the evaluation to that candidate subset (see
-// buildCostTable).
-func chooseBreak(cycle []topology.Channel, tab *route.Table, policy DirectionPolicy, flows []int) (Direction, *CostTable, error) {
-	switch policy {
-	case ForwardOnly:
-		ct, err := buildCostTable(Forward, cycle, tab, flows)
-		return Forward, ct, err
-	case BackwardOnly:
-		ct, err := buildCostTable(Backward, cycle, tab, flows)
-		return Backward, ct, err
+// breakChoice is one break Algorithm 1 chose: the direction, the edge and
+// its cost, with the MAX rows of both directions' cost tables.
+type breakChoice struct {
+	dir        Direction
+	edge, cost int
+	max        [2][]int // per-edge maxima, indexed by Direction
+}
+
+// chooseBreak evaluates Algorithm 2 in both directions in one pass over
+// the cycle's flows, folding every dependency they create on the cycle
+// into per-edge maxima, and picks the break the policy allows (forward
+// wins ties, per Algorithm 1 step 7). The choice equals the BestEdge and
+// BestCost of the BuildCostTable tables, without building their rows. A
+// non-nil flows restricts the scan to that candidate subset, ascending;
+// the incremental removal passes the CDG's flows of the cycle's edges,
+// which are exactly the flows with a cost row, so the choice is the same.
+func chooseBreak(cycle []topology.Channel, tab *route.Table, policy DirectionPolicy, flows []int) (breakChoice, error) {
+	n := len(cycle)
+	rows := make([]int, 2*n)
+	c := breakChoice{max: [2][]int{rows[:n:n], rows[n:]}}
+	k := newCostKernel(cycle)
+	found := false
+	for _, r := range scanRoutes(tab, flows) {
+		for _, h := range k.flow(r.Channels) {
+			found = true
+			for dir, row := range c.max {
+				row[h.edge] = max(row[h.edge], h.cost[dir])
+			}
+		}
 	}
-	fwd, err := buildCostTable(Forward, cycle, tab, flows)
+	if !found {
+		return c, errNoCycleFlow(cycle)
+	}
+	// An edge no flow creates is 0 in both rows, so either row reports it.
+	fEdge, fCost, err := cheapest(c.max[Forward], cycle)
 	if err != nil {
-		return Forward, nil, err
+		return c, err
 	}
-	bwd, err := buildCostTable(Backward, cycle, tab, flows)
-	if err != nil {
-		return Backward, nil, err
+	bEdge, bCost, _ := cheapest(c.max[Backward], cycle)
+	if policy == ForwardOnly || (policy != BackwardOnly && fCost <= bCost) {
+		c.dir, c.edge, c.cost = Forward, fEdge, fCost
+	} else {
+		c.dir, c.edge, c.cost = Backward, bEdge, bCost
 	}
-	if fwd.BestCost <= bwd.BestCost {
-		return Forward, fwd, nil
+	return c, nil
+}
+
+// scanRoutes returns the routes Algorithm 2 reads: those of flows, or
+// every route of tab when flows is nil.
+func scanRoutes(tab *route.Table, flows []int) []*route.Route {
+	if flows == nil {
+		return tab.Routes()
 	}
-	return Backward, bwd, nil
+	out := make([]*route.Route, 0, len(flows))
+	for _, id := range flows {
+		if r := tab.Route(id); r != nil {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // DeadlockFree reports whether the topology/route pair already has an

@@ -470,6 +470,29 @@ func TestSweepRejectsOversizedGrid(t *testing.T) {
 	}
 }
 
+// TestRemoveRejectsOversizedTopology pins topology.MaxChannels at the
+// service boundary: a remove body declaring 2^63-1 VCs on one link is
+// answered 400 at once instead of occupying the decoder for good.
+func TestRemoveRejectsOversizedTopology(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	_, _, routes := ringDesign(t)
+	topo := json.RawMessage(`{"name":"huge","switches":[{"id":0,"name":""},{"id":1,"name":""}],` +
+		`"links":[{"id":0,"from":0,"to":1,"vcs":9223372036854775807},{"id":1,"from":1,"to":0,"vcs":1}]}`)
+	var e struct {
+		Error string `json:"error"`
+	}
+	if code := postJSON(t, ts.URL+"/v1/remove", map[string]any{"topology": topo, "routes": routes}, &e); code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", code)
+	}
+	if !strings.Contains(e.Error, "invalid input") {
+		t.Errorf("error %q does not report invalid input", e.Error)
+	}
+	var hz map[string]any
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz["status"] != "ok" {
+		t.Fatalf("healthz after an oversized topology: %d %v", code, hz)
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	var hz map[string]any

@@ -58,9 +58,15 @@ func (t *Topology) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(jt, "", "  ")
 }
 
+// MaxChannels bounds the channels, VCs summed over links, a decoded
+// topology may declare. It is about 30 times the largest design a sweep
+// spec can name (torus:64x64 with two VCs per link has 32,768 channels).
+const MaxChannels = 1 << 20
+
 // UnmarshalJSON decodes the schema produced by MarshalJSON. Switch and
 // link IDs must be dense and in order (0..n-1); this keeps files
-// unambiguous and round-trips exact.
+// unambiguous and round-trips exact. A topology with more than
+// MaxChannels channels is rejected.
 func (t *Topology) UnmarshalJSON(data []byte) error {
 	var jt jsonTopology
 	if err := json.Unmarshal(data, &jt); err != nil {
@@ -73,6 +79,15 @@ func (t *Topology) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("topology: switch IDs must be dense, got %d at position %d: %w", s.ID, i, nocerr.ErrInvalidInput)
 		}
 		nt.AddSwitch(s.Name)
+	}
+	// AddVC below provisions one VC per call, so bound the total first:
+	// a few bytes of JSON must not stand for billions of channels.
+	channels := 0
+	for _, l := range jt.Links {
+		if l.VCs > MaxChannels-channels {
+			return fmt.Errorf("topology: more than %d channels: %w", MaxChannels, nocerr.ErrInvalidInput)
+		}
+		channels += max(l.VCs, 0)
 	}
 	sort.Slice(jt.Links, func(i, j int) bool { return jt.Links[i].ID < jt.Links[j].ID })
 	for i, l := range jt.Links {

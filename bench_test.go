@@ -863,21 +863,45 @@ func BenchmarkSweepVerified(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepWarmCache pins a sweep's fixed cost: Session.Sweep over
-// the 36-cell fleet grid (three transpose presets × three adaptive
-// routings × four seeds, one fault) with every cell served from a
-// pre-filled in-memory result cache. What it times is what each request
-// pays before and around the cells: grid validation, job enumeration,
-// cache keys, lookups and decoding.
-func BenchmarkSweepWarmCache(b *testing.B) {
-	grid := nocdr.SweepGrid{
-		Benchmarks:   []string{"mesh:4x4:transpose", "torus:4x4:transpose", "mesh:6x6:transpose"},
-		SwitchCounts: []int{16},
-		Policies:     []string{"smallest"},
-		Routings:     []string{"west-first", "odd-even", "min-adaptive"},
-		Faults:       1,
-		Seeds:        []int64{0, 1, 2, 3},
+// fleetGrid is the 36-cell grid of the fleet workloads: three transpose
+// presets × three adaptive routings × four seeds, one seeded fault each.
+var fleetGrid = nocdr.SweepGrid{
+	Benchmarks:   []string{"mesh:4x4:transpose", "torus:4x4:transpose", "mesh:6x6:transpose"},
+	SwitchCounts: []int{16},
+	Policies:     []string{"smallest"},
+	Routings:     []string{"west-first", "odd-even", "min-adaptive"},
+	Faults:       1,
+	Seeds:        []int64{0, 1, 2, 3},
+}
+
+// BenchmarkSweepFleetGrid pins the per-cell build cost: a cold, serial
+// Session.Sweep of the fleet grid, no cache and no simulation. Each
+// cell picks its seeded fault, routes the route set, runs removal and
+// counts the resource-ordering baseline, so this is the work each
+// worker does per shard of a cold fleet sweep.
+func BenchmarkSweepFleetGrid(b *testing.B) {
+	s := nocdr.NewSession(nocdr.WithParallel(1))
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := s.Sweep(ctx, fleetGrid, nocdr.SweepOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Results) != 36 {
+			b.Fatalf("got %d results, want 36", len(rep.Results))
+		}
 	}
+}
+
+// BenchmarkSweepWarmCache pins a sweep's fixed cost: Session.Sweep over
+// the 36-cell fleet grid with every cell served from a pre-filled
+// in-memory result cache. What it times is what each request pays before
+// and around the cells: grid validation, job enumeration, cache keys,
+// lookups and decoding.
+func BenchmarkSweepWarmCache(b *testing.B) {
+	grid := fleetGrid
 	cache := fabric.NewCache(fabric.CacheOptions{})
 	s := nocdr.NewSession(nocdr.WithResultCache(cache))
 	ctx := context.Background()

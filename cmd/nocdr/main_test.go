@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -122,6 +123,31 @@ func TestRunOrdering(t *testing.T) {
 	}
 	if err := runOrdering([]string{"-topology", topo, "-routes", routes, "-scheme", "xyz"}); err == nil {
 		t.Error("unknown scheme accepted")
+	}
+}
+
+// TestRunOrderingUnknownLink: without -traffic the routes go unvalidated,
+// so a route over a link the topology lacks reaches the baseline, which
+// must fail with an error rather than panic.
+func TestRunOrderingUnknownLink(t *testing.T) {
+	dir := t.TempDir()
+	top := nocdr.NewTopology("one-link")
+	a, b := top.AddSwitch(""), top.AddSwitch("")
+	top.MustAddLink(a, b)
+	tab := nocdr.NewRouteTable(1)
+	tab.Set(0, []nocdr.Channel{nocdr.Chan(0, 0), nocdr.Chan(99, 0)})
+	topo, routes := filepath.Join(dir, "t.json"), filepath.Join(dir, "r.json")
+	if err := nocdr.SaveJSON(topo, top); err != nil {
+		t.Fatal(err)
+	}
+	if err := nocdr.SaveJSON(routes, tab); err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []string{"hop", "bfs", "id"} {
+		err := runOrdering([]string{"-topology", topo, "-routes", routes, "-scheme", scheme})
+		if !errors.Is(err, nocdr.ErrInvalidInput) {
+			t.Errorf("scheme %s: error %v does not wrap ErrInvalidInput", scheme, err)
+		}
 	}
 }
 

@@ -58,7 +58,7 @@ func CompareMethods(switchCount int) ([]MethodRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		ro, err := ordering.Apply(des.Topology, des.Routes, ordering.HopIndex)
+		orderingVCs, err := ordering.AddedVCs(des.Topology, des.Routes)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +66,7 @@ func CompareMethods(switchCount int) ([]MethodRow, error) {
 			Benchmark:      g.Name,
 			ShortestAvgLen: des.Routes.AvgLen(),
 			RemovalVCs:     rm.AddedVCs,
-			OrderingVCs:    ro.AddedVCs,
+			OrderingVCs:    orderingVCs,
 		}
 		ud, err := updown.Apply(des.Topology, g)
 		if err == nil {

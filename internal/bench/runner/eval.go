@@ -96,8 +96,8 @@ type designEval struct {
 // buildAdaptive evaluates a regular-topology preset under an adaptive
 // routing function: a multi-candidate route set generated by the given
 // turn model (routing around any masked link faults), deadlock removal
-// over the union CDG, and the resource-ordering baseline on the flattened
-// pseudo-flow table. No simulation.
+// over the union CDG, and the resource-ordering baseline's count over
+// every candidate path. No simulation.
 func buildAdaptive(ctx context.Context, grid *regular.Grid, g *traffic.Graph, model route.TurnModel, opts EvalOptions) (*designEval, error) {
 	top := grid.Topology
 	label := fmt.Sprintf("%s/%s", top.Name, model)
@@ -116,16 +116,13 @@ func buildAdaptive(ctx context.Context, grid *regular.Grid, g *traffic.Graph, mo
 		return nil, fmt.Errorf("runner: remove %s: %w", label, err)
 	}
 	p.RemovalTime = time.Since(start)
-	flat, _ := set.Flatten()
-	ro, err := ordering.Apply(top, flat, ordering.HopIndex)
-	if err != nil {
+	if p.OrderingVCs, err = ordering.AddedVCsSet(top, set); err != nil {
 		return nil, fmt.Errorf("runner: ordering %s: %w", label, err)
 	}
 	p.Links = top.NumLinks()
 	p.MaxRouteLen = set.MaxLen()
 	p.InitialAcyclic = rm.InitialAcyclic
 	p.RemovalVCs = rm.AddedVCs
-	p.OrderingVCs = ro.AddedVCs
 	p.Breaks = rm.Iterations
 	p.Paths = set.TotalPaths()
 	return &designEval{
@@ -151,15 +148,13 @@ func buildRouted(ctx context.Context, g *traffic.Graph, top *topology.Topology, 
 		return nil, fmt.Errorf("runner: remove %s: %w", label, err)
 	}
 	p.RemovalTime = time.Since(start)
-	ro, err := ordering.Apply(top, tab, ordering.HopIndex)
-	if err != nil {
+	if p.OrderingVCs, err = ordering.AddedVCs(top, tab); err != nil {
 		return nil, fmt.Errorf("runner: ordering %s: %w", label, err)
 	}
 	p.Links = top.NumLinks()
 	p.MaxRouteLen = tab.MaxLen()
 	p.InitialAcyclic = rm.InitialAcyclic
 	p.RemovalVCs = rm.AddedVCs
-	p.OrderingVCs = ro.AddedVCs
 	p.Breaks = rm.Iterations
 	return &designEval{
 		point: p, g: g,

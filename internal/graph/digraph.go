@@ -156,17 +156,3 @@ func (g *Digraph) Clone() *Digraph {
 	}
 	return c
 }
-
-// Reverse returns a new graph with every edge direction flipped.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(len(g.succ))
-	if n := len(g.succ); n > 0 {
-		r.Ensure(n - 1)
-	}
-	for from, adj := range g.succ {
-		for _, to := range adj {
-			r.AddEdge(to, from)
-		}
-	}
-	return r
-}

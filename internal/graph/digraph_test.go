@@ -127,22 +127,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	r := g.Reverse()
-	if !r.HasEdge(1, 0) || !r.HasEdge(2, 1) {
-		t.Error("Reverse missing flipped edges")
-	}
-	if r.HasEdge(0, 1) {
-		t.Error("Reverse kept original edge direction")
-	}
-	if r.NumNodes() != g.NumNodes() {
-		t.Error("Reverse changed node count")
-	}
-}
-
 func TestHasCycleChain(t *testing.T) {
 	g := New(5)
 	for i := 0; i < 4; i++ {
@@ -265,51 +249,6 @@ func TestCyclicNodes(t *testing.T) {
 			t.Errorf("CyclicNodes = %v, want %v", got, want)
 			break
 		}
-	}
-}
-
-func TestBFSPath(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 5)
-	g.AddEdge(0, 3)
-	g.AddEdge(3, 5)
-	p := g.BFSPath(0, 5)
-	if len(p) != 3 {
-		t.Fatalf("BFSPath(0,5) = %v, want length 3", p)
-	}
-	if p[0] != 0 || p[len(p)-1] != 5 {
-		t.Errorf("path endpoints wrong: %v", p)
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			t.Errorf("path %v uses missing edge %d→%d", p, p[i], p[i+1])
-		}
-	}
-}
-
-func TestBFSPathUnreachable(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	if p := g.BFSPath(0, 3); p != nil {
-		t.Errorf("BFSPath to unreachable node = %v, want nil", p)
-	}
-	if g.Reachable(0, 3) {
-		t.Error("Reachable(0,3) = true")
-	}
-	if !g.Reachable(0, 0) {
-		t.Error("Reachable(0,0) = false")
-	}
-}
-
-func TestBFSPathSelf(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
-	p := g.BFSPath(0, 0)
-	if len(p) != 1 || p[0] != 0 {
-		t.Errorf("BFSPath(0,0) = %v, want [0]", p)
 	}
 }
 

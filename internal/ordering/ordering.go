@@ -17,6 +17,7 @@ package ordering
 import (
 	"fmt"
 
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 )
@@ -67,63 +68,43 @@ type Result struct {
 // it computes a class assignment under the chosen scheme, moves every
 // route onto the VC layers the assignment demands, and provisions those
 // VCs. The physical path of every flow is preserved; only VC indices
-// change.
+// change. A route over a link the topology lacks, or one that demands a
+// layer a faulted link does not offer, is invalid input.
 func Apply(top *topology.Topology, tab *route.Table, scheme Scheme) (*Result, error) {
-	res := &Result{
-		Topology: top.Clone(),
-		Routes:   tab.Clone(),
-	}
-	var rank map[topology.LinkID]int
+	l := newLayering(top)
 	switch scheme {
 	case HopIndex:
 		// No rank needed: the layer is the hop position.
 	case GreedyBFS, GreedyByID:
 		var err error
-		rank, err = linkRanks(res.Topology, scheme)
-		if err != nil {
+		if l.rank, err = linkRanks(top, scheme); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("ordering: unknown scheme %v", scheme)
 	}
-
-	maxLayer := make(map[topology.LinkID]int, res.Topology.NumLinks())
-	for _, r := range res.Routes.Routes() {
+	routes := tab.Clone()
+	for _, r := range routes.Routes() {
 		if len(r.Channels) == 0 {
 			continue
 		}
-		channels := append([]topology.Channel(nil), r.Channels...)
-		layer := 0
-		prevRank := -1
-		for i, ch := range channels {
-			switch scheme {
-			case HopIndex:
-				layer = i
-			default:
-				lr, ok := rank[ch.Link]
-				if !ok {
-					return nil, fmt.Errorf("ordering: flow %d uses unranked link %d", r.FlowID, ch.Link)
-				}
-				if lr <= prevRank {
-					layer++
-				}
-				prevRank = lr
-			}
-			channels[i] = topology.Chan(ch.Link, layer)
-			if layer > maxLayer[ch.Link] {
-				maxLayer[ch.Link] = layer
-			}
+		channels := make([]topology.Channel, len(r.Channels))
+		if err := l.path(r.FlowID, r.Channels, channels); err != nil {
+			return nil, err
 		}
-		res.Routes.Set(r.FlowID, channels)
-		if layer+1 > res.Layers {
-			res.Layers = layer + 1
-		}
+		routes.Set(r.FlowID, channels)
+	}
+	// A demand a faulted link cannot meet fails here, as in the count,
+	// before any VC is added.
+	if _, err := l.added(); err != nil {
+		return nil, err
 	}
 
 	// Provision the layers each link must offer.
-	for link, top := range maxLayer {
-		for res.Topology.Link(link).VCs <= top {
-			if _, err := res.Topology.AddVC(link); err != nil {
+	res := &Result{Topology: top.Clone(), Routes: routes, Layers: l.layers}
+	for id, d := range l.demand {
+		for res.Topology.Link(topology.LinkID(id)).VCs <= d {
+			if _, err := res.Topology.AddVC(topology.LinkID(id)); err != nil {
 				return nil, err
 			}
 			res.AddedVCs++
@@ -131,6 +112,103 @@ func Apply(top *topology.Topology, tab *route.Table, scheme Scheme) (*Result, er
 	}
 	res.Classes = res.Layers * res.Topology.NumLinks()
 	return res, nil
+}
+
+// AddedVCs returns Apply(top, tab, HopIndex).AddedVCs, with the same
+// errors, without building the ordered design: the Figures 8–9 count on
+// its own.
+func AddedVCs(top *topology.Topology, tab *route.Table) (int, error) {
+	l := newLayering(top)
+	for f := 0; f < tab.NumFlows(); f++ {
+		if r := tab.Route(f); r != nil {
+			if err := l.path(f, r.Channels, nil); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return l.added()
+}
+
+// AddedVCsSet is AddedVCs over every candidate path of a route set: the
+// baseline's count, and its errors, on the set's flattened pseudo-flow
+// table, without flattening it.
+func AddedVCsSet(top *topology.Topology, set *route.RouteSet) (int, error) {
+	l := newLayering(top)
+	pseudo := 0
+	for f := 0; f < set.NumFlows(); f++ {
+		for _, p := range set.Paths(f) {
+			if err := l.path(pseudo, p, nil); err != nil {
+				return 0, err
+			}
+			pseudo++
+		}
+	}
+	return l.added()
+}
+
+// layering assigns resource-class layers hop by hop and accumulates each
+// link's layer demand. Apply provisions its design from the demand and
+// AddedVCs counts from it, so the two cannot drift apart.
+type layering struct {
+	top *topology.Topology
+	// rank is the greedy schemes' per-link rank, indexed by LinkID; nil
+	// under HopIndex, where hop i of every path is layer i.
+	rank []int
+	// demand is the highest layer any path crosses each link on, indexed
+	// by LinkID (0 where no path crosses it).
+	demand []int
+	// layers is the number of layers used: one more than the highest.
+	layers int
+}
+
+func newLayering(top *topology.Topology) *layering {
+	return &layering{top: top, demand: make([]int, top.NumLinks())}
+}
+
+// path assigns each hop of a flow's path its layer, records the demand,
+// and writes the layered channels to out when out is non-nil. It rejects
+// a link the topology lacks.
+func (l *layering) path(flowID int, path, out []topology.Channel) error {
+	layer, prevRank := 0, -1
+	for i, ch := range path {
+		if !l.top.ValidLink(ch.Link) {
+			return fmt.Errorf("ordering: flow %d uses unknown link %d: %w", flowID, ch.Link, nocerr.ErrInvalidInput)
+		}
+		if l.rank == nil {
+			layer = i
+		} else {
+			if l.rank[ch.Link] <= prevRank {
+				layer++
+			}
+			prevRank = l.rank[ch.Link]
+		}
+		if out != nil {
+			out[i] = topology.Chan(ch.Link, layer)
+		}
+		l.demand[ch.Link] = max(l.demand[ch.Link], layer)
+	}
+	if len(path) > 0 {
+		l.layers = max(l.layers, layer+1)
+	}
+	return nil
+}
+
+// added returns how many VCs make every link offer the layers demanded of
+// it, Σ max(0, demand+1−VCs) over links. A faulted link cannot grow, so a
+// demand beyond its VCs is an error.
+func (l *layering) added() (int, error) {
+	n := 0
+	for id, d := range l.demand {
+		need := d + 1 - l.top.Link(topology.LinkID(id)).VCs
+		if need <= 0 {
+			continue
+		}
+		if l.top.Faulted(topology.LinkID(id)) {
+			return 0, fmt.Errorf("ordering: layer %d demanded on faulted link %d: %w", d, id, nocerr.ErrInvalidInput)
+		}
+		n += need
+	}
+	return n, nil
 }
 
 // UniformTopology returns the hardware a resource-ordered design is
@@ -158,22 +236,19 @@ func (r *Result) UniformTopology() *topology.Topology {
 }
 
 // linkRanks returns a total order over physical links for the greedy
-// schemes.
-func linkRanks(top *topology.Topology, scheme Scheme) (map[topology.LinkID]int, error) {
-	ranks := make(map[topology.LinkID]int, top.NumLinks())
+// schemes, indexed by LinkID.
+func linkRanks(top *topology.Topology, scheme Scheme) ([]int, error) {
+	ranks := make([]int, top.NumLinks())
 	switch scheme {
 	case GreedyByID:
-		for _, l := range top.Links() {
-			ranks[l.ID] = int(l.ID)
+		for i := range ranks {
+			ranks[i] = i
 		}
 	case GreedyBFS:
 		// Rank links in BFS discovery order over switches starting from
 		// switch 0 (joining unreached components as they appear). Links
 		// leaving earlier-discovered switches get lower ranks, so routes
 		// that fan outward climb monotonically.
-		if top.NumSwitches() == 0 {
-			return ranks, nil
-		}
 		seen := make([]bool, top.NumSwitches())
 		var order []int
 		for start := 0; start < top.NumSwitches(); start++ {
@@ -201,11 +276,11 @@ func linkRanks(top *topology.Topology, scheme Scheme) (map[topology.LinkID]int, 
 				next++
 			}
 		}
+		if next != top.NumLinks() {
+			return nil, fmt.Errorf("ordering: ranked %d of %d links", next, top.NumLinks())
+		}
 	default:
 		return nil, fmt.Errorf("ordering: scheme %v has no link ranks", scheme)
-	}
-	if len(ranks) != top.NumLinks() {
-		return nil, fmt.Errorf("ordering: ranked %d of %d links", len(ranks), top.NumLinks())
 	}
 	return ranks, nil
 }

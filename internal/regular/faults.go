@@ -3,7 +3,6 @@ package regular
 import (
 	"fmt"
 
-	"github.com/nocdr/nocdr/internal/graph"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 )
@@ -35,20 +34,20 @@ func SelectFaults(g *Grid, n int, seed int64) ([]topology.LinkID, error) {
 		return nil, fmt.Errorf("regular: cannot fault %d of %d links", n, top.NumLinks())
 	}
 	order := shuffledLinks(top.NumLinks(), uint64(seed)*0x9e3779b97f4a7c15+0x1234567)
-	faulted := make(map[topology.LinkID]bool, n)
+	sg := newSwitchGraph(top)
 	var picked []topology.LinkID
 	for _, id := range order {
 		if len(picked) == n {
 			break
 		}
-		if top.Faulted(id) {
+		if sg.down[id] {
 			continue // already down before selection started
 		}
-		faulted[id] = true
-		if stronglyConnected(top, faulted) {
+		sg.down[id] = true
+		if sg.stronglyConnected() {
 			picked = append(picked, id)
 		} else {
-			delete(faulted, id)
+			sg.down[id] = false
 		}
 	}
 	if len(picked) < n {
@@ -79,26 +78,90 @@ func shuffledLinks(n int, state uint64) []topology.LinkID {
 	return out
 }
 
-// stronglyConnected reports whether the switch graph minus the faulted
-// (and already-masked) links is strongly connected.
-func stronglyConnected(top *topology.Topology, extraFaults map[topology.LinkID]bool) bool {
+// switchGraph is a topology's switch graph in CSR form, forward and
+// reversed, built once per SelectFaults call so that each candidate
+// fault costs two BFSs and no allocation.
+type switchGraph struct {
+	fwd, rev csr
+	// down masks the links that carry no traffic: faulted before
+	// selection started, plus the candidate picks so far.
+	down  []bool
+	seen  []bool // BFS visited marks, per switch
+	queue []int32
+}
+
+// csr holds each switch's arcs contiguously: switch s's arcs are
+// arcs[start[s]:start[s+1]], in link-ID order.
+type csr struct {
+	start []int32
+	arcs  []arc
+}
+
+type arc struct{ to, link int32 }
+
+func newSwitchGraph(top *topology.Topology) *switchGraph {
+	links := top.Links()
 	n := top.NumSwitches()
-	if n <= 1 {
-		return true
+	sg := &switchGraph{
+		fwd:  newCSR(n, links, false),
+		rev:  newCSR(n, links, true),
+		down: make([]bool, len(links)),
+		seen: make([]bool, n),
 	}
-	sg := graph.New(n)
-	sg.Ensure(n - 1)
-	for _, l := range top.Links() {
-		if top.Faulted(l.ID) || extraFaults[l.ID] {
-			continue
+	for _, l := range links {
+		sg.down[l.ID] = top.Faulted(l.ID)
+	}
+	return sg
+}
+
+// newCSR groups the links by source switch, or by destination switch
+// (with the arcs pointing backwards) when reverse is set.
+func newCSR(n int, links []topology.Link, reverse bool) csr {
+	c := csr{start: make([]int32, n+1), arcs: make([]arc, len(links))}
+	ends := func(l topology.Link) (int32, int32) {
+		if reverse {
+			return int32(l.To), int32(l.From)
 		}
-		sg.AddEdge(int(l.From), int(l.To))
+		return int32(l.From), int32(l.To)
 	}
-	rev := sg.Reverse()
-	for v := 1; v < n; v++ {
-		if !sg.Reachable(0, v) || !rev.Reachable(0, v) {
-			return false
+	for _, l := range links {
+		src, _ := ends(l)
+		c.start[src+1]++
+	}
+	for s := 0; s < n; s++ {
+		c.start[s+1] += c.start[s]
+	}
+	next := append([]int32(nil), c.start[:n]...)
+	for _, l := range links {
+		src, dst := ends(l)
+		c.arcs[next[src]] = arc{to: dst, link: int32(l.ID)}
+		next[src]++
+	}
+	return c
+}
+
+// stronglyConnected reports whether the switch graph minus the down
+// links is strongly connected: every switch is reached from switch 0,
+// and every switch reaches it.
+func (sg *switchGraph) stronglyConnected() bool {
+	return len(sg.seen) <= 1 || (sg.reachesAll(&sg.fwd) && sg.reachesAll(&sg.rev))
+}
+
+// reachesAll reports whether a BFS from switch 0 over the arcs of c whose
+// link is up visits every switch.
+func (sg *switchGraph) reachesAll(c *csr) bool {
+	clear(sg.seen)
+	sg.seen[0] = true
+	q := append(sg.queue[:0], 0)
+	for i := 0; i < len(q); i++ {
+		u := q[i]
+		for _, a := range c.arcs[c.start[u]:c.start[u+1]] {
+			if !sg.down[a.link] && !sg.seen[a.to] {
+				sg.seen[a.to] = true
+				q = append(q, a.to)
+			}
 		}
 	}
-	return true
+	sg.queue = q
+	return len(q) == len(sg.seen)
 }

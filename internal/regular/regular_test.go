@@ -1,10 +1,13 @@
 package regular
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/cdg"
 	"github.com/nocdr/nocdr/internal/core"
+	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 	"github.com/nocdr/nocdr/internal/wormhole"
 )
@@ -263,5 +266,147 @@ func TestDORUnreachableCore(t *testing.T) {
 	tg.MustAddFlow(0, 5, 1) // core 5 has no switch on a 4-switch mesh
 	if _, err := DORRoutes(g, tg); err == nil {
 		t.Error("unattached core accepted")
+	}
+}
+
+// referenceSelectFaults is SelectFaults as it was first written, kept as
+// the oracle for the CSR check: it rebuilds a map-based switch graph and
+// its reverse for every candidate.
+func referenceSelectFaults(g *Grid, n int, seed int64) ([]topology.LinkID, error) {
+	top := g.Topology
+	if n < 0 {
+		return nil, fmt.Errorf("regular: negative fault count %d", n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	if n >= top.NumLinks() {
+		return nil, fmt.Errorf("regular: cannot fault %d of %d links", n, top.NumLinks())
+	}
+	order := shuffledLinks(top.NumLinks(), uint64(seed)*0x9e3779b97f4a7c15+0x1234567)
+	faulted := make(map[topology.LinkID]bool, n)
+	var picked []topology.LinkID
+	for _, id := range order {
+		if len(picked) == n {
+			break
+		}
+		if top.Faulted(id) {
+			continue
+		}
+		faulted[id] = true
+		if referenceStronglyConnected(top, faulted) {
+			picked = append(picked, id)
+		} else {
+			delete(faulted, id)
+		}
+	}
+	if len(picked) < n {
+		return nil, fmt.Errorf("regular: only %d of %d requested faults keep %s connected",
+			len(picked), n, top.Name)
+	}
+	return picked, nil
+}
+
+func referenceStronglyConnected(top *topology.Topology, extraFaults map[topology.LinkID]bool) bool {
+	n := top.NumSwitches()
+	if n <= 1 {
+		return true
+	}
+	fwd := map[int][]int{}
+	rev := map[int][]int{}
+	for _, l := range top.Links() {
+		if top.Faulted(l.ID) || extraFaults[l.ID] {
+			continue
+		}
+		fwd[int(l.From)] = append(fwd[int(l.From)], int(l.To))
+		rev[int(l.To)] = append(rev[int(l.To)], int(l.From))
+	}
+	reachesAll := func(adj map[int][]int) bool {
+		seen := map[int]bool{0: true}
+		queue := []int{0}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+		return len(seen) == n
+	}
+	return reachesAll(fwd) && reachesAll(rev)
+}
+
+// TestSelectFaultsMatchesReference pins the CSR fault check to the
+// map-based oracle: the same picks in the same order, or the same error,
+// across grid shapes, fault counts and seeds, on pre-faulted grids, and
+// at counts that exhaust the links a grid can lose.
+func TestSelectFaultsMatchesReference(t *testing.T) {
+	check := func(label string, g *Grid, n int, seed int64) {
+		t.Helper()
+		got, gotErr := SelectFaults(g, n, seed)
+		want, wantErr := referenceSelectFaults(g, n, seed)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(got, want) {
+			t.Fatalf("%s n=%d seed=%d: got %v, %v; want %v, %v", label, n, seed, got, gotErr, want, wantErr)
+		}
+	}
+	build := func(wrap bool, cols, rows int) *Grid {
+		t.Helper()
+		g, err := grid(cols, rows, wrap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	shapes := [][2]int{{2, 2}, {2, 3}, {3, 3}, {4, 3}, {4, 4}, {5, 5}, {6, 6}, {3, 7}, {7, 7}, {8, 8}}
+	for _, wrap := range []bool{false, true} {
+		for _, dims := range shapes {
+			g := build(wrap, dims[0], dims[1])
+			label := g.Topology.Name
+			for n := 0; n <= 6; n++ {
+				for seed := int64(0); seed < 32; seed++ {
+					check(label, g, n, seed)
+				}
+			}
+			// Pre-faulted: two links down before selection starts.
+			pre := build(wrap, dims[0], dims[1])
+			ids, err := referenceSelectFaults(pre, 2, 99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pre.Topology.Fault(ids...); err != nil {
+				t.Fatal(err)
+			}
+			for n := 1; n <= 4; n++ {
+				for seed := int64(0); seed < 8; seed++ {
+					check(label+" pre-faulted", pre, n, seed)
+				}
+			}
+			// Exhaustion: more faults than a strongly connected grid can
+			// lose (it keeps at least one link per switch), and the
+			// bounds on n itself. The oracle is slow on large grids.
+			links := g.Topology.NumLinks()
+			if links <= 64 {
+				for _, n := range []int{links - g.Topology.NumSwitches() + 1, links - 1} {
+					check(label, g, n, 5)
+				}
+			}
+			for _, n := range []int{links, -1} {
+				check(label, g, n, 5)
+			}
+		}
+	}
+	// A unidirectional ring loses connectivity with any fault.
+	for _, n := range []int{1, 3} {
+		ring, err := Ring(5, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("ring", ring, n, 0)
+		if _, err := SelectFaults(ring, n, 0); err == nil {
+			t.Errorf("ring: %d faults accepted", n)
+		}
 	}
 }

@@ -2,7 +2,7 @@ package route
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -368,7 +368,7 @@ func sortedAdjacency(top *topology.Topology) [][]topology.LinkID {
 	adj := make([][]topology.LinkID, top.NumSwitches())
 	for sw := range adj {
 		links := top.OutLinks(topology.SwitchID(sw))
-		sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
+		slices.Sort(links)
 		working := links[:0]
 		for _, id := range links {
 			if !top.Faulted(id) {

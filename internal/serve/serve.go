@@ -377,26 +377,29 @@ func (s *Server) submit(kind string, run func(ctx context.Context, j *Job) (any,
 }
 
 // evictLocked drops the oldest terminal jobs until the registry is
-// below the retention cap; the caller holds s.mu.
+// below the retention cap; the caller holds s.mu. It stops at the last
+// job it has to evict: the rest of the order moves down as one block.
 func (s *Server) evictLocked() {
-	if len(s.order) < s.opts.MaxRetainedJobs {
+	excess := len(s.order) - s.opts.MaxRetainedJobs + 1
+	if excess <= 0 {
 		return
 	}
 	kept := s.order[:0]
-	excess := len(s.order) - s.opts.MaxRetainedJobs + 1
-	for _, id := range s.order {
+	i := 0
+	for ; i < len(s.order) && excess > 0; i++ {
+		id := s.order[i]
 		j := s.jobs[id]
 		j.mu.Lock()
 		terminal := j.state.terminal()
 		j.mu.Unlock()
-		if excess > 0 && terminal {
+		if terminal {
 			delete(s.jobs, id)
 			excess--
 			continue
 		}
 		kept = append(kept, id)
 	}
-	s.order = kept
+	s.order = append(kept, s.order[i:]...)
 }
 
 // retryAfterSeconds turns job-table pressure into the 429 Retry-After

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -539,6 +540,57 @@ func TestQueueOverflow(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "queue full") {
 		t.Fatalf("expected queue-full error, got %v", err)
 	}
+}
+
+// TestRetentionEvictsOldestTerminalJobs: a full job table evicts exactly
+// the oldest terminal jobs, as many as bring it below the cap, and keeps
+// queued and running jobs, and the terminal jobs it does not need to
+// evict, in submission order.
+func TestRetentionEvictsOldestTerminalJobs(t *testing.T) {
+	states := []State{
+		StateQueued, StateDone, StateRunning, StateFailed, StateDone,
+		StateCanceled, StateQueued, StateDone, StateRunning,
+	}
+	s := &Server{opts: Options{MaxRetainedJobs: 7}, jobs: map[string]*Job{}}
+	for i, st := range states {
+		id := fmt.Sprintf("job-%d", i)
+		s.jobs[id] = &Job{ID: id, state: st}
+		s.order = append(s.order, id)
+	}
+	check := func(want ...int) {
+		t.Helper()
+		var ids []string
+		for _, i := range want {
+			ids = append(ids, fmt.Sprintf("job-%d", i))
+		}
+		if !slices.Equal(s.order, ids) {
+			t.Fatalf("order %v, want %v", s.order, ids)
+		}
+		if len(s.jobs) != len(ids) {
+			t.Fatalf("%d jobs in the table, want %d", len(s.jobs), len(ids))
+		}
+		for _, id := range ids {
+			if s.jobs[id] == nil {
+				t.Fatalf("job %s evicted", id)
+			}
+		}
+	}
+	// Nine jobs, cap seven: the submission about to be added needs three
+	// slots, so the three oldest terminal jobs (1, 3, 4) go.
+	s.evictLocked()
+	check(0, 2, 5, 6, 7, 8)
+	// Below the cap: nothing goes.
+	s.evictLocked()
+	check(0, 2, 5, 6, 7, 8)
+	// One over: only the oldest terminal job left (5) goes.
+	s.jobs["job-9"] = &Job{ID: "job-9", state: StateQueued}
+	s.order = append(s.order, "job-9")
+	s.evictLocked()
+	check(0, 2, 6, 7, 8, 9)
+	// Not enough terminal jobs: every one goes, live jobs stay.
+	s.opts.MaxRetainedJobs = 2
+	s.evictLocked()
+	check(0, 2, 6, 8, 9)
 }
 
 // TestSweepJobAdaptiveRouting pins that /v1/sweep accepts the routing

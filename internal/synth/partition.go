@@ -12,7 +12,7 @@ package synth
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/nocdr/nocdr/internal/traffic"
 )
@@ -64,11 +64,14 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if volume[order[a]] != volume[order[b]] {
-			return volume[order[a]] > volume[order[b]]
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case volume[a] > volume[b]:
+			return -1
+		case volume[a] < volume[b]:
+			return 1
 		}
-		return order[a] < order[b]
+		return a - b
 	})
 
 	assign := make([]int, n)
@@ -158,7 +161,7 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 	out := parts[:0]
 	for _, p := range parts {
 		if len(p) > 0 {
-			sort.Ints(p)
+			slices.Sort(p)
 			out = append(out, p)
 		}
 	}

@@ -3,7 +3,7 @@ package synth
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
@@ -115,14 +115,16 @@ func SynthesizeContext(ctx context.Context, g *traffic.Graph, opts Options) (*Re
 			pairs = append(pairs, pair{a: a, b: b, w: ict[a][b] + ict[b][a]})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].w != pairs[j].w {
-			return pairs[i].w > pairs[j].w
+	slices.SortFunc(pairs, func(x, y pair) int {
+		switch {
+		case x.w > y.w:
+			return -1
+		case x.w < y.w:
+			return 1
+		case x.a != y.a:
+			return x.a - y.a
 		}
-		if pairs[i].a != pairs[j].a {
-			return pairs[i].a < pairs[j].a
-		}
-		return pairs[i].b < pairs[j].b
+		return x.b - y.b
 	})
 
 	// chordCost marks non-backbone links: through-traffic should prefer

@@ -10,6 +10,7 @@ package topology
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -42,9 +43,11 @@ type Topology struct {
 
 	switches []Switch
 	links    []Link
-	out      map[SwitchID][]LinkID
-	in       map[SwitchID][]LinkID
-	byPair   map[[2]SwitchID]LinkID
+	// out and in hold each switch's leaving and entering link IDs in
+	// insertion order, indexed by SwitchID and grown by AddSwitch.
+	out    [][]LinkID
+	in     [][]LinkID
+	byPair map[[2]SwitchID]LinkID
 
 	// coreAttach maps an application core ID (from the communication
 	// graph) to the switch its network interface connects to.
@@ -59,17 +62,13 @@ type Topology struct {
 func New(name string) *Topology {
 	return &Topology{
 		Name:       name,
-		out:        make(map[SwitchID][]LinkID),
-		in:         make(map[SwitchID][]LinkID),
 		byPair:     make(map[[2]SwitchID]LinkID),
 		coreAttach: make(map[int]SwitchID),
 	}
 }
 
 func (t *Topology) init() {
-	if t.out == nil {
-		t.out = make(map[SwitchID][]LinkID)
-		t.in = make(map[SwitchID][]LinkID)
+	if t.byPair == nil {
 		t.byPair = make(map[[2]SwitchID]LinkID)
 		t.coreAttach = make(map[int]SwitchID)
 	}
@@ -84,6 +83,8 @@ func (t *Topology) AddSwitch(name string) SwitchID {
 		name = fmt.Sprintf("SW%d", id+1)
 	}
 	t.switches = append(t.switches, Switch{ID: id, Name: name})
+	t.out = append(t.out, nil)
+	t.in = append(t.in, nil)
 	return id
 }
 
@@ -195,13 +196,21 @@ func (t *Topology) Links() []Link {
 	return out
 }
 
-// OutLinks returns the IDs of links leaving sw, in insertion order.
+// OutLinks returns the IDs of links leaving sw, in insertion order (nil
+// for an unknown switch).
 func (t *Topology) OutLinks(sw SwitchID) []LinkID {
+	if !t.ValidSwitch(sw) {
+		return nil
+	}
 	return append([]LinkID(nil), t.out[sw]...)
 }
 
-// InLinks returns the IDs of links entering sw, in insertion order.
+// InLinks returns the IDs of links entering sw, in insertion order (nil
+// for an unknown switch).
 func (t *Topology) InLinks(sw SwitchID) []LinkID {
+	if !t.ValidSwitch(sw) {
+		return nil
+	}
 	return append([]LinkID(nil), t.in[sw]...)
 }
 
@@ -275,36 +284,47 @@ func (t *Topology) MaxVCs() int {
 	return m
 }
 
-// Degree returns the number of in plus out physical links at sw. Core
-// attachments are not counted.
+// Degree returns the number of in plus out physical links at sw (0 for
+// an unknown switch). Core attachments are not counted.
 func (t *Topology) Degree(sw SwitchID) int {
+	if !t.ValidSwitch(sw) {
+		return 0
+	}
 	return len(t.out[sw]) + len(t.in[sw])
 }
 
 // Clone returns a deep copy of the topology.
 func (t *Topology) Clone() *Topology {
-	c := New(t.Name)
-	c.switches = append([]Switch(nil), t.switches...)
-	c.links = append([]Link(nil), t.links...)
-	for sw, ids := range t.out {
-		c.out[sw] = append([]LinkID(nil), ids...)
+	c := &Topology{
+		Name:       t.Name,
+		switches:   append([]Switch(nil), t.switches...),
+		links:      append([]Link(nil), t.links...),
+		byPair:     maps.Clone(t.byPair),
+		coreAttach: maps.Clone(t.coreAttach),
 	}
-	for sw, ids := range t.in {
-		c.in[sw] = append([]LinkID(nil), ids...)
-	}
-	for k, v := range t.byPair {
-		c.byPair[k] = v
-	}
-	for k, v := range t.coreAttach {
-		c.coreAttach[k] = v
-	}
+	c.init() // a zero-value original has nil maps
+	// Both adjacency indexes share one backing array. Each sub-slice is
+	// capped at its length, so an AddLink on the clone reallocates that
+	// switch's list instead of writing into its neighbour's.
+	backing := make([]LinkID, 0, 2*len(t.links))
+	c.out, backing = cloneAdjacency(t.out, backing)
+	c.in, _ = cloneAdjacency(t.in, backing)
 	if len(t.faulted) > 0 {
-		c.faulted = make(map[LinkID]bool, len(t.faulted))
-		for k, v := range t.faulted {
-			c.faulted[k] = v
-		}
+		c.faulted = maps.Clone(t.faulted)
 	}
 	return c
+}
+
+// cloneAdjacency copies adj into the tail of backing and returns the copy
+// and the grown backing array.
+func cloneAdjacency(adj [][]LinkID, backing []LinkID) ([][]LinkID, []LinkID) {
+	out := make([][]LinkID, len(adj))
+	for sw, ids := range adj {
+		start := len(backing)
+		backing = append(backing, ids...)
+		out[sw] = backing[start:len(backing):len(backing)]
+	}
+	return out, backing
 }
 
 // Validate checks structural invariants: link endpoints exist, no

@@ -3,6 +3,7 @@ package topology
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -209,6 +210,59 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Errorf("clone invalid: %v", err)
+	}
+
+	// Adjacency: a link added to either copy after cloning shows in that
+	// copy's lists only, and leaves every other switch's lists intact.
+	type adjacency struct {
+		out, in []LinkID
+		degree  int
+	}
+	snapshot := func(tp *Topology) []adjacency {
+		var s []adjacency
+		for sw := 0; sw < tp.NumSwitches(); sw++ {
+			id := SwitchID(sw)
+			s = append(s, adjacency{tp.OutLinks(id), tp.InLinks(id), tp.Degree(id)})
+		}
+		return s
+	}
+	orig := paperRing(t)
+	clone := orig.Clone()
+	origBefore := snapshot(orig)
+	cl := clone.MustAddLink(0, 2) // switch 0's out-list is followed by switch 1's
+	if got := snapshot(orig); !reflect.DeepEqual(got, origBefore) {
+		t.Errorf("AddLink on the clone changed the original's adjacency:\n got %v\nwant %v", got, origBefore)
+	}
+	cloneBefore := snapshot(clone)
+	ol := orig.MustAddLink(1, 3)
+	if got := snapshot(clone); !reflect.DeepEqual(got, cloneBefore) {
+		t.Errorf("AddLink on the original changed the clone's adjacency:\n got %v\nwant %v", got, cloneBefore)
+	}
+	wantClone := []adjacency{
+		{[]LinkID{0, cl}, []LinkID{3}, 3},
+		{[]LinkID{1}, []LinkID{0}, 2},
+		{[]LinkID{2}, []LinkID{1, cl}, 3},
+		{[]LinkID{3}, []LinkID{2}, 2},
+	}
+	wantOrig := []adjacency{
+		{[]LinkID{0}, []LinkID{3}, 2},
+		{[]LinkID{1, ol}, []LinkID{0}, 3},
+		{[]LinkID{2}, []LinkID{1}, 2},
+		{[]LinkID{3}, []LinkID{2, ol}, 3},
+	}
+	if got := snapshot(clone); !reflect.DeepEqual(got, wantClone) {
+		t.Errorf("clone adjacency after AddLink:\n got %v\nwant %v", got, wantClone)
+	}
+	if got := snapshot(orig); !reflect.DeepEqual(got, wantOrig) {
+		t.Errorf("original adjacency after AddLink:\n got %v\nwant %v", got, wantOrig)
+	}
+	for _, tp := range []*Topology{orig, clone} {
+		if err := tp.Validate(); err != nil {
+			t.Errorf("%v", err)
+		}
+		if tp.OutLinks(-1) != nil || tp.InLinks(4) != nil || tp.Degree(99) != 0 {
+			t.Error("unknown switch has adjacency")
+		}
 	}
 }
 

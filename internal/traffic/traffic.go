@@ -8,7 +8,7 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 )
@@ -233,12 +233,15 @@ func (g *Graph) FlowsSortedByBandwidth() []int {
 	for i := range ids {
 		ids[i] = i
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		fa, fb := g.flows[ids[a]], g.flows[ids[b]]
-		if fa.Bandwidth != fb.Bandwidth {
-			return fa.Bandwidth > fb.Bandwidth
+	slices.SortFunc(ids, func(a, b int) int {
+		fa, fb := g.flows[a], g.flows[b]
+		switch {
+		case fa.Bandwidth > fb.Bandwidth:
+			return -1
+		case fa.Bandwidth < fb.Bandwidth:
+			return 1
 		}
-		return fa.ID < fb.ID
+		return fa.ID - fb.ID
 	})
 	return ids
 }

@@ -3,7 +3,7 @@ package wormhole
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
@@ -786,8 +786,6 @@ func (lr *laneRun) endCycle() bool {
 
 func (s *Simulator) finishStats() {
 	if s.cfg.CollectLatencies {
-		sort.Slice(s.stats.Latencies, func(i, j int) bool {
-			return s.stats.Latencies[i] < s.stats.Latencies[j]
-		})
+		slices.Sort(s.stats.Latencies)
 	}
 }

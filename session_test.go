@@ -290,6 +290,24 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestOrderingRejectsUnknownLink: a route naming a link the topology
+// lacks, as an unvalidated design file can, is ErrInvalidInput under
+// every ordering scheme, not a panic.
+func TestOrderingRejectsUnknownLink(t *testing.T) {
+	top := NewTopology("one-link")
+	a, b := top.AddSwitch(""), top.AddSwitch("")
+	top.MustAddLink(a, b)
+	tab := NewRouteTable(1)
+	for _, bad := range []LinkID{99, -1} {
+		tab.Set(0, []Channel{Chan(0, 0), Chan(bad, 0)})
+		for _, scheme := range []OrderingScheme{HopIndex, GreedyBFS, GreedyByID} {
+			if _, err := NewSession().ApplyResourceOrdering(top, tab, scheme); !errors.Is(err, ErrInvalidInput) {
+				t.Errorf("link %d, scheme %v: error %v does not wrap ErrInvalidInput", bad, scheme, err)
+			}
+		}
+	}
+}
+
 // TestDeprecatedWrappersStillWork exercises every deprecated free
 // function once against its Session equivalent on a benchmark design.
 func TestDeprecatedWrappersStillWork(t *testing.T) {

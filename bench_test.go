@@ -24,6 +24,7 @@ import (
 	"github.com/nocdr/nocdr/internal/reconfig"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
+	"github.com/nocdr/nocdr/internal/serve"
 	"github.com/nocdr/nocdr/internal/synth"
 	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
@@ -892,6 +893,34 @@ func BenchmarkSweepFleetGrid(b *testing.B) {
 		if len(rep.Results) != 36 {
 			b.Fatalf("got %d results, want 36", len(rep.Results))
 		}
+	}
+}
+
+// BenchmarkSweepFleetCold pins a cold sharded sweep end to end: the
+// fleet grid through Session.Sweep on two loopback workers, with a fresh
+// coordinator cache and Session per op, so every cell is dispatched.
+// What it times beyond the cells themselves is the fleet's round trips:
+// submits, event streams, report decoding and the merge.
+func BenchmarkSweepFleetCold(b *testing.B) {
+	urls, shutdown, err := serve.LocalCluster(2, serve.Options{Workers: 2, SweepParallel: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer shutdown()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cache := fabric.NewCache(fabric.CacheOptions{})
+		s := nocdr.NewSession(nocdr.WithWorkers(urls...), nocdr.WithResultCache(cache))
+		rep, err := s.Sweep(ctx, fleetGrid, nocdr.SweepOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Results) != 36 {
+			b.Fatalf("got %d results, want 36", len(rep.Results))
+		}
+		cache.Close()
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	nocdr "github.com/nocdr/nocdr"
@@ -67,7 +68,8 @@ func main() {
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nocdr:", err)
+		// Errors from the library already carry the prefix.
+		fmt.Fprintln(os.Stderr, "nocdr:", strings.TrimPrefix(err.Error(), "nocdr: "))
 		os.Exit(1)
 	}
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -59,6 +61,45 @@ func writeRing(t *testing.T) (topoPath, trafficPath, routesPath string) {
 		t.Fatal(err)
 	}
 	return topoPath, trafficPath, routesPath
+}
+
+// TestMain lets a test run this binary as the nocdr command itself: with
+// NOCDR_TEST_AS_MAIN=1 in its environment, the process runs main on its
+// arguments instead of the tests.
+func TestMain(m *testing.M) {
+	if os.Getenv("NOCDR_TEST_AS_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestErrorPrefixedOnce runs the command as a process and pins what a
+// failing command prints: one "nocdr: " prefix, whether the error comes
+// from the library, which already prefixes it, or from the command's
+// own flag checks.
+func TestErrorPrefixedOnce(t *testing.T) {
+	topo, routes := writeUnknownLink(t)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"check", "-topology", topo, "-routes", routes}, "nocdr: cdg: flow 0 hop 1 uses unprovisioned channel {99 0}\n"},
+		{[]string{"check", "-routes", routes}, "nocdr: -topology and -routes are required\n"},
+	} {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "NOCDR_TEST_AS_MAIN=1")
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Fatalf("nocdr %v: %v, want exit status 1", c.args, err)
+		}
+		if got := stderr.String(); got != c.want {
+			t.Errorf("nocdr %v printed %q, want %q", c.args, got, c.want)
+		}
+	}
 }
 
 func TestRunCheck(t *testing.T) {
@@ -126,23 +167,31 @@ func TestRunOrdering(t *testing.T) {
 	}
 }
 
-// TestRunOrderingUnknownLink: without -traffic the routes go unvalidated,
-// so a route over a link the topology lacks reaches the baseline, which
-// must fail with an error rather than panic.
-func TestRunOrderingUnknownLink(t *testing.T) {
+// writeUnknownLink writes a one-link topology and a route whose second
+// hop uses link 99, which the topology lacks, and returns their paths.
+func writeUnknownLink(t *testing.T) (topo, routes string) {
+	t.Helper()
 	dir := t.TempDir()
 	top := nocdr.NewTopology("one-link")
 	a, b := top.AddSwitch(""), top.AddSwitch("")
 	top.MustAddLink(a, b)
 	tab := nocdr.NewRouteTable(1)
 	tab.Set(0, []nocdr.Channel{nocdr.Chan(0, 0), nocdr.Chan(99, 0)})
-	topo, routes := filepath.Join(dir, "t.json"), filepath.Join(dir, "r.json")
+	topo, routes = filepath.Join(dir, "t.json"), filepath.Join(dir, "r.json")
 	if err := nocdr.SaveJSON(topo, top); err != nil {
 		t.Fatal(err)
 	}
 	if err := nocdr.SaveJSON(routes, tab); err != nil {
 		t.Fatal(err)
 	}
+	return topo, routes
+}
+
+// TestRunOrderingUnknownLink: without -traffic the routes go unvalidated,
+// so a route over a link the topology lacks reaches the baseline, which
+// must fail with an error rather than panic.
+func TestRunOrderingUnknownLink(t *testing.T) {
+	topo, routes := writeUnknownLink(t)
 	for _, scheme := range []string{"hop", "bfs", "id"} {
 		err := runOrdering([]string{"-topology", topo, "-routes", routes, "-scheme", scheme})
 		if !errors.Is(err, nocdr.ErrInvalidInput) {

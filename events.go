@@ -146,7 +146,9 @@ type Event struct {
 	Epoch *SimEpoch
 
 	// Shard/ShardTotal locate a sharded-sweep shard (EventShardAssigned,
-	// EventWorkerRetry).
+	// EventWorkerRetry). ShardTotal is the run's shard count: four per
+	// worker, at most 32, for unsimulated cells on a fixed worker list,
+	// and 32 otherwise.
 	Shard      int
 	ShardTotal int
 	// Worker is the worker URL involved (EventShardAssigned,

@@ -10,3 +10,7 @@ func SetRequestIdle(d time.Duration) (restore func()) {
 	requestIdle = d
 	return func() { requestIdle = old }
 }
+
+// ShardCount is the number of shards a run of d with opts cuts its grid
+// into.
+func (d *Sharded) ShardCount(opts Options) int { return d.shardCount(opts) }

@@ -72,7 +72,10 @@ type fault int
 const (
 	// transportError fails the request before it reaches the worker.
 	transportError fault = iota
-	// cutAfterFirstEvent drops the event stream after its first event.
+	// cutAfterFirstEvent drops the event stream before its job ends:
+	// every frame ahead of the terminal state passes, then the
+	// connection fails. A shard job records no events, so its stream is
+	// cut just before the state frame.
 	cutAfterFirstEvent
 	// neverAnswers holds the request until the dispatcher gives up on it.
 	neverAnswers
@@ -140,7 +143,7 @@ func (f *faultTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp.Body = cutAfterFirst(resp.Body)
+		resp.Body = cutBeforeState(resp.Body)
 		return resp, nil
 	}
 }
@@ -159,22 +162,22 @@ func closeBody(r *http.Request) {
 	}
 }
 
-// cutAfterFirst passes an event stream through to the end of its first
-// event, then fails the way a dropped connection does.
-func cutAfterFirst(body io.ReadCloser) io.ReadCloser {
+// cutBeforeState passes an event stream through up to its terminal
+// `event: state` frame, then fails the way a dropped connection does.
+func cutBeforeState(body io.ReadCloser) io.ReadCloser {
 	br := bufio.NewReader(body)
-	var first bytes.Buffer
+	var head bytes.Buffer
 	for {
 		line, err := br.ReadString('\n')
-		first.WriteString(line)
-		if err != nil || line == "\n" {
+		if err != nil || strings.HasPrefix(line, "event: state") {
 			break
 		}
+		head.WriteString(line)
 	}
 	return struct {
 		io.Reader
 		io.Closer
-	}{io.MultiReader(&first, iotest.ErrReader(io.ErrUnexpectedEOF)), body}
+	}{io.MultiReader(&head, iotest.ErrReader(io.ErrUnexpectedEOF)), body}
 }
 
 // The rows' scopes: which occurrences of the step fault.
@@ -257,10 +260,12 @@ func TestShardedFaultSchedule(t *testing.T) {
 	}
 	want := reportBytes(t, serial)
 	jobs := grid.Jobs()
+	// The shards a two-worker run of unsimulated cells dispatches.
+	n := (&runner.Sharded{Workers: []string{"http://a", "http://b"}}).ShardCount(runner.Options{})
 	byShard := make(map[int][]runner.Job)
 	var order []int
 	for _, j := range jobs {
-		s := runner.ShardOf(j, runner.DefaultShardCount)
+		s := runner.ShardOf(j, n)
 		if byShard[s] == nil {
 			order = append(order, s)
 		}

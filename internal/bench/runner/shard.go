@@ -15,11 +15,11 @@ import (
 	"github.com/nocdr/nocdr/internal/nocerr"
 )
 
-// DefaultShardCount is the number of shards a sharded sweep is cut into
-// when the dispatcher does not override it. It is a fixed constant — NOT
-// derived from the worker count — so the cell→shard assignment never
-// changes when workers join, leave, or die; shards are the unit handed
-// out to (and requeued between) workers.
+// DefaultShardCount is the most shards a sharded sweep is cut into, and
+// the count of a run whose cells are simulated or whose fleet is live
+// (see shardCount). A run's count is fixed when it starts, so the
+// cell→shard assignment never changes while workers join, leave, or
+// die; shards are the unit handed out to (and requeued between) workers.
 const DefaultShardCount = 32
 
 // Key is the canonical identity of a grid cell: every axis that

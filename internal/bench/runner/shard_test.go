@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -116,6 +117,49 @@ func TestShardOfStableAndBounded(t *testing.T) {
 			t.Fatalf("duplicate key %q for distinct cells", j.Key())
 		}
 		seen[j.Key()] = true
+	}
+}
+
+// liveFleet is a WorkerSource whose membership never changes.
+type liveFleet []string
+
+func (f liveFleet) WorkerURLs() []string     { return f }
+func (f liveFleet) Updates() <-chan struct{} { return nil }
+
+// TestShardCount pins the shard count of a run: four per distinct worker
+// URL of a fixed fleet whose cells are not simulated, at most
+// DefaultShardCount; DefaultShardCount for a live fleet, for simulated
+// cells and for a list with no URL.
+func TestShardCount(t *testing.T) {
+	urls := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("http://w%d", i)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		d      Sharded
+		opts   Options
+		shards int
+	}{
+		{"1 worker", Sharded{Workers: urls(1)}, Options{}, 4},
+		{"2 workers", Sharded{Workers: urls(2)}, Options{}, 8},
+		{"3 workers", Sharded{Workers: urls(3)}, Options{}, 12},
+		{"4 workers", Sharded{Workers: urls(4)}, Options{}, 16},
+		{"5 workers", Sharded{Workers: urls(5)}, Options{}, 20},
+		{"8 workers", Sharded{Workers: urls(8)}, Options{}, 32},
+		{"40 workers", Sharded{Workers: urls(40)}, Options{}, 32},
+		{"repeated and empty URLs", Sharded{Workers: []string{"http://a", "", "http://a", "http://b"}}, Options{}, 8},
+		{"no URL", Sharded{Workers: []string{""}}, Options{}, 32},
+		{"simulated", Sharded{Workers: urls(2)}, Options{Simulate: true}, 32},
+		{"live fleet", Sharded{Source: liveFleet(urls(2))}, Options{}, 32},
+		{"fixed and live", Sharded{Workers: urls(2), Source: liveFleet(nil)}, Options{}, 32},
+	} {
+		if got := c.d.shardCount(c.opts); got != c.shards {
+			t.Errorf("%s: shardCount = %d, want %d", c.name, got, c.shards)
+		}
 	}
 }
 

@@ -1,5 +1,5 @@
 // The sharded sweep dispatcher: the coordinator side of the distributed
-// backend. It cuts the grid into DefaultShardCount shards (ShardOf),
+// backend. It cuts the grid into shardCount shards (ShardOf),
 // hands shards to remote `nocdr serve` workers over the /v1/sweep job
 // API, follows each job's SSE event stream to its terminal state,
 // requeues shards whose worker dies mid-flight, drains partial results
@@ -67,7 +67,8 @@ type Sharded struct {
 	// client built from fabric.HTTPClient(fabric.ClientTLS(...), 0).
 	Client *http.Client
 	// OnAssign, when non-nil, observes every shard→worker assignment
-	// (including reassignments after a failure).
+	// (including reassignments after a failure); shards is the run's
+	// shard count.
 	OnAssign func(shard, shards int, worker string)
 	// OnRetry, when non-nil, observes every shard requeue: the shard,
 	// the worker that failed it, and the failure.
@@ -85,7 +86,34 @@ const (
 	// maxBackpressure bounds how many 429 rounds one shard submission
 	// rides out before the attempt is surrendered to the retry budget.
 	maxBackpressure = 20
+	// shardsPerWorker is how many shards a run over a fixed fleet of
+	// unsimulated cells cuts per worker: enough that dynamic hand-out
+	// still balances cells of uneven cost, few enough that a small grid
+	// does not pay a submit and a stream for every cell or two.
+	shardsPerWorker = 4
 )
+
+// shardCount is the number of shards a run of d cuts its grid into,
+// fixed for the run. A fixed fleet whose cells are not simulated gets
+// shardsPerWorker shards per distinct worker URL, at most
+// DefaultShardCount: such a cell can cost less than a shard's submit
+// and event stream, so fewer shards save round trips. Every other run
+// keeps DefaultShardCount. A simulated cell runs for tens of
+// milliseconds, beside which a round trip is noise and finer shards
+// balance the workers better. A live fleet (Source) may grow mid-run,
+// and a worker that joins can take only a shard nobody owns yet.
+func (d *Sharded) shardCount(opts Options) int {
+	distinct := make(map[string]bool, len(d.Workers))
+	for _, u := range d.Workers {
+		if u != "" {
+			distinct[u] = true
+		}
+	}
+	if d.Source != nil || opts.Simulate || len(distinct) == 0 {
+		return DefaultShardCount
+	}
+	return min(shardsPerWorker*len(distinct), DefaultShardCount)
+}
 
 // requestIdle is the idle limit of every request the dispatcher sends,
 // counted from the moment the request is sent: a seed, submit or cancel
@@ -187,7 +215,7 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	}
 	grid = grid.normalized()
 	opts.maxPaths = grid.MaxPaths
-	const shards = DefaultShardCount
+	shards := d.shardCount(opts)
 	jobs := grid.Jobs()
 	keys := cellKeys(jobs, opts, grid.Loads)
 	shardJobs := make([][]int, shards)
@@ -249,12 +277,19 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		return nil, fmt.Errorf("%w: %d shard(s) to run and no live workers registered", nocerr.ErrWorker, len(pending))
 	}
 
-	// Every shard sends the same request; the shard index rides in the
-	// URL.
-	req := &shardRequest{Grid: grid, Simulate: opts.Simulate, Sim: opts.Sim, Certify: opts.Certify}
-	req.Options.VCLimit = opts.VCLimit
-	req.Options.Policy = policyWire(opts.Policy)
-	req.Options.NoCache = opts.NoCache
+	// Every shard sends the same body; the shard index rides in the URL.
+	// A run served from the cache sends none.
+	var body []byte
+	if len(pending) > 0 {
+		req := &shardRequest{Grid: grid, Simulate: opts.Simulate, Sim: opts.Sim, Certify: opts.Certify}
+		req.Options.VCLimit = opts.VCLimit
+		req.Options.Policy = policyWire(opts.Policy)
+		req.Options.NoCache = opts.NoCache
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return nil, err
+		}
+	}
 	client := d.client()
 
 	cctx, cancel := context.WithCancel(ctx)
@@ -289,11 +324,11 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		go func() {
 			defer wg.Done()
 			for shard := range w.feed {
-				s := shardCall{client: client, worker: strings.TrimSuffix(w.url, "/"), shard: shard}
+				s := shardCall{client: client, worker: strings.TrimSuffix(w.url, "/"), shard: shard, shards: shards}
 				for _, i := range shardJobs[shard] {
 					s.cells = append(s.cells, jobs[i])
 				}
-				rep, dead, err := d.runShard(cctx, s, req, warm[shard])
+				rep, dead, err := d.runShard(cctx, s, body, warm[shard])
 				done <- outcome{shard: shard, worker: wi, rep: rep, err: err, dead: dead}
 			}
 		}()
@@ -500,17 +535,18 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 }
 
 // shardCall is one shard attempt on one worker: the client every request
-// goes through, the worker's base URL, and the cells the shard must
-// answer with, in grid order.
+// goes through, the worker's base URL, the shard and the run's shard
+// count, and the cells the shard must answer with, in grid order.
 type shardCall struct {
 	client *http.Client
 	worker string
 	shard  int
+	shards int
 	cells  []Job
 }
 
 func (s shardCall) fail(what string, err error) error {
-	return fmt.Errorf("worker %s: %s shard %d/%d: %w", s.worker, what, s.shard, DefaultShardCount, err)
+	return fmt.Errorf("worker %s: %s shard %d/%d: %w", s.worker, what, s.shard, s.shards, err)
 }
 
 // backpressureError is a worker's 429 submit answer: the job table is
@@ -546,11 +582,7 @@ func parseRetryAfter(h string) time.Duration {
 // the shard's cells — retires the worker (dead=true); the coordinator
 // requeues the shard elsewhere. On cancellation the worker-side job is
 // canceled and its partial report drained.
-func (d *Sharded) runShard(ctx context.Context, s shardCall, req *shardRequest, seed []fabric.CacheEntry) (*Report, bool, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, false, err
-	}
+func (d *Sharded) runShard(ctx context.Context, s shardCall, body []byte, seed []fabric.CacheEntry) (*Report, bool, error) {
 	// Warm hand-off: ship the coordinator's cached cells for this shard
 	// before submitting, so the worker's own cache pre-pass answers them
 	// without computing. Best-effort — a worker without a cache (409)
@@ -632,7 +664,7 @@ func (d *Sharded) submit(ctx context.Context, s shardCall, body []byte, retried 
 func (d *Sharded) submitOnce(ctx context.Context, s shardCall, body []byte) (string, error) {
 	ctx, cancel := context.WithTimeout(ctx, requestIdle)
 	defer cancel()
-	target := fmt.Sprintf("%s/v1/sweep?shard=%d/%d", s.worker, s.shard, DefaultShardCount)
+	target := fmt.Sprintf("%s/v1/sweep?shard=%d/%d", s.worker, s.shard, s.shards)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(body))
 	if err != nil {
 		return "", err
@@ -709,8 +741,9 @@ func (d *Sharded) stream(ctx context.Context, s shardCall, id string) (st *wireS
 	var data bytes.Buffer
 	sc := bufio.NewScanner(resp.Body)
 	// Terminal state events embed the full shard report; size the line
-	// budget like the job API's own body budget.
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
+	// budget like the job API's own body budget. The buffer starts at
+	// bufio's default and grows only as far as the longest line.
+	sc.Buffer(nil, 64<<20)
 	for sc.Scan() {
 		dog.Reset(requestIdle)
 		line := sc.Text()

@@ -134,13 +134,17 @@ func TestShardedSimulatedMatchesSerial(t *testing.T) {
 		t.Fatal("serial negative control did not deadlock; the conformance check has no teeth")
 	}
 	urls := startWorkers(t, 2, nil)
-	sh := &runner.Sharded{Workers: urls}
+	n := 0
+	sh := &runner.Sharded{Workers: urls, OnAssign: func(_, shards int, _ string) { n = shards }}
 	rep, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := reportBytes(t, rep); !bytes.Equal(want, got) {
 		t.Fatalf("sharded simulated report differs from serial:\nserial:\n%s\nsharded:\n%s", want, got)
+	}
+	if n != runner.DefaultShardCount {
+		t.Fatalf("simulated run dispatched %d shards, want %d", n, runner.DefaultShardCount)
 	}
 }
 
@@ -234,6 +238,9 @@ func TestShardedCorruptWorker(t *testing.T) {
 	}
 	want := reportBytes(t, serial)
 	jobs := grid.Jobs()
+	// The corrupt worker and its peer make a two-worker run of
+	// unsimulated cells.
+	peerShards := (&runner.Sharded{Workers: []string{"http://a", "http://b"}}).ShardCount(runner.Options{})
 	// doneWith answers every submit with a job ID naming the shard, and
 	// the job's stream with a finished report built by results.
 	doneWith := func(results func(shard int) []runner.Result) http.HandlerFunc {
@@ -275,7 +282,7 @@ func TestShardedCorruptWorker(t *testing.T) {
 		})},
 		{name: "foreign-cell", peer: true, handler: doneWith(func(shard int) []runner.Result {
 			for _, j := range jobs {
-				if runner.ShardOf(j, runner.DefaultShardCount) != shard {
+				if runner.ShardOf(j, peerShards) != shard {
 					return []runner.Result{{Job: j}}
 				}
 			}

@@ -8,6 +8,7 @@ package runner_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -24,12 +25,16 @@ import (
 	"github.com/nocdr/nocdr/internal/serve"
 )
 
-// countJobReads wraps worker handlers to split GET /v1/jobs/{id} status
-// polls from GET /v1/jobs/{id}/events stream subscriptions.
-func countJobReads(polls, streams *atomic.Int64) func(int, http.Handler) http.Handler {
+// countRequests wraps worker handlers to count POST /v1/sweep submits
+// and to split GET /v1/jobs/{id} status polls from GET
+// /v1/jobs/{id}/events stream subscriptions.
+func countRequests(submits, polls, streams *atomic.Int64) func(int, http.Handler) http.Handler {
 	return func(_ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/") {
+			switch {
+			case r.Method == http.MethodPost && r.URL.Path == "/v1/sweep":
+				submits.Add(1)
+			case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
 				if strings.HasSuffix(r.URL.Path, "/events") {
 					streams.Add(1)
 				} else {
@@ -42,9 +47,11 @@ func countJobReads(polls, streams *atomic.Int64) func(int, http.Handler) http.Ha
 }
 
 // TestShardedStreamZeroStatusPolls is the streamed-dispatch conformance
-// check: every shard is followed over its SSE event stream alone, so the
-// worker sees zero status polls, and the report is the serial one byte
-// for byte.
+// check over one, two and four workers: the run cuts the grid into at
+// most four shards per worker, submits every non-empty shard once and
+// follows it over its SSE event stream alone, so the workers see one
+// stream per submit and zero status polls, and the report is the serial
+// one byte for byte.
 func TestShardedStreamZeroStatusPolls(t *testing.T) {
 	grid := conformanceGrid()
 	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
@@ -53,22 +60,42 @@ func TestShardedStreamZeroStatusPolls(t *testing.T) {
 	}
 	want := reportBytes(t, serial)
 
-	var polls, streams atomic.Int64
-	urls := startWorkers(t, 2, countJobReads(&polls, &streams))
-
-	sh := &runner.Sharded{Workers: urls}
-	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reportBytes(t, rep); !bytes.Equal(want, got) {
-		t.Fatalf("streamed report differs from serial:\nserial:\n%s\nstreamed:\n%s", want, got)
-	}
-	if n := polls.Load(); n != 0 {
-		t.Fatalf("dispatch issued %d status poll(s), want 0 — SSE must carry the terminal state", n)
-	}
-	if streams.Load() == 0 {
-		t.Fatal("no SSE subscription was ever opened")
+	for _, w := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			var submits, polls, streams atomic.Int64
+			urls := startWorkers(t, w, countRequests(&submits, &polls, &streams))
+			n, assigned := 0, map[int]int{}
+			sh := &runner.Sharded{Workers: urls, OnAssign: func(shard, shards int, _ string) {
+				n = shards
+				assigned[shard]++
+			}}
+			rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reportBytes(t, rep); !bytes.Equal(want, got) {
+				t.Fatalf("streamed report differs from serial:\nserial:\n%s\nstreamed:\n%s", want, got)
+			}
+			if p := polls.Load(); p != 0 {
+				t.Fatalf("dispatch issued %d status poll(s), want 0 — SSE must carry the terminal state", p)
+			}
+			if n > 4*w {
+				t.Fatalf("%d worker(s) dispatch %d shards, more than four per worker", w, n)
+			}
+			nonEmpty := map[int]bool{}
+			for _, j := range grid.Jobs() {
+				nonEmpty[runner.ShardOf(j, n)] = true
+			}
+			for s, times := range assigned {
+				if !nonEmpty[s] || times != 1 {
+					t.Fatalf("shard %d of %d assigned %d time(s); want each non-empty shard once", s, n, times)
+				}
+			}
+			if len(assigned) != len(nonEmpty) || submits.Load() != int64(len(nonEmpty)) || streams.Load() != int64(len(nonEmpty)) {
+				t.Fatalf("%d shard(s) assigned, %d submit(s), %d stream(s); want one each per non-empty shard: %d",
+					len(assigned), submits.Load(), streams.Load(), len(nonEmpty))
+			}
+		})
 	}
 }
 
@@ -97,12 +124,12 @@ func TestShardedWarmSeedHandoff(t *testing.T) {
 	if coord.len() != len(jobs) {
 		t.Fatalf("coordinator cache holds %d entries after the cold run, want %d", coord.len(), len(jobs))
 	}
-	// Evict one cell of the fullest shard, so its shard dispatches with
-	// the most warm cells riding along.
-	var shards [runner.DefaultShardCount][]runner.Job
+	// Evict one cell of the fullest shard a one-worker run dispatches,
+	// so its shard dispatches with the most warm cells riding along.
+	shards := make([][]runner.Job, sh.ShardCount(opts))
 	fullest := 0
 	for _, j := range jobs {
-		s := runner.ShardOf(j, runner.DefaultShardCount)
+		s := runner.ShardOf(j, len(shards))
 		shards[s] = append(shards[s], j)
 		if len(shards[s]) > len(shards[fullest]) {
 			fullest = s

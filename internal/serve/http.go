@@ -320,6 +320,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if req.Parallel > 0 {
 		extra = append(extra, nocdr.WithParallel(req.Parallel))
 	}
+	if shardCount != 0 {
+		// A shard job's only reader is the dispatching coordinator, which
+		// needs just the terminal state: recording no sweep_cell events
+		// keeps each retained shard job's cells in its report alone.
+		extra = append(extra, nocdr.WithProgress(nil))
+	}
 	s.enqueue(w, "sweep", func(ctx context.Context, j *Job) (any, error) {
 		sess := s.session(j, extra...)
 		// A canceled sweep still returns its partial report; runJob
@@ -652,7 +658,9 @@ var ssePingInterval = 15 * time.Second
 // handleJobEvents streams the job's event feed as Server-Sent Events:
 // the full buffer is replayed first, then live events as they are
 // emitted, then one terminal "state" event, and the stream closes.
-// Quiet stretches carry ": ping" comments every ssePingInterval.
+// Quiet stretches carry ": ping" comments every ssePingInterval. A
+// shard job (POST /v1/sweep?shard=i/n) records no events, so its
+// stream is pings and the terminal state alone.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := s.job(r.PathValue("id"))
 	if err != nil {

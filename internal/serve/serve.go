@@ -464,7 +464,8 @@ func (s *Server) statuses() []JobStatus {
 
 // session builds the per-job Session: every nocdr Event is forwarded to
 // the job's buffered feed under the job's own mutex, so any number of
-// SSE streamers and pollers can observe it race-free.
+// SSE streamers and pollers can observe it race-free. The extra options
+// apply last, so they override these defaults.
 func (s *Server) session(j *Job, extra ...nocdr.Option) *nocdr.Session {
 	opts := []nocdr.Option{
 		nocdr.WithParallel(s.opts.SweepParallel),

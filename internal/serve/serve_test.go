@@ -669,6 +669,11 @@ func TestSweepShardFilter(t *testing.T) {
 		if st.State != StateDone {
 			t.Fatalf("shard %d state %s error %q", i, st.State, st.Error)
 		}
+		// The dispatching coordinator reads only a shard job's terminal
+		// state, so the job records no sweep_cell events.
+		if st.Events != 0 {
+			t.Fatalf("shard %d job recorded %d event(s), want 0", i, st.Events)
+		}
 		data, _ := json.Marshal(st.Result)
 		var rep nocdr.SweepReport
 		if err := json.Unmarshal(data, &rep); err != nil {

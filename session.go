@@ -119,10 +119,11 @@ func WithMaxPaths(n int) Option { return func(s *Session) { s.maxPaths = n } }
 
 // WithWorkers makes Sweep dispatch the grid across running `nocdr serve`
 // workers at the given base URLs instead of evaluating cells in-process:
-// cells are cut into shards by a stable hash of their identity, shards
-// fan out over the /v1/sweep job API (requeued onto survivors if a
-// worker dies), and the merged report is byte-identical to a local run
-// of the same grid. The progress feed carries EventShardAssigned and
+// cells are cut into shards by a stable hash of their identity (four
+// per worker, at most 32; 32 if the cells are simulated), shards fan out
+// over the /v1/sweep job API (requeued onto survivors if a worker dies),
+// and the merged report is byte-identical to a local run of the same
+// grid. The progress feed carries EventShardAssigned and
 // EventWorkerRetry instead of in-process removal events; completed cells
 // still emit EventSweepCell as their shard reports arrive.
 func WithWorkers(urls ...string) Option {
@@ -132,7 +133,9 @@ func WithWorkers(urls ...string) Option {
 // WithWorkerSource attaches live worker membership to Sweep's
 // distributed dispatch, on top of (or instead of) the static WithWorkers
 // list: workers the source reports that were never seen before are
-// admitted mid-run and immediately take unowned shards. The fabric
+// admitted mid-run and immediately take unowned shards. A Sweep with a
+// source cuts its grid into 32 shards whatever the fleet's size, so a
+// worker that joins late still finds shards to take. The fabric
 // package's coordinator-registry watcher implements the contract. A
 // Sweep with shards to dispatch and an empty fleet at start fails at
 // once with ErrWorker; one whose fleet empties mid-run waits up to 30s

@@ -42,12 +42,14 @@ bench:
 # a fully cache-served sweep (the fixed cost every sweep request pays
 # around its cells: validation, enumeration, keys and lookups), the same
 # 36-cell grid swept cold and serially (the per-cell build each fleet
-# worker does: fault pick, routes, removal, ordering count) and one
+# worker does: fault pick, routes, removal, ordering count), eight seed
+# sets of it re-swept warm on two loopback workers (what every warm
+# fleet sweep pays: keys, lookups, copies, placement) and one
 # simulated, certified mesh_verify op end to end, all repeated so
 # benchstat can establish significance. CI runs this on the
 # PR head and base and fails on a >15% sec/op regression.
 bench-pin:
-	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepVerified$$)' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepFleetWarm$$|BenchmarkSweepVerified$$)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
 
 # nocbench's own tests: every workload for a few ops at seed 0 against

@@ -924,6 +924,46 @@ func BenchmarkSweepFleetCold(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepFleetWarm pins a warm sharded sweep end to end, the
+// shape of the fleet_warm workload: one coordinator cache filled with
+// eight seed sets of the fleet grid (seeds 0–31), and each op re-sweeps
+// all eight through Session.Sweep on two loopback workers. Every cell is
+// a cache hit, so no shard is dispatched; what it times is validation,
+// enumeration, cell keys, lookups, the hits' copies and placement.
+func BenchmarkSweepFleetWarm(b *testing.B) {
+	urls, shutdown, err := serve.LocalCluster(2, serve.Options{Workers: 2, SweepParallel: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer shutdown()
+	grids := make([]nocdr.SweepGrid, 8)
+	for j := range grids {
+		grids[j] = fleetGrid
+		s0 := int64(4 * j)
+		grids[j].Seeds = []int64{s0, s0 + 1, s0 + 2, s0 + 3}
+	}
+	cache := fabric.NewCache(fabric.CacheOptions{})
+	s := nocdr.NewSession(nocdr.WithWorkers(urls...), nocdr.WithResultCache(cache))
+	ctx := context.Background()
+	sweep := func() {
+		for _, g := range grids {
+			if _, err := s.Sweep(ctx, g, nocdr.SweepOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	sweep()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		before := cache.Stats()
+		sweep()
+		if st := cache.Stats(); st.Misses != before.Misses || st.Hits-before.Hits != 8*36 {
+			b.Fatalf("warm op missed the cache: %+v then %+v", before, st)
+		}
+	}
+}
+
 // BenchmarkSweepWarmCache pins a sweep's fixed cost: Session.Sweep over
 // the 36-cell fleet grid with every cell served from a pre-filled
 // in-memory result cache. What it times is what each request pays before

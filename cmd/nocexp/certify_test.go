@@ -34,8 +34,8 @@ func TestCertifyWritesValidCertificate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := certify.ReadCertificate(data)
-	if err != nil {
+	var cert certify.Certificate
+	if err := json.Unmarshal(data, &cert); err != nil {
 		t.Fatal(err)
 	}
 	if !cert.Acyclic || len(cert.TopoOrder) == 0 {
@@ -45,7 +45,7 @@ func TestCertifyWritesValidCertificate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := certify.Validate(cert, designData); err != nil {
+	if err := certify.Validate(&cert, designData); err != nil {
 		t.Fatalf("written certificate does not validate: %v", err)
 	}
 	if !strings.Contains(errOut.String(), "acyclic") {
@@ -84,8 +84,8 @@ func TestCertifyPreCounterexample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := certify.ReadCertificate(data)
-	if err != nil {
+	var cert certify.Certificate
+	if err := json.Unmarshal(data, &cert); err != nil {
 		t.Fatal(err)
 	}
 	if cert.Acyclic || len(cert.Cycle) != 3 {

@@ -108,7 +108,7 @@ func TestReconfigureSeededFaults(t *testing.T) {
 		t.Fatalf("delta report has %d entries, want 2", len(ds))
 	}
 	for _, raw := range ds {
-		if _, err := reconfig.ReadDelta(bytes.NewReader(raw)); err != nil {
+		if err := new(reconfig.Delta).UnmarshalJSON(raw); err != nil {
 			t.Fatalf("delta entry does not re-parse: %v", err)
 		}
 	}

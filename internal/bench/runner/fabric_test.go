@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +29,7 @@ type fakeSource struct {
 	mu      sync.Mutex
 	urls    []string
 	updates chan struct{}
+	reads   atomic.Int64 // WorkerURLs and Updates calls
 }
 
 func newFakeSource(urls ...string) *fakeSource {
@@ -35,12 +37,16 @@ func newFakeSource(urls ...string) *fakeSource {
 }
 
 func (s *fakeSource) WorkerURLs() []string {
+	s.reads.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]string(nil), s.urls...)
 }
 
-func (s *fakeSource) Updates() <-chan struct{} { return s.updates }
+func (s *fakeSource) Updates() <-chan struct{} {
+	s.reads.Add(1)
+	return s.updates
+}
 
 func (s *fakeSource) set(urls ...string) {
 	s.mu.Lock()
@@ -205,10 +211,22 @@ func TestShardedEmptySourceFailsFast(t *testing.T) {
 	}
 }
 
+// countingTransport counts the requests a client sends.
+type countingTransport struct {
+	n    atomic.Int64
+	base http.RoundTripper
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.base.RoundTrip(r)
+}
+
 // TestShardedCacheSecondRunDispatchesNothing is the coordinator-cache
 // conformance centerpiece: run a sweep twice against the same cache;
 // the second run must answer every shard from the cache — zero HTTP
-// dispatches — and still serialize byte-identically.
+// requests of any kind, one hit per cell, every slot reported once to
+// OnResult — and still serialize byte-identically.
 func TestShardedCacheSecondRunDispatchesNothing(t *testing.T) {
 	grid := conformanceGrid()
 	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
@@ -222,7 +240,8 @@ func TestShardedCacheSecondRunDispatchesNothing(t *testing.T) {
 	cache := fabric.NewCache(fabric.CacheOptions{})
 	opts := runner.Options{CellCache: cache}
 
-	sh := &runner.Sharded{Workers: urls}
+	requests := &countingTransport{base: http.DefaultTransport}
+	sh := &runner.Sharded{Workers: urls, Client: &http.Client{Transport: requests}}
 	rep1, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -231,10 +250,19 @@ func TestShardedCacheSecondRunDispatchesNothing(t *testing.T) {
 		t.Fatalf("cold cached run differs from serial:\nserial:\n%s\ncold:\n%s", want, got)
 	}
 	cold := totalSubmits(counts)
-	if cold == 0 {
+	if cold == 0 || requests.n.Load() == 0 {
 		t.Fatal("cold run dispatched nothing")
 	}
 
+	jobs := grid.Jobs()
+	seen := make([]int, len(jobs))
+	opts.OnResult = func(i, total int, res runner.Result) {
+		if total != len(jobs) || res.Job != jobs[i] {
+			t.Errorf("OnResult(%d, %d) carried %q, want %q of %d", i, total, res.Key(), jobs[i].Key(), len(jobs))
+		}
+		seen[i]++
+	}
+	sent, before := requests.n.Load(), cache.Stats()
 	rep2, err := sh.RunContext(context.Background(), grid, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -245,15 +273,38 @@ func TestShardedCacheSecondRunDispatchesNothing(t *testing.T) {
 	if warm := totalSubmits(counts) - cold; warm != 0 {
 		t.Fatalf("cache-served run dispatched %d shard(s), want 0", warm)
 	}
-	if st := cache.Stats(); st.Hits < uint64(len(grid.Jobs())) {
-		t.Fatalf("cache stats after warm run: %+v, want >= %d hits", st, len(grid.Jobs()))
+	if n := requests.n.Load() - sent; n != 0 {
+		t.Fatalf("cache-served run sent %d HTTP request(s), want 0", n)
+	}
+	if st := cache.Stats(); st.Hits-before.Hits != uint64(len(jobs)) || st.Misses != before.Misses {
+		t.Fatalf("cache stats after warm run: %+v (before %+v), want %d more hits and no miss", st, before, len(jobs))
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("OnResult fired %d time(s) for slot %d, want 1", n, i)
+		}
+	}
+
+	// Served whole from the cache, a run over a live fleet starts no
+	// dispatch: it never reads the fleet's membership.
+	src := newFakeSource(urls...)
+	opts.OnResult = nil
+	rep3, err := (&runner.Sharded{Source: src}).RunContext(context.Background(), grid, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reportBytes(t, rep3); !bytes.Equal(want, got) {
+		t.Fatalf("cache-served live-fleet run differs from serial:\nserial:\n%s\ncached:\n%s", want, got)
+	}
+	if n := src.reads.Load(); n != 0 {
+		t.Fatalf("cache-served run read the fleet membership %d time(s), want 0", n)
 	}
 }
 
 // TestShardedCachePartialEviction evicts a single cell and reruns: the
-// shard holding it must dispatch whole (the merge rejects duplicate
-// cells, so a partially cached shard cannot be split), the others must
-// stay local, and the report must remain byte-identical.
+// shard holding it must dispatch whole (a worker answers with all of its
+// shard's cells, so a partially cached shard cannot be split), the
+// others must stay local, and the report must remain byte-identical.
 func TestShardedCachePartialEviction(t *testing.T) {
 	grid := conformanceGrid()
 	serial, err := runner.Run(grid, runner.Options{Parallel: 1})

@@ -282,9 +282,9 @@ type Report struct {
 	Results  []Result `json:"results"`
 	// Curves are the per-design load-sweep curves aggregated from the
 	// results' LoadSweep points (only when Grid.Loads was set on a
-	// simulated run). Shard reports omit them; MergeShards recomputes
-	// them over the reassembled results, so serial, parallel and sharded
-	// full reports agree byte for byte.
+	// simulated run). Shard reports omit them; the sharded dispatcher
+	// aggregates them over the placed results, so serial, parallel and
+	// sharded full reports agree byte for byte.
 	Curves []DesignCurve `json:"curves,omitempty"`
 }
 
@@ -345,7 +345,7 @@ type Options struct {
 	// assigns to shard ShardIndex of ShardCount (the worker side of the
 	// sharded sweep backend). ShardCount 0 runs the whole grid. A sharded
 	// report's Results hold only the owned cells, still in Grid.Jobs
-	// order; MergeShards reassembles the full report.
+	// order; the sharded dispatcher places them into the full report.
 	ShardIndex int
 	ShardCount int
 

@@ -1,19 +1,14 @@
 // Sharding primitives of the distributed sweep backend: a stable cell
-// key, a deterministic cell→shard assignment, and the merge stage that
-// reassembles per-shard reports into the exact report a single-process
-// run would have produced. The invariant the conformance and fuzz suites
-// pin: for ANY partition of a grid's cells into shard reports,
-// MergeShards yields byte-identical JSON to RunContext on the whole grid.
+// key, a deterministic cell→shard assignment, and the placement that
+// writes each shard's results into their grid slots, so the assembled
+// report is the exact report a single-process run would have produced.
+// The invariant the conformance and fuzz suites pin: for ANY partition of
+// a grid's cells into shards, arriving in any order, the assembled report
+// is byte-identical JSON to RunContext on the whole grid.
 
 package runner
 
-import (
-	"fmt"
-	"hash/fnv"
-	"strconv"
-
-	"github.com/nocdr/nocdr/internal/nocerr"
-)
+import "strconv"
 
 // DefaultShardCount is the most shards a sharded sweep is cut into, and
 // the count of a run whose cells are simulated or whose fleet is live
@@ -27,7 +22,12 @@ const DefaultShardCount = 32
 // with equal keys are the same cell and evaluate to the same result.
 func (j Job) Key() string {
 	var buf [64]byte
-	b := append(buf[:0], j.Benchmark...)
+	return string(j.appendKey(buf[:0]))
+}
+
+// appendKey appends j's Key to b.
+func (j Job) appendKey(b []byte) []byte {
+	b = append(b, j.Benchmark...)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(j.SwitchCount), 10)
 	b = append(b, '|')
@@ -37,8 +37,7 @@ func (j Job) Key() string {
 	b = append(b, '|')
 	b = append(b, j.Policy...)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, j.Seed, 10)
-	return string(b)
+	return strconv.AppendInt(b, j.Seed, 10)
 }
 
 // ShardOf deterministically assigns a cell to one of shards buckets: the
@@ -50,55 +49,34 @@ func ShardOf(j Job, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	h := fnv.New64a()
-	h.Write([]byte(j.Key()))
-	return int(h.Sum64() % uint64(shards))
+	var buf [64]byte
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for _, c := range j.appendKey(buf[:0]) {
+		h ^= uint64(c)
+		h *= 1099511628211 // FNV-1a 64 prime
+	}
+	return int(h % uint64(shards))
 }
 
-// MergeShards reassembles per-shard reports into the report RunContext
-// would have produced over the whole grid: results land in Grid.Jobs
-// order regardless of which shard carried them or in what order shards
-// (or cells within a shard) arrive. Cells present in no shard report are
-// marked canceled — a merged report is structurally complete even when
-// shards went missing — and the merged report is marked canceled whenever
-// any input shard was, or any cell is missing. A result for a cell the
-// grid does not contain (or a duplicate beyond the grid's multiplicity)
-// is an ErrInvalidInput: shard reports must partition the grid.
-func MergeShards(grid Grid, shards ...*Report) (*Report, error) {
-	if err := grid.Validate(); err != nil {
-		return nil, err
+// placeShard writes one shard's results into their grid slots. got holds
+// exactly the shard's cells in grid order — the coordinator's cache hits,
+// or a report shardReport accepted — so got[k] is the cell of slot
+// cells[k].
+func placeShard(results []Result, filled []bool, cells []int, got []Result) {
+	for k, i := range cells {
+		results[i] = got[k]
+		filled[i] = true
 	}
-	grid = grid.normalized()
-	jobs := grid.Jobs()
-	// Slot queue per key: duplicate axis entries yield identical cells, so
-	// equal keys are filled first-come into successive slots.
-	slots := make(map[string][]int, len(jobs))
-	for i, j := range jobs {
-		k := j.Key()
-		slots[k] = append(slots[k], i)
-	}
-	results := make([]Result, len(jobs))
-	filled := make([]bool, len(jobs))
-	canceled := false
-	for _, sr := range shards {
-		if sr == nil {
-			continue
-		}
-		if sr.Canceled {
-			canceled = true
-		}
-		for _, res := range sr.Results {
-			k := res.Job.Key()
-			free := slots[k]
-			if len(free) == 0 {
-				return nil, fmt.Errorf("%w: shard result for unknown or duplicated cell %q", nocerr.ErrInvalidInput, k)
-			}
-			i := free[0]
-			slots[k] = free[1:]
-			results[i] = res
-			filled[i] = true
-		}
-	}
+}
+
+// shardedReport assembles a sharded run's report from its slots. A slot
+// no shard filled becomes a canceled cell — the report is structurally
+// complete even when shards went missing — and marks the report
+// canceled; canceled says whether it already is (a shard came back
+// canceled, or the run was). Shard reports never carry curves; they are
+// aggregated here over the complete results, exactly as an unsharded
+// RunContext would.
+func shardedReport(grid Grid, jobs []Job, results []Result, filled []bool, canceled bool) *Report {
 	for i := range results {
 		if !filled[i] {
 			results[i] = Result{Job: jobs[i], Canceled: true}
@@ -106,9 +84,6 @@ func MergeShards(grid Grid, shards ...*Report) (*Report, error) {
 		}
 	}
 	rep := &Report{Grid: grid, Canceled: canceled, Results: results}
-	// Shard reports never carry curves; the merged report aggregates
-	// them from the reassembled results, exactly as an unsharded
-	// RunContext would.
 	rep.Curves = BuildCurves(rep)
-	return rep, nil
+	return rep
 }

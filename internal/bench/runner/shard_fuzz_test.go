@@ -2,17 +2,17 @@ package runner
 
 import (
 	"bytes"
-	"encoding/json"
 	"math/rand"
 	"testing"
 )
 
-// FuzzShardMerge fuzzes the shard assignment + report merge round trip:
-// ANY partition of a grid's cells into any number of shard reports — not
-// just the hash partition — delivered in any order and serialized over
-// the wire, must merge back to bytes identical to the direct report.
-// This is the invariant the distributed backend's correctness rests on;
-// the nightly deep-verify fuzz matrix runs it for minutes at a stretch.
+// FuzzShardMerge fuzzes the shard assignment and the placement of shard
+// reports into grid slots (which replaced MergeShards): ANY partition of
+// a grid's cells into any number of shards — not just the hash
+// partition — whose reports arrive in any order and are serialized over
+// the wire must assemble to bytes identical to the direct report. This
+// is the invariant the distributed backend's correctness rests on; the
+// nightly deep-verify fuzz matrix runs it for minutes at a stretch.
 func FuzzShardMerge(f *testing.F) {
 	f.Add(uint8(3), int64(42), []byte{0, 1, 2, 250})
 	f.Add(uint8(1), int64(0), []byte{})
@@ -30,8 +30,9 @@ func FuzzShardMerge(f *testing.F) {
 		norm := grid.normalized()
 		jobs := norm.Jobs()
 
-		// Fabricated deterministic results: merging is pure bookkeeping,
-		// so the fuzz budget goes into partitions, not removal runs.
+		// Fabricated deterministic results: placement is pure
+		// bookkeeping, so the fuzz budget goes into partitions, not
+		// removal runs.
 		results := make([]Result, len(jobs))
 		for i, j := range jobs {
 			r := Result{Job: j, Cores: 3 + i, RemovalVCs: i % 5, OrderingVCs: i % 7, Breaks: i % 3}
@@ -53,56 +54,24 @@ func FuzzShardMerge(f *testing.F) {
 			results[i] = r
 		}
 		want := &Report{Grid: norm, Results: results}
-		var wantBuf bytes.Buffer
-		if err := want.WriteJSON(&wantBuf); err != nil {
-			t.Fatal(err)
-		}
 
-		// Partition by the fuzz bytes, shuffle orders by the fuzz seed.
-		parts := make([]*Report, n)
-		for i := range parts {
-			parts[i] = &Report{Grid: norm}
-		}
-		for i, r := range results {
-			p := 0
-			if len(partition) > 0 {
-				p = int(partition[i%len(partition)]) % n
+		// Partition by the fuzz bytes; the arrival order is drawn from
+		// the fuzz seed. Every shard report travels as JSON — the
+		// coordinator places decoded wire documents, so floats and
+		// omitempty fields must survive serialization exactly.
+		cells, raw := splitReport(t, want, n, func(i int) int {
+			if len(partition) == 0 {
+				return 0
 			}
-			parts[p].Results = append(parts[p].Results, r)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for _, p := range parts {
-			rng.Shuffle(len(p.Results), func(a, b int) {
-				p.Results[a], p.Results[b] = p.Results[b], p.Results[a]
-			})
-		}
-		rng.Shuffle(len(parts), func(a, b int) { parts[a], parts[b] = parts[b], parts[a] })
-
-		// Round-trip every shard report through JSON — the coordinator
-		// merges decoded wire documents, so floats and omitempty fields
-		// must survive serialization exactly.
-		decoded := make([]*Report, n)
-		for i, p := range parts {
-			data, err := json.Marshal(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded[i] = new(Report)
-			if err := json.Unmarshal(data, decoded[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		merged, err := MergeShards(grid, decoded...)
+			return int(partition[i%len(partition)]) % n
+		})
+		order := rand.New(rand.NewSource(seed)).Perm(n)
+		placed, err := assembleShards(grid, cells, raw, order)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		if err := merged.WriteJSON(&got); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wantBuf.Bytes(), got.Bytes()) {
-			t.Fatalf("merge round trip diverged (n=%d):\nwant:\n%s\ngot:\n%s", n, wantBuf.String(), got.String())
+		if w, got := reportJSON(t, want), reportJSON(t, placed); !bytes.Equal(w, got) {
+			t.Fatalf("placement round trip diverged (n=%d):\nwant:\n%s\ngot:\n%s", n, w, got)
 		}
 
 		// The assignment itself: bounded and stable for this shard count.

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -163,10 +164,71 @@ func TestShardCount(t *testing.T) {
 	}
 }
 
+// assembleShards is the dispatcher's placement over wire-form shard
+// reports: raw[s] is shard s's report as a worker sends it, cells[s] its
+// grid slots in grid order. Shards arrive in order; each is checked by
+// shardReport against its cells and placed into its slots, and a shard
+// that never arrives leaves its slots unfilled.
+func assembleShards(grid Grid, cells [][]int, raw [][]byte, order []int) (*Report, error) {
+	grid = grid.normalized()
+	jobs := grid.Jobs()
+	results := make([]Result, len(jobs))
+	filled := make([]bool, len(jobs))
+	canceled := false
+	for _, s := range order {
+		want := make([]Job, len(cells[s]))
+		for k, i := range cells[s] {
+			want[k] = jobs[i]
+		}
+		rep, err := shardReport(raw[s], want)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		canceled = canceled || rep.Canceled
+		placeShard(results, filled, cells[s], rep.Results)
+	}
+	return shardedReport(grid, jobs, results, filled, canceled), nil
+}
+
+// splitReport cuts a whole-grid report into shards by assign (the shard
+// of each cell, by slot) and returns each shard's slots and its report
+// encoded as a worker sends it, cells in grid order.
+func splitReport(t *testing.T, full *Report, n int, assign func(i int) int) ([][]int, [][]byte) {
+	t.Helper()
+	cells := make([][]int, n)
+	parts := make([]Report, n)
+	for i := range parts {
+		parts[i].Grid = full.Grid
+	}
+	for i, r := range full.Results {
+		s := assign(i)
+		cells[s] = append(cells[s], i)
+		parts[s].Results = append(parts[s].Results, r)
+	}
+	raw := make([][]byte, n)
+	for s := range parts {
+		data, err := json.Marshal(&parts[s])
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[s] = data
+	}
+	return cells, raw
+}
+
+func reportJSON(t *testing.T, r *Report) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := r.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
 // TestRunContextShardFilterPartitions runs every shard of a grid
 // separately and checks the shard reports partition the job list: each
 // owned subset is in global job order, the subsets are disjoint, and
-// merging them reproduces the unsharded report byte for byte.
+// placing them reproduces the unsharded report byte for byte.
 func TestRunContextShardFilterPartitions(t *testing.T) {
 	grid := Grid{
 		Benchmarks:   []string{"D26_media", "mesh:4"},
@@ -179,7 +241,12 @@ func TestRunContextShardFilterPartitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards = 3
-	var parts []*Report
+	cells := make([][]int, shards)
+	for i, j := range grid.Jobs() {
+		s := ShardOf(j, shards)
+		cells[s] = append(cells[s], i)
+	}
+	raw := make([][]byte, shards)
 	total := 0
 	for i := 0; i < shards; i++ {
 		part, err := Run(grid, Options{Parallel: 2, ShardIndex: i, ShardCount: shards})
@@ -192,30 +259,26 @@ func TestRunContextShardFilterPartitions(t *testing.T) {
 			}
 		}
 		total += len(part.Results)
-		parts = append(parts, part)
+		if raw[i], err = json.Marshal(part); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if total != len(full.Results) {
 		t.Fatalf("shards hold %d cells, grid has %d", total, len(full.Results))
 	}
-	merged, err := MergeShards(grid, parts...)
+	placed, err := assembleShards(grid, cells, raw, []int{2, 0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := full.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := merged.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("merged shard reports differ from the unsharded run:\nfull:\n%s\nmerged:\n%s", a.String(), b.String())
+	if a, b := reportJSON(t, full), reportJSON(t, placed); !bytes.Equal(a, b) {
+		t.Fatalf("placed shard reports differ from the unsharded run:\nfull:\n%s\nplaced:\n%s", a, b)
 	}
 }
 
-// TestMergeShardsShuffled pins order independence: shard reports fed in
-// any order, with cells shuffled inside each report, merge to the same
-// bytes.
+// TestMergeShardsShuffled pins order independence of the placement that
+// replaced MergeShards: shard reports arriving in any order, over any
+// partition of the cells, assemble to the same bytes; a report whose
+// cells are not in grid order is rejected.
 func TestMergeShardsShuffled(t *testing.T) {
 	grid := Grid{
 		Benchmarks:   []string{"D26_media", "mesh:4"},
@@ -226,71 +289,84 @@ func TestMergeShardsShuffled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want bytes.Buffer
-	if err := full.WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
+	want := reportJSON(t, full)
 	rng := rand.New(rand.NewSource(7))
+	const shards = 4
 	for round := 0; round < 20; round++ {
-		const shards = 4
-		parts := make([]*Report, shards)
-		for i := range parts {
-			parts[i] = &Report{Grid: full.Grid}
+		assign := make([]int, len(full.Results))
+		for i := range assign {
+			assign[i] = rng.Intn(shards) // any partition, not just the hash's
 		}
-		for _, r := range full.Results {
-			i := rng.Intn(shards) // any partition, not just the hash's
-			parts[i].Results = append(parts[i].Results, r)
-		}
-		for _, p := range parts {
-			rng.Shuffle(len(p.Results), func(a, b int) {
-				p.Results[a], p.Results[b] = p.Results[b], p.Results[a]
-			})
-		}
-		rng.Shuffle(len(parts), func(a, b int) { parts[a], parts[b] = parts[b], parts[a] })
-		merged, err := MergeShards(grid, parts...)
+		cells, raw := splitReport(t, full, shards, func(i int) int { return assign[i] })
+		order := rng.Perm(shards)
+		placed, err := assembleShards(grid, cells, raw, order)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		if err := merged.WriteJSON(&got); err != nil {
-			t.Fatal(err)
+		if got := reportJSON(t, placed); !bytes.Equal(want, got) {
+			t.Fatalf("round %d: arrival order %v assembles a different report", round, order)
 		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatalf("round %d: shuffled merge differs from the direct report", round)
-		}
+	}
+
+	// A report holding its shard's cells out of grid order is corrupt.
+	cells, _ := splitReport(t, full, 1, func(int) int { return 0 })
+	swapped := &Report{Grid: full.Grid, Results: append([]Result(nil), full.Results...)}
+	swapped.Results[0], swapped.Results[1] = swapped.Results[1], swapped.Results[0]
+	data, err := json.Marshal(swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := assembleShards(grid, cells, [][]byte{data}, []int{0}); err == nil {
+		t.Fatal("a report with its cells out of grid order was accepted")
 	}
 }
 
-// TestMergeShardsMissingAndForeign pins the failure semantics: missing
-// cells come back canceled (and mark the report canceled), foreign or
-// duplicated cells are an error.
+// TestMergeShardsMissingAndForeign pins the failure semantics of the
+// placement that replaced MergeShards: a missing shard's cells come back
+// canceled (and mark the report canceled), and a report that is not
+// exactly its shard's cells — one missing, duplicated, foreign or extra —
+// is rejected.
 func TestMergeShardsMissingAndForeign(t *testing.T) {
-	grid := Grid{Benchmarks: []string{"D26_media"}, SwitchCounts: []int{8, 14}}
+	grid := Grid{Benchmarks: []string{"D26_media"}, SwitchCounts: []int{8, 11, 14}}
 	full, err := Run(grid, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial := &Report{Grid: full.Grid, Results: full.Results[:1]}
-	merged, err := MergeShards(grid, partial)
+	cells, raw := splitReport(t, full, 2, func(i int) int { return min(i, 1) })
+	placed, err := assembleShards(grid, cells, raw, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !merged.Canceled {
-		t.Error("merge with a missing cell not marked canceled")
+	if !placed.Canceled {
+		t.Error("report with a missing shard not marked canceled")
 	}
-	if !merged.Results[1].Canceled || merged.Results[1].Benchmark != "D26_media" {
-		t.Errorf("missing cell slot malformed: %+v", merged.Results[1])
+	for _, i := range cells[1] {
+		if r := placed.Results[i]; !r.Canceled || r.Job != full.Results[i].Job || r.RemovalVCs != 0 {
+			t.Errorf("missing cell slot %d malformed: %+v", i, r)
+		}
 	}
-	if merged.Results[0].Canceled {
-		t.Error("present cell marked canceled")
+	if got, want := placed.Results[0], full.Results[0]; got.Canceled || got.Job != want.Job || got.RemovalVCs != want.RemovalVCs {
+		t.Errorf("present cell not placed verbatim: %+v", got)
 	}
 
-	if _, err := MergeShards(grid, partial, partial); err == nil {
-		t.Error("duplicated cell accepted")
-	}
-	foreign := &Report{Results: []Result{{Job: Job{Benchmark: "no_such", SwitchCount: 1}}}}
-	if _, err := MergeShards(grid, foreign); err == nil {
-		t.Error("foreign cell accepted")
+	// cells[1] is slots 1 and 2; each report below answers for it.
+	r := full.Results
+	foreign := r[1]
+	foreign.Benchmark = "no_such"
+	for name, results := range map[string][]Result{
+		"missing":    {r[1]},
+		"duplicated": {r[1], r[1]},
+		"foreign":    {foreign, r[2]},
+		"other slot": {r[0], r[2]},
+		"extra":      {r[1], r[2], r[0]},
+	} {
+		data, err := json.Marshal(&Report{Grid: full.Grid, Results: results})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := assembleShards(grid, cells, [][]byte{raw[0], data}, []int{0, 1}); err == nil {
+			t.Errorf("%s cell accepted", name)
+		}
 	}
 }
 

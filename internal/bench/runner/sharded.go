@@ -3,8 +3,8 @@
 // hands shards to remote `nocdr serve` workers over the /v1/sweep job
 // API, follows each job's SSE event stream to its terminal state,
 // requeues shards whose worker dies mid-flight, drains partial results
-// on cancellation, and merges the shard reports into a report
-// byte-identical to a single-process run.
+// on cancellation, and places every returned cell into its grid slot, so
+// the report is byte-identical to a single-process run.
 
 package runner
 
@@ -39,7 +39,7 @@ import (
 // count, any scheduling order, and any pattern of worker failures the
 // retry budget absorbs — cells are assigned to shards by a stable hash
 // of their identity, every cell is evaluated by the same deterministic
-// pipeline wherever it lands, and results are merged into pre-assigned
+// pipeline wherever it lands, and results are written into pre-assigned
 // slots.
 type Sharded struct {
 	// Workers are the base URLs of running `nocdr serve` instances
@@ -224,27 +224,43 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		shardJobs[s] = append(shardJobs[s], i)
 	}
 
+	// Every cell lands in its grid slot as it arrives, from the cache or
+	// from a shard report, and fires the progress feed with that slot.
+	results := make([]Result, len(jobs))
+	filled := make([]bool, len(jobs))
+	progressed := 0
+	place := func(shard int, got []Result) {
+		placeShard(results, filled, shardJobs[shard], got)
+		for _, i := range shardJobs[shard] {
+			progressed++
+			if opts.Progress != nil {
+				fmt.Fprintf(opts.Progress, "sweep %d/%d: %s\n", progressed, len(jobs), results[i].oneLine())
+			}
+			if opts.OnResult != nil {
+				opts.OnResult(i, len(jobs), results[i])
+			}
+		}
+	}
+
 	// Coordinator-side cache pre-pass, at shard granularity: a shard
 	// every cell of which is cached is served locally and never
-	// dispatched (its results enter the merge as one extra pseudo-shard
-	// report — MergeShards accepts any partition). Shards with even one
-	// cold cell dispatch whole, because a worker answers with all its
-	// cells and the merge rejects duplicates — but their warm cells are
+	// dispatched. Shards with even one cold cell dispatch whole, because
+	// a worker answers with all its cells — but their warm cells are
 	// collected and seeded into the assigned worker's cache ahead of the
 	// submit, so a dispatched partially-warm shard recomputes only its
 	// cold cells. Every cell is probed (not stop-at-first-miss): the
 	// misses are the price of knowing which entries to ship.
 	var (
 		pending      []int
-		cacheRep     *Report
 		cachedShards = make([]bool, shards)
 		warm         map[int][]fabric.CacheEntry
+		hits         []Result
 	)
 	for s, cells := range shardJobs {
 		if len(cells) == 0 {
 			continue
 		}
-		hits := make([]Result, 0, len(cells))
+		hits = hits[:0]
 		var entries []fabric.CacheEntry
 		if opts.CellCache != nil && !opts.NoCache {
 			for _, i := range cells {
@@ -256,11 +272,9 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			}
 		}
 		if len(hits) == len(cells) {
+			// Cache-served shards complete up front, before any dispatch.
 			cachedShards[s] = true
-			if cacheRep == nil {
-				cacheRep = &Report{Grid: grid}
-			}
-			cacheRep.Results = append(cacheRep.Results, hits...)
+			place(s, hits)
 		} else {
 			pending = append(pending, s)
 			if len(entries) > 0 {
@@ -271,24 +285,25 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			}
 		}
 	}
-	if len(pending) > 0 && len(d.Workers) == 0 && d.Source != nil && len(d.Source.WorkerURLs()) == 0 && d.JoinGrace == 0 {
+	if len(pending) == 0 {
+		// Served from the cache whole: nothing to dispatch, so no worker
+		// is started and no request sent.
+		return shardedReport(grid, jobs, results, filled, false), nil
+	}
+	if len(d.Workers) == 0 && d.Source != nil && len(d.Source.WorkerURLs()) == 0 && d.JoinGrace == 0 {
 		// Fail fast rather than idle a full default grace when the fleet
 		// is empty at start and the caller didn't opt into waiting.
 		return nil, fmt.Errorf("%w: %d shard(s) to run and no live workers registered", nocerr.ErrWorker, len(pending))
 	}
 
 	// Every shard sends the same body; the shard index rides in the URL.
-	// A run served from the cache sends none.
-	var body []byte
-	if len(pending) > 0 {
-		req := &shardRequest{Grid: grid, Simulate: opts.Simulate, Sim: opts.Sim, Certify: opts.Certify}
-		req.Options.VCLimit = opts.VCLimit
-		req.Options.Policy = policyWire(opts.Policy)
-		req.Options.NoCache = opts.NoCache
-		var err error
-		if body, err = json.Marshal(req); err != nil {
-			return nil, err
-		}
+	req := &shardRequest{Grid: grid, Simulate: opts.Simulate, Sim: opts.Sim, Certify: opts.Certify}
+	req.Options.VCLimit = opts.VCLimit
+	req.Options.Policy = policyWire(opts.Policy)
+	req.Options.NoCache = opts.NoCache
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
 	}
 	client := d.client()
 
@@ -343,24 +358,13 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		updates = d.Source.Updates()
 	}
 
-	// Global slot indices per cell key, consumed as progress callbacks
-	// fire so OnResult reports the same indices a local run would.
-	var slotOf map[string][]int
-	if opts.OnResult != nil {
-		slotOf = make(map[string][]int, len(jobs))
-		for i, j := range jobs {
-			k := j.Key()
-			slotOf[k] = append(slotOf[k], i)
-		}
-	}
-
 	var (
-		reports     []*Report
 		attempts    = make([]int, shards)
 		inflight    int
 		fatal       error
 		interrupted bool
-		progressed  int
+		// canceled marks a report one of whose shards came back canceled.
+		canceled bool
 		// grace is the join-grace deadline of an empty fleet: armed when
 		// the fleet empties, disarmed when a worker is admitted, so
 		// membership updates that admit no one cannot extend it.
@@ -371,27 +375,6 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			grace.Stop()
 		}
 	}()
-	noteResults := func(rep *Report) {
-		for i := range rep.Results {
-			res := rep.Results[i]
-			progressed++
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "sweep %d/%d: %s\n", progressed, len(jobs), res.oneLine())
-			}
-			if opts.OnResult != nil {
-				k := res.Job.Key()
-				if slots := slotOf[k]; len(slots) > 0 {
-					slotOf[k] = slots[1:]
-					opts.OnResult(slots[0], len(jobs), res)
-				}
-			}
-		}
-	}
-	if cacheRep != nil {
-		// Cache-served shards complete up front, before any dispatch.
-		noteResults(cacheRep)
-		reports = append(reports, cacheRep)
-	}
 	ctxDone := ctx.Done()
 
 	for {
@@ -456,18 +439,18 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			switch {
 			case o.err == nil:
 				if o.rep != nil {
-					reports = append(reports, o.rep)
 					if o.rep.Canceled {
-						interrupted = true
+						interrupted, canceled = true, true
 					}
-					noteResults(o.rep)
+					place(o.shard, o.rep.Results)
 				}
 			case cctx.Err() != nil:
 				// Failure raced the cancellation: keep any partial result
 				// and let the drain finish.
 				interrupted = true
 				if o.rep != nil {
-					reports = append(reports, o.rep)
+					canceled = canceled || o.rep.Canceled
+					placeShard(results, filled, shardJobs[o.shard], o.rep.Results)
 				}
 			default:
 				attempts[o.shard]++
@@ -510,18 +493,12 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	if fatal != nil {
 		return nil, fatal
 	}
-	rep, err := MergeShards(grid, reports...)
-	if err != nil {
-		return nil, err
-	}
-	if interrupted && ctx.Err() != nil {
-		rep.Canceled = true
-	}
+	rep := shardedReport(grid, jobs, results, filled, canceled || (interrupted && ctx.Err() != nil))
 	if opts.CellCache != nil {
-		// Feed the coordinator cache from the merged report: every clean
-		// cell a worker computed this run (cache-served shards already
-		// hold these exact bytes). rep.Results is in jobs order, so index
-		// i is cell jobs[i].
+		// Feed the coordinator cache from the report: every clean cell a
+		// worker computed this run (cache-served shards already hold
+		// these exact bytes). rep.Results is in jobs order, so index i is
+		// cell jobs[i].
 		for s, cells := range shardJobs {
 			if cachedShards[s] {
 				continue

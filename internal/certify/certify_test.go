@@ -105,11 +105,11 @@ func TestCheckAgainstEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := certify.ReadCertificate(enc)
-			if err != nil {
+			var back certify.Certificate
+			if err := json.Unmarshal(enc, &back); err != nil {
 				t.Fatal(err)
 			}
-			if err := certify.Validate(back, data); err != nil {
+			if err := certify.Validate(&back, data); err != nil {
 				t.Fatalf("Validate after round-trip: %v", err)
 			}
 		})

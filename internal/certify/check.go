@@ -1,10 +1,6 @@
 package certify
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Check rebuilds the CDG from the design bytes and issues a certificate.
 // mode is the caller's claim: "pre" (pre-removal, expected cyclic) or
@@ -41,15 +37,6 @@ func Check(designJSON []byte, mode string) (*Certificate, error) {
 		cert.Cycle[i] = g.channels[v]
 	}
 	return cert, nil
-}
-
-// CheckFile reads a design bundle from disk and certifies it.
-func CheckFile(path, mode string) (*Certificate, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Check(data, mode)
 }
 
 // toposort runs Kahn's algorithm with a deterministic smallest-vertex
@@ -236,15 +223,6 @@ func (g *cdgraph) hasEdge(v, w int) bool {
 		}
 	}
 	return false
-}
-
-// ReadCertificate parses a certificate JSON document.
-func ReadCertificate(data []byte) (*Certificate, error) {
-	var c Certificate
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("%w: certificate: %v", ErrSchema, err)
-	}
-	return &c, nil
 }
 
 // intHeap is a minimal binary min-heap so the checker does not pull in

@@ -22,20 +22,15 @@ type SetResult struct {
 	Breaks         []BreakRecord
 }
 
-// RemoveSet runs the paper's Algorithm 1 on an adaptive route set: the
-// set is flattened into pseudo-flows (one per candidate path), Remove
-// runs on the flattened table unchanged — the CDG it breaks is the union
-// of the set's permitted channel transitions — and the rewritten paths
-// are folded back into a RouteSet. A set with one path per flow goes
-// through the exact same code path as Remove on the equivalent table and
-// produces an identical break sequence (pinned by differential tests).
-// The inputs are never mutated.
-func RemoveSet(top *topology.Topology, set *route.RouteSet, opts Options) (*SetResult, error) {
-	return RemoveSetContext(context.Background(), top, set, opts)
-}
-
-// RemoveSetContext is RemoveSet with cooperative cancellation (see
-// RemoveContext).
+// RemoveSetContext runs the paper's Algorithm 1 on an adaptive route
+// set: the set is flattened into pseudo-flows (one per candidate path),
+// RemoveContext runs on the flattened table unchanged — the CDG it breaks
+// is the union of the set's permitted channel transitions — and the
+// rewritten paths are folded back into a RouteSet. A set with one path
+// per flow goes through the exact same code path as Remove on the
+// equivalent table and produces an identical break sequence (pinned by
+// differential tests). The inputs are never mutated. Cancellation is
+// cooperative, as in RemoveContext.
 func RemoveSetContext(ctx context.Context, top *topology.Topology, set *route.RouteSet, opts Options) (*SetResult, error) {
 	tab, refs := set.Flatten()
 	res, err := RemoveContext(ctx, top, tab, opts)

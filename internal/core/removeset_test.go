@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestRemoveSetSinglePathIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RemoveSet(grid.Topology, route.FromTable(tab), Options{})
+	got, err := RemoveSetContext(context.Background(), grid.Topology, route.FromTable(tab), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestRemoveSetSinglePathIdentical(t *testing.T) {
 			got.AddedVCs, got.Iterations, want.AddedVCs, want.Iterations)
 	}
 	if !reflect.DeepEqual(got.Breaks, want.Breaks) {
-		t.Fatal("break sequences differ between RemoveSet(single-path) and Remove")
+		t.Fatal("break sequences differ between RemoveSetContext(single-path) and Remove")
 	}
 	for f := 0; f < tab.NumFlows(); f++ {
 		ps := got.Routes.Paths(f)
@@ -102,7 +103,7 @@ func TestRemoveSetMinimalAdaptiveMesh(t *testing.T) {
 	if free {
 		t.Fatal("min-adaptive all-to-all union CDG acyclic on a 4x4 mesh; the fixture lost its cycle")
 	}
-	res, err := RemoveSet(grid.Topology, set, Options{})
+	res, err := RemoveSetContext(context.Background(), grid.Topology, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestRemoveSetFaultedMinimalAdaptive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RemoveSet(grid.Topology, set, Options{})
+	res, err := RemoveSetContext(context.Background(), grid.Topology, set, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

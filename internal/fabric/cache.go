@@ -16,6 +16,9 @@ type CacheOptions struct {
 	// Dir, when non-empty, enables the on-disk tier: every stored value
 	// is also written to a file named by its key under Dir, and memory
 	// misses fall through to it. The directory is created on demand.
+	// Only keys made of lowercase hex digits, the digests Key produces,
+	// name files; a value under any other key stays in memory, so no
+	// key (a request path can carry anything) reaches outside Dir.
 	// Disk entries are never evicted by the cache itself — the engine
 	// salt in every key already retires stale files, and operators can
 	// clear the directory wholesale.
@@ -57,7 +60,10 @@ type Stats struct {
 	Pushed uint64 `json:"pushed"`
 	// Entries is the current in-memory entry count.
 	Entries int `json:"entries"`
-	// Bytes is the resident size of the in-memory tier's values.
+	// Bytes is the resident size of the in-memory tier's values. It
+	// counts value bytes only: an entry a GetDecoded caller has decoded
+	// also holds the decoded value, so a small cell's entry occupies
+	// about twice its Bytes share.
 	Bytes int64 `json:"bytes"`
 	// MaxEntries echoes the configured memory bound.
 	MaxEntries int `json:"max_entries"`
@@ -106,10 +112,12 @@ type Cache struct {
 	closed bool
 }
 
-// entry is one resident value.
+// entry is one resident value and, once a GetDecoded caller has decoded
+// it, the decoded form of exactly these bytes.
 type entry struct {
 	key string
 	val []byte
+	dec any
 }
 
 // NewCache builds a Cache.
@@ -180,10 +188,10 @@ func (c *Cache) get(key string, countMiss bool) ([]byte, bool) {
 		c.mu.Unlock()
 		return val, true
 	}
-	dir := c.opts.Dir
 	c.mu.Unlock()
-	if dir != "" {
-		if val, err := os.ReadFile(c.diskPath(key)); err == nil {
+	path, onDisk := c.diskPath(key)
+	if onDisk {
+		if val, err := os.ReadFile(path); err == nil {
 			c.mu.Lock()
 			c.hits++
 			c.dskHits++
@@ -202,8 +210,8 @@ func (c *Cache) get(key string, countMiss bool) ([]byte, bool) {
 			c.upHits++
 			c.storeLocked(key, val)
 			c.mu.Unlock()
-			if dir != "" {
-				c.writeDisk(key, val)
+			if onDisk {
+				c.writeDisk(path, val)
 			}
 			return val, true
 		}
@@ -214,6 +222,62 @@ func (c *Cache) get(key string, countMiss bool) ([]byte, bool) {
 		c.mu.Unlock()
 	}
 	return nil, false
+}
+
+// GetDecoded is Get for a caller that decodes the value: it returns the
+// bytes Get would and decode's result for them, running decode at most
+// once per resident value. The decoded value is kept beside the bytes in
+// the memory tier and dropped with them, when a Put or Seed replaces
+// them or the entry is evicted. It is shared by every caller, which must
+// not mutate it. decode runs outside the cache's lock; its result is
+// kept only if the entry still holds the bytes it decoded, so a store
+// racing the decode wins. A decode error returns the bytes with a nil
+// decoded value and keeps nothing. Hits and misses are counted exactly
+// as Get counts them.
+func (c *Cache) GetDecoded(key string, decode func([]byte) (any, error)) ([]byte, any, bool) {
+	if c == nil {
+		return nil, nil, false
+	}
+	var (
+		val []byte
+		dec any
+	)
+	c.mu.Lock()
+	el, resident := c.items[key]
+	if resident {
+		c.ll.MoveToFront(el)
+		c.hits++
+		e := el.Value.(*entry)
+		val, dec = e.val, e.dec
+	}
+	c.mu.Unlock()
+	if !resident {
+		var ok bool
+		if val, ok = c.get(key, true); !ok {
+			return nil, nil, false
+		}
+	}
+	if dec != nil {
+		return val, dec, true
+	}
+	dec, err := decode(val)
+	if err != nil {
+		return val, nil, true
+	}
+	c.mu.Lock()
+	if el, ok := c.items[key]; ok {
+		if e := el.Value.(*entry); sameBytes(e.val, val) {
+			e.dec = dec
+		}
+	}
+	c.mu.Unlock()
+	return val, dec, true
+}
+
+// sameBytes reports whether a and b are the same stored value: the same
+// backing array and length, not merely equal contents.
+func sameBytes(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // Put stores val under key in both tiers and, when an upstream peer is
@@ -244,10 +308,9 @@ func (c *Cache) store(key string, val []byte, push bool) {
 		default:
 		}
 	}
-	dir := c.opts.Dir
 	c.mu.Unlock()
-	if dir != "" {
-		c.writeDisk(key, val)
+	if path, ok := c.diskPath(key); ok {
+		c.writeDisk(path, val)
 	}
 }
 
@@ -273,7 +336,7 @@ func (c *Cache) storeLocked(key string, val []byte) {
 	if el, ok := c.items[key]; ok {
 		e := el.Value.(*entry)
 		c.bytes += int64(len(val)) - int64(len(e.val))
-		e.val = val
+		e.val, e.dec = val, nil
 		c.ll.MoveToFront(el)
 		return
 	}
@@ -356,21 +419,32 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// diskPath shards disk entries across 256 prefix directories so a large
-// cache never produces one enormous flat directory.
-func (c *Cache) diskPath(key string) string {
+// diskPath is the file of key's disk entry, and false when the value
+// stays in memory: when there is no disk tier, or when key is not made
+// of lowercase hex digits (so it can name no directory but its own).
+// Entries are sharded across 256 prefix directories so a large cache
+// never produces one enormous flat directory.
+func (c *Cache) diskPath(key string) (string, bool) {
+	if c.opts.Dir == "" || key == "" {
+		return "", false
+	}
+	for i := 0; i < len(key); i++ {
+		if b := key[i]; (b < '0' || b > '9') && (b < 'a' || b > 'f') {
+			return "", false
+		}
+	}
 	prefix := "xx"
 	if len(key) >= 2 {
 		prefix = key[:2]
 	}
-	return filepath.Join(c.opts.Dir, prefix, key+".json")
+	return filepath.Join(c.opts.Dir, prefix, key+".json"), true
 }
 
-// writeDisk persists one entry atomically: write-to-temp then rename, so
-// a concurrent reader never observes a torn file. Failures are silent —
-// the disk tier is an optimization, never a correctness dependency.
-func (c *Cache) writeDisk(key string, val []byte) {
-	path := c.diskPath(key)
+// writeDisk persists one entry at path atomically: write-to-temp then
+// rename, so a concurrent reader never observes a torn file. Failures
+// are silent — the disk tier is an optimization, never a correctness
+// dependency.
+func (c *Cache) writeDisk(path string, val []byte) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
 	}

@@ -56,21 +56,40 @@ func Key(kind string, parts any) string {
 	return keyWithSalt(EngineVersion, kind, parts)
 }
 
+// KeyOf is Key over an encoding the caller built itself: when data is
+// the bytes json.Marshal(parts) returns, KeyOf(kind, data) equals
+// Key(kind, parts). It serves callers that address many values sharing
+// most of their encoding, which they build once and append to.
+func KeyOf(kind string, data []byte) string {
+	return keyOf(EngineVersion, kind, data)
+}
+
 // keyWithSalt is Key with an explicit salt, split out so tests can pin
 // that the salt participates in the address.
 func keyWithSalt(salt, kind string, parts any) string {
 	data, err := json.Marshal(parts)
 	if err != nil {
-		// Inputs are always marshalable value types; an error here is a
-		// programming bug. Fold it into the hash rather than panic so a
-		// cache lookup degrades to a guaranteed miss.
+		// Inputs are marshalable value types, though a float among them
+		// can be NaN or infinite (a simulation load given on the command
+		// line). Fold the error into the hash rather than panic so a
+		// cache lookup degrades to a miss.
 		data = []byte(fmt.Sprintf("unmarshalable:%v", err))
 	}
-	h := sha256.New()
-	h.Write([]byte(salt))
-	h.Write([]byte{0})
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write(data)
-	return hex.EncodeToString(h.Sum(nil))
+	return keyOf(salt, kind, data)
+}
+
+// keyOf hashes salt NUL kind NUL data, the preimage of every key. The
+// preimage is assembled in a stack buffer when it fits, so hashing one
+// allocates only the returned string.
+func keyOf(salt, kind string, data []byte) string {
+	var buf [512]byte
+	pre := append(buf[:0], salt...)
+	pre = append(pre, 0)
+	pre = append(pre, kind...)
+	pre = append(pre, 0)
+	pre = append(pre, data...)
+	sum := sha256.Sum256(pre)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -224,6 +225,13 @@ func TestNilCacheSafe(t *testing.T) {
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil stats %+v", st)
 	}
+	val, dec, ok := c.GetDecoded("k", func([]byte) (any, error) {
+		t.Fatal("nil cache decoded")
+		return nil, nil
+	})
+	if ok || val != nil || dec != nil {
+		t.Fatalf("nil GetDecoded: %q %v %v", val, dec, ok)
+	}
 }
 
 // fakeClock is a hand-advanced clock for deterministic TTL tests.
@@ -365,5 +373,203 @@ func TestRegistryDefaults(t *testing.T) {
 	}
 	if r.HeartbeatInterval() != DefaultHeartbeatInterval {
 		t.Fatalf("interval %v", r.HeartbeatInterval())
+	}
+}
+
+// TestKeyOf pins that KeyOf over json.Marshal(parts) is Key(kind, parts),
+// the identity a caller that builds its own encoding relies on.
+func TestKeyOf(t *testing.T) {
+	for _, parts := range []any{42, "x<&>", struct {
+		A string  `json:"a"`
+		B float64 `json:"b"`
+	}{" ", 3e22}} {
+		data, err := json.Marshal(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if KeyOf("k", data) != Key("k", parts) {
+			t.Errorf("KeyOf(%s) differs from Key", data)
+		}
+	}
+}
+
+// countingDecode decodes a value as its string and counts the calls.
+func countingDecode(calls *atomic.Int32) func([]byte) (any, error) {
+	return func(b []byte) (any, error) {
+		calls.Add(1)
+		return string(b), nil
+	}
+}
+
+// TestCacheGetDecoded pins the decoded tier: decode runs once per
+// resident value, a replacing Put or Seed drops the decoded value, a
+// decode error keeps nothing, and the hit and miss counters move exactly
+// as Get moves them.
+func TestCacheGetDecoded(t *testing.T) {
+	var calls atomic.Int32
+	decode := countingDecode(&calls)
+	c := NewCache(CacheOptions{})
+	twin := NewCache(CacheOptions{})
+	both := func(f func(*Cache)) { f(c); f(twin) }
+	get := func(key, want string, decodes int32) {
+		t.Helper()
+		val, dec, ok := c.GetDecoded(key, decode)
+		if _, tok := twin.Get(key); tok != ok {
+			t.Fatalf("%s: GetDecoded ok=%v, Get ok=%v", key, ok, tok)
+		}
+		if want == "" {
+			if ok || val != nil || dec != nil {
+				t.Fatalf("%s: miss answered %q %v %v", key, val, dec, ok)
+			}
+		} else if !ok || string(val) != want || dec != want {
+			t.Fatalf("%s: got %q %v %v, want %q", key, val, dec, ok, want)
+		}
+		if n := calls.Load(); n != decodes {
+			t.Fatalf("%s: %d decodes, want %d", key, n, decodes)
+		}
+	}
+	both(func(c *Cache) { c.Put("a", []byte("v1")) })
+	get("a", "v1", 1)
+	get("a", "v1", 1)
+	get("absent", "", 1)
+	both(func(c *Cache) { c.Put("a", []byte("v2")) })
+	get("a", "v2", 2)
+	get("a", "v2", 2)
+	both(func(c *Cache) { c.Seed("a", []byte("v3")) })
+	get("a", "v3", 3)
+	get("a", "v3", 3)
+	if got, want := c.Stats(), twin.Stats(); got != want {
+		t.Fatalf("GetDecoded stats %+v, Get stats %+v", got, want)
+	}
+	if st := c.Stats(); st.Hits != 6 || st.Misses != 1 || st.Bytes != 2 {
+		t.Fatalf("stats %+v, want 6 hits, 1 miss, 2 bytes", st)
+	}
+
+	// A decode error answers the bytes undecoded and keeps nothing.
+	c.Put("b", []byte("junk"))
+	fails := 0
+	bad := func([]byte) (any, error) { fails++; return nil, errors.New("corrupt") }
+	for i := 0; i < 2; i++ {
+		if val, dec, ok := c.GetDecoded("b", bad); !ok || string(val) != "junk" || dec != nil {
+			t.Fatalf("failed decode answered %q %v %v", val, dec, ok)
+		}
+	}
+	if fails != 2 {
+		t.Fatalf("failed decode ran %d times, want 2 (nothing kept)", fails)
+	}
+}
+
+// TestCacheGetDecodedStoreWins pins that a store racing a decode wins:
+// the decoded value of bytes that were replaced while decode ran is not
+// kept, so the next lookup decodes the new bytes.
+func TestCacheGetDecodedStoreWins(t *testing.T) {
+	c := NewCache(CacheOptions{})
+	c.Put("k", []byte("old"))
+	raced := false
+	val, dec, ok := c.GetDecoded("k", func(b []byte) (any, error) {
+		if !raced {
+			raced = true
+			c.Put("k", []byte("new"))
+		}
+		return string(b), nil
+	})
+	if !ok || string(val) != "old" || dec != "old" {
+		t.Fatalf("racing lookup answered %q %v %v", val, dec, ok)
+	}
+	var calls atomic.Int32
+	if val, dec, ok := c.GetDecoded("k", countingDecode(&calls)); !ok || string(val) != "new" || dec != "new" || calls.Load() != 1 {
+		t.Fatalf("after the racing store: %q %v %v, %d decodes; want new, decoded once", val, dec, ok, calls.Load())
+	}
+}
+
+// TestCacheGetDecodedEvictionAndDisk pins that eviction drops the decoded
+// value with its entry, and that a disk-tier hit decodes once and is then
+// answered from memory.
+func TestCacheGetDecodedEvictionAndDisk(t *testing.T) {
+	var calls atomic.Int32
+	decode := countingDecode(&calls)
+	dir := t.TempDir()
+	c := NewCache(CacheOptions{MaxEntries: 1, Dir: dir})
+	c.Put("aa", []byte("va"))
+	c.GetDecoded("aa", decode)
+	c.Put("bb", []byte("vb")) // evicts aa from memory; its file remains
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("entries %d, want 1", st.Entries)
+	}
+	for i := 0; i < 3; i++ {
+		if _, dec, ok := c.GetDecoded("aa", decode); !ok || dec != "va" {
+			t.Fatalf("lookup %d after eviction: %v %v", i, dec, ok)
+		}
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("%d decodes, want 2: the evicted value decodes again once", calls.Load())
+	}
+	if st := c.Stats(); st.DiskHits != 1 || st.Hits != 4 || st.Misses != 0 {
+		t.Fatalf("stats %+v, want 1 disk hit of 4 hits", st)
+	}
+}
+
+// TestCacheGetDecodedConcurrent runs lookups, Puts and Seeds of a few
+// keys at once (meaningful under -race): every answer's decoded value is
+// the decoding of the bytes it came with.
+func TestCacheGetDecodedConcurrent(t *testing.T) {
+	c := NewCache(CacheOptions{MaxEntries: 3})
+	decode := func(b []byte) (any, error) { return string(b), nil }
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				key := fmt.Sprintf("k%d", (g+i)%5)
+				switch i % 3 {
+				case 0:
+					c.Put(key, []byte(fmt.Sprintf("%s-%d-%d", key, g, i)))
+				case 1:
+					c.Seed(key, []byte(fmt.Sprintf("%s-%d-%d", key, g, i)))
+				default:
+					if val, dec, ok := c.GetDecoded(key, decode); ok && dec != string(val) {
+						t.Errorf("%s: decoded %v for bytes %q", key, dec, val)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCacheDiskKeysStayInDir pins that a key which is not a hex digest
+// never names a file: a store under "../x" or "./../x" writes nothing
+// inside or outside Dir, and a lookup under such a key cannot read a file
+// planted beside Dir.
+func TestCacheDiskKeysStayInDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	if err := os.WriteFile(filepath.Join(root, "x.json"), []byte(`"planted"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(CacheOptions{Dir: dir})
+	for _, key := range []string{"../x", "./../x", "../../x", "ab/../../x", "..", "/x", "DEADBEEF", "k"} {
+		if _, ok := NewCache(CacheOptions{Dir: dir}).Get(key); ok {
+			t.Errorf("%q: a lookup read a file", key)
+		}
+		c.Put(key, []byte(`"stored"`))
+		if v, ok := c.Get(key); !ok || string(v) != `"stored"` {
+			t.Errorf("%q: memory tier lost the value: %q %v", key, v, ok)
+		}
+	}
+	var files []string
+	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if len(files) != 1 || files[0] != filepath.Join(root, "x.json") {
+		t.Fatalf("files under the test root: %v, want only the planted one", files)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("non-hex keys created the cache directory (%v)", err)
 	}
 }

@@ -34,9 +34,6 @@ func New(n int) *Digraph {
 	}
 }
 
-// NumNodes reports the number of nodes (max ensured ID + 1).
-func (g *Digraph) NumNodes() int { return len(g.succ) }
-
 // NumEdges reports the number of distinct directed edges.
 func (g *Digraph) NumEdges() int { return g.nEdges }
 
@@ -73,29 +70,6 @@ func (g *Digraph) AddEdge(from, to int) bool {
 	return true
 }
 
-// RemoveEdge deletes the directed edge from→to if present and reports
-// whether it existed.
-func (g *Digraph) RemoveEdge(from, to int) bool {
-	key := [2]int{from, to}
-	if g.edgeSet == nil || !g.edgeSet[key] {
-		return false
-	}
-	delete(g.edgeSet, key)
-	g.succ[from] = removeFirst(g.succ[from], to)
-	g.pred[to] = removeFirst(g.pred[to], from)
-	g.nEdges--
-	return true
-}
-
-func removeFirst(s []int, v int) []int {
-	for i, x := range s {
-		if x == v {
-			return append(s[:i], s[i+1:]...)
-		}
-	}
-	return s
-}
-
 // HasEdge reports whether the directed edge from→to exists.
 func (g *Digraph) HasEdge(from, to int) bool {
 	if g.edgeSet == nil {
@@ -124,9 +98,6 @@ func (g *Digraph) Pred(id int) []int {
 
 // OutDegree reports the number of successors of node id.
 func (g *Digraph) OutDegree(id int) int { return len(g.Succ(id)) }
-
-// InDegree reports the number of predecessors of node id.
-func (g *Digraph) InDegree(id int) int { return len(g.Pred(id)) }
 
 // Edges returns all edges sorted by (from, to); useful for stable output.
 func (g *Digraph) Edges() [][2]int {

@@ -124,19 +124,6 @@ func (d *Delta) Write(w io.Writer) error {
 	return err
 }
 
-// ReadDelta parses a delta report from JSON.
-func ReadDelta(r io.Reader) (*Delta, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("reconfig: %w", err)
-	}
-	d := &Delta{}
-	if err := d.UnmarshalJSON(data); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
 // deltaBreaks converts replay break records (pseudo-flow reroute IDs)
 // into report form with real flow IDs.
 func deltaBreaks(breaks []core.BreakRecord, refs []route.PathRef) []DeltaBreak {

@@ -50,8 +50,8 @@ func FuzzReconfigDelta(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			back, err := ReadDelta(bytes.NewReader(j1))
-			if err != nil {
+			back := &Delta{}
+			if err := back.UnmarshalJSON(j1); err != nil {
 				t.Fatalf("delta does not re-parse: %v", err)
 			}
 			j2, err := back.MarshalJSON()

@@ -160,16 +160,3 @@ func (s *RouteSet) Write(w io.Writer) error {
 	_, err = w.Write(append(data, '\n'))
 	return err
 }
-
-// ReadSet parses a route set from JSON.
-func ReadSet(r io.Reader) (*RouteSet, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("route: %w", err)
-	}
-	s := NewRouteSet(0)
-	if err := s.UnmarshalJSON(data); err != nil {
-		return nil, err
-	}
-	return s, nil
-}

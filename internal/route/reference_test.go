@@ -54,7 +54,7 @@ func referenceShortestPaths(top *topology.Topology, g *traffic.Graph, base map[t
 			}
 			return baseCost(id) + load[id]/norm
 		}
-		path := dijkstraPath(sg, int(srcSw), int(dstSw), w)
+		path := dijkstraPath(sg, top.NumSwitches(), int(srcSw), int(dstSw), w)
 		if path == nil {
 			return nil, fmt.Errorf("reference: no path for flow %d", fid)
 		}
@@ -69,10 +69,10 @@ func referenceShortestPaths(top *topology.Topology, g *traffic.Graph, base map[t
 	return table, nil
 }
 
-// dijkstraPath returns a minimum-cost node path from src to dst under w,
+// dijkstraPath returns a minimum-cost node path from src to dst under w
+// over the n nodes of g,
 // or nil if dst is unreachable, breaking ties toward lower predecessor IDs.
-func dijkstraPath(g *graph.Digraph, src, dst int, w func(u, v int) float64) []int {
-	n := g.NumNodes()
+func dijkstraPath(g *graph.Digraph, n, src, dst int, w func(u, v int) float64) []int {
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil
 	}

@@ -150,8 +150,8 @@ func TestRouteSetJSONRoundTrip(t *testing.T) {
 	if err := set.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := route.ReadSet(&buf)
-	if err != nil {
+	got := route.NewRouteSet(0)
+	if err := got.UnmarshalJSON(buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if got.NumFlows() != set.NumFlows() {
@@ -172,7 +172,7 @@ func TestReadSetRejectsBadJSON(t *testing.T) {
 		`not json`,
 	}
 	for _, c := range cases {
-		if _, err := route.ReadSet(bytes.NewReader([]byte(c))); !errors.Is(err, nocerr.ErrInvalidInput) {
+		if err := route.NewRouteSet(0).UnmarshalJSON([]byte(c)); !errors.Is(err, nocerr.ErrInvalidInput) {
 			t.Errorf("%s: err = %v, want ErrInvalidInput", c, err)
 		}
 	}

@@ -231,23 +231,3 @@ func (r *router) pop() heapItem {
 	r.heap = h[:n]
 	return h[n]
 }
-
-// Connected reports whether every flow of g can be routed on top at all
-// (ignoring VCs); useful before attempting synthesis repairs.
-func Connected(top *topology.Topology, g *traffic.Graph) bool {
-	r := newRouter(top, nil)
-	for _, f := range g.Flows() {
-		srcSw, ok1 := top.SwitchOf(int(f.Src))
-		dstSw, ok2 := top.SwitchOf(int(f.Dst))
-		if !ok1 || !ok2 {
-			return false
-		}
-		if srcSw == dstSw {
-			continue
-		}
-		if r.path(int(srcSw), int(dstSw), 1) == nil {
-			return false
-		}
-	}
-	return true
-}

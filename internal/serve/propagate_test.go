@@ -8,6 +8,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,6 +62,50 @@ func TestCacheSeedAndFetch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("fetch absent key: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCacheKeysStayInCacheDir pins that a cache key taken from a request
+// never names a file outside the disk tier's directory: the open GET
+// /v1/cache/.%2F..%2Fsecret cannot read DIR/../secret.json, and a seed
+// under ./../planted cannot create DIR/../planted.json. Such keys stay in
+// memory.
+func TestCacheKeysStayInCacheDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "cache")
+	if err := os.WriteFile(filepath.Join(root, "secret.json"), []byte(`"secret"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Options{Workers: 1, Cache: fabric.NewCache(fabric.CacheOptions{Dir: dir})})
+
+	resp, err := http.Get(ts.URL + "/v1/cache/.%2F..%2Fsecret")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("fetch of a key escaping the cache dir: status %d, body %q; want 404", resp.StatusCode, body)
+	}
+
+	seed := map[string]any{"entries": []map[string]any{{"key": "./../planted", "value": map[string]int{"v": 1}}}}
+	var out struct {
+		Stored int `json:"stored"`
+	}
+	if code := postJSON(t, ts.URL+"/v1/cache/seed", seed, &out); code != http.StatusOK || out.Stored != 1 {
+		t.Fatalf("seed: status %d, stored %d", code, out.Stored)
+	}
+	if _, err := os.Stat(filepath.Join(root, "planted.json")); !os.IsNotExist(err) {
+		t.Fatalf("a seeded key wrote outside the cache dir (stat: %v)", err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/cache/.%2F..%2Fplanted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != `{"v":1}` {
+		t.Fatalf("seeded key not served from memory: status %d, body %q", resp.StatusCode, body)
 	}
 }
 

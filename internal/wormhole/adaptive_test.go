@@ -1,6 +1,7 @@
 package wormhole_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestAdaptiveMinimalDeadlocksAndRemovalRepairs(t *testing.T) {
 		t.Fatal("min-adaptive all-to-all saturation did not deadlock in 5 seeds — negative control lost")
 	}
 
-	res, err := core.RemoveSet(grid.Topology, set, core.Options{})
+	res, err := core.RemoveSetContext(context.Background(), grid.Topology, set, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +264,7 @@ func TestAdaptiveFaultedSetSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.RemoveSet(grid.Topology, set, core.Options{})
+	res, err := core.RemoveSetContext(context.Background(), grid.Topology, set, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func batchMatrix(t *testing.T, n int) []batchCell {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sres, err := core.RemoveSet(grid.Topology, set, core.Options{})
+			sres, err := core.RemoveSetContext(context.Background(), grid.Topology, set, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package wormhole_test
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -79,7 +80,7 @@ func goldenDesigns(t *testing.T) []goldenDesign {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := core.RemoveSet(grid.Topology, set, core.Options{})
+				res, err := core.RemoveSetContext(context.Background(), grid.Topology, set, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

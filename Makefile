@@ -123,16 +123,27 @@ sweep-smoke:
 
 # The distributed-path smoke: the same faulted grid swept serially and
 # sharded across two in-process serve workers must produce byte-identical
-# JSON reports (cmp exits non-zero on the first differing byte).
+# JSON reports (cmp exits non-zero on the first differing byte). The
+# sharded run fills a fresh on-disk cache; a warm pass then sweeps four
+# seeds over it in a new process, must answer exactly the first seed's 4
+# cells from the cache and must still match a serial run of the
+# four-seed grid.
+SHARDED_SMOKE_GRID = -benchmarks mesh:4,torus:4x4:transpose -routing west-first,odd-even -faults 1 -quiet
 sweep-smoke-sharded:
-	$(GO) run ./cmd/nocexp sweep -benchmarks mesh:4,torus:4x4:transpose \
-		-routing west-first,odd-even -faults 1 -parallel 1 -quiet \
-		-json sweep-serial.json
-	$(GO) run ./cmd/nocexp sweep -benchmarks mesh:4,torus:4x4:transpose \
-		-routing west-first,odd-even -faults 1 -shard-local 2 -quiet \
-		-json sweep-sharded.json
+	$(GO) run ./cmd/nocexp sweep $(SHARDED_SMOKE_GRID) -parallel 1 -json sweep-serial.json
+	rm -rf sweep-cache
+	$(GO) run ./cmd/nocexp sweep $(SHARDED_SMOKE_GRID) -seeds 0 -shard-local 2 \
+		-cache-dir sweep-cache -json sweep-sharded.json
 	cmp sweep-serial.json sweep-sharded.json
 	@echo "sharded report is byte-identical to serial"
+	$(GO) run ./cmd/nocexp sweep $(SHARDED_SMOKE_GRID) -seeds 0,1,2,3 -parallel 1 \
+		-json sweep-warm-serial.json
+	$(GO) run ./cmd/nocexp sweep $(SHARDED_SMOKE_GRID) -seeds 0,1,2,3 -shard-local 2 \
+		-cache-dir sweep-cache -json sweep-warm.json 2> sweep-warm.log || { cat sweep-warm.log; exit 1; }
+	cat sweep-warm.log
+	grep -q '^cache: 4 hits, ' sweep-warm.log
+	cmp sweep-warm-serial.json sweep-warm.json
+	@echo "warm sharded report is byte-identical to serial, 4 cells from the cache"
 
 # The nightly tier's scenario surface: 8x8 and 10x10 meshes and tori,
 # every turn model plus fully-adaptive minimal routing, two seeded link

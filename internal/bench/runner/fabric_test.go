@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -20,6 +22,7 @@ import (
 
 	"github.com/nocdr/nocdr/internal/bench/runner"
 	"github.com/nocdr/nocdr/internal/fabric"
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/serve"
 )
 
@@ -117,12 +120,24 @@ func totalSubmits(counts []int64) int64 {
 	return n
 }
 
-// TestShardedLateJoinPicksUpUnownedShards starts a sweep against an
-// empty fleet: every shard is unowned. Two workers join mid-run through
-// the WorkerSource, take all of them, and the merged report must be
+// refusingWorker is the URL of a worker that refuses every connection:
+// its first shard attempt retires it, so a fleet of it alone empties
+// mid-run.
+func refusingWorker() string {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	return dead.URL
+}
+
+// TestShardedLateJoinPicksUpUnownedShards starts a sweep on a fleet
+// whose only worker refuses connections: its first shard attempt
+// retires it, the fleet empties and every shard is unowned. Two
+// workers join through the WorkerSource while the run waits out the
+// join grace, take all of them, and the merged report must be
 // byte-identical to the serial run — a worker's join time cannot leak
 // into the results.
 func TestShardedLateJoinPicksUpUnownedShards(t *testing.T) {
+	defer runner.SetJoinGrace(10 * time.Second)()
 	grid := conformanceGrid()
 	serial, err := runner.Run(grid, runner.Options{Parallel: 1})
 	if err != nil {
@@ -132,14 +147,20 @@ func TestShardedLateJoinPicksUpUnownedShards(t *testing.T) {
 
 	counts := make([]int64, 2)
 	urls := startWorkers(t, 2, countSubmits(counts))
-	src := newFakeSource() // empty at start: the run must wait, not fail
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		src.set(urls...)
-	}()
+	src := newFakeSource(refusingWorker())
+	var joined sync.Once
 	sh := &runner.Sharded{
-		Source:    src,
-		JoinGrace: 30 * time.Second,
+		Source: src,
+		// The fleet is empty once the refusing worker fails its shard:
+		// the run must wait, not fail.
+		OnRetry: func(int, string, error) {
+			joined.Do(func() {
+				go func() {
+					time.Sleep(50 * time.Millisecond)
+					src.set(urls...)
+				}()
+			})
+		},
 	}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
@@ -153,16 +174,19 @@ func TestShardedLateJoinPicksUpUnownedShards(t *testing.T) {
 	}
 }
 
-// TestShardedJoinGraceExpires pins the bounded wait: a source that never
-// produces a worker must fail with the join-grace error, not hang. The
-// grace runs from the moment the fleet empties, so a source that keeps
-// signalling membership changes without offering a worker (a
-// crash-looping worker re-registering at a retired URL looks like this)
-// must not restart it.
+// TestShardedJoinGraceExpires pins the bounded wait: a fleet whose only
+// worker refuses connections empties mid-run, and a source that never
+// produces another worker must fail the run with the join-grace error,
+// not hang. The grace runs from the moment the fleet empties, so a
+// source that keeps signalling membership changes without offering a
+// new worker (a crash-looping worker re-registering at its retired URL
+// looks like this) must not restart it.
 func TestShardedJoinGraceExpires(t *testing.T) {
+	defer runner.SetJoinGrace(60 * time.Millisecond)()
 	grid := runner.Grid{Benchmarks: []string{"mesh:3"}, Seeds: []int64{0}}
 	for _, flapping := range []bool{false, true} {
-		src := newFakeSource()
+		dead := refusingWorker()
+		src := newFakeSource(dead)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		if flapping {
@@ -174,7 +198,7 @@ func TestShardedJoinGraceExpires(t *testing.T) {
 				for {
 					select {
 					case <-tick.C:
-						src.set()
+						src.set(dead)
 					case <-stop:
 						return
 					}
@@ -182,7 +206,7 @@ func TestShardedJoinGraceExpires(t *testing.T) {
 			}()
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		sh := &runner.Sharded{Source: src, JoinGrace: 60 * time.Millisecond}
+		sh := &runner.Sharded{Source: src}
 		start := time.Now()
 		_, err := sh.RunContext(ctx, grid, runner.Options{})
 		waited := time.Since(start)
@@ -198,10 +222,9 @@ func TestShardedJoinGraceExpires(t *testing.T) {
 	}
 }
 
-// TestShardedEmptySourceFailsFast pins the zero-grace path: a fleet
-// empty at start with JoinGrace unset fails at once, as the Session and
-// the CLI see it. Only a fleet that empties mid-run waits out the
-// default grace.
+// TestShardedEmptySourceFailsFast pins the fail-fast path: a fleet
+// empty at start fails at once, as the Session and the CLI see it. Only
+// a fleet that empties mid-run waits out the join grace.
 func TestShardedEmptySourceFailsFast(t *testing.T) {
 	grid := runner.Grid{Benchmarks: []string{"mesh:3"}, Seeds: []int64{0}}
 	sh := &runner.Sharded{Source: newFakeSource()}
@@ -288,8 +311,7 @@ func TestShardedCacheSecondRunDispatchesNothing(t *testing.T) {
 	// Served whole from the cache, a run over a live fleet starts no
 	// dispatch: it never reads the fleet's membership.
 	src := newFakeSource(urls...)
-	opts.OnResult = nil
-	rep3, err := (&runner.Sharded{Source: src}).RunContext(context.Background(), grid, opts)
+	rep3, err := (&runner.Sharded{Source: src}).RunContext(context.Background(), grid, runner.Options{CellCache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +320,112 @@ func TestShardedCacheSecondRunDispatchesNothing(t *testing.T) {
 	}
 	if n := src.reads.Load(); n != 0 {
 		t.Fatalf("cache-served run read the fleet membership %d time(s), want 0", n)
+	}
+
+	// Every slot is reported once also when only part of the grid is
+	// warm: a local run whose cold cells complete on concurrent workers,
+	// and a sharded run that dispatches a partially warm shard.
+	shards := sh.ShardCount(opts)
+	size := map[int]int{}
+	for _, j := range jobs {
+		size[runner.ShardOf(j, shards)]++
+	}
+	evict := -1
+	for i, j := range jobs {
+		if size[runner.ShardOf(j, shards)] > 1 {
+			evict = i
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(context.Context, runner.Grid, runner.Options) (*runner.Report, error)
+		cold []int // the cells missing from the cache
+	}{
+		{"local", runner.RunContext, []int{0, 3, 6, 9, 12, 15}},
+		{"sharded", sh.RunContext, []int{evict}},
+	} {
+		partial := newMapCache()
+		if _, err := runner.Run(grid, runner.Options{Parallel: 1, CellCache: partial}); err != nil {
+			t.Fatal(err)
+		}
+		for _, i := range tc.cold {
+			partial.delete(runner.CellKey(jobs[i], runner.Options{}, grid.Loads))
+		}
+		seen = make([]int, len(jobs))
+		popts := opts
+		popts.CellCache = partial
+		popts.Parallel = 4
+		rep, err := tc.run(context.Background(), grid, popts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reportBytes(t, rep); !bytes.Equal(want, got) {
+			t.Fatalf("%s partially warm run differs from serial:\nserial:\n%s\ngot:\n%s", tc.name, want, got)
+		}
+		for i, n := range seen {
+			if n != 1 {
+				t.Errorf("%s partially warm run: OnResult fired %d time(s) for slot %d, want 1", tc.name, n, i)
+			}
+		}
+		if partial.len() != len(jobs) {
+			t.Errorf("%s partially warm run left %d cells cached, want %d", tc.name, partial.len(), len(jobs))
+		}
+	}
+}
+
+// TestShardedFailedRunKeepsArrivedCells runs a sweep on one worker
+// whose last shard always fails: the run fails with nocerr.ErrWorker
+// after the other shards arrived, and every clean cell it reported to
+// OnResult must be in the coordinator cache, as a local run keeps every
+// cell it completed.
+func TestShardedFailedRunKeepsArrivedCells(t *testing.T) {
+	grid := conformanceGrid()
+	jobs := grid.Jobs()
+	shards := (&runner.Sharded{Workers: []string{"http://a"}}).ShardCount(runner.Options{})
+	last := 0
+	for _, j := range jobs {
+		last = max(last, runner.ShardOf(j, shards))
+	}
+	failing := fmt.Sprintf("%d/%d", last, shards)
+	urls := startWorkers(t, 1, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.Method == http.MethodPost && r.URL.Path == "/v1/sweep" && r.URL.Query().Get("shard") == failing:
+				w.WriteHeader(http.StatusAccepted)
+				fmt.Fprint(w, `{"id": "failing"}`)
+			case r.URL.Path == "/v1/jobs/failing/events":
+				sseState(w, map[string]string{"state": "failed", "error": "synthetic"})
+			default:
+				h.ServeHTTP(w, r)
+			}
+		})
+	})
+
+	cache := newMapCache()
+	var reported []runner.Result
+	opts := runner.Options{CellCache: cache, OnResult: func(_, _ int, res runner.Result) {
+		reported = append(reported, res)
+	}}
+	_, err := (&runner.Sharded{Workers: urls}).RunContext(context.Background(), grid, opts)
+	if !errors.Is(err, nocerr.ErrWorker) {
+		t.Fatalf("want an error wrapping nocerr.ErrWorker, got %v", err)
+	}
+	clean := 0
+	for _, res := range reported {
+		if res.Error != "" || res.Canceled {
+			continue
+		}
+		clean++
+		if _, ok := cache.Get(runner.CellKey(res.Job, runner.Options{}, grid.Loads)); !ok {
+			t.Errorf("reported cell %q is not in the cache", res.Key())
+		}
+	}
+	if clean == 0 {
+		t.Fatal("no clean cell arrived before the run failed")
+	}
+	if cache.len() != clean {
+		t.Errorf("cache holds %d cells, %d clean ones were reported", cache.len(), clean)
 	}
 }
 
@@ -444,10 +572,7 @@ func TestShardedHeartbeatRetirementRequeues(t *testing.T) {
 	}
 	defer src.Close()
 
-	sh := &runner.Sharded{
-		Source:    src,
-		JoinGrace: 30 * time.Second,
-	}
+	sh := &runner.Sharded{Source: src}
 	rep, err := sh.RunContext(context.Background(), grid, runner.Options{})
 	if err != nil {
 		t.Fatal(err)

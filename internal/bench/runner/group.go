@@ -27,16 +27,15 @@ type groupKey struct {
 // designDependsOnSeed reports whether the job's design (not just its
 // injection process) varies with the seed: rand: specs synthesize a
 // seeded traffic graph, and faulted preset cells mask a seeded link
-// selection.
-func designDependsOnSeed(job Job) bool {
-	s, _ := parseSpec(job.Benchmark)
+// selection. s is the job's benchmark spec.
+func designDependsOnSeed(s spec, job Job) bool {
 	if s.preset() {
 		return job.Faults > 0
 	}
 	return s.family == "rand"
 }
 
-func keyOf(job Job) groupKey {
+func keyOf(s spec, job Job) groupKey {
 	k := groupKey{
 		benchmark: job.Benchmark,
 		switches:  job.SwitchCount,
@@ -44,25 +43,25 @@ func keyOf(job Job) groupKey {
 		faults:    job.Faults,
 		policy:    job.Policy,
 	}
-	if designDependsOnSeed(job) {
+	if designDependsOnSeed(s, job) {
 		k.seeded, k.seed = true, job.Seed
 	}
 	return k
 }
 
-// groupJobs partitions job indices into design groups, in first-appearance
-// order. Seeds are the innermost Jobs axis, so on a full grid each group
-// is a contiguous run of cells; shard-filtered job lists group the same
-// way with fewer members. Indices marked in skip (cells already served
-// from the result cache) join no group; a nil skip takes every cell.
-func groupJobs(jobs []Job, skip []bool) [][]int {
+// groups partitions the run's incomplete cells into design groups, in
+// first-appearance order. Seeds are the innermost Jobs axis, so on a
+// full grid each group is a contiguous run of cells; shard-filtered
+// cells group the same way with fewer members. Cells the result cache
+// already completed join no group.
+func (r *sweepRun) groups() [][]int {
 	byKey := map[groupKey]int{}
 	var groups [][]int
-	for i, j := range jobs {
-		if skip != nil && skip[i] {
+	for i, j := range r.jobs {
+		if r.filled[i] {
 			continue
 		}
-		k := keyOf(j)
+		k := keyOf(r.specs[j.Benchmark], j)
 		gi, ok := byKey[k]
 		if !ok {
 			gi = len(groups)
@@ -85,7 +84,8 @@ var designBuildHook func(Job)
 // load sweep is configured). Each member's Result must be byte-identical
 // to an independent evaluation of that cell, failures included; the
 // per-cell oracle in oracle_test.go pins this differentially.
-func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, opts Options, loads []float64, laneParallel int) {
+func (r *sweepRun) runGroup(ctx context.Context, members []int, laneParallel int) {
+	jobs, results, opts, loads := r.jobs, r.results, r.opts, r.grid.Loads
 	job0 := jobs[members[0]]
 	emit := func(mk func(Job) Result) {
 		for _, i := range members {
@@ -117,11 +117,7 @@ func runGroup(ctx context.Context, jobs []Job, members []int, results []Result, 
 			return r.fail(err)
 		})
 	}
-	s, err := parseSpec(job0.Benchmark)
-	if err != nil {
-		emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
-		return
-	}
+	s := r.specs[job0.Benchmark]
 	if s.preset() {
 		grid, g, err := s.build()
 		if err != nil {

@@ -124,16 +124,25 @@ func (g Grid) normalized() Grid {
 // cross with the routing axis (their routing is always shortest-path).
 func (g Grid) Jobs() []Job {
 	g = g.normalized()
+	// A spec that does not parse enumerates as a synthesized benchmark;
+	// Validate rejects it.
+	specs := make([]spec, len(g.Benchmarks))
+	for i, b := range g.Benchmarks {
+		specs[i], _ = parseSpec(b)
+	}
+	return g.jobs(specs)
+}
+
+// jobs is Jobs of the normalized grid g whose benchmark specs, in
+// Benchmarks order, are specs.
+func (g Grid) jobs(specs []spec) []Job {
 	routings := g.Routings
 	if len(routings) == 0 {
 		routings = []string{""}
 	}
-	// A spec that does not parse enumerates as a synthesized benchmark;
-	// Validate rejects it.
-	specs := make([]spec, len(g.Benchmarks))
 	presets := 0
-	for i, b := range g.Benchmarks {
-		if specs[i], _ = parseSpec(b); specs[i].preset() {
+	for _, s := range specs {
+		if s.preset() {
 			presets++
 		}
 	}
@@ -169,54 +178,62 @@ func (g Grid) Jobs() []Job {
 // MaxSpecCores cores, and a grid of more than MaxGridCells cells are
 // errors wrapping nocerr.ErrInvalidInput.
 func (g Grid) Validate() error {
-	n := g.normalized()
+	_, err := g.normalized().specs()
+	return err
+}
+
+// specs validates the normalized grid g and returns its parsed benchmark
+// specs, in Benchmarks order.
+func (g Grid) specs() ([]spec, error) {
+	specs := make([]spec, len(g.Benchmarks))
 	presets := 0
-	for _, b := range n.Benchmarks {
+	for i, b := range g.Benchmarks {
 		s, err := parseSpec(b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := s.check(); err != nil {
-			return err
+			return nil, err
 		}
 		if s.preset() {
 			presets++
 		}
+		specs[i] = s
 	}
-	for _, p := range n.Policies {
+	for _, p := range g.Policies {
 		if _, err := ParsePolicy(p); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	for _, r := range n.Routings {
+	for _, r := range g.Routings {
 		if _, err := route.ParseTurnModel(r); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if n.Faults < 0 {
-		return fmt.Errorf("runner: negative fault count %d", n.Faults)
+	if g.Faults < 0 {
+		return nil, fmt.Errorf("runner: negative fault count %d", g.Faults)
 	}
-	if n.MaxPaths < 0 {
-		return fmt.Errorf("runner: negative max-paths %d", n.MaxPaths)
+	if g.MaxPaths < 0 {
+		return nil, fmt.Errorf("runner: negative max-paths %d", g.MaxPaths)
 	}
-	for _, l := range n.Loads {
+	for _, l := range g.Loads {
 		// Positive-form check so NaN fails too.
 		if !(l > 0 && l <= 1) {
-			return fmt.Errorf("runner: sweep load %v out of range (0, 1]", l)
+			return nil, fmt.Errorf("runner: sweep load %v out of range (0, 1]", l)
 		}
 	}
-	if len(n.SwitchCounts) == 0 {
-		return fmt.Errorf("runner: empty switch-count axis")
+	if len(g.SwitchCounts) == 0 {
+		return nil, fmt.Errorf("runner: empty switch-count axis")
 	}
-	for _, s := range n.SwitchCounts {
+	for _, s := range g.SwitchCounts {
 		if s < 1 {
-			return fmt.Errorf("runner: switch count %d out of range", s)
+			return nil, fmt.Errorf("runner: switch count %d out of range", s)
 		}
 	}
-	if cells, ok := n.cellCount(presets); !ok || cells > MaxGridCells {
-		return fmt.Errorf("%w: grid spans more than %d cells", nocerr.ErrInvalidInput, MaxGridCells)
+	if cells, ok := g.cellCount(presets); !ok || cells > MaxGridCells {
+		return nil, fmt.Errorf("%w: grid spans more than %d cells", nocerr.ErrInvalidInput, MaxGridCells)
 	}
-	return nil
+	return specs, nil
 }
 
 // Job is one point of the grid.
@@ -367,50 +384,27 @@ func Run(grid Grid, opts Options) (*Report, error) {
 // marked canceled. RunContext itself still returns a nil error in that
 // case — the caller decides whether a partial sweep is a failure.
 func RunContext(ctx context.Context, grid Grid, opts Options) (*Report, error) {
-	if err := grid.Validate(); err != nil {
+	r, err := newSweepRun(grid, opts)
+	if err != nil {
 		return nil, err
 	}
-	if opts.ShardCount < 0 || (opts.ShardCount > 0 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.ShardCount)) {
-		return nil, fmt.Errorf("%w: shard %d/%d out of range", nocerr.ErrInvalidInput, opts.ShardIndex, opts.ShardCount)
-	}
-	grid = grid.normalized()
-	opts.maxPaths = grid.MaxPaths
-	jobs := grid.Jobs()
-	if opts.ShardCount > 0 {
-		owned := make([]Job, 0, len(jobs))
-		for _, j := range jobs {
-			if ShardOf(j, opts.ShardCount) == opts.ShardIndex {
-				owned = append(owned, j)
-			}
-		}
-		jobs = owned
-	}
-	results := make([]Result, len(jobs))
-	scheduled := make([]bool, len(jobs))
-
 	// Result-cache pre-pass: cells whose content address already holds a
-	// clean result are filled in place and never scheduled. The stored
-	// bytes are the canonical Result encoding, so a cache-served report
-	// is byte-identical to a cold one.
-	keys := cellKeys(jobs, opts, grid.Loads)
-	var cached []bool
-	if opts.CellCache != nil && !opts.NoCache {
-		cached = make([]bool, len(jobs))
-		for i, j := range jobs {
-			if r, _, ok := cacheHit(opts, keys[i], j); ok {
-				results[i] = r
-				scheduled[i] = true
-				cached[i] = true
-			}
+	// clean result complete the moment the run starts, before any worker
+	// is spawned, and are never scheduled.
+	var cached []int
+	for i := range r.jobs {
+		if _, ok := r.lookup(i); ok {
+			cached = append(cached, i)
 		}
 	}
+	r.finish(cached, true)
 
 	// Cells differing only in seed (and, with Grid.Loads, measurement
 	// load) share their entire design build; the scheduler's unit of
 	// work is therefore the design group, not the cell. Each group
 	// builds its design exactly once and fans the per-cell simulations
 	// out as one lockstep batch. Cache-served cells join no group.
-	groups := groupJobs(jobs, cached)
+	groups := r.groups()
 
 	workers := opts.Parallel
 	if workers < 1 {
@@ -427,57 +421,15 @@ func RunContext(ctx context.Context, grid Grid, opts Options) (*Report, error) {
 		laneParallel = opts.Parallel / workers
 	}
 
-	var (
-		wg       sync.WaitGroup
-		progress sync.Mutex
-		done     int
-	)
-	// Cache-served cells complete the moment the run starts: their
-	// progress lines and OnResult events fire up front, before any
-	// worker is spawned, so observers see every cell exactly once.
-	if opts.Progress != nil || opts.OnResult != nil {
-		for i := range jobs {
-			if cached == nil || !cached[i] {
-				continue
-			}
-			done++
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "sweep %d/%d: %s (cached)\n", done, len(jobs), results[i].oneLine())
-			}
-			if opts.OnResult != nil {
-				opts.OnResult(i, len(jobs), results[i])
-			}
-		}
-	}
+	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for gi := range idx {
-				members := groups[gi]
-				runGroup(ctx, jobs, members, results, opts, grid.Loads, laneParallel)
-				if opts.CellCache != nil {
-					for _, i := range members {
-						storeClean(opts.CellCache, keys[i], results[i])
-					}
-				}
-				if opts.Progress != nil || opts.OnResult != nil {
-					// Counter increment and callbacks share the mutex so
-					// the n/total labels stay monotonic on the stream and
-					// OnResult observers never run concurrently.
-					progress.Lock()
-					for _, i := range members {
-						done++
-						if opts.Progress != nil {
-							fmt.Fprintf(opts.Progress, "sweep %d/%d: %s\n", done, len(jobs), results[i].oneLine())
-						}
-						if opts.OnResult != nil {
-							opts.OnResult(i, len(jobs), results[i])
-						}
-					}
-					progress.Unlock()
-				}
+				r.runGroup(ctx, groups[gi], laneParallel)
+				r.finish(groups[gi], false)
 			}
 		}()
 	}
@@ -485,28 +437,13 @@ feed:
 	for gi := range groups {
 		select {
 		case idx <- gi:
-			for _, i := range groups[gi] {
-				scheduled[i] = true
-			}
 		case <-ctx.Done():
 			break feed
 		}
 	}
 	close(idx)
 	wg.Wait()
-	rep := &Report{Grid: grid, Results: results}
-	if ctx.Err() != nil {
-		rep.Canceled = true
-		for i := range results {
-			if !scheduled[i] {
-				results[i] = Result{Job: jobs[i], Canceled: true}
-			}
-		}
-	}
-	if opts.ShardCount == 0 {
-		rep.Curves = BuildCurves(rep)
-	}
-	return rep, nil
+	return r.report(ctx.Err() != nil), nil
 }
 
 // fail folds an evaluation error into the result: cancellations mark the

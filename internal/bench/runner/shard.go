@@ -59,31 +59,10 @@ func ShardOf(j Job, shards int) int {
 }
 
 // placeShard writes one shard's results into their grid slots. got holds
-// exactly the shard's cells in grid order — the coordinator's cache hits,
-// or a report shardReport accepted — so got[k] is the cell of slot
-// cells[k].
-func placeShard(results []Result, filled []bool, cells []int, got []Result) {
+// exactly the shard's cells in grid order — a report shardReport
+// accepted — so got[k] is the cell of slot cells[k].
+func placeShard(results []Result, cells []int, got []Result) {
 	for k, i := range cells {
 		results[i] = got[k]
-		filled[i] = true
 	}
-}
-
-// shardedReport assembles a sharded run's report from its slots. A slot
-// no shard filled becomes a canceled cell — the report is structurally
-// complete even when shards went missing — and marks the report
-// canceled; canceled says whether it already is (a shard came back
-// canceled, or the run was). Shard reports never carry curves; they are
-// aggregated here over the complete results, exactly as an unsharded
-// RunContext would.
-func shardedReport(grid Grid, jobs []Job, results []Result, filled []bool, canceled bool) *Report {
-	for i := range results {
-		if !filled[i] {
-			results[i] = Result{Job: jobs[i], Canceled: true}
-			canceled = true
-		}
-	}
-	rep := &Report{Grid: grid, Canceled: canceled, Results: results}
-	rep.Curves = BuildCurves(rep)
-	return rep
 }

@@ -167,27 +167,29 @@ func TestShardCount(t *testing.T) {
 // assembleShards is the dispatcher's placement over wire-form shard
 // reports: raw[s] is shard s's report as a worker sends it, cells[s] its
 // grid slots in grid order. Shards arrive in order; each is checked by
-// shardReport against its cells and placed into its slots, and a shard
-// that never arrives leaves its slots unfilled.
+// shardReport against its cells, placed into its slots and completed on
+// a run of the grid, and a shard that never arrives leaves its slots
+// incomplete.
 func assembleShards(grid Grid, cells [][]int, raw [][]byte, order []int) (*Report, error) {
-	grid = grid.normalized()
-	jobs := grid.Jobs()
-	results := make([]Result, len(jobs))
-	filled := make([]bool, len(jobs))
+	r, err := newSweepRun(grid, Options{})
+	if err != nil {
+		return nil, err
+	}
 	canceled := false
 	for _, s := range order {
 		want := make([]Job, len(cells[s]))
 		for k, i := range cells[s] {
-			want[k] = jobs[i]
+			want[k] = r.jobs[i]
 		}
 		rep, err := shardReport(raw[s], want)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		canceled = canceled || rep.Canceled
-		placeShard(results, filled, cells[s], rep.Results)
+		placeShard(r.results, cells[s], rep.Results)
+		r.finish(cells[s], false)
 	}
-	return shardedReport(grid, jobs, results, filled, canceled), nil
+	return r.report(canceled), nil
 }
 
 // splitReport cuts a whole-grid report into shards by assign (the shard

@@ -20,7 +20,6 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/nocdr/nocdr/internal/core"
@@ -50,13 +49,11 @@ type Sharded struct {
 	// Updates signals, URLs never seen before join the fleet mid-run and
 	// immediately start taking unowned shards. A URL retired for failures
 	// is not re-admitted within the run, even if the source still lists
-	// it. fabric.Watcher implements the contract.
+	// it. A run whose fleet is empty at start fails at once; one whose
+	// fleet empties mid-run waits up to 30s for a worker to join before it
+	// fails like an all-workers-dead run. fabric.Watcher implements the
+	// contract.
 	Source WorkerSource
-	// JoinGrace bounds how long a run with a Source waits for a worker
-	// to join while shards are pending and none are live (default 30s);
-	// past it the run fails like an all-workers-dead run. A run whose
-	// fleet is empty at start fails at once unless JoinGrace is set.
-	JoinGrace time.Duration
 	// AuthToken is the fleet bearer token attached to every worker call
 	// ("" = open fleet).
 	AuthToken string
@@ -127,12 +124,10 @@ var requestIdle = 60 * time.Second
 // line.
 var errSilent = errors.New("event stream silent past the idle limit")
 
-func (d *Sharded) joinGrace() time.Duration {
-	if d.JoinGrace > 0 {
-		return d.JoinGrace
-	}
-	return 30 * time.Second
-}
+// joinGrace bounds how long a run with a Source waits for a worker to
+// join while shards are pending and none are live. A var so tests can
+// shorten it.
+var joinGrace = 30 * time.Second
 
 func (d *Sharded) client() *http.Client {
 	if d.Client != nil {
@@ -210,94 +205,65 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	if opts.ShardCount != 0 {
 		return nil, fmt.Errorf("%w: cannot nest a shard filter inside a sharded dispatch", nocerr.ErrInvalidInput)
 	}
-	if err := grid.Validate(); err != nil {
+	r, err := newSweepRun(grid, opts)
+	if err != nil {
 		return nil, err
 	}
-	grid = grid.normalized()
-	opts.maxPaths = grid.MaxPaths
 	shards := d.shardCount(opts)
-	jobs := grid.Jobs()
-	keys := cellKeys(jobs, opts, grid.Loads)
 	shardJobs := make([][]int, shards)
-	for i, j := range jobs {
+	for i, j := range r.jobs {
 		s := ShardOf(j, shards)
 		shardJobs[s] = append(shardJobs[s], i)
 	}
 
-	// Every cell lands in its grid slot as it arrives, from the cache or
-	// from a shard report, and fires the progress feed with that slot.
-	results := make([]Result, len(jobs))
-	filled := make([]bool, len(jobs))
-	progressed := 0
-	place := func(shard int, got []Result) {
-		placeShard(results, filled, shardJobs[shard], got)
-		for _, i := range shardJobs[shard] {
-			progressed++
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "sweep %d/%d: %s\n", progressed, len(jobs), results[i].oneLine())
-			}
-			if opts.OnResult != nil {
-				opts.OnResult(i, len(jobs), results[i])
-			}
-		}
-	}
-
 	// Coordinator-side cache pre-pass, at shard granularity: a shard
-	// every cell of which is cached is served locally and never
+	// every cell of which is cached completes up front and is never
 	// dispatched. Shards with even one cold cell dispatch whole, because
 	// a worker answers with all its cells — but their warm cells are
 	// collected and seeded into the assigned worker's cache ahead of the
 	// submit, so a dispatched partially-warm shard recomputes only its
 	// cold cells. Every cell is probed (not stop-at-first-miss): the
-	// misses are the price of knowing which entries to ship.
+	// misses are the price of knowing which entries to ship. A rejected
+	// hit re-runs remotely with the rest of its shard.
 	var (
-		pending      []int
-		cachedShards = make([]bool, shards)
-		warm         map[int][]fabric.CacheEntry
-		hits         []Result
+		pending []int
+		warm    map[int][]fabric.CacheEntry
 	)
 	for s, cells := range shardJobs {
 		if len(cells) == 0 {
 			continue
 		}
-		hits = hits[:0]
 		var entries []fabric.CacheEntry
-		if opts.CellCache != nil && !opts.NoCache {
-			for _, i := range cells {
-				// A rejected hit re-runs remotely with the rest of its shard.
-				if r, data, ok := cacheHit(opts, keys[i], jobs[i]); ok {
-					hits = append(hits, r)
-					entries = append(entries, fabric.CacheEntry{Key: keys[i], Value: data})
-				}
+		for _, i := range cells {
+			if data, ok := r.lookup(i); ok {
+				entries = append(entries, fabric.CacheEntry{Key: r.keys[i], Value: data})
 			}
 		}
-		if len(hits) == len(cells) {
-			// Cache-served shards complete up front, before any dispatch.
-			cachedShards[s] = true
-			place(s, hits)
-		} else {
-			pending = append(pending, s)
-			if len(entries) > 0 {
-				if warm == nil {
-					warm = make(map[int][]fabric.CacheEntry)
-				}
-				warm[s] = entries
+		if len(entries) == len(cells) {
+			r.finish(cells, true)
+			continue
+		}
+		pending = append(pending, s)
+		if len(entries) > 0 {
+			if warm == nil {
+				warm = make(map[int][]fabric.CacheEntry)
 			}
+			warm[s] = entries
 		}
 	}
 	if len(pending) == 0 {
-		// Served from the cache whole: nothing to dispatch, so no worker
-		// is started and no request sent.
-		return shardedReport(grid, jobs, results, filled, false), nil
+		// Served from the cache whole: nothing to dispatch, so no
+		// goroutine is started and no request sent.
+		return r.report(false), nil
 	}
-	if len(d.Workers) == 0 && d.Source != nil && len(d.Source.WorkerURLs()) == 0 && d.JoinGrace == 0 {
-		// Fail fast rather than idle a full default grace when the fleet
-		// is empty at start and the caller didn't opt into waiting.
+	if len(d.Workers) == 0 && d.Source != nil && len(d.Source.WorkerURLs()) == 0 {
+		// Fail fast rather than idle a full grace when the fleet is empty
+		// at start.
 		return nil, fmt.Errorf("%w: %d shard(s) to run and no live workers registered", nocerr.ErrWorker, len(pending))
 	}
 
 	// Every shard sends the same body; the shard index rides in the URL.
-	req := &shardRequest{Grid: grid, Simulate: opts.Simulate, Sim: opts.Sim, Certify: opts.Certify}
+	req := &shardRequest{Grid: r.grid, Simulate: opts.Simulate, Sim: opts.Sim, Certify: opts.Certify}
 	req.Options.VCLimit = opts.VCLimit
 	req.Options.Policy = policyWire(opts.Policy)
 	req.Options.NoCache = opts.NoCache
@@ -310,51 +276,29 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// One goroutine per worker, fed one shard at a time over its own
-	// channel; all scheduling state lives in this goroutine. Workers can
-	// be admitted mid-run (spawn is only called from this goroutine), so
-	// the fleet is a growing slice rather than a fixed array.
-	type remote struct {
-		url  string
-		feed chan int
-	}
+	// All scheduling state lives in this goroutine. The fleet is the
+	// admitted worker URLs, by index; workers can be admitted mid-run, so
+	// it grows. A worker is free or runs one shard attempt, each on a
+	// goroutine of its own that reports on done.
 	var (
-		wg      sync.WaitGroup
 		done    = make(chan outcome)
-		fleet   []*remote
+		fleet   []string
 		known   = make(map[string]bool)
 		free    []int
 		updates <-chan struct{}
 	)
-	spawn := func(u string) {
-		if u == "" || known[u] {
-			return
-		}
-		known[u] = true
-		w := &remote{url: u, feed: make(chan int)}
-		wi := len(fleet)
-		fleet = append(fleet, w)
-		free = append(free, wi)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for shard := range w.feed {
-				s := shardCall{client: client, worker: strings.TrimSuffix(w.url, "/"), shard: shard, shards: shards}
-				for _, i := range shardJobs[shard] {
-					s.cells = append(s.cells, jobs[i])
-				}
-				rep, dead, err := d.runShard(cctx, s, body, warm[shard])
-				done <- outcome{shard: shard, worker: wi, rep: rep, err: err, dead: dead}
+	admit := func(urls []string) {
+		for _, u := range urls {
+			if u != "" && !known[u] {
+				known[u] = true
+				free = append(free, len(fleet))
+				fleet = append(fleet, u)
 			}
-		}()
-	}
-	for _, u := range d.Workers {
-		spawn(u)
-	}
-	if d.Source != nil {
-		for _, u := range d.Source.WorkerURLs() {
-			spawn(u)
 		}
+	}
+	admit(d.Workers)
+	if d.Source != nil {
+		admit(d.Source.WorkerURLs())
 		updates = d.Source.Updates()
 	}
 
@@ -366,9 +310,11 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		// canceled marks a report one of whose shards came back canceled.
 		canceled bool
 		// grace is the join-grace deadline of an empty fleet: armed when
-		// the fleet empties, disarmed when a worker is admitted, so
-		// membership updates that admit no one cannot extend it.
-		grace *time.Timer
+		// nothing is in flight and pending shards wait for a worker,
+		// disarmed when one is admitted, so membership updates that admit
+		// no one cannot extend it. graceC is nil while it is disarmed.
+		grace  *time.Timer
+		graceC <-chan time.Time
 	)
 	defer func() {
 		if grace != nil {
@@ -377,6 +323,8 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 	}()
 	ctxDone := ctx.Done()
 
+	// The loop ends only with nothing in flight, so every attempt's
+	// goroutine has reported and none outlives the run.
 	for {
 		// Hand pending shards to free workers while the run is healthy.
 		for len(pending) > 0 && len(free) > 0 && fatal == nil && !interrupted {
@@ -385,9 +333,17 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			shard := pending[0]
 			pending = pending[1:]
 			if d.OnAssign != nil {
-				d.OnAssign(shard, shards, fleet[w].url)
+				d.OnAssign(shard, shards, fleet[w])
 			}
-			fleet[w].feed <- shard
+			s := shardCall{client: client, worker: strings.TrimSuffix(fleet[w], "/"), shard: shard, shards: shards}
+			for _, i := range shardJobs[shard] {
+				s.cells = append(s.cells, r.jobs[i])
+			}
+			seed := warm[shard]
+			go func() {
+				rep, dead, err := d.runShard(cctx, s, body, seed)
+				done <- outcome{shard: shard, worker: w, rep: rep, err: err, dead: dead}
+			}()
 			inflight++
 		}
 		if inflight == 0 {
@@ -403,30 +359,9 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			// failing — a fresh worker registering with the coordinator
 			// picks the unowned shards up.
 			if grace == nil {
-				grace = time.NewTimer(d.joinGrace())
+				grace = time.NewTimer(joinGrace)
+				graceC = grace.C
 			}
-			select {
-			case _, ok := <-updates:
-				if !ok {
-					// The source terminated (watcher closed): no join can
-					// ever arrive, so fail like a source-less empty fleet.
-					updates = nil
-					continue
-				}
-				for _, u := range d.Source.WorkerURLs() {
-					spawn(u)
-				}
-				if len(free) > 0 {
-					grace.Stop()
-					grace = nil
-				}
-			case <-grace.C:
-				fatal = fmt.Errorf("%w: %d shard(s) unassigned and no worker joined within %v", nocerr.ErrWorker, len(pending), d.joinGrace())
-			case <-ctxDone:
-				interrupted = true
-				ctxDone = nil
-			}
-			continue
 		}
 		select {
 		case o := <-done:
@@ -442,20 +377,16 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 					if o.rep.Canceled {
 						interrupted, canceled = true, true
 					}
-					place(o.shard, o.rep.Results)
+					placeShard(r.results, shardJobs[o.shard], o.rep.Results)
+					r.finish(shardJobs[o.shard], false)
 				}
 			case cctx.Err() != nil:
-				// Failure raced the cancellation: keep any partial result
-				// and let the drain finish.
+				// Failure raced the cancellation: let the drain finish.
 				interrupted = true
-				if o.rep != nil {
-					canceled = canceled || o.rep.Canceled
-					placeShard(results, filled, shardJobs[o.shard], o.rep.Results)
-				}
 			default:
 				attempts[o.shard]++
 				if d.OnRetry != nil {
-					d.OnRetry(o.shard, fleet[o.worker].url, o.err)
+					d.OnRetry(o.shard, fleet[o.worker], o.err)
 				}
 				if attempts[o.shard] >= shardAttempts {
 					fatal = fmt.Errorf("%w: shard %d/%d failed after %d attempt(s): %v",
@@ -468,15 +399,21 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 		case _, ok := <-updates:
 			if !ok {
 				// Closed source: keep running with the workers already
-				// admitted, but stop selecting on the dead channel.
+				// admitted, but stop selecting on the dead channel. With
+				// none left, no join can ever arrive, so the run fails
+				// like a source-less empty fleet.
 				updates = nil
 				continue
 			}
 			// Mid-run membership change: admit workers never seen before;
 			// the assignment loop hands them pending shards immediately.
-			for _, u := range d.Source.WorkerURLs() {
-				spawn(u)
+			admit(d.Source.WorkerURLs())
+			if grace != nil && len(free) > 0 {
+				grace.Stop()
+				grace, graceC = nil, nil
 			}
+		case <-graceC:
+			fatal = fmt.Errorf("%w: %d shard(s) unassigned and no worker joined within %v", nocerr.ErrWorker, len(pending), joinGrace)
 		case <-ctxDone:
 			// Stop assigning; in-flight shards drain cooperatively
 			// through runShard's cancellation path. Nil the channel so a
@@ -485,30 +422,10 @@ func (d *Sharded) RunContext(ctx context.Context, grid Grid, opts Options) (*Rep
 			ctxDone = nil
 		}
 	}
-	for _, w := range fleet {
-		close(w.feed)
-	}
-	wg.Wait()
-
 	if fatal != nil {
 		return nil, fatal
 	}
-	rep := shardedReport(grid, jobs, results, filled, canceled || (interrupted && ctx.Err() != nil))
-	if opts.CellCache != nil {
-		// Feed the coordinator cache from the report: every clean cell a
-		// worker computed this run (cache-served shards already hold
-		// these exact bytes). rep.Results is in jobs order, so index i is
-		// cell jobs[i].
-		for s, cells := range shardJobs {
-			if cachedShards[s] {
-				continue
-			}
-			for _, i := range cells {
-				storeClean(opts.CellCache, keys[i], rep.Results[i])
-			}
-		}
-	}
-	return rep, nil
+	return r.report(canceled || (interrupted && ctx.Err() != nil)), nil
 }
 
 // shardCall is one shard attempt on one worker: the client every request

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sort"
 
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -51,27 +50,9 @@ func RemoveSetContext(ctx context.Context, top *topology.Topology, set *route.Ro
 	}
 	// Breaks carry pseudo-flow reroute IDs; translate to real flows.
 	for i := range sr.Breaks {
-		sr.Breaks[i].Reroutes = realFlows(sr.Breaks[i].Reroutes, refs)
+		sr.Breaks[i].Reroutes = route.RealFlows(sr.Breaks[i].Reroutes, refs)
 	}
 	return sr, nil
-}
-
-// realFlows maps pseudo-flow IDs to deduplicated ascending real flow IDs.
-func realFlows(pseudo []int, refs []route.PathRef) []int {
-	seen := make(map[int]bool, len(pseudo))
-	out := make([]int, 0, len(pseudo))
-	for _, p := range pseudo {
-		f := p
-		if p >= 0 && p < len(refs) {
-			f = refs[p].FlowID
-		}
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // DeadlockFreeSet reports whether the route set's union CDG is acyclic.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -237,7 +238,7 @@ func WatchWorkers(ctx context.Context, coordinator, token string, interval time.
 				continue
 			}
 			w.mu.Lock()
-			changed := !equalStrings(urls, w.urls)
+			changed := !slices.Equal(urls, w.urls)
 			w.urls = urls
 			w.mu.Unlock()
 			if changed {
@@ -267,15 +268,3 @@ func (w *Watcher) Updates() <-chan struct{} { return w.updates }
 // Close stops the poll loop; the Updates channel closes once the loop
 // has exited.
 func (w *Watcher) Close() { w.cancel() }
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

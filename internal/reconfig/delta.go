@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/nocerr"
@@ -135,33 +134,13 @@ func deltaBreaks(breaks []core.BreakRecord, refs []route.PathRef) []DeltaBreak {
 			Cost:        b.Cost,
 			CycleLen:    len(b.Cycle),
 			NewChannels: make([]DeltaChannel, 0, len(b.NewChannels)),
-			Flows:       realFlowIDs(b.Reroutes, refs),
+			Flows:       route.RealFlows(b.Reroutes, refs),
 		}
 		for _, ch := range b.NewChannels {
 			db.NewChannels = append(db.NewChannels, DeltaChannel{Link: int(ch.Link), VC: ch.VC})
 		}
 		out = append(out, db)
 	}
-	return out
-}
-
-// realFlowIDs maps pseudo-flow IDs through refs to deduplicated
-// ascending real flow IDs (IDs out of refs range pass through, matching
-// core's translation).
-func realFlowIDs(pseudo []int, refs []route.PathRef) []int {
-	seen := make(map[int]bool, len(pseudo))
-	out := make([]int, 0, len(pseudo))
-	for _, p := range pseudo {
-		f := p
-		if p >= 0 && p < len(refs) {
-			f = refs[p].FlowID
-		}
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
-	}
-	sort.Ints(out)
 	return out
 }
 

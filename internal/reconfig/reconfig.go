@@ -3,6 +3,7 @@ package reconfig
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/nocdr/nocdr/internal/cdg"
@@ -198,7 +199,7 @@ func (s *State) ApplyFault(ctx context.Context, link topology.LinkID, opts Optio
 	if opts.OnBreak != nil {
 		refsNow := workRefs
 		coreOpts.OnBreak = func(rec core.BreakRecord) {
-			rec.Reroutes = realFlowIDs(rec.Reroutes, refsNow)
+			rec.Reroutes = route.RealFlows(rec.Reroutes, refsNow)
 			opts.OnBreak(rec)
 		}
 	}
@@ -250,7 +251,7 @@ func (s *State) ApplyFault(ctx context.Context, link topology.LinkID, opts Optio
 func (s *State) buildDelta(link topology.LinkID, workTop *topology.Topology, newSet *route.RouteSet, res *core.Result, refs []route.PathRef) *Delta {
 	moved := make(map[int]bool)
 	for f := 0; f < s.design.Traffic.NumFlows(); f++ {
-		if !pathsEqual(s.design.Routes.Paths(f), newSet.Paths(f)) {
+		if !slices.EqualFunc(s.design.Routes.Paths(f), newSet.Paths(f), slices.Equal[[]topology.Channel]) {
 			moved[f] = true
 		}
 	}
@@ -284,23 +285,6 @@ func (s *State) buildDelta(link topology.LinkID, workTop *topology.Topology, new
 	}
 	d.normalize()
 	return d
-}
-
-func pathsEqual(a, b [][]topology.Channel) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // estimateDowntime runs a drain simulation of the committed design under

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"sort"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -211,6 +212,26 @@ func (s *RouteSet) Flatten() (*Table, []PathRef) {
 		tab.Set(pseudo, append([]topology.Channel(nil), s.paths[ref.FlowID][ref.Index]...))
 	}
 	return tab, refs
+}
+
+// RealFlows maps pseudo-flow IDs of a flattened table through refs to
+// deduplicated ascending real flow IDs. An ID outside refs passes
+// through unchanged.
+func RealFlows(pseudo []int, refs []PathRef) []int {
+	seen := make(map[int]bool, len(pseudo))
+	out := make([]int, 0, len(pseudo))
+	for _, p := range pseudo {
+		f := p
+		if p >= 0 && p < len(refs) {
+			f = refs[p].FlowID
+		}
+		if !seen[f] {
+			seen[f] = true
+			out = append(out, f)
+		}
+	}
+	sort.Ints(out)
+	return out
 }
 
 // Unflatten rebuilds a RouteSet from a (possibly rewritten) flattened

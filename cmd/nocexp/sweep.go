@@ -189,8 +189,16 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 			// Split the machine's budget across the spawned workers
 			// instead of oversubscribing it shard-local-fold.
 			per := max(1, *parallel / *shardLocal)
+			wopts := serve.Options{Workers: 2, SweepParallel: per}
+			if cache != nil {
+				// The dispatcher hands each shard the cells it has cached;
+				// a worker without a cache refuses them and computes them
+				// again. One in-memory cache serves the local workers.
+				wopts.Cache = fabric.NewCache(fabric.CacheOptions{})
+				defer wopts.Cache.Close()
+			}
 			var shutdown func()
-			urls, shutdown, err = serve.LocalCluster(*shardLocal, serve.Options{Workers: 2, SweepParallel: per})
+			urls, shutdown, err = serve.LocalCluster(*shardLocal, wopts)
 			if err != nil {
 				return err
 			}

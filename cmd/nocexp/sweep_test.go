@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -191,6 +193,74 @@ func TestSweepShardLocalMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(serial, sharded) {
 		t.Fatal("serial and shard-local sweep JSON reports differ")
+	}
+}
+
+// seedRecorder counts POST /v1/cache/seed requests and their answers on
+// their way through the transport it wraps.
+type seedRecorder struct {
+	next http.RoundTripper
+
+	mu     sync.Mutex
+	status map[int]int
+}
+
+func (s *seedRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := s.next.RoundTrip(req)
+	if err == nil && req.Method == http.MethodPost && req.URL.Path == "/v1/cache/seed" {
+		s.mu.Lock()
+		s.status[resp.StatusCode]++
+		s.mu.Unlock()
+	}
+	return resp, err
+}
+
+// TestSweepShardLocalWarmHandOff pins the shard-local workers' cache:
+// with -cache-dir the dispatcher hands every partially warm shard the
+// cells it has cached, and a local worker must take them, not answer
+// 409 and compute them again. The grid is cached for seed 0 and then
+// swept for seeds 0–3 over two local workers; the report must match the
+// serial one.
+func TestSweepShardLocalWarmHandOff(t *testing.T) {
+	rec := &seedRecorder{next: http.DefaultTransport, status: map[int]int{}}
+	http.DefaultTransport = rec
+	t.Cleanup(func() { http.DefaultTransport = rec.next })
+
+	dir := t.TempDir()
+	cacheDir := filepath.Join(dir, "cache")
+	serialPath := filepath.Join(dir, "serial.json")
+	shardedPath := filepath.Join(dir, "sharded.json")
+	base := []string{"-benchmarks", "mesh:4,torus:4x4:transpose,mesh:3x3:hotspot",
+		"-routing", "west-first,odd-even,min-adaptive", "-faults", "1", "-quiet"}
+	ctx := context.Background()
+	if err := runSweep(ctx, append(base, "-seeds", "0", "-parallel", "1", "-cache-dir", cacheDir), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	all := []string{"-seeds", "0,1,2,3"}
+	if err := runSweep(ctx, append(append(base, all...), "-shard-local", "2", "-cache-dir", cacheDir, "-json", shardedPath), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if err := runSweep(ctx, append(append(base, all...), "-parallel", "1", "-json", serialPath), io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rec.status[http.StatusOK] == 0 {
+		t.Fatalf("no cache seed hand-off was accepted (answers by status: %v)", rec.status)
+	}
+	if n := rec.status[http.StatusConflict]; n > 0 {
+		t.Fatalf("%d cache seed hand-offs answered 409 (answers by status: %v)", n, rec.status)
+	}
+	serial, err := os.ReadFile(serialPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := os.ReadFile(shardedPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(serial, sharded) {
+		t.Fatal("serial and warm shard-local sweep JSON reports differ")
 	}
 }
 

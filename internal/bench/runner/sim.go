@@ -127,7 +127,7 @@ func witnessWorkloadSet(g *traffic.Graph, top *topology.Topology, set *route.Rou
 	}
 	pinned := route.NewRouteSet(set.NumFlows())
 	for f := 0; f < set.NumFlows(); f++ {
-		for i, p := range set.Paths(f) {
+		for i, p := range route.PathsOf(set, f) {
 			if paths, ok := hot[f]; !ok || paths[i] {
 				pinned.Add(f, p)
 			}

@@ -85,10 +85,12 @@ type Options struct {
 	Selection CycleSelection
 	// FullRebuild forces the original Algorithm 1 loop that rebuilds the
 	// whole CDG and re-runs the global cycle search on every break. The
-	// default (false) maintains the CDG incrementally across breaks and
-	// restricts cycle re-search to the affected strongly connected
-	// component — same results, measurably faster; the rebuild path is
-	// kept for differential testing and benchmarking.
+	// default (false) answers an input proven acyclic up front with
+	// copies (cdg.ProveAcyclic), and otherwise maintains the CDG
+	// incrementally across breaks and restricts cycle re-search to the
+	// affected strongly connected component — same results, measurably
+	// faster; the rebuild path, which runs the loop even on an acyclic
+	// input, is kept for differential testing and benchmarking.
 	FullRebuild bool
 }
 

@@ -33,12 +33,16 @@ type Result struct {
 // directions, adding VCs and rerouting flows. On success the returned
 // topology/routes have an acyclic CDG.
 //
-// By default the CDG is maintained incrementally across breaks: each
-// break's channel duplications and flow reroutes are applied as localized
-// edge updates, and cycle re-search is restricted to the strongly
-// connected components those updates touched. Options.FullRebuild selects
-// the original rebuild-per-iteration loop instead; both paths select the
-// same cycles and produce identical results (see the differential tests).
+// By default Remove first asks cdg.ProveAcyclic whether the input CDG
+// is already acyclic, and answers such an input, the common case, with
+// plain copies and no break loop. Otherwise the CDG is maintained
+// incrementally across breaks: each break's channel duplications and
+// flow reroutes are applied as localized edge updates, and cycle
+// re-search is restricted to the strongly connected components those
+// updates touched. Options.FullRebuild selects the original
+// rebuild-per-iteration loop instead, without the first pass; all paths
+// select the same cycles and produce identical results (see the
+// differential tests).
 //
 // The inputs are not modified. Remove fails if a cycle edge cannot be
 // attributed to a flow (inconsistent inputs) or if opts.MaxIterations is
@@ -53,10 +57,39 @@ func Remove(top *topology.Topology, tab *route.Table, opts Options) (*Result, er
 // nocerr.ErrCanceled and ctx.Err() as soon as the context is done. A
 // canceled removal returns no partial result.
 func RemoveContext(ctx context.Context, top *topology.Topology, tab *route.Table, opts Options) (*Result, error) {
-	res := &Result{
-		Topology: top.Clone(),
-		Routes:   tab.Clone(),
+	if settled(top, tablePaths(tab), opts) {
+		// The loop checks ctx right after building its CDG; a settled
+		// input fails the same way.
+		if err := canceled(ctx); err != nil {
+			return nil, err
+		}
+		return &Result{Topology: top.Clone(), Routes: tab.Clone(), InitialAcyclic: true}, nil
 	}
+	return remove(ctx, top.Clone(), tab.Clone(), opts)
+}
+
+// settled reports whether a removal can answer with copies of its
+// inputs: their CDG is proven acyclic, so the loop would break nothing.
+// FullRebuild, the test oracle, always runs the loop.
+func settled(top *topology.Topology, paths cdg.Paths, opts Options) bool {
+	return !opts.FullRebuild && cdg.ProveAcyclic(top, paths)
+}
+
+// tablePaths walks a table's routes in flow-ID order.
+func tablePaths(tab *route.Table) cdg.Paths {
+	return func(visit func([]topology.Channel)) {
+		for f := 0; f < tab.NumFlows(); f++ {
+			if r := tab.Route(f); r != nil {
+				visit(r.Channels)
+			}
+		}
+	}
+}
+
+// remove runs the break loop on top and tab, which it owns and rewrites:
+// they become the Result's Topology and Routes.
+func remove(ctx context.Context, top *topology.Topology, tab *route.Table, opts Options) (*Result, error) {
+	res := &Result{Topology: top, Routes: tab}
 	if opts.FullRebuild {
 		return removeFullRebuild(ctx, res, opts)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 
+	"github.com/nocdr/nocdr/internal/cdg"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 )
@@ -23,16 +24,26 @@ type SetResult struct {
 
 // RemoveSetContext runs the paper's Algorithm 1 on an adaptive route
 // set: the set is flattened into pseudo-flows (one per candidate path),
-// RemoveContext runs on the flattened table unchanged — the CDG it breaks
-// is the union of the set's permitted channel transitions — and the
-// rewritten paths are folded back into a RouteSet. A set with one path
-// per flow goes through the exact same code path as Remove on the
+// the break loop runs on the flattened table unchanged — the CDG it
+// breaks is the union of the set's permitted channel transitions — and
+// the rewritten paths are folded back into a RouteSet. A set with one
+// path per flow goes through the exact same code path as Remove on the
 // equivalent table and produces an identical break sequence (pinned by
-// differential tests). The inputs are never mutated. Cancellation is
-// cooperative, as in RemoveContext.
+// differential tests). A set whose union CDG is proven acyclic up front
+// is answered with copies, without flattening, as in RemoveContext. The
+// inputs are never mutated. Cancellation is cooperative, as in
+// RemoveContext.
 func RemoveSetContext(ctx context.Context, top *topology.Topology, set *route.RouteSet, opts Options) (*SetResult, error) {
+	if settled(top, setPaths(set), opts) {
+		if err := canceled(ctx); err != nil {
+			return nil, err
+		}
+		return &SetResult{Topology: top.Clone(), Routes: set.Clone(), InitialAcyclic: true}, nil
+	}
+	// The flattened table is a fresh copy, so the loop rewrites it in
+	// place and Unflatten adopts its paths: the set is copied once.
 	tab, refs := set.Flatten()
-	res, err := RemoveContext(ctx, top, tab, opts)
+	res, err := remove(ctx, top.Clone(), tab, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -53,6 +64,17 @@ func RemoveSetContext(ctx context.Context, top *topology.Topology, set *route.Ro
 		sr.Breaks[i].Reroutes = route.RealFlows(sr.Breaks[i].Reroutes, refs)
 	}
 	return sr, nil
+}
+
+// setPaths walks a set's candidate paths in Flatten's pseudo-flow order.
+func setPaths(set *route.RouteSet) cdg.Paths {
+	return func(visit func([]topology.Channel)) {
+		for f := 0; f < set.NumFlows(); f++ {
+			for _, p := range route.PathsOf(set, f) {
+				visit(p)
+			}
+		}
+	}
 }
 
 // DeadlockFreeSet reports whether the route set's union CDG is acyclic.

@@ -136,7 +136,7 @@ func AddedVCsSet(top *topology.Topology, set *route.RouteSet) (int, error) {
 	l := newLayering(top)
 	pseudo := 0
 	for f := 0; f < set.NumFlows(); f++ {
-		for _, p := range set.Paths(f) {
+		for _, p := range route.PathsOf(set, f) {
 			if err := l.path(pseudo, p, nil); err != nil {
 				return 0, err
 			}

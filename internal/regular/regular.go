@@ -13,6 +13,7 @@ package regular
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -63,11 +64,13 @@ func grid(cols, rows int, wrap bool) (*Grid, error) {
 	if err := CheckGrid(cols, rows); err != nil {
 		return nil, err
 	}
-	top := topology.New(fmt.Sprintf("%s_%dx%d", kind(wrap), cols, rows))
+	n := cols * rows
+	// A grid switch has at most four neighbours, each one link each way.
+	top := topology.NewSized(fmt.Sprintf("%s_%dx%d", kind(wrap), cols, rows), n, gridLinks(cols, rows, wrap), n, 4)
 	g := &Grid{Topology: top, Cols: cols, Rows: rows, Wrap: wrap}
 	for y := 0; y < rows; y++ {
 		for x := 0; x < cols; x++ {
-			sw := top.AddSwitch(fmt.Sprintf("s%d_%d", x, y))
+			sw := top.AddSwitch("s" + strconv.Itoa(x) + "_" + strconv.Itoa(y))
 			if err := top.AttachCore(int(sw), sw); err != nil {
 				return nil, err
 			}
@@ -100,6 +103,19 @@ func grid(cols, rows int, wrap bool) (*Grid, error) {
 		}
 	}
 	return g, nil
+}
+
+// gridLinks is the number of links grid makes: each row has cols-1
+// bidirectional pairs, one more when it wraps, and each column likewise.
+func gridLinks(cols, rows int, wrap bool) int {
+	rowPairs, colPairs := cols-1, rows-1
+	if wrap && cols > 2 {
+		rowPairs++
+	}
+	if wrap && rows > 2 {
+		colPairs++
+	}
+	return 2 * (rows*rowPairs + cols*colPairs)
 }
 
 func kind(wrap bool) string {

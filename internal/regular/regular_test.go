@@ -410,3 +410,71 @@ func TestSelectFaultsMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// unsizedGrid is the grid construction before it was pre-sized: names
+// from fmt.Sprintf, and a topology grown one switch, core and link at a
+// time. It is the oracle for the sized build.
+func unsizedGrid(cols, rows int, wrap bool) *topology.Topology {
+	top := topology.New(fmt.Sprintf("%s_%dx%d", kind(wrap), cols, rows))
+	g := &Grid{Topology: top, Cols: cols, Rows: rows, Wrap: wrap}
+	for y := 0; y < rows; y++ {
+		for x := 0; x < cols; x++ {
+			sw := top.AddSwitch(fmt.Sprintf("s%d_%d", x, y))
+			top.AttachCore(int(sw), sw)
+		}
+	}
+	for y := 0; y < rows; y++ {
+		for x := 0; x < cols; x++ {
+			if x+1 < cols {
+				top.AddBidi(g.SwitchAt(x, y), g.SwitchAt(x+1, y))
+			} else if wrap && cols > 2 {
+				top.AddBidi(g.SwitchAt(x, y), g.SwitchAt(0, y))
+			}
+		}
+	}
+	for y := 0; y < rows; y++ {
+		for x := 0; x < cols; x++ {
+			if y+1 < rows {
+				top.AddBidi(g.SwitchAt(x, y), g.SwitchAt(x, y+1))
+			} else if wrap && rows > 2 {
+				top.AddBidi(g.SwitchAt(x, y), g.SwitchAt(x, 0))
+			}
+		}
+	}
+	return top
+}
+
+// TestGridSizedMatchesUnsized pins the pre-sized grid build: for every
+// size from 2x1 to 8x8, Mesh and Torus serialize byte for byte as the
+// unsized construction does, and the link count the build sizes for is
+// the count it makes.
+func TestGridSizedMatchesUnsized(t *testing.T) {
+	for cols := 2; cols <= 8; cols++ {
+		for rows := 1; rows <= 8; rows++ {
+			for _, wrap := range []bool{false, true} {
+				build := Mesh
+				if wrap {
+					build = Torus
+				}
+				g, err := build(cols, rows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := g.Topology.MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := unsizedGrid(cols, rows, wrap).MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("%s: sized build serializes differently from the unsized one", g.Topology.Name)
+				}
+				if n := g.Topology.NumLinks(); n != gridLinks(cols, rows, wrap) {
+					t.Fatalf("%s: %d links, sized for %d", g.Topology.Name, n, gridLinks(cols, rows, wrap))
+				}
+			}
+		}
+	}
+}

@@ -72,15 +72,40 @@ func (t *Table) Set(flowID int, channels []topology.Channel) {
 	t.routes[flowID] = &Route{FlowID: flowID, Channels: channels}
 }
 
-// Clone returns a deep copy of the table.
+// Clone returns a deep copy of the table. The copied routes share one
+// backing array and their channel lists another; each list is capped at
+// its length, so appending to one route's channels never writes into its
+// neighbour's, and an empty list stays nil.
 func (t *Table) Clone() *Table {
+	n, hops := 0, 0
+	for _, r := range t.routes {
+		if r != nil {
+			n++
+			hops += len(r.Channels)
+		}
+	}
 	nt := NewTable(len(t.routes))
+	routes := make([]Route, 0, n)
+	backing := make([]topology.Channel, 0, hops)
 	for i, r := range t.routes {
 		if r != nil {
-			nt.routes[i] = r.Clone()
+			routes = append(routes, Route{FlowID: r.FlowID, Channels: carve(&backing, r.Channels)})
+			nt.routes[i] = &routes[len(routes)-1]
 		}
 	}
 	return nt
+}
+
+// carve copies p into the tail of *backing and returns the copy capped at
+// its length, or nil for an empty p. The caller sizes backing so the
+// append never reallocates.
+func carve(backing *[]topology.Channel, p []topology.Channel) []topology.Channel {
+	if len(p) == 0 {
+		return nil
+	}
+	start := len(*backing)
+	*backing = append(*backing, p...)
+	return (*backing)[start:len(*backing):len(*backing)]
 }
 
 // Routes returns the non-nil routes in flow-ID order.

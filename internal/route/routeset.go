@@ -89,15 +89,49 @@ func (s *RouteSet) Paths(flowID int) [][]topology.Channel {
 	return out
 }
 
-// Clone returns a deep copy of the set.
+// PathsOf is the read-only view of a flow's candidate paths: Paths
+// without the copy. The returned slices alias the set; a caller reads
+// them and must neither modify nor keep them past the set's next change.
+// It is a function rather than a method so that it stays out of the
+// public RouteSet API.
+func PathsOf(s *RouteSet, flowID int) [][]topology.Channel {
+	if flowID < 0 || flowID >= len(s.paths) {
+		return nil
+	}
+	return s.paths[flowID]
+}
+
+// Clone returns a deep copy of the set. The copied path lists share one
+// backing array and the paths another, each capped at its length, so
+// appending to one flow's list or to one path never writes into its
+// neighbour's; an empty path stays nil.
 func (s *RouteSet) Clone() *RouteSet {
+	nPaths, hops := s.size()
 	c := NewRouteSet(len(s.paths))
+	lists := make([][]topology.Channel, 0, nPaths)
+	backing := make([]topology.Channel, 0, hops)
 	for f, ps := range s.paths {
-		for _, p := range ps {
-			c.paths[f] = append(c.paths[f], append([]topology.Channel(nil), p...))
+		if len(ps) == 0 {
+			continue
 		}
+		start := len(lists)
+		for _, p := range ps {
+			lists = append(lists, carve(&backing, p))
+		}
+		c.paths[f] = lists[start:len(lists):len(lists)]
 	}
 	return c
+}
+
+// size returns the set's candidate-path and hop counts.
+func (s *RouteSet) size() (paths, hops int) {
+	for _, ps := range s.paths {
+		paths += len(ps)
+		for _, p := range ps {
+			hops += len(p)
+		}
+	}
+	return paths, hops
 }
 
 // MaxLen returns the longest candidate path length in hops.
@@ -200,16 +234,25 @@ type PathRef struct {
 // the union of the set's permitted channel transitions, so the removal
 // algorithm runs on it unchanged. A set with exactly one path per flow
 // flattens to a table whose pseudo-flow IDs equal the real flow IDs.
+//
+// The pseudo-flows' routes share one backing array and their channel
+// lists another, each list capped at its length, as in Table.Clone.
 func (s *RouteSet) Flatten() (*Table, []PathRef) {
-	var refs []PathRef
-	for f, ps := range s.paths {
-		for i := range ps {
-			refs = append(refs, PathRef{FlowID: f, Index: i})
-		}
+	nPaths, hops := s.size()
+	tab := NewTable(nPaths)
+	if nPaths == 0 {
+		return tab, nil
 	}
-	tab := NewTable(len(refs))
-	for pseudo, ref := range refs {
-		tab.Set(pseudo, append([]topology.Channel(nil), s.paths[ref.FlowID][ref.Index]...))
+	refs := make([]PathRef, 0, nPaths)
+	routes := make([]Route, nPaths)
+	backing := make([]topology.Channel, 0, hops)
+	for f, ps := range s.paths {
+		for i, p := range ps {
+			pseudo := len(refs)
+			refs = append(refs, PathRef{FlowID: f, Index: i})
+			routes[pseudo] = Route{FlowID: pseudo, Channels: carve(&backing, p)}
+			tab.routes[pseudo] = &routes[pseudo]
+		}
 	}
 	return tab, refs
 }
@@ -237,6 +280,10 @@ func RealFlows(pseudo []int, refs []PathRef) []int {
 // Unflatten rebuilds a RouteSet from a (possibly rewritten) flattened
 // table and the mapping Flatten returned. Path identity and order are
 // preserved; only the channel sequences come from the table.
+//
+// Unflatten consumes the table: the set adopts the routes' channel
+// slices instead of copying them, so the caller must neither use nor
+// modify tab afterwards.
 func Unflatten(tab *Table, refs []PathRef, numFlows int) (*RouteSet, error) {
 	s := NewRouteSet(numFlows)
 	for pseudo, ref := range refs {
@@ -251,7 +298,11 @@ func Unflatten(tab *Table, refs []PathRef, numFlows int) (*RouteSet, error) {
 		if len(s.paths[ref.FlowID]) != ref.Index {
 			return nil, fmt.Errorf("route: path refs out of order at pseudo-flow %d: %w", pseudo, nocerr.ErrInvalidInput)
 		}
-		s.paths[ref.FlowID] = append(s.paths[ref.FlowID], append([]topology.Channel(nil), r.Channels...))
+		p := r.Channels
+		if len(p) == 0 {
+			p = nil
+		}
+		s.paths[ref.FlowID] = append(s.paths[ref.FlowID], p)
 	}
 	return s, nil
 }

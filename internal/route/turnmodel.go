@@ -227,12 +227,11 @@ func GridRoutes(top *topology.Topology, g *traffic.Graph, gs GridSpec, model Tur
 			return nil, err
 		}
 		if paths == nil {
-			set.Add(f.ID, nil) // local flow: cores share a switch
-			continue
+			paths = [][]topology.Channel{nil} // local flow: cores share a switch
 		}
-		for _, p := range paths {
-			set.Add(f.ID, p)
-		}
+		// flowPaths returns fresh, distinct paths, so the set keeps them
+		// without Add's copy and duplicate scan.
+		set.paths[f.ID] = paths
 	}
 	return set, nil
 }

@@ -288,3 +288,49 @@ func TestGridRoutesDORMatchesRegular(t *testing.T) {
 		}
 	}
 }
+
+// TestGridRoutesMatchesAdd pins GridRoutes keeping the paths it
+// enumerates instead of passing them through Add: the set equals one
+// built with Add's copy and duplicate scan, path for path, on a clean
+// and on a faulted mesh (whose escape paths come from the BFS).
+func TestGridRoutesMatchesAdd(t *testing.T) {
+	for faults := 0; faults <= 2; faults += 2 {
+		grid, err := regular.Mesh(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faults > 0 {
+			ids, err := regular.SelectFaults(grid, faults, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := grid.Topology.Fault(ids...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := allToAll(t, 16)
+		for _, model := range append([]route.TurnModel{route.MinimalAdaptive}, adaptiveModels...) {
+			set, err := route.GridRoutes(grid.Topology, g, grid.Spec(), model, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			added := route.NewRouteSet(g.NumFlows())
+			for f := 0; f < set.NumFlows(); f++ {
+				for _, p := range set.Paths(f) {
+					added.Add(f, p)
+				}
+			}
+			got, err := set.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := added.MarshalJSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("%s, %d faults: GridRoutes set differs from the one Add builds", model, faults)
+			}
+		}
+	}
+}

@@ -67,6 +67,34 @@ func New(name string) *Topology {
 	}
 }
 
+// NewSized is New with room for the given numbers of switches, links
+// and attached cores, and for degree links leaving and degree entering
+// each switch, so a generator that knows its counts builds without
+// growing a slice or map one insert at a time. Give exact counts: the
+// maps keep any spare room, and every Clone copies it.
+func NewSized(name string, switches, links, cores, degree int) *Topology {
+	// Every switch's two link lists are carved ahead from one array and
+	// parked past the end of out and in, where AddSwitch picks them up.
+	// Each is capped at degree, so a switch that outgrows it reallocates
+	// instead of writing into its neighbour's.
+	backing := make([]LinkID, 2*switches*degree)
+	out, in := make([][]LinkID, switches), make([][]LinkID, switches)
+	for sw := range out {
+		lo := 2 * sw * degree
+		out[sw] = backing[lo : lo : lo+degree]
+		in[sw] = backing[lo+degree : lo+degree : lo+2*degree]
+	}
+	return &Topology{
+		Name:       name,
+		switches:   make([]Switch, 0, switches),
+		links:      make([]Link, 0, links),
+		out:        out[:0],
+		in:         in[:0],
+		byPair:     make(map[[2]SwitchID]LinkID, links),
+		coreAttach: make(map[int]SwitchID, cores),
+	}
+}
+
 func (t *Topology) init() {
 	if t.byPair == nil {
 		t.byPair = make(map[[2]SwitchID]LinkID)
@@ -83,8 +111,14 @@ func (t *Topology) AddSwitch(name string) SwitchID {
 		name = fmt.Sprintf("SW%d", id+1)
 	}
 	t.switches = append(t.switches, Switch{ID: id, Name: name})
-	t.out = append(t.out, nil)
-	t.in = append(t.in, nil)
+	// Past their length, out and in hold nil, or the empty lists
+	// NewSized carved; either is the new switch's.
+	if int(id) < cap(t.out) && int(id) < cap(t.in) {
+		t.out, t.in = t.out[:id+1], t.in[:id+1]
+	} else {
+		t.out = append(t.out, nil)
+		t.in = append(t.in, nil)
+	}
 	return id
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -368,5 +369,59 @@ func TestRandomTopologyRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewSizedMatchesNew builds one random topology twice, through New
+// and through NewSized with too little, exact and spare room (switches
+// beyond the sized count, switches with more links than degree), and
+// requires the same adjacency, the same JSON and a valid result. The
+// carved lists must stay apart: each switch sees only its own links.
+func TestNewSizedMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 9
+	type pair struct{ a, b SwitchID }
+	var pairs []pair
+	for len(pairs) < 30 {
+		a, b := SwitchID(rng.Intn(n)), SwitchID(rng.Intn(n))
+		if a != b && !slices.Contains(pairs, pair{a, b}) {
+			pairs = append(pairs, pair{a, b})
+		}
+	}
+	build := func(top *Topology) *Topology {
+		for i := 0; i < n; i++ {
+			top.AddSwitch("")
+			top.AttachCore(i, SwitchID(i))
+		}
+		for _, p := range pairs {
+			top.MustAddLink(p.a, p.b)
+		}
+		return top
+	}
+	want := build(New("t"))
+	wantJSON, err := want.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []struct{ switches, links, degree int }{
+		{0, 0, 0}, {n, 30, 1}, {n, 30, 4}, {n / 2, 10, 2}, {2 * n, 60, 8},
+	} {
+		got := build(NewSized("t", size.switches, size.links, n, size.degree))
+		for sw := SwitchID(0); sw < n; sw++ {
+			if !reflect.DeepEqual(got.OutLinks(sw), want.OutLinks(sw)) || !reflect.DeepEqual(got.InLinks(sw), want.InLinks(sw)) {
+				t.Fatalf("%+v: switch %d adjacency out %v in %v, want out %v in %v", size, sw,
+					got.OutLinks(sw), got.InLinks(sw), want.OutLinks(sw), want.InLinks(sw))
+			}
+		}
+		gotJSON, err := got.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("%+v: JSON differs from the New build", size)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%+v: %v", size, err)
+		}
 	}
 }

@@ -38,7 +38,7 @@ func NewAdaptive(top *topology.Topology, g *traffic.Graph, set *route.RouteSet, 
 		s.linkOcc = make([]int32, top.NumLinks())
 	}
 	for _, f := range g.Flows() {
-		paths := set.Paths(f.ID)
+		paths := route.PathsOf(set, f.ID)
 		idxs := make([][]int32, len(paths))
 		for i, p := range paths {
 			if len(p) == 0 && len(paths) > 1 {

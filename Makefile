@@ -27,8 +27,9 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# The pinned perf-gate benchmarks: simulator hot loop on routes and on
-# route sets (the adaptive step at load 1), removal runtime
+# The pinned perf-gate benchmarks: simulator hot loop on routes (at load
+# 0.1, and saturated on mesh_verify's torus lane) and on route sets (the
+# adaptive step at load 1), removal runtime
 # (the 14-switch paper cases plus the two large-SCC designs where the
 # cycle search's bound pruning carries the time), synthesis of the same
 # two designs (partition plus the dense shortest-path router), the
@@ -49,7 +50,7 @@ bench:
 # benchstat can establish significance. CI runs this on the
 # PR head and base and fails on a >15% sec/op regression.
 bench-pin:
-	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepFleetWarm$$|BenchmarkSweepVerified$$)' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkSimStepTorus$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepFleetWarm$$|BenchmarkSweepVerified$$)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
 
 # nocbench's own tests: every workload for a few ops at seed 0 against

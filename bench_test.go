@@ -182,10 +182,17 @@ func benchSimStep(b *testing.B, name string) {
 		LoadFactor: 0.1,
 		Seed:       11,
 	})
+	stepWarm(b, sim, err)
+}
+
+// stepWarm times steady-state Step on a just-built simulator: it warms
+// the network for 2,000 cycles, then steps b.N cycles with allocations
+// reported. err is the constructor's.
+func stepWarm(b *testing.B, sim *nocdr.Simulator, err error) {
+	b.Helper()
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the network into steady state before timing.
 	for i := 0; i < 2000; i++ {
 		sim.Step()
 	}
@@ -238,18 +245,38 @@ func BenchmarkSimStepAdaptive(b *testing.B) {
 		BufferDepth: 2,
 		Seed:        11,
 	})
+	stepWarm(b, sim, err)
+}
+
+// BenchmarkSimStepTorus is the route-table engine at saturation, which
+// BenchmarkSimStep (load 0.1) does not reach: steady-state Step cost of
+// mesh_verify's torus measurement lane, the 8x8 torus under uniform
+// traffic and DOR routes after removal, at load 1 with two-flit buffers.
+func BenchmarkSimStepTorus(b *testing.B) {
+	grid, err := regular.Torus(8, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the network into steady state before timing.
-	for i := 0; i < 2000; i++ {
-		sim.Step()
+	g, err := regular.UniformTraffic(64, 32, 100)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Step()
+	tab, err := regular.DORRoutes(grid, g)
+	if err != nil {
+		b.Fatal(err)
 	}
+	s := nocdr.NewSession()
+	rm, err := s.RemoveDeadlocks(context.Background(), grid.Topology, tab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim, err := s.NewSimulator(rm.Topology, g, rm.Routes, nocdr.SimConfig{
+		MaxCycles:   1 << 62,
+		LoadFactor:  1,
+		BufferDepth: 2,
+		Seed:        11,
+	})
+	stepWarm(b, sim, err)
 }
 
 // --- E11: simulation validation (cycles simulated per second, and the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 )
@@ -18,17 +19,18 @@ import (
 // family uses fixed seeds.
 
 // benchmarks are the paper's benchmarks in the order of Figure 10, each
-// with its constructor.
+// with its graph, built by its constructor on first use and never handed
+// out: ByName returns copies.
 var benchmarks = [...]struct {
 	name  string
 	build func() *Graph
 }{
-	{"D26_media", D26Media},
-	{"D36_4", func() *Graph { return D36(4) }},
-	{"D36_6", func() *Graph { return D36(6) }},
-	{"D36_8", func() *Graph { return D36(8) }},
-	{"D35_bot", D35Bot},
-	{"D38_tvo", D38TVO},
+	{"D26_media", sync.OnceValue(D26Media)},
+	{"D36_4", sync.OnceValue(func() *Graph { return D36(4) })},
+	{"D36_6", sync.OnceValue(func() *Graph { return D36(6) })},
+	{"D36_8", sync.OnceValue(func() *Graph { return D36(8) })},
+	{"D35_bot", sync.OnceValue(D35Bot)},
+	{"D38_tvo", sync.OnceValue(D38TVO)},
 }
 
 // BenchmarkNames lists the paper's benchmarks in the order of Figure 10.
@@ -56,14 +58,14 @@ func lookup(name string) (func() *Graph, error) {
 	return nil, fmt.Errorf("traffic: unknown benchmark %q (valid: %v): %w", name, BenchmarkNames(), nocerr.ErrNotFound)
 }
 
-// ByName returns the named benchmark graph. Valid names are those in
-// BenchmarkNames.
+// ByName returns the named benchmark graph, a copy the caller owns.
+// Valid names are those in BenchmarkNames.
 func ByName(name string) (*Graph, error) {
 	build, err := lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return build(), nil
+	return build().Clone(), nil
 }
 
 // AllBenchmarks returns every benchmark graph in BenchmarkNames order.

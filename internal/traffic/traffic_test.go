@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,56 @@ func TestBenchmarkRegistry(t *testing.T) {
 	if got := len(AllBenchmarks()); got != 6 {
 		t.Errorf("AllBenchmarks returned %d", got)
 	}
+}
+
+// TestByNameReturnsCopies pins ByName's ownership contract from four
+// goroutines at once: every call returns a graph JSON-equal to its
+// constructor's, and a caller that adds a flow or a core to one, or
+// renames it, leaves the next call's graph unchanged.
+func TestByNameReturnsCopies(t *testing.T) {
+	constructors := map[string]func() *Graph{
+		"D26_media": D26Media,
+		"D36_4":     func() *Graph { return D36(4) },
+		"D36_6":     func() *Graph { return D36(6) },
+		"D36_8":     func() *Graph { return D36(8) },
+		"D35_bot":   D35Bot,
+		"D38_tvo":   D38TVO,
+	}
+	want := map[string][]byte{}
+	for name, build := range constructors {
+		data, err := build().MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = data
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range BenchmarkNames() {
+				for call := 0; call < 2; call++ {
+					g, err := ByName(name)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got, err := g.MarshalJSON(); err != nil || !bytes.Equal(got, want[name]) {
+						t.Errorf("%s call %d: graph differs from its constructor's (%v)", name, call, err)
+						return
+					}
+					if _, err := g.AddFlow(0, 1, 7); err != nil {
+						t.Error(err)
+						return
+					}
+					g.AddCore("extra")
+					g.Name = "mutated"
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestD26MediaShape(t *testing.T) {

@@ -28,7 +28,7 @@ type Variant struct {
 // channel indexing, route validation, the transition table — happens once
 // and is shared read-only across every lane; each lane owns only its
 // mutable state (channel rings in one contiguous per-lane flit block,
-// source queues, packet slots, worklists, RNG, stats).
+// source queues, packet slots, channel bits, flow worklist, RNG, stats).
 //
 // Variant isolation invariant: lanes share nothing mutable, so each
 // lane's statistics are byte-identical to an independent Simulator built

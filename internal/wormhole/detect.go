@@ -18,7 +18,7 @@ import "sort"
 //     skipped.
 //
 // This is the cold path: it runs once per confirmed stall, so it scans
-// every channel rather than the active worklist, and it is the only
+// every channel rather than only the occupied ones, and it is the only
 // place besides HeldChannels that maps slots to packet IDs.
 func (s *Simulator) confirmDeadlock() []int32 {
 	wait := make(map[int][]int)   // packet ID → packet IDs it waits on

@@ -3,6 +3,7 @@ package wormhole
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
@@ -109,11 +110,11 @@ type Simulator struct {
 	linkOcc []int32
 
 	// Per-step scratch, reused to keep the steady-state loop allocation-free.
-	active    []int32 // channels with a non-empty buffer (the worklist)
-	activePos []int32 // channel → position in active, -1 if absent
-	ready     []int32 // flows with a non-empty source queue
-	readyPos  []int32 // flow → position in ready, -1 if absent
-	moves     []move  // this cycle's decided moves
+	occupied  []uint64 // bit ci set iff channel ci holds flits, walked in index order
+	nOccupied int      // set bits in occupied
+	ready     []int32  // flows with a non-empty source queue (the worklist)
+	readyPos  []int32  // flow → position in ready, -1 if absent
+	moves     []move   // this cycle's decided moves
 	// This cycle's transfer candidates, chained per destination link:
 	// linkHead[l] is the link's latest candidate (-1 if none), candNext[i]
 	// the one before candidate i.
@@ -169,7 +170,7 @@ func newSkeleton(top *topology.Topology, g *traffic.Graph, cfg Config) (*Simulat
 }
 
 // initLane allocates a lane's mutable state for cfg: channel rings in one
-// flat flit block, worklists, candidate chains and statistics.
+// flat flit block, channel bits, flow worklist, candidate chains, stats.
 func (s *Simulator) initLane(cfg Config, links, flows int) {
 	n := len(s.chanLink)
 	s.cfg = cfg
@@ -177,11 +178,10 @@ func (s *Simulator) initLane(cfg Config, links, flows int) {
 	s.depth = int32(cfg.BufferDepth)
 	s.chans = make([]chanState, n)
 	s.flits = make([]flitRef, n*cfg.BufferDepth)
-	s.activePos = make([]int32, n)
 	for i := range s.chans {
 		s.chans[i].owner = -1
-		s.activePos[i] = -1
 	}
+	s.occupied = make([]uint64, (n+63)/64)
 	s.linkHead = make([]int32, links)
 	for l := range s.linkHead {
 		s.linkHead[l] = -1
@@ -404,13 +404,13 @@ func (s *Simulator) newPacket() int32 {
 	return int32(len(s.pkts) - 1)
 }
 
-// push appends a flit to channel ci's FIFO and maintains the active
-// worklist. The caller must have established buffer space.
+// push appends a flit to channel ci's FIFO, marking the channel
+// occupied. The caller must have established buffer space.
 func (s *Simulator) push(ci int32, fr flitRef) {
 	cs := &s.chans[ci]
 	if cs.n == 0 {
-		s.activePos[ci] = int32(len(s.active))
-		s.active = append(s.active, ci)
+		s.occupied[ci>>6] |= 1 << (ci & 63)
+		s.nOccupied++
 	}
 	pos := cs.head + cs.n
 	if pos >= s.depth {
@@ -423,8 +423,8 @@ func (s *Simulator) push(ci int32, fr flitRef) {
 	}
 }
 
-// pop removes and returns channel ci's front flit, maintaining the
-// worklist.
+// pop removes and returns channel ci's front flit, clearing its occupied
+// bit when the buffer empties.
 func (s *Simulator) pop(ci int32) flitRef {
 	cs := &s.chans[ci]
 	fr := s.flits[ci*s.depth+cs.head]
@@ -458,14 +458,10 @@ func (s *Simulator) clearChannel(ci int) int {
 	return n
 }
 
-// deactivate removes channel ci from the active worklist (swap-remove).
+// deactivate clears channel ci's occupied bit; its buffer just emptied.
 func (s *Simulator) deactivate(ci int32) {
-	pos := s.activePos[ci]
-	last := s.active[len(s.active)-1]
-	s.active[pos] = last
-	s.activePos[last] = pos
-	s.active = s.active[:len(s.active)-1]
-	s.activePos[ci] = -1
+	s.occupied[ci>>6] &^= 1 << (ci & 63)
+	s.nOccupied--
 }
 
 // cand is a link-transfer candidate. The key totally orders candidates on
@@ -492,8 +488,8 @@ func (s *Simulator) keyOf(m move) int64 {
 }
 
 // arbitrate collects at most one move per physical link plus unlimited
-// ejections, all judged against start-of-cycle state. It walks only the
-// active worklist and the ready flows — idle channels cost nothing — and
+// ejections, all judged against start-of-cycle state. It walks the
+// occupied channels' bits in index order and the ready worklist, and
 // reads only channel and flow state, never a flit, so the steady-state
 // cycle does no map lookups and no allocation.
 func (s *Simulator) arbitrate() []move {
@@ -504,26 +500,29 @@ func (s *Simulator) arbitrate() []move {
 	// next channel is admissible when it has space and is free or already
 	// the owner's: body flits only ever follow into a channel their own
 	// packet holds, so a free one means the head is at the front.
-	for _, ci := range s.active {
-		cs := &chans[ci]
-		ni := cs.next
-		switch {
-		case ni == -1:
-			moves = append(moves, move{src: ci, dst: -1})
-			continue
-		case ni == pending:
-			// FIFO order guarantees the front flit is the head; the
-			// choice only commits when the move lands.
-			if ni = s.choose(cs.node); ni < 0 {
+	for w, word := range s.occupied {
+		for ; word != 0; word &= word - 1 {
+			ci := int32(w<<6 | bits.TrailingZeros64(word))
+			cs := &chans[ci]
+			ni := cs.next
+			switch {
+			case ni == -1:
+				moves = append(moves, move{src: ci, dst: -1})
 				continue
+			case ni == pending:
+				// FIFO order guarantees the front flit is the head; the
+				// choice only commits when the move lands.
+				if ni = s.choose(cs.node); ni < 0 {
+					continue
+				}
+			default:
+				dst := &chans[ni]
+				if dst.n >= depth || dst.owner != cs.owner && dst.owner != -1 {
+					continue
+				}
 			}
-		default:
-			dst := &chans[ni]
-			if dst.n >= depth || dst.owner != cs.owner && dst.owner != -1 {
-				continue
-			}
+			s.addCand(move{src: ci, dst: ni})
 		}
-		s.addCand(move{src: ci, dst: ni})
 	}
 	// Injection candidates, off the ready worklist, by the same rule: a
 	// blocked flow (full or foreign-owned first channel — the common case
@@ -544,8 +543,8 @@ func (s *Simulator) arbitrate() []move {
 		s.addCand(move{src: -1, fl: int32(fs.id), dst: ni})
 	}
 	// One winner per link. Winners on different links are independent
-	// and the keys are unique, so the outcome does not depend on the
-	// order links were touched in.
+	// and a contended link sorts its candidates by unique keys, so the
+	// outcome depends on neither collection nor link order.
 	for _, l := range s.touched {
 		i := s.linkHead[l]
 		s.linkHead[l] = -1
@@ -668,7 +667,7 @@ func (s *Simulator) recordDelivery(p *packet) {
 
 // flitsInFlight reports whether any channel buffer holds flits.
 func (s *Simulator) flitsInFlight() bool {
-	return len(s.active) > 0
+	return s.nOccupied > 0
 }
 
 // drained reports whether drain mode has delivered every budgeted packet.

@@ -1,12 +1,16 @@
 package wormhole
 
 import (
+	"context"
 	"math"
+	"math/bits"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/ordering"
+	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
+	"github.com/nocdr/nocdr/internal/synth"
 	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
@@ -327,38 +331,182 @@ func TestBackpressureWithTinyBuffers(t *testing.T) {
 	}
 }
 
-// TestWormholeInvariants steps a saturated ring and checks the channel
-// ownership invariants every cycle until the deadlock (or horizon).
+// TestWormholeInvariants steps three saturated designs and checks the
+// channel ownership invariants, the occupied bits and the ready worklist
+// every cycle: the cyclic ring (stepped on past its deadlock), the
+// removed D36_8 design at 14 switches (288 flows) and the faulted 8x8
+// mesh under odd-even route sets (over 200 channels, heads that choose).
+// chanWords is how many words of the occupied bitset must hold a set bit
+// at some cycle, and every such word must see a bit cleared, so that the
+// walk past the first word is exercised. On
+// the ring a channel is owned exactly while its buffer holds flits
+// (strict); in the other two designs a worm may also span a channel that
+// has just drained.
 func TestWormholeInvariants(t *testing.T) {
-	top, g, tab := ringExample()
-	sim, err := New(top, g, tab, Config{MaxCycles: 3000, LoadFactor: 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3000; i++ {
-		sim.Step()
-		for ci := range sim.chans {
-			cs := &sim.chans[ci]
-			if (cs.owner == -1) != (cs.n == 0) {
-				t.Fatalf("cycle %d: channel %d owner/buffer invariant broken (owner %d, %d flits)",
-					i, ci, cs.owner, cs.n)
+	for _, c := range []struct {
+		name      string
+		build     func(t *testing.T) *Simulator
+		cycles    int
+		chanWords int
+		strict    bool
+	}{
+		{"ring", func(t *testing.T) *Simulator {
+			top, g, tab := ringExample()
+			return mustSim(t)(New(top, g, tab, Config{MaxCycles: 3000, LoadFactor: 1.0}))
+		}, 3000, 1, true},
+		{"D36_8@14 removed", func(t *testing.T) *Simulator {
+			g := traffic.D36(8)
+			des, err := synth.Synthesize(g, synth.Options{SwitchCount: 14})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if cs.n > sim.depth {
-				t.Fatalf("cycle %d: channel %d overflows (%d flits)", i, ci, cs.n)
+			rm, err := core.Remove(des.Topology, des.Routes, core.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k := int32(0); k < cs.n; k++ {
-				fr := sim.flits[int32(ci)*sim.depth+(cs.head+k)%sim.depth]
-				if fr.slot != cs.owner {
-					t.Fatalf("cycle %d: foreign flit (slot %d) in channel %d owned by slot %d",
-						i, fr.slot, ci, cs.owner)
+			return mustSim(t)(New(rm.Topology, g, rm.Routes, Config{MaxCycles: 1500, LoadFactor: 1, Seed: 11}))
+		}, 1500, 1, false},
+		{"mesh 8x8 faulted odd-even", func(t *testing.T) *Simulator {
+			grid, err := regular.Mesh(8, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := regular.SelectFaults(grid, 2, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := grid.Topology.Fault(ids...); err != nil {
+				t.Fatal(err)
+			}
+			g, err := regular.UniformTraffic(64, 32, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := route.GridRoutes(grid.Topology, g, grid.Spec(), route.OddEven, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rm, err := core.RemoveSetContext(context.Background(), grid.Topology, set, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return mustSim(t)(NewAdaptive(rm.Topology, g, rm.Routes, Config{
+				MaxCycles: 1500, LoadFactor: 1, BufferDepth: 2, Seed: 11}))
+		}, 1500, 3, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sim := c.build(t)
+			// used[w]: word w held a set bit; drained[w]: one of its
+			// bits was cleared, so the walk reached it.
+			used := make([]bool, len(sim.occupied))
+			drained := make([]bool, len(sim.occupied))
+			prev := make([]uint64, len(sim.occupied))
+			for i := 0; i < c.cycles; i++ {
+				sim.Step()
+				checkInvariants(t, sim, i, c.strict)
+				for w, word := range sim.occupied {
+					used[w] = used[w] || word != 0
+					drained[w] = drained[w] || prev[w]&^word != 0
+				}
+				copy(prev, sim.occupied)
+			}
+			n := 0
+			for w, u := range used {
+				if u {
+					n++
+				}
+				if u && !drained[w] {
+					t.Errorf("channel word %d held flits, but no channel in it ever drained", w)
 				}
 			}
-			// The active worklist must mirror buffer occupancy exactly.
-			if inList := sim.activePos[ci] >= 0; inList != (cs.n > 0) {
-				t.Fatalf("cycle %d: channel %d worklist membership %v with %d flits",
-					i, ci, inList, cs.n)
+			if n < c.chanWords {
+				t.Errorf("%d of %d channel words ever held a set bit, want at least %d", n, len(used), c.chanWords)
+			}
+		})
+	}
+}
+
+// mustSim returns a constructor's simulator, failing t on its error.
+func mustSim(t *testing.T) func(*Simulator, error) *Simulator {
+	return func(s *Simulator, err error) *Simulator {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+}
+
+// checkInvariants checks, after cycle i, that every channel's buffer
+// holds only its owner's flits within its depth, that an owned channel's
+// packet is still in flight (an empty owned channel is spanned by its
+// worm; under strict no channel is owned and empty), that each packet's
+// buffered flits are those injected and not yet ejected, that the
+// occupied bits are exactly the non-empty channels and nOccupied counts
+// them, and that the ready worklist holds exactly the flows with queued
+// packets, each at its readyPos.
+func checkInvariants(t *testing.T, sim *Simulator, i int, strict bool) {
+	t.Helper()
+	occupied, ready := 0, 0
+	buffered := make([]int, len(sim.pkts))
+	for ci := range sim.chans {
+		cs := &sim.chans[ci]
+		if strict && (cs.owner == -1) != (cs.n == 0) {
+			t.Fatalf("cycle %d: channel %d owner/buffer invariant broken (owner %d, %d flits)",
+				i, ci, cs.owner, cs.n)
+		}
+		if cs.n > 0 && cs.owner == -1 {
+			t.Fatalf("cycle %d: channel %d holds %d flits and no owner", i, ci, cs.n)
+		}
+		if cs.owner != -1 {
+			if p := sim.pkts[cs.owner]; p.ejected >= p.flits {
+				t.Fatalf("cycle %d: channel %d owned by delivered packet %d", i, ci, p.id)
 			}
 		}
+		if cs.n > sim.depth {
+			t.Fatalf("cycle %d: channel %d overflows (%d flits)", i, ci, cs.n)
+		}
+		for k := int32(0); k < cs.n; k++ {
+			fr := sim.flits[int32(ci)*sim.depth+(cs.head+k)%sim.depth]
+			if fr.slot != cs.owner {
+				t.Fatalf("cycle %d: foreign flit (slot %d) in channel %d owned by slot %d",
+					i, fr.slot, ci, cs.owner)
+			}
+			buffered[fr.slot]++
+		}
+		if bit := sim.occupied[ci/64]>>(ci%64)&1 == 1; bit != (cs.n > 0) {
+			t.Fatalf("cycle %d: channel %d occupied bit %v with %d flits", i, ci, bit, cs.n)
+		}
+		if cs.n > 0 {
+			occupied++
+		}
+	}
+	for slot, p := range sim.pkts {
+		if buffered[slot] != p.injected-p.ejected {
+			t.Fatalf("cycle %d: packet %d has %d flits buffered, %d injected, %d ejected",
+				i, p.id, buffered[slot], p.injected, p.ejected)
+		}
+	}
+	for fi := range sim.flows {
+		q, pos := sim.flows[fi].qlen(), sim.readyPos[fi]
+		if (pos >= 0) != (q > 0) || pos >= 0 && (int(pos) >= len(sim.ready) || int(sim.ready[pos]) != fi) {
+			t.Fatalf("cycle %d: flow %d at ready position %d with %d queued packets", i, fi, pos, q)
+		}
+		if q > 0 {
+			ready++
+		}
+	}
+	// Equal counts also rule out a bit set past the last channel and a
+	// stale worklist entry.
+	bitsSet := 0
+	for _, w := range sim.occupied {
+		bitsSet += bits.OnesCount64(w)
+	}
+	if bitsSet != occupied || sim.nOccupied != occupied {
+		t.Fatalf("cycle %d: %d occupied bits, nOccupied %d, %d non-empty channels", i, bitsSet, sim.nOccupied, occupied)
+	}
+	if len(sim.ready) != ready {
+		t.Fatalf("cycle %d: %d flows in the ready worklist, %d with queued packets", i, len(sim.ready), ready)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 )
 
 // --- The reference arbitration: the seed engine's map-based decision
-// procedure, kept as the oracle the dense/worklist arbitrate must agree
-// with on every cycle (two paths, one answer). ---
+// procedure, kept as the oracle the dense, bitset-walking arbitrate must
+// agree with on every cycle (two paths, one answer). ---
 
 // refStepper steps a Simulator with the reference arbitration in place of
 // arbitrate. Recovery, packet creation and move application are the

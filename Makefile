@@ -62,11 +62,17 @@ bench-test:
 	cd benchmark && GOFLAGS= GOWORK=off GOTOOLCHAIN=local $(GO) test ./...
 
 # Go line counts of the root module, non-test and test, as the ROADMAP
-# tracks them. The benchmark module and its build cache are excluded.
+# tracks them, then the non-test lines of each package of the root,
+# cmd/ and internal/, so a change shows where code came or went. The
+# benchmark module and its build cache are excluded.
 GO_FILES = find . -name '*.go' -not -path './benchmark/*' -not -path './.bench_build/*'
 loc:
 	@echo "non-test Go lines: $$($(GO_FILES) ! -name '*_test.go' -exec cat {} + | wc -l)"
 	@echo "test Go lines: $$($(GO_FILES) -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "non-test Go lines by package:"
+	@for d in . $$(find cmd internal -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u); do \
+		printf '%8d  %s\n' "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)" "$$d"; \
+	done
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -404,18 +404,17 @@ func BenchmarkScale_64Cores(b *testing.B)  { benchScale(b, 64, 6, 24) }
 func BenchmarkScale_128Cores(b *testing.B) { benchScale(b, 128, 6, 48) }
 func BenchmarkScale_256Cores(b *testing.B) { benchScale(b, 256, 6, 96) }
 
-// --- Incremental vs full-rebuild Remove: the hot-path optimisation.
-// Same inputs, same results (see core's differential tests); the metric
-// of interest is ns/op. ---
+// --- Remove on a 35-switch paper design and on large random designs:
+// the break loop's hot path (incremental CDG upkeep and cycle search).
+// The metric of interest is ns/op. ---
 
-func benchRemovalMode(b *testing.B, name string, switches int, fullRebuild bool) {
+func benchRemovalMode(b *testing.B, name string, switches int) {
 	des := design(b, name, switches)
-	opts := core.Options{FullRebuild: fullRebuild}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var added int
 	for i := 0; i < b.N; i++ {
-		res, err := core.Remove(des.Topology, des.Routes, opts)
+		res, err := core.Remove(des.Topology, des.Routes, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -424,29 +423,25 @@ func benchRemovalMode(b *testing.B, name string, switches int, fullRebuild bool)
 	b.ReportMetric(float64(added), "VCs")
 }
 
-func BenchmarkRemoveIncremental_D36_8_35sw(b *testing.B) { benchRemovalMode(b, "D36_8", 35, false) }
-func BenchmarkRemoveFullRebuild_D36_8_35sw(b *testing.B) { benchRemovalMode(b, "D36_8", 35, true) }
+func BenchmarkRemoveIncremental_D36_8_35sw(b *testing.B) { benchRemovalMode(b, "D36_8", 35) }
 
-func benchScaleMode(b *testing.B, cores, fanout, switches int, fullRebuild bool) {
+func benchScaleMode(b *testing.B, cores, fanout, switches int) {
 	g := traffic.RandomKOut("scale", cores, fanout, 99)
 	des, err := synth.Synthesize(g, synth.Options{SwitchCount: switches})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := core.Options{FullRebuild: fullRebuild}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Remove(des.Topology, des.Routes, opts); err != nil {
+		if _, err := core.Remove(des.Topology, des.Routes, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkRemoveIncremental_128Cores(b *testing.B) { benchScaleMode(b, 128, 6, 48, false) }
-func BenchmarkRemoveFullRebuild_128Cores(b *testing.B) { benchScaleMode(b, 128, 6, 48, true) }
-func BenchmarkRemoveIncremental_256Cores(b *testing.B) { benchScaleMode(b, 256, 6, 96, false) }
-func BenchmarkRemoveFullRebuild_256Cores(b *testing.B) { benchScaleMode(b, 256, 6, 96, true) }
+func BenchmarkRemoveIncremental_128Cores(b *testing.B) { benchScaleMode(b, 128, 6, 48) }
+func BenchmarkRemoveIncremental_256Cores(b *testing.B) { benchScaleMode(b, 256, 6, 96) }
 
 // --- Synthesis: partition, link construction and load-aware routing of
 // one design, the stage that dominates the paper's design loop. ---

@@ -243,6 +243,38 @@ func TestRunDot(t *testing.T) {
 	}
 }
 
+// TestCDGOutputGolden runs the command as a process and pins the bytes
+// `nocdr check` and `nocdr dot -cdg` print for two cyclic designs under
+// testdata: the paper's Figure 1 ring, and a multi-VC ring with a chord
+// pair whose CDG has three cycles, two of them tied for smallest.
+func TestCDGOutputGolden(t *testing.T) {
+	for _, design := range []string{"ring", "multivc"} {
+		topo := filepath.Join("testdata", design+"_topology.json")
+		routes := filepath.Join("testdata", design+"_routes.json")
+		for _, c := range []struct {
+			golden string
+			args   []string
+		}{
+			{"check", []string{"check", "-topology", topo, "-routes", routes}},
+			{"dot_cdg", []string{"dot", "-cdg", "-topology", topo, "-routes", routes}},
+		} {
+			want, err := os.ReadFile(filepath.Join("testdata", design+"_"+c.golden+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command(os.Args[0], c.args...)
+			cmd.Env = append(os.Environ(), "NOCDR_TEST_AS_MAIN=1")
+			got, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("nocdr %v: %v", c.args, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("nocdr %v printed\n%s\nwant\n%s", c.args, got, want)
+			}
+		}
+	}
+}
+
 func TestRunBench(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "d26.json")

@@ -10,10 +10,9 @@ package cdg
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
-	"github.com/nocdr/nocdr/internal/graph"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 )
@@ -25,69 +24,23 @@ type Dependency struct {
 }
 
 // CDG is an immutable channel dependency graph built from a topology and
-// a route table. Vertex IDs are dense and assigned in the topology's
+// a route table: a read-only view of a freshly built Incremental whose
+// strongly connected components and their smallest cycles are analyzed
+// once, at Build. Vertex IDs are dense and assigned in the topology's
 // canonical (link, VC) channel order, so two CDGs built from identical
-// inputs are identical.
-type CDG struct {
-	top       *topology.Topology
-	channels  []topology.Channel
-	index     map[topology.Channel]int
-	g         *graph.Digraph
-	edgeFlows map[[2]int][]int
-}
+// inputs are identical. Its methods only read, so one CDG may be queried
+// from several goroutines at once.
+type CDG struct{ m *Incremental }
 
 // Build constructs the CDG for the given topology and routes. Routes may
 // reference only provisioned channels; Build returns an error otherwise.
 func Build(top *topology.Topology, table *route.Table) (*CDG, error) {
-	channels := top.Channels()
-	c := &CDG{
-		top:       top,
-		channels:  channels,
-		index:     make(map[topology.Channel]int, len(channels)),
-		g:         graph.New(len(channels)),
-		edgeFlows: make(map[[2]int][]int),
+	m, err := BuildIncremental(top, table)
+	if err != nil {
+		return nil, err
 	}
-	for i, ch := range channels {
-		c.index[ch] = i
-	}
-	if len(channels) > 0 {
-		c.g.Ensure(len(channels) - 1)
-	}
-	for _, r := range table.Routes() {
-		for i, ch := range r.Channels {
-			if _, ok := c.index[ch]; !ok {
-				return nil, fmt.Errorf("cdg: flow %d hop %d uses unprovisioned channel %v",
-					r.FlowID, i, ch)
-			}
-		}
-		for i := 0; i+1 < len(r.Channels); i++ {
-			from := c.index[r.Channels[i]]
-			to := c.index[r.Channels[i+1]]
-			key := [2]int{from, to}
-			c.edgeFlows[key] = append(c.edgeFlows[key], r.FlowID)
-		}
-	}
-	// Insert edges in sorted (from, to) order so adjacency lists — and with
-	// them every cycle search — depend only on the edge set, never on route
-	// scan order. This keeps Build interchangeable with the Incremental CDG,
-	// whose edges come and go in break order.
-	keys := make([][2]int, 0, len(c.edgeFlows))
-	for key := range c.edgeFlows {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, key := range keys {
-		c.g.AddEdge(key[0], key[1])
-	}
-	for _, flows := range c.edgeFlows {
-		sort.Ints(flows)
-	}
-	return c, nil
+	m.refresh()
+	return &CDG{m}, nil
 }
 
 // BuildSet constructs the CDG over the *union* of a route set's permitted
@@ -107,104 +60,163 @@ func BuildSet(top *topology.Topology, set *route.RouteSet) (*CDG, []route.PathRe
 }
 
 // NumChannels returns the number of CDG vertices.
-func (c *CDG) NumChannels() int { return len(c.channels) }
+func (c *CDG) NumChannels() int { return c.m.NumChannels() }
 
 // NumDependencies returns the number of CDG edges.
-func (c *CDG) NumDependencies() int { return c.g.NumEdges() }
+func (c *CDG) NumDependencies() int { return c.m.NumDependencies() }
 
 // Channel returns the channel for a vertex ID.
-func (c *CDG) Channel(id int) topology.Channel { return c.channels[id] }
+func (c *CDG) Channel(id int) topology.Channel { return c.m.chans[id] }
 
 // VertexOf returns the vertex ID of a channel, if it exists in the CDG.
 func (c *CDG) VertexOf(ch topology.Channel) (int, bool) {
-	id, ok := c.index[ch]
-	return id, ok
+	if v := c.m.lookup(ch); v >= 0 {
+		return v, true
+	}
+	return 0, false
 }
 
 // HasDependency reports whether the dependency from→to exists.
 func (c *CDG) HasDependency(from, to topology.Channel) bool {
-	fi, ok1 := c.index[from]
-	ti, ok2 := c.index[to]
-	return ok1 && ok2 && c.g.HasEdge(fi, ti)
+	fi, ti := c.m.lookup(from), c.m.lookup(to)
+	return fi >= 0 && ti >= 0 && c.m.hasEdge(fi, ti)
 }
 
 // FlowsOn returns the flows creating the dependency from→to (ascending),
 // or nil if the dependency does not exist.
 func (c *CDG) FlowsOn(from, to topology.Channel) []int {
-	fi, ok1 := c.index[from]
-	ti, ok2 := c.index[to]
-	if !ok1 || !ok2 {
+	fi, ti := c.m.lookup(from), c.m.lookup(to)
+	if fi < 0 || ti < 0 {
 		return nil
 	}
-	return append([]int(nil), c.edgeFlows[[2]int{fi, ti}]...)
+	if k := c.m.edge(fi, ti); k >= 0 {
+		return slices.Clone(c.m.flows[fi][k])
+	}
+	return nil
 }
 
 // Dependencies returns every CDG edge with its creating flows, sorted by
 // (from, to) vertex ID.
-func (c *CDG) Dependencies() []Dependency {
-	edges := c.g.Edges()
-	out := make([]Dependency, 0, len(edges))
-	for _, e := range edges {
-		out = append(out, Dependency{
-			From:  c.channels[e[0]],
-			To:    c.channels[e[1]],
-			Flows: append([]int(nil), c.edgeFlows[[2]int{e[0], e[1]}]...),
-		})
-	}
-	return out
-}
+func (c *CDG) Dependencies() []Dependency { return c.m.Dependencies() }
 
 // Acyclic reports whether the CDG has no cycles — the paper's deadlock-
 // freedom condition.
-func (c *CDG) Acyclic() bool { return !c.g.HasCycle() }
+func (c *CDG) Acyclic() bool { return c.m.Acyclic() }
 
 // SmallestCycle implements the paper's GetSmallestCycle: the shortest
 // cycle as an ordered channel list (the closing dependency from the last
-// back to the first channel is implicit), or nil if the CDG is acyclic.
-func (c *CDG) SmallestCycle() []topology.Channel {
-	ids := c.g.ShortestCycle()
-	if ids == nil {
-		return nil
-	}
-	out := make([]topology.Channel, len(ids))
-	for i, id := range ids {
-		out[i] = c.channels[id]
-	}
-	return out
-}
+// back to the first channel is implicit), rotated to start at its
+// smallest channel, or nil if the CDG is acyclic. Among equal-length
+// cycles the one found from the smallest start channel wins.
+func (c *CDG) SmallestCycle() []topology.Channel { return c.m.SmallestCycle() }
 
 // SmallestCycleThrough returns the shortest cycle passing through the
 // given channel (rotated to start at it), or nil if the channel lies on
-// no cycle or is unknown.
+// no cycle or is unknown. It runs one BFS from the channel, on its own
+// arrays, so concurrent readers do not share work state.
 func (c *CDG) SmallestCycleThrough(ch topology.Channel) []topology.Channel {
-	id, ok := c.index[ch]
-	if !ok {
+	m := c.m
+	start := m.lookup(ch)
+	if start < 0 {
 		return nil
 	}
-	ids := c.g.ShortestCycleThrough(id)
-	if ids == nil {
-		return nil
+	parent := make([]int, len(m.chans))
+	for i := range parent {
+		parent[i] = -2 // unvisited
 	}
+	parent[start] = -1
+	queue := []int{start}
+	for qi := 0; qi < len(queue); qi++ {
+		u := queue[qi]
+		for _, v := range m.succ[u] {
+			if v == start {
+				var cycle []int
+				for x := u; x != -1; x = parent[x] {
+					cycle = append(cycle, x)
+				}
+				slices.Reverse(cycle)
+				return m.toChannels(cycle)
+			}
+			if parent[v] == -2 {
+				parent[v] = u
+				queue = append(queue, v)
+			}
+		}
+	}
+	return nil
+}
+
+// cyclicVertices returns the vertices on at least one cycle — the members
+// of the non-trivial strongly connected components — ascending, which is
+// canonical channel order in a graph Build numbered.
+func (c *CDG) cyclicVertices() []int {
+	var out []int
+	for _, e := range c.m.cache {
+		out = append(out, e.members...)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// CyclicChannels returns the channels involved in at least one cycle,
+// in canonical order.
+func (c *CDG) CyclicChannels() []topology.Channel {
+	ids := c.cyclicVertices()
 	out := make([]topology.Channel, len(ids))
 	for i, v := range ids {
-		out[i] = c.channels[v]
+		out[i] = c.m.chans[v]
 	}
 	return out
 }
 
-// CyclicChannels returns the channels involved in at least one cycle.
-func (c *CDG) CyclicChannels() []topology.Channel {
-	ids := c.g.CyclicNodes()
-	out := make([]topology.Channel, len(ids))
-	for i, id := range ids {
-		out[i] = c.channels[id]
+// CountCycles counts elementary cycles up to limit (<=0 for all),
+// returning min(total, limit). It enumerates each non-trivial strongly
+// connected component's cycles by depth-first search, anchoring every
+// cycle at its smallest channel, so the cost can be exponential; it
+// exists for diagnostics and tests, while removal only ever needs the
+// smallest cycle.
+func (c *CDG) CountCycles(limit int) int {
+	m := c.m
+	inComp := make([]bool, len(m.chans))
+	onPath := make([]bool, len(m.chans))
+	count := 0
+	// dfs extends a simple path from root through v, counting every edge
+	// that closes it back at root; it reports whether limit was reached.
+	var dfs func(root, v int) bool
+	dfs = func(root, v int) bool {
+		onPath[v] = true
+		defer func() { onPath[v] = false }()
+		for _, w := range m.succ[v] {
+			switch {
+			case !inComp[w] || w < root:
+				// only cycles whose smallest channel is root
+			case w == root:
+				if count++; count == limit {
+					return true
+				}
+			case !onPath[w]:
+				if dfs(root, w) {
+					return true
+				}
+			}
+		}
+		return false
 	}
-	return out
+	for _, e := range m.cache {
+		for _, v := range e.members {
+			inComp[v] = true
+		}
+		for _, root := range e.members {
+			if dfs(root, root) {
+				return count
+			}
+		}
+		for _, v := range e.members {
+			inComp[v] = false
+		}
+	}
+	return count
 }
-
-// CountCycles counts elementary cycles up to limit (<=0 for all); see
-// graph.CountCycles for caveats.
-func (c *CDG) CountCycles(limit int) int { return c.g.CountCycles(limit) }
 
 // String renders a compact summary like "CDG{5 channels, 5 deps, cyclic}".
 func (c *CDG) String() string {
@@ -218,26 +230,29 @@ func (c *CDG) String() string {
 // WriteDOT renders the CDG in Graphviz DOT format with the paper's
 // channel naming (L1, L1', …). Vertices on cycles are drawn doubled.
 func (c *CDG) WriteDOT(w io.Writer) error {
+	m := c.m
 	var b strings.Builder
 	b.WriteString("digraph cdg {\n  node [shape=ellipse];\n")
-	cyclic := make(map[int]bool)
-	for _, id := range c.g.CyclicNodes() {
-		cyclic[id] = true
+	cyclic := make([]bool, len(m.chans))
+	for _, v := range c.cyclicVertices() {
+		cyclic[v] = true
 	}
-	for id, ch := range c.channels {
+	for id, ch := range m.chans {
 		attr := ""
 		if cyclic[id] {
 			attr = ", peripheries=2"
 		}
-		fmt.Fprintf(&b, "  n%d [label=%q%s];\n", id, c.top.ChannelName(ch), attr)
+		fmt.Fprintf(&b, "  n%d [label=%q%s];\n", id, m.top.ChannelName(ch), attr)
 	}
-	for _, e := range c.g.Edges() {
-		flows := c.edgeFlows[[2]int{e[0], e[1]}]
-		labels := make([]string, len(flows))
-		for i, f := range flows {
-			labels[i] = fmt.Sprintf("F%d", f+1)
+	for _, v := range m.order {
+		for k, to := range m.succ[v] {
+			flows := m.flows[v][k]
+			labels := make([]string, len(flows))
+			for i, f := range flows {
+				labels[i] = fmt.Sprintf("F%d", f+1)
+			}
+			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", v, to, strings.Join(labels, ","))
 		}
-		fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", e[0], e[1], strings.Join(labels, ","))
 	}
 	b.WriteString("}\n")
 	_, err := io.WriteString(w, b.String())

@@ -2,8 +2,13 @@ package cdg
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"testing/quick"
 
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -183,6 +188,21 @@ func TestDependenciesSortedAndComplete(t *testing.T) {
 	}
 }
 
+// buildVC0 builds the CDG of routes over VC 0 of linkRing(links)'s
+// links, one route per list of link indexes.
+func buildVC0(t *testing.T, links int, routes ...[]int) *CDG {
+	t.Helper()
+	tab := route.NewTable(len(routes))
+	for f, r := range routes {
+		tab.Set(f, vc0(r...))
+	}
+	c, err := Build(linkRing(links), tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestCountCycles(t *testing.T) {
 	top, tab := paperExample(t)
 	c, err := Build(top, tab)
@@ -191,6 +211,14 @@ func TestCountCycles(t *testing.T) {
 	}
 	if n := c.CountCycles(0); n != 1 {
 		t.Errorf("CountCycles = %d, want 1", n)
+	}
+	// Three cycles: L1↔L2, L2↔L3 and L4's self-dependency. A limit
+	// caps the count.
+	c = buildVC0(t, 4, []int{0, 1}, []int{1, 0}, []int{1, 2}, []int{2, 1}, []int{3, 3})
+	for limit, want := range map[int]int{0: 3, 2: 2, 1: 1, 5: 3} {
+		if n := c.CountCycles(limit); n != want {
+			t.Errorf("CountCycles(%d) = %d, want %d", limit, n, want)
+		}
 	}
 }
 
@@ -276,4 +304,142 @@ func TestSmallestCycleThrough(t *testing.T) {
 	if got := c2.SmallestCycleThrough(topology.Chan(1, 0)); got != nil {
 		t.Errorf("acyclic CDG returned cycle %v", got)
 	}
+	// L1 lies on the 4-cycle L1→L2→L3→L4 and the 2-cycle L1↔L5; the
+	// search through it returns the 2-cycle.
+	c3 := buildVC0(t, 5, []int{0, 1, 2, 3}, []int{3, 0}, []int{0, 4}, []int{4, 0})
+	if got, want := c3.SmallestCycleThrough(topology.Chan(0, 0)), vc0(0, 4); !reflect.DeepEqual(got, want) {
+		t.Errorf("SmallestCycleThrough(L1) = %v, want %v", got, want)
+	}
+}
+
+// TestSmallestCycleSelfDependency pins that a self-dependency (a route
+// repeating a channel back to back) is the smallest cycle even when a
+// 2-cycle sits on smaller channels.
+func TestSmallestCycleSelfDependency(t *testing.T) {
+	c := buildVC0(t, 4, []int{0, 1}, []int{1, 0}, []int{3, 3})
+	if got, want := c.SmallestCycle(), vc0(3); !reflect.DeepEqual(got, want) {
+		t.Errorf("SmallestCycle = %v, want the self-dependency %v", got, want)
+	}
+}
+
+// TestRepeatedDependencyListsFlowOnce pins that a route creating one
+// dependency twice is listed once among its creators.
+func TestRepeatedDependencyListsFlowOnce(t *testing.T) {
+	c := buildVC0(t, 4, []int{0, 1, 0, 1}, []int{0, 1})
+	l1, l2 := topology.Chan(0, 0), topology.Chan(1, 0)
+	if got := c.FlowsOn(l1, l2); !reflect.DeepEqual(got, []int{0, 1}) {
+		t.Errorf("FlowsOn(L1, L2) = %v, want [0 1]", got)
+	}
+	var dot bytes.Buffer
+	if err := c.WriteDOT(&dot); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(dot.String(), `n0 -> n1 [label="F1,F2"]`) {
+		t.Errorf("DOT does not label L1→L2 with F1,F2 once each:\n%s", dot.String())
+	}
+}
+
+// TestSmallestCycleAgreementProperty: on random designs, self-
+// dependencies allowed, SmallestCycle is nil iff the CDG is acyclic (as
+// ProveAcyclic also finds), and otherwise a real cycle: every closing
+// pair is a dependency and no channel repeats. Every cyclic channel has
+// a cycle through it that starts at it.
+func TestSmallestCycleAgreementProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		links := 2 + rng.Intn(12)
+		top := linkRing(links)
+		for l := 0; l < links; l++ {
+			for k := rng.Intn(3); k > 0; k-- {
+				top.AddVC(topology.LinkID(l))
+			}
+		}
+		chans := top.Channels()
+		tab := route.NewTable(1 + rng.Intn(12))
+		for flow := 0; flow < tab.NumFlows(); flow++ {
+			path := make([]topology.Channel, 1+rng.Intn(5))
+			for i := range path {
+				path[i] = chans[rng.Intn(len(chans))]
+			}
+			tab.Set(flow, path)
+		}
+		c, err := Build(top, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := c.SmallestCycle()
+		if (cycle == nil) != c.Acyclic() || c.Acyclic() != ProveAcyclic(top, tableWalk(tab)) {
+			return false
+		}
+		seen := map[topology.Channel]bool{}
+		for i, ch := range cycle {
+			if seen[ch] || !c.HasDependency(ch, cycle[(i+1)%len(cycle)]) {
+				return false
+			}
+			seen[ch] = true
+		}
+		for _, ch := range c.CyclicChannels() {
+			if through := c.SmallestCycleThrough(ch); len(through) == 0 || through[0] != ch {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestConcurrentQueries queries one CDG from several goroutines at once;
+// under -race it shows that every query only reads.
+func TestConcurrentQueries(t *testing.T) {
+	top := linkRing(5)
+	top.AddVC(0)
+	top.AddVC(2)
+	tab := route.NewTable(6)
+	for f, r := range [][]topology.Channel{
+		vc0(0, 1, 2), vc0(2, 3, 4), vc0(4, 0),
+		{topology.Chan(0, 1), topology.Chan(2, 1)},
+		{topology.Chan(2, 1), topology.Chan(0, 1)},
+		vc0(3, 3),
+	} {
+		tab.Set(f, r)
+	}
+	c, err := Build(top, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func() string {
+		var b strings.Builder
+		fmt.Fprintln(&b, c, c.NumChannels(), c.NumDependencies(), c.Acyclic())
+		fmt.Fprintln(&b, c.SmallestCycle(), c.CyclicChannels(), c.CountCycles(0), c.CountCycles(2))
+		fmt.Fprintln(&b, c.Dependencies())
+		for id := 0; id < c.NumChannels(); id++ {
+			ch := c.Channel(id)
+			v, ok := c.VertexOf(ch)
+			fmt.Fprintln(&b, v, ok, c.SmallestCycleThrough(ch))
+			for _, to := range top.Channels() {
+				fmt.Fprint(&b, c.HasDependency(ch, to), c.FlowsOn(ch, to))
+			}
+		}
+		if err := c.WriteDOT(&b); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	want := query()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if got := query(); got != want {
+					t.Errorf("concurrent query answered differently:\n%s\nwant\n%s", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

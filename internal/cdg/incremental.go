@@ -20,17 +20,18 @@ type Reroute struct {
 }
 
 // Incremental is a mutable channel dependency graph maintained across
-// cycle breaks. Where Build reconstructs the whole graph from the route
-// table, Incremental applies each break as a handful of edge updates and
-// restricts cycle re-search to the strongly connected components those
-// updates touched; untouched components keep their cached shortest cycle.
+// cycle breaks. Instead of rebuilding the graph from the route table,
+// it applies each break as a handful of edge updates and restricts cycle
+// re-search to the strongly connected components those updates touched;
+// untouched components keep their cached shortest cycle. The immutable
+// CDG is a read-only view of a freshly built one.
 //
 // Determinism contract: every query depends only on the current edge set,
 // never on the order edges were inserted. Vertices are scanned and
-// adjacency iterated in canonical (link, VC) channel order, matching the
-// vertex numbering Build assigns, so Incremental and a fresh Build over
-// the same topology/routes return the same cycles (see the differential
-// tests in the core package).
+// adjacency iterated in canonical (link, VC) channel order, the vertex
+// numbering a fresh build assigns, so a maintained Incremental and a
+// fresh Build over the same topology/routes return the same cycles (see
+// the differential tests in the core package).
 //
 // Bound invariant: lb[v] never exceeds the length of any cycle through v,
 // so the smallest-cycle scan can skip a vertex whose bound already reaches
@@ -393,8 +394,8 @@ func (m *Incremental) NumChannels() int { return len(m.chans) }
 func (m *Incremental) NumDependencies() int { return m.nEdges }
 
 // Dependencies returns every edge with its creating flows, sorted by
-// canonical (from, to) channel order — directly comparable with the
-// immutable CDG's Dependencies for differential testing.
+// canonical (from, to) channel order — directly comparable with a fresh
+// Build's Dependencies for differential testing.
 func (m *Incremental) Dependencies() []Dependency {
 	out := make([]Dependency, 0, m.nEdges)
 	for _, v := range m.order {
@@ -561,8 +562,9 @@ func (m *Incremental) nontrivialSCCs() [][]int {
 // shortestCycleIn finds the shortest cycle inside one SCC: members are
 // scanned in canonical channel order, each probed with a BFS restricted to
 // the component (a shortest cycle through a vertex never leaves its SCC).
-// It mirrors graph.ShortestCycle's scan-and-prune semantics so the
-// incremental and full-rebuild paths pick identical cycles.
+// Once it holds a 2-cycle it stops, so a self-dependency on a later
+// member of the same component goes unreported; removal rejects any
+// self-dependency when it reaches one, whichever cycle comes first.
 //
 // A member whose bound already reaches the best cycle is skipped: its
 // probe could only come back empty. Each probe raises its start's bound,
@@ -669,7 +671,7 @@ func (m *Incremental) Acyclic() bool {
 // SmallestCycle returns the shortest cycle in the whole CDG as an ordered
 // channel list, or nil when the graph is acyclic. Among equal-length
 // cycles the winner is the one found from the canonically smallest start
-// channel, matching the full-rebuild search.
+// channel, so a maintained graph picks the cycle a fresh Build would.
 func (m *Incremental) SmallestCycle() []topology.Channel {
 	m.refresh()
 	var best *sccEntry

@@ -8,13 +8,12 @@
 //
 // Independence is the point. The rest of the system asserts deadlock
 // freedom with the same graph code that computes removal
-// (internal/cdg + internal/graph), so a bug there would silently
-// self-certify. This package therefore imports NOTHING from the engine:
-// no internal/cdg, no internal/core, no internal/route, no
-// internal/graph, no internal/topology — only the standard library and
-// its own reading of the design JSON schema. A depguard test parses the
-// package's import list and fails the build the moment anything
-// non-stdlib creeps in. In the spirit of Verbeek & Schmaltz's formally
+// (internal/cdg), so a bug there would silently self-certify. This
+// package therefore imports NOTHING from the engine: no internal/cdg,
+// no internal/core, no internal/route, no internal/topology — only the
+// standard library and its own reading of the design JSON schema. A
+// depguard test parses the package's import list and fails the build
+// the moment anything non-stdlib creeps in. In the spirit of Verbeek & Schmaltz's formally
 // verified deadlock-detection condition, the checker is small enough to
 // audit in one sitting, and its certificates are validated a third time
 // in CI by a jq/shell re-check that shares no code with Go at all.

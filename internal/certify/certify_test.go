@@ -5,6 +5,7 @@ package certify_test
 
 import (
 	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/cdg"
@@ -13,6 +14,7 @@ import (
 	"github.com/nocdr/nocdr/internal/reconfig"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
+	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
 
@@ -223,4 +225,80 @@ func TestCheckModeRecorded(t *testing.T) {
 	if _, err := certify.Check(data, "sideways"); err == nil {
 		t.Fatal("bad mode accepted")
 	}
+}
+
+// FuzzCDGMatchesChecker cross-checks the engine's CDG against the
+// checker on random designs: a ring of 3–8 switches plus chords, 1–3 VCs
+// per link, no faults, and 1–12 routes of 1–6 arbitrary channels. The
+// graphs must have the same size, the same verdict and the same smallest
+// cycle, channel for channel. Routes never repeat a channel back to
+// back: the checker stops its search at a 2-cycle, so it may miss a
+// self-dependency the engine reports.
+func FuzzCDGMatchesChecker(f *testing.F) {
+	for seed := int64(0); seed < 6; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 3 + rng.Intn(6)
+		top := topology.New("fuzz")
+		for i := 0; i < n; i++ {
+			top.AddSwitch("")
+		}
+		for i := 0; i < n; i++ {
+			top.MustAddLink(topology.SwitchID(i), topology.SwitchID((i+1)%n))
+		}
+		for k := rng.Intn(n); k > 0; k-- {
+			top.AddLink(topology.SwitchID(rng.Intn(n)), topology.SwitchID(rng.Intn(n))) // self and duplicate links are refused
+		}
+		for l := 0; l < top.NumLinks(); l++ {
+			for k := rng.Intn(3); k > 0; k-- {
+				if _, err := top.AddVC(topology.LinkID(l)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		chans := top.Channels()
+		tab := route.NewTable(1 + rng.Intn(12))
+		for flow := 0; flow < tab.NumFlows(); flow++ {
+			var path []topology.Channel
+			for hops := 1 + rng.Intn(6); len(path) < hops; {
+				if ch := chans[rng.Intn(len(chans))]; len(path) == 0 || path[len(path)-1] != ch {
+					path = append(path, ch)
+				}
+			}
+			tab.Set(flow, path)
+		}
+
+		g, err := cdg.Build(top, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(struct {
+			Topology *topology.Topology `json:"topology"`
+			Routes   *route.Table       `json:"routes"`
+		}{top, tab})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cert, err := certify.Check(data, "pre")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumChannels() != cert.Channels || g.NumDependencies() != cert.Dependencies {
+			t.Fatalf("engine has %d channels, %d dependencies; checker %d, %d",
+				g.NumChannels(), g.NumDependencies(), cert.Channels, cert.Dependencies)
+		}
+		if g.Acyclic() != cert.Acyclic {
+			t.Fatalf("engine acyclic = %v, checker acyclic = %v", g.Acyclic(), cert.Acyclic)
+		}
+		cycle := g.SmallestCycle()
+		same := len(cycle) == len(cert.Cycle)
+		for i := 0; same && i < len(cycle); i++ {
+			same = int(cycle[i].Link) == cert.Cycle[i].Link && cycle[i].VC == cert.Cycle[i].VC
+		}
+		if !same {
+			t.Fatalf("engine smallest cycle %v, checker %v", cycle, cert.Cycle)
+		}
+	})
 }

@@ -13,10 +13,9 @@ import (
 // TestCheckerIndependence is the depguard: the checker proper (every
 // non-test file of this package) may import ONLY the standard library.
 // In particular nothing from internal/cdg, internal/core,
-// internal/route, internal/graph, or internal/topology — the engine
-// code whose verdicts this package exists to double-check. Test files
-// are exempt (the external test cross-validates against the engine on
-// purpose).
+// internal/route, or internal/topology — the engine code whose verdicts
+// this package exists to double-check. Test files are exempt (the
+// external test cross-validates against the engine on purpose).
 func TestCheckerIndependence(t *testing.T) {
 	entries, err := os.ReadDir(".")
 	if err != nil {

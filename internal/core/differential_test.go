@@ -1,28 +1,29 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/cdg"
+	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/synth"
+	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
 
-// assertSameRemoval runs Remove with and without FullRebuild on identical
-// inputs and requires byte-for-byte identical break sequences plus a
-// verified acyclic result from both paths.
-func assertSameRemoval(t *testing.T, name string, opts Options, run func(Options) (*Result, error)) {
+// assertSameRemoval runs Remove and the rebuild-every-break oracle
+// (removeRebuild) on identical inputs and requires byte-for-byte
+// identical break sequences plus a verified acyclic result from both.
+func assertSameRemoval(t *testing.T, name string, top *topology.Topology, tab *route.Table, opts Options) {
 	t.Helper()
-	optsFull := opts
-	optsFull.FullRebuild = true
-	inc, err := run(opts)
+	inc, err := Remove(top, tab, opts)
 	if err != nil {
 		t.Fatalf("%s: incremental Remove: %v", name, err)
 	}
-	full, err := run(optsFull)
+	full, err := removeRebuild(context.Background(), top, tab, opts)
 	if err != nil {
-		t.Fatalf("%s: full-rebuild Remove: %v", name, err)
+		t.Fatalf("%s: rebuild oracle: %v", name, err)
 	}
 	if inc.AddedVCs != full.AddedVCs || inc.Iterations != full.Iterations {
 		t.Fatalf("%s: incremental %d VCs / %d breaks, full rebuild %d VCs / %d breaks",
@@ -50,7 +51,7 @@ func assertSameRemoval(t *testing.T, name string, opts Options, run func(Options
 
 // TestIncrementalMatchesFullRebuildBenchmarks is the differential check
 // over the paper's six benchmarks across several switch counts: the
-// incremental Remove must reproduce the full-rebuild Remove exactly.
+// incremental Remove must reproduce the rebuild oracle exactly.
 func TestIncrementalMatchesFullRebuildBenchmarks(t *testing.T) {
 	for _, g := range traffic.AllBenchmarks() {
 		for _, switches := range []int{8, 11, 14, 20} {
@@ -61,10 +62,7 @@ func TestIncrementalMatchesFullRebuildBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("synthesize %s @ %d: %v", g.Name, switches, err)
 			}
-			name := g.Name
-			assertSameRemoval(t, name, Options{}, func(o Options) (*Result, error) {
-				return Remove(des.Topology, des.Routes, o)
-			})
+			assertSameRemoval(t, g.Name, des.Topology, des.Routes, Options{})
 		}
 	}
 }
@@ -105,9 +103,7 @@ func scaleDesigns(t *testing.T) []namedDesign {
 // the scale designs.
 func TestIncrementalMatchesFullRebuildAtScale(t *testing.T) {
 	for _, d := range scaleDesigns(t) {
-		assertSameRemoval(t, d.name, Options{}, func(o Options) (*Result, error) {
-			return Remove(d.des.Topology, d.des.Routes, o)
-		})
+		assertSameRemoval(t, d.name, d.des.Topology, d.des.Routes, Options{})
 	}
 }
 
@@ -123,16 +119,14 @@ func TestIncrementalMatchesFullRebuildPolicies(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		top, _, tab := randomSetup(seed, 12, 60)
 		for _, opts := range policies {
-			assertSameRemoval(t, "random", opts, func(o Options) (*Result, error) {
-				return Remove(top, tab, o)
-			})
+			assertSameRemoval(t, "random", top, tab, opts)
 		}
 	}
 }
 
 // FuzzRemoveMatchesFullRebuild drives the whole break loop on random
 // designs: under every direction policy and cycle selection, the
-// incremental removal must reproduce the full-rebuild one break for
+// incremental removal must reproduce the rebuild oracle break for
 // break.
 func FuzzRemoveMatchesFullRebuild(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(60), byte(0))
@@ -146,9 +140,7 @@ func FuzzRemoveMatchesFullRebuild(f *testing.F) {
 		opts := Options{Policy: DirectionPolicy(mode % 3), Selection: CycleSelection(mode / 3 % 2)}
 		top, _, tab := randomSetup(seed, nSwitch, nFlow)
 		name := fmt.Sprintf("seed %d, %d switches, %d flows, %+v", seed, nSwitch, nFlow, opts)
-		assertSameRemoval(t, name, opts, func(o Options) (*Result, error) {
-			return Remove(top, tab, o)
-		})
+		assertSameRemoval(t, name, top, tab, opts)
 	})
 }
 

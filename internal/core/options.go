@@ -83,14 +83,11 @@ type Options struct {
 	// Selection selects the next cycle to break; zero value is
 	// SmallestFirst.
 	Selection CycleSelection
-	// FullRebuild forces the original Algorithm 1 loop that rebuilds the
-	// whole CDG and re-runs the global cycle search on every break. The
-	// default (false) answers an input proven acyclic up front with
-	// copies (cdg.ProveAcyclic), and otherwise maintains the CDG
-	// incrementally across breaks and restricts cycle re-search to the
-	// affected strongly connected component — same results, measurably
-	// faster; the rebuild path, which runs the loop even on an acyclic
-	// input, is kept for differential testing and benchmarking.
+	// FullRebuild is ignored. It once selected a removal loop that
+	// rebuilt the whole CDG on every break; that loop gives the same
+	// break sequences as the incremental one and now lives in this
+	// package's tests as their oracle. The field stays because
+	// nocdr.RemovalOptions exposes it.
 	FullRebuild bool
 }
 

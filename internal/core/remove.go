@@ -33,16 +33,14 @@ type Result struct {
 // directions, adding VCs and rerouting flows. On success the returned
 // topology/routes have an acyclic CDG.
 //
-// By default Remove first asks cdg.ProveAcyclic whether the input CDG
-// is already acyclic, and answers such an input, the common case, with
-// plain copies and no break loop. Otherwise the CDG is maintained
-// incrementally across breaks: each break's channel duplications and
-// flow reroutes are applied as localized edge updates, and cycle
-// re-search is restricted to the strongly connected components those
-// updates touched. Options.FullRebuild selects the original
-// rebuild-per-iteration loop instead, without the first pass; all paths
-// select the same cycles and produce identical results (see the
-// differential tests).
+// Remove first asks cdg.ProveAcyclic whether the input CDG is already
+// acyclic, and answers such an input, the common case, with plain copies
+// and no break loop. Otherwise the CDG is maintained incrementally across
+// breaks: each break's channel duplications and flow reroutes are applied
+// as localized edge updates, and cycle re-search is restricted to the
+// strongly connected components those updates touched. The break
+// sequence equals that of a loop that rebuilds the CDG on every break
+// (see the differential tests). opts.FullRebuild is ignored.
 //
 // The inputs are not modified. Remove fails if a cycle edge cannot be
 // attributed to a flow (inconsistent inputs) or if opts.MaxIterations is
@@ -57,7 +55,7 @@ func Remove(top *topology.Topology, tab *route.Table, opts Options) (*Result, er
 // nocerr.ErrCanceled and ctx.Err() as soon as the context is done. A
 // canceled removal returns no partial result.
 func RemoveContext(ctx context.Context, top *topology.Topology, tab *route.Table, opts Options) (*Result, error) {
-	if settled(top, tablePaths(tab), opts) {
+	if cdg.ProveAcyclic(top, tablePaths(tab)) {
 		// The loop checks ctx right after building its CDG; a settled
 		// input fails the same way.
 		if err := canceled(ctx); err != nil {
@@ -66,13 +64,6 @@ func RemoveContext(ctx context.Context, top *topology.Topology, tab *route.Table
 		return &Result{Topology: top.Clone(), Routes: tab.Clone(), InitialAcyclic: true}, nil
 	}
 	return remove(ctx, top.Clone(), tab.Clone(), opts)
-}
-
-// settled reports whether a removal can answer with copies of its
-// inputs: their CDG is proven acyclic, so the loop would break nothing.
-// FullRebuild, the test oracle, always runs the loop.
-func settled(top *topology.Topology, paths cdg.Paths, opts Options) bool {
-	return !opts.FullRebuild && cdg.ProveAcyclic(top, paths)
 }
 
 // tablePaths walks a table's routes in flow-ID order.
@@ -89,11 +80,11 @@ func tablePaths(tab *route.Table) cdg.Paths {
 // remove runs the break loop on top and tab, which it owns and rewrites:
 // they become the Result's Topology and Routes.
 func remove(ctx context.Context, top *topology.Topology, tab *route.Table, opts Options) (*Result, error) {
-	res := &Result{Topology: top, Routes: tab}
-	if opts.FullRebuild {
-		return removeFullRebuild(ctx, res, opts)
+	m, err := cdg.BuildIncremental(top, tab)
+	if err != nil {
+		return nil, err
 	}
-	return removeIncremental(ctx, res, opts)
+	return ResumeContext(ctx, top, tab, m, opts)
 }
 
 // canceled folds a done context into the library's sentinel scheme: the
@@ -106,53 +97,9 @@ func canceled(ctx context.Context) error {
 	return nil
 }
 
-// removeFullRebuild is the original Algorithm 1 loop: full cdg.Build plus
-// global cycle search on every iteration.
-func removeFullRebuild(ctx context.Context, res *Result, opts Options) (*Result, error) {
-	for {
-		if err := canceled(ctx); err != nil {
-			return nil, err
-		}
-		g, err := cdg.Build(res.Topology, res.Routes)
-		if err != nil {
-			return nil, err
-		}
-		cycle := selectCycle(g, opts.Selection)
-		if cycle == nil {
-			res.InitialAcyclic = res.Iterations == 0
-			return res, nil
-		}
-		if err := res.applyBreak(cycle, opts, nil); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// removeIncremental is the hot path: one CDG built up front, then each
-// break applied as localized edge updates with SCC-restricted re-search.
-func removeIncremental(ctx context.Context, res *Result, opts Options) (*Result, error) {
-	m, err := cdg.BuildIncremental(res.Topology, res.Routes)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if err := canceled(ctx); err != nil {
-			return nil, err
-		}
-		cycle := selectCycleIncremental(m, opts.Selection)
-		if cycle == nil {
-			res.InitialAcyclic = res.Iterations == 0
-			return res, nil
-		}
-		if err := res.applyBreak(cycle, opts, m); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // applyBreak executes one Algorithm 1 loop trip on an already-selected
-// cycle: choose the break, perform it, record it, and (when maintaining an
-// incremental CDG) apply the resulting reroutes as edge updates.
+// cycle: choose the break, perform it, record it, and apply the resulting
+// reroutes to the incremental CDG as edge updates.
 func (res *Result) applyBreak(cycle []topology.Channel, opts Options, m *cdg.Incremental) error {
 	if len(cycle) < 2 {
 		return fmt.Errorf("core: degenerate self-dependency on channel %v (route repeats a channel?)", cycle)
@@ -160,15 +107,10 @@ func (res *Result) applyBreak(cycle []topology.Channel, opts Options, m *cdg.Inc
 	if res.Iterations >= opts.maxIterations() {
 		return fmt.Errorf("%w: cycle remains after %d breaks (MaxIterations reached)", nocerr.ErrCyclicCDG, res.Iterations)
 	}
-	// The incremental CDG knows which flows create the cycle's edges;
-	// restricting Algorithm 2 and the break to them turns the per-break
-	// cost from O(all flows) into O(flows on the cycle). The full-rebuild
-	// path (m == nil) keeps the global scan; the differential tests pin
-	// both paths to identical results.
-	var cycleFlows []int
-	if m != nil {
-		cycleFlows = m.CycleFlows(cycle)
-	}
+	// The CDG knows which flows create the cycle's edges; restricting
+	// Algorithm 2 and the break to them turns the per-break cost from
+	// O(all flows) into O(flows on the cycle).
+	cycleFlows := m.CycleFlows(cycle)
 	c, err := chooseBreak(cycle, res.Routes, opts.Policy, cycleFlows)
 	if err != nil {
 		return err
@@ -183,11 +125,9 @@ func (res *Result) applyBreak(cycle []topology.Channel, opts Options, m *cdg.Inc
 		return fmt.Errorf("%w: break %d needs %d more VC(s) on top of %d, limit %d",
 			nocerr.ErrVCLimit, res.Iterations+1, len(rec.NewChannels), res.AddedVCs, opts.VCLimit)
 	}
-	if m != nil {
-		for _, rr := range reroutes {
-			if err := m.ApplyReroute(rr); err != nil {
-				return err
-			}
+	for _, rr := range reroutes {
+		if err := m.ApplyReroute(rr); err != nil {
+			return err
 		}
 	}
 	res.Breaks = append(res.Breaks, *rec)
@@ -200,31 +140,8 @@ func (res *Result) applyBreak(cycle []topology.Channel, opts Options, m *cdg.Inc
 }
 
 // selectCycle returns the next cycle to break under the given policy, or
-// nil if the CDG is acyclic. selectCycleIncremental is its mirror for the
-// incremental CDG: a new CycleSelection must be handled in both so the
-// two Remove paths keep picking identical cycles.
-func selectCycle(g *cdg.CDG, sel CycleSelection) []topology.Channel {
-	switch sel {
-	case FirstFound:
-		// Any cycle will do; reuse the smallest-cycle search but stop at
-		// the first vertex that closes a cycle by taking the cycle through
-		// the lowest-numbered cyclic channel.
-		cyclic := g.CyclicChannels()
-		if len(cyclic) == 0 {
-			return nil
-		}
-		// Deterministic "arbitrary" cycle: shortest cycle through the
-		// first cyclic channel only. This is still cheaper than the full
-		// smallest-first scan and deliberately non-optimal for ablation.
-		return g.SmallestCycleThrough(cyclic[0])
-	default:
-		return g.SmallestCycle()
-	}
-}
-
-// selectCycleIncremental mirrors selectCycle over the incremental CDG;
-// keep the two policy switches in sync.
-func selectCycleIncremental(m *cdg.Incremental, sel CycleSelection) []topology.Channel {
+// nil if the CDG is acyclic.
+func selectCycle(m *cdg.Incremental, sel CycleSelection) []topology.Channel {
 	switch sel {
 	case FirstFound:
 		return m.SmallestCycleThroughFirstCyclic()
@@ -247,8 +164,9 @@ type breakChoice struct {
 // wins ties, per Algorithm 1 step 7). The choice equals the BestEdge and
 // BestCost of the BuildCostTable tables, without building their rows. A
 // non-nil flows restricts the scan to that candidate subset, ascending;
-// the incremental removal passes the CDG's flows of the cycle's edges,
-// which are exactly the flows with a cost row, so the choice is the same.
+// removal passes the CDG's flows of the cycle's edges, which are exactly
+// the flows with a cost row, so the choice is the same as a scan of
+// every route (nil).
 func chooseBreak(cycle []topology.Channel, tab *route.Table, policy DirectionPolicy, flows []int) (breakChoice, error) {
 	n := len(cycle)
 	rows := make([]int, 2*n)
@@ -305,9 +223,10 @@ func DeadlockFree(top *topology.Topology, tab *route.Table) (bool, error) {
 	return g.Acyclic(), nil
 }
 
-// Verify checks a Result: its CDG must be acyclic and every rerouted
-// flow's channels must be provisioned in the result topology. It is used
-// by tests and by the CLI after every removal.
+// Verify checks a Result: every route's channels must be provisioned in
+// the result topology (cdg.Build names the first hop that is not) and its
+// CDG must be acyclic. It is used by tests and by the CLI after every
+// removal.
 func (r *Result) Verify() error {
 	g, err := cdg.Build(r.Topology, r.Routes)
 	if err != nil {
@@ -315,13 +234,6 @@ func (r *Result) Verify() error {
 	}
 	if !g.Acyclic() {
 		return fmt.Errorf("%w: result CDG still cyclic", nocerr.ErrCyclicCDG)
-	}
-	for _, rt := range r.Routes.Routes() {
-		for i, ch := range rt.Channels {
-			if !r.Topology.ValidChannel(ch) {
-				return fmt.Errorf("core: flow %d hop %d references unprovisioned channel %v", rt.FlowID, i, ch)
-			}
-		}
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
@@ -253,6 +255,21 @@ func TestDeadlockFree(t *testing.T) {
 	}
 	if !free {
 		t.Error("result reported deadlocked after removal")
+	}
+}
+
+// TestVerifyErrors pins Verify's two failures: a route naming a VC its
+// link lacks, which cdg.Build reports with the hop, and a cyclic CDG.
+func TestVerifyErrors(t *testing.T) {
+	top, tab := paperExample()
+	bad := tab.Clone()
+	bad.Set(0, []topology.Channel{topology.Chan(0, 0), topology.Chan(1, 1)})
+	err := (&Result{Topology: top, Routes: bad}).Verify()
+	if want := "cdg: flow 0 hop 1 uses unprovisioned channel {1 1}"; err == nil || err.Error() != want {
+		t.Errorf("Verify = %v, want %q", err, want)
+	}
+	if err := (&Result{Topology: top, Routes: tab}).Verify(); !errors.Is(err, nocerr.ErrCyclicCDG) {
+		t.Errorf("Verify on the cyclic paper example = %v, want ErrCyclicCDG", err)
 	}
 }
 

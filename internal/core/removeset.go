@@ -34,7 +34,7 @@ type SetResult struct {
 // inputs are never mutated. Cancellation is cooperative, as in
 // RemoveContext.
 func RemoveSetContext(ctx context.Context, top *topology.Topology, set *route.RouteSet, opts Options) (*SetResult, error) {
-	if settled(top, setPaths(set), opts) {
+	if cdg.ProveAcyclic(top, setPaths(set)) {
 		if err := canceled(ctx); err != nil {
 			return nil, err
 		}

@@ -33,7 +33,7 @@ func ResumeContext(ctx context.Context, top *topology.Topology, tab *route.Table
 		if err := canceled(ctx); err != nil {
 			return nil, err
 		}
-		cycle := selectCycleIncremental(m, opts.Selection)
+		cycle := selectCycle(m, opts.Selection)
 		if cycle == nil {
 			res.InitialAcyclic = res.Iterations == 0
 			return res, nil

@@ -133,21 +133,31 @@ type removal struct {
 	breaks         []BreakRecord
 }
 
-// run removes d under opts through the entry point its routes call for.
-func (d corpusDesign) run(t *testing.T, ctx context.Context, opts Options) (removal, error) {
+// run removes d under opts through the entry point its routes call for,
+// or, with oracle set, through that entry point's rebuild-every-break
+// oracle.
+func (d corpusDesign) run(t *testing.T, ctx context.Context, opts Options, oracle bool) (removal, error) {
 	t.Helper()
 	var top *topology.Topology
 	var routes interface{ Write(io.Writer) error }
 	var out removal
 	if d.tab != nil {
-		res, err := RemoveContext(ctx, d.top, d.tab, opts)
+		remove := RemoveContext
+		if oracle {
+			remove = removeRebuild
+		}
+		res, err := remove(ctx, d.top, d.tab, opts)
 		if err != nil {
 			return out, err
 		}
 		top, routes = res.Topology, res.Routes
 		out.initialAcyclic, out.breaks = res.InitialAcyclic, res.Breaks
 	} else {
-		res, err := RemoveSetContext(ctx, d.top, d.set, opts)
+		remove := RemoveSetContext
+		if oracle {
+			remove = removeRebuildSet
+		}
+		res, err := remove(ctx, d.top, d.set, opts)
 		if err != nil {
 			return out, err
 		}
@@ -192,7 +202,7 @@ func (d corpusDesign) acyclic(t *testing.T) bool {
 // TestSettleMatchesFullRebuildCorpus is the acyclic first pass's
 // differential check: on every corpus design its verdict equals the full
 // CDG's, and both removal entry points return exactly what their
-// full-rebuild run returns.
+// rebuild-every-break oracle returns.
 func TestSettleMatchesFullRebuildCorpus(t *testing.T) {
 	acyclic := 0
 	corpus := settleCorpus(t)
@@ -204,11 +214,11 @@ func TestSettleMatchesFullRebuildCorpus(t *testing.T) {
 		if want {
 			acyclic++
 		}
-		got, err := d.run(t, context.Background(), Options{})
+		got, err := d.run(t, context.Background(), Options{}, false)
 		if err != nil {
 			t.Fatalf("%s: %v", d.name, err)
 		}
-		full, err := d.run(t, context.Background(), Options{FullRebuild: true})
+		full, err := d.run(t, context.Background(), Options{}, true)
 		if err != nil {
 			t.Fatalf("%s: full rebuild: %v", d.name, err)
 		}
@@ -286,7 +296,7 @@ func TestSettleEdgeCases(t *testing.T) {
 			{corpusDesign{name: c.name + " (table)", top: ring, tab: tab}, c.errTab},
 			{corpusDesign{name: c.name + " (set)", top: ring, set: set}, c.errSet},
 		} {
-			got, err := d.run(t, ctx, Options{})
+			got, err := d.run(t, ctx, Options{}, false)
 			if d.wantErr != "" {
 				if err == nil || err.Error() != d.wantErr {
 					t.Errorf("%s: error %v, want %q", d.name, err, d.wantErr)
@@ -301,7 +311,7 @@ func TestSettleEdgeCases(t *testing.T) {
 				t.Errorf("%s: %v", d.name, err)
 				continue
 			}
-			full, err := d.run(t, ctx, Options{FullRebuild: true})
+			full, err := d.run(t, ctx, Options{}, true)
 			if err != nil {
 				t.Fatalf("%s: full rebuild: %v", d.name, err)
 			}

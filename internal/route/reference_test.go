@@ -3,25 +3,24 @@ package route_test
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 
-	"github.com/nocdr/nocdr/internal/graph"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
 
 // referenceShortestPaths is the map-based router ShortestPathsWeighted
-// replaced, kept as the differential oracle: a generic-digraph Dijkstra
-// per flow whose edge weights look the link up by endpoint pair and read
-// base costs and committed load from maps.
+// replaced, kept as the differential oracle: a Dijkstra per flow over
+// switch successor lists, whose edge weights look the link up by
+// endpoint pair and read base costs and committed load from maps.
 func referenceShortestPaths(top *topology.Topology, g *traffic.Graph, base map[topology.LinkID]float64) (*route.Table, error) {
-	sg := graph.New(top.NumSwitches())
-	if n := top.NumSwitches(); n > 0 {
-		sg.Ensure(n - 1)
-	}
+	// succ[s] lists s's neighbours in link-ID order, once per neighbour
+	// however many parallel links lead there.
+	succ := make([][]int, top.NumSwitches())
 	for _, l := range top.Links() {
-		if !top.Faulted(l.ID) {
-			sg.AddEdge(int(l.From), int(l.To))
+		if !top.Faulted(l.ID) && !slices.Contains(succ[l.From], int(l.To)) {
+			succ[l.From] = append(succ[l.From], int(l.To))
 		}
 	}
 	table := route.NewTable(g.NumFlows())
@@ -54,7 +53,7 @@ func referenceShortestPaths(top *topology.Topology, g *traffic.Graph, base map[t
 			}
 			return baseCost(id) + load[id]/norm
 		}
-		path := dijkstraPath(sg, top.NumSwitches(), int(srcSw), int(dstSw), w)
+		path := dijkstraPath(succ, int(srcSw), int(dstSw), w)
 		if path == nil {
 			return nil, fmt.Errorf("reference: no path for flow %d", fid)
 		}
@@ -70,9 +69,10 @@ func referenceShortestPaths(top *topology.Topology, g *traffic.Graph, base map[t
 }
 
 // dijkstraPath returns a minimum-cost node path from src to dst under w
-// over the n nodes of g,
-// or nil if dst is unreachable, breaking ties toward lower predecessor IDs.
-func dijkstraPath(g *graph.Digraph, n, src, dst int, w func(u, v int) float64) []int {
+// over the successor lists succ, or nil if dst is unreachable, breaking
+// ties toward lower predecessor IDs.
+func dijkstraPath(succ [][]int, src, dst int, w func(u, v int) float64) []int {
+	n := len(succ)
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil
 	}
@@ -96,7 +96,7 @@ func dijkstraPath(g *graph.Digraph, n, src, dst int, w func(u, v int) float64) [
 		if u == dst {
 			break
 		}
-		for _, v := range g.Succ(u) {
+		for _, v := range succ[u] {
 			if done[v] {
 				continue
 			}

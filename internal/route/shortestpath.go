@@ -83,9 +83,9 @@ func (a heapItem) less(b heapItem) bool {
 // router is a Dijkstra kernel over dense arrays, built once per routing
 // call and reused for every flow. Faulted links are left out, so every
 // path routes around them. Switch s's out-arcs are
-// adj[start[s]:start[s+1]] in link-ID order — the order a graph.Digraph
-// built from top.Links() lists successors — so relaxations, ties and
-// heap pops happen exactly as they did on the generic digraph. A link
+// adj[start[s]:start[s+1]] in link-ID order — the order the reference
+// router's successor lists keep — so relaxations, ties and heap pops
+// happen exactly as they do there. A link
 // costs its base cost plus the bandwidth already committed to it,
 // divided by the caller's normaliser.
 type router struct {

@@ -169,6 +169,32 @@ type removeRequest struct {
 	} `json:"options"`
 }
 
+// removalOptions appends to opts the session options a request's removal
+// settings name: the break-direction policy ("" or "best", "forward",
+// "backward") and the cycle selection ("" or "smallest", "first"). An
+// unknown value fails with ErrInvalidInput, for a 400.
+func removalOptions(policy, selection string, opts ...nocdr.Option) ([]nocdr.Option, error) {
+	switch policy {
+	case "", "best":
+		opts = append(opts, nocdr.WithPolicy(nocdr.BestOfBoth))
+	case "forward":
+		opts = append(opts, nocdr.WithPolicy(nocdr.ForwardOnly))
+	case "backward":
+		opts = append(opts, nocdr.WithPolicy(nocdr.BackwardOnly))
+	default:
+		return nil, fmt.Errorf("%w: unknown policy %q", nocerr.ErrInvalidInput, policy)
+	}
+	switch selection {
+	case "", "smallest":
+		opts = append(opts, nocdr.WithSelection(nocdr.SmallestFirst))
+	case "first":
+		opts = append(opts, nocdr.WithSelection(nocdr.FirstFound))
+	default:
+		return nil, fmt.Errorf("%w: unknown selection %q", nocerr.ErrInvalidInput, selection)
+	}
+	return opts, nil
+}
+
 // removeResult is a finished remove job's result document.
 type removeResult struct {
 	DeadlockFree   bool              `json:"deadlock_free"`
@@ -188,28 +214,11 @@ func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: topology and routes are required", nocerr.ErrInvalidInput))
 		return
 	}
-	opts := []nocdr.Option{
+	opts, err := removalOptions(req.Options.Policy, req.Options.Selection,
 		nocdr.WithVCLimit(req.Options.VCLimit),
-		nocdr.WithMaxIterations(req.Options.MaxIterations),
-	}
-	switch req.Options.Policy {
-	case "", "best":
-		opts = append(opts, nocdr.WithPolicy(nocdr.BestOfBoth))
-	case "forward":
-		opts = append(opts, nocdr.WithPolicy(nocdr.ForwardOnly))
-	case "backward":
-		opts = append(opts, nocdr.WithPolicy(nocdr.BackwardOnly))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown policy %q", nocerr.ErrInvalidInput, req.Options.Policy))
-		return
-	}
-	switch req.Options.Selection {
-	case "", "smallest":
-		opts = append(opts, nocdr.WithSelection(nocdr.SmallestFirst))
-	case "first":
-		opts = append(opts, nocdr.WithSelection(nocdr.FirstFound))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown selection %q", nocerr.ErrInvalidInput, req.Options.Selection))
+		nocdr.WithMaxIterations(req.Options.MaxIterations))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The cache key spans every semantic input; the bypass flag must
@@ -305,16 +314,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	extra := []nocdr.Option{nocdr.WithVCLimit(req.Options.VCLimit)}
-	switch req.Options.Policy {
-	case "", "best":
-		extra = append(extra, nocdr.WithPolicy(nocdr.BestOfBoth))
-	case "forward":
-		extra = append(extra, nocdr.WithPolicy(nocdr.ForwardOnly))
-	case "backward":
-		extra = append(extra, nocdr.WithPolicy(nocdr.BackwardOnly))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown policy %q", nocerr.ErrInvalidInput, req.Options.Policy))
+	extra, err := removalOptions(req.Options.Policy, "", nocdr.WithVCLimit(req.Options.VCLimit))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Parallel > 0 {
@@ -496,28 +498,11 @@ func (s *Server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: design and at least one fault are required", nocerr.ErrInvalidInput))
 		return
 	}
-	opts := []nocdr.Option{
+	opts, err := removalOptions(req.Options.Policy, req.Options.Selection,
 		nocdr.WithVCLimit(req.Options.VCLimit),
-		nocdr.WithMaxIterations(req.Options.MaxIterations),
-	}
-	switch req.Options.Policy {
-	case "", "best":
-		opts = append(opts, nocdr.WithPolicy(nocdr.BestOfBoth))
-	case "forward":
-		opts = append(opts, nocdr.WithPolicy(nocdr.ForwardOnly))
-	case "backward":
-		opts = append(opts, nocdr.WithPolicy(nocdr.BackwardOnly))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown policy %q", nocerr.ErrInvalidInput, req.Options.Policy))
-		return
-	}
-	switch req.Options.Selection {
-	case "", "smallest":
-		opts = append(opts, nocdr.WithSelection(nocdr.SmallestFirst))
-	case "first":
-		opts = append(opts, nocdr.WithSelection(nocdr.FirstFound))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: unknown selection %q", nocerr.ErrInvalidInput, req.Options.Selection))
+		nocdr.WithMaxIterations(req.Options.MaxIterations))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	faults := make([]nocdr.LinkID, 0, len(req.Faults))

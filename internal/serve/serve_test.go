@@ -254,6 +254,34 @@ func TestRemoveRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestUnknownRemovalSettingsRejected pins the 400, body included, that
+// an unknown break-direction policy or cycle selection gets at
+// submission on /v1/remove and /v1/sweep.
+func TestUnknownRemovalSettingsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	topo, _, routes := ringDesign(t)
+	grid := map[string]any{"benchmarks": []string{"D26_media"}, "switch_counts": []int{8}}
+	for _, c := range []struct {
+		path string
+		body map[string]any
+		want string
+	}{
+		{"/v1/remove", map[string]any{"topology": topo, "routes": routes,
+			"options": map[string]any{"policy": "sideways"}}, `invalid input: unknown policy "sideways"`},
+		{"/v1/remove", map[string]any{"topology": topo, "routes": routes,
+			"options": map[string]any{"selection": "loudest"}}, `invalid input: unknown selection "loudest"`},
+		{"/v1/sweep", map[string]any{"grid": grid,
+			"options": map[string]any{"policy": "sideways"}}, `invalid input: unknown policy "sideways"`},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, ts.URL+c.path, c.body, &e); code != http.StatusBadRequest || e.Error != c.want {
+			t.Errorf("%s %v: status %d, error %q; want 400, %q", c.path, c.body["options"], code, e.Error, c.want)
+		}
+	}
+}
+
 // TestConcurrentJobs is the acceptance pin: >= 8 jobs in flight at once
 // against one server, all finishing deadlock-free, race-clean under
 // -race.

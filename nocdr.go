@@ -188,8 +188,7 @@ func BenchmarkNames() []string { return traffic.BenchmarkNames() }
 // sessionFromRemovalOptions builds the Session equivalent of a legacy
 // RemovalOptions value, so the deprecated wrappers stay byte-identical
 // to the Session path (pinned by the differential tests). FullRebuild has
-// no Session equivalent and is ignored: both removal loops give the same
-// result.
+// no Session equivalent and is ignored, as it is everywhere.
 func sessionFromRemovalOptions(opts RemovalOptions) *Session {
 	return &Session{
 		vcLimit:       opts.VCLimit,

@@ -85,8 +85,7 @@ func WithSelection(c CycleSelection) Option { return func(s *Session) { s.select
 
 // WithFullRebuild has no effect: removal always maintains the CDG
 // incrementally. The rebuild-per-iteration loop, which gives the same
-// results, is kept only for the core package's differential tests and
-// benchmarks.
+// results, lives only in the core package's tests, as their oracle.
 //
 // Deprecated: removal has one path; drop the option.
 func WithFullRebuild(bool) Option { return func(*Session) {} }

@@ -69,19 +69,5 @@ func removeRebuildSet(ctx context.Context, top *topology.Topology, set *route.Ro
 	if err != nil {
 		return nil, err
 	}
-	out, err := route.Unflatten(res.Routes, refs, set.NumFlows())
-	if err != nil {
-		return nil, err
-	}
-	for i := range res.Breaks {
-		res.Breaks[i].Reroutes = route.RealFlows(res.Breaks[i].Reroutes, refs)
-	}
-	return &SetResult{
-		Topology:       res.Topology,
-		Routes:         out,
-		AddedVCs:       res.AddedVCs,
-		Iterations:     res.Iterations,
-		InitialAcyclic: res.InitialAcyclic,
-		Breaks:         res.Breaks,
-	}, nil
+	return foldSet(res, refs, set.NumFlows())
 }

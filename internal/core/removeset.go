@@ -47,23 +47,29 @@ func RemoveSetContext(ctx context.Context, top *topology.Topology, set *route.Ro
 	if err != nil {
 		return nil, err
 	}
-	out, err := route.Unflatten(res.Routes, refs, set.NumFlows())
+	return foldSet(res, refs, set.NumFlows())
+}
+
+// foldSet turns a removal run on a set's flattened table into a
+// SetResult: the rewritten paths fold back into a RouteSet of numFlows
+// flows, and the break records' pseudo-flow reroute IDs become real
+// flow IDs.
+func foldSet(res *Result, refs []route.PathRef, numFlows int) (*SetResult, error) {
+	out, err := route.Unflatten(res.Routes, refs, numFlows)
 	if err != nil {
 		return nil, err
 	}
-	sr := &SetResult{
+	for i := range res.Breaks {
+		res.Breaks[i].Reroutes = route.RealFlows(res.Breaks[i].Reroutes, refs)
+	}
+	return &SetResult{
 		Topology:       res.Topology,
 		Routes:         out,
 		AddedVCs:       res.AddedVCs,
 		Iterations:     res.Iterations,
 		InitialAcyclic: res.InitialAcyclic,
 		Breaks:         res.Breaks,
-	}
-	// Breaks carry pseudo-flow reroute IDs; translate to real flows.
-	for i := range sr.Breaks {
-		sr.Breaks[i].Reroutes = route.RealFlows(sr.Breaks[i].Reroutes, refs)
-	}
-	return sr, nil
+	}, nil
 }
 
 // setPaths walks a set's candidate paths in Flatten's pseudo-flow order.

@@ -212,9 +212,12 @@ func TestCountCycles(t *testing.T) {
 	if n := c.CountCycles(0); n != 1 {
 		t.Errorf("CountCycles = %d, want 1", n)
 	}
-	// Three cycles: L1↔L2, L2↔L3 and L4's self-dependency. A limit
-	// caps the count.
-	c = buildVC0(t, 4, []int{0, 1}, []int{1, 0}, []int{1, 2}, []int{2, 1}, []int{3, 3})
+}
+
+// TestCountCyclesLimit counts three cycles, L1↔L2, L2↔L3 and L4's
+// self-dependency, and pins that a limit caps the count.
+func TestCountCyclesLimit(t *testing.T) {
+	c := buildVC0(t, 4, []int{0, 1}, []int{1, 0}, []int{1, 2}, []int{2, 1}, []int{3, 3})
 	for limit, want := range map[int]int{0: 3, 2: 2, 1: 1, 5: 3} {
 		if n := c.CountCycles(limit); n != want {
 			t.Errorf("CountCycles(%d) = %d, want %d", limit, n, want)
@@ -304,10 +307,14 @@ func TestSmallestCycleThrough(t *testing.T) {
 	if got := c2.SmallestCycleThrough(topology.Chan(1, 0)); got != nil {
 		t.Errorf("acyclic CDG returned cycle %v", got)
 	}
-	// L1 lies on the 4-cycle L1→L2→L3→L4 and the 2-cycle L1↔L5; the
-	// search through it returns the 2-cycle.
-	c3 := buildVC0(t, 5, []int{0, 1, 2, 3}, []int{3, 0}, []int{0, 4}, []int{4, 0})
-	if got, want := c3.SmallestCycleThrough(topology.Chan(0, 0)), vc0(0, 4); !reflect.DeepEqual(got, want) {
+}
+
+// TestSmallestCycleThroughPicksLocalShortest pins that the search
+// through L1, which lies on the 4-cycle L1→L2→L3→L4 and the 2-cycle
+// L1↔L5, returns the 2-cycle.
+func TestSmallestCycleThroughPicksLocalShortest(t *testing.T) {
+	c := buildVC0(t, 5, []int{0, 1, 2, 3}, []int{3, 0}, []int{0, 4}, []int{4, 0})
+	if got, want := c.SmallestCycleThrough(topology.Chan(0, 0)), vc0(0, 4); !reflect.DeepEqual(got, want) {
 		t.Errorf("SmallestCycleThrough(L1) = %v, want %v", got, want)
 	}
 }

@@ -886,6 +886,50 @@ func BenchmarkSweepVerified(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepPaperLoop is one pass of nocbench's paper_sweep
+// workload through Session.Sweep: a one-cell sweep of every paper
+// benchmark at every switch count of Figures 8–9 up to its core count
+// (46 pairs), at parallel 1, each synthesizing one design and removing
+// its deadlocks, the paper's own design loop end to end. Synthesis is
+// most of its time.
+func BenchmarkSweepPaperLoop(b *testing.B) {
+	var grids []nocdr.SweepGrid
+	for _, name := range traffic.BenchmarkNames() {
+		g, err := traffic.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sw := range []int{8, 11, 14, 17, 20, 25, 30, 35} {
+			if sw <= g.NumCores() {
+				grids = append(grids, nocdr.SweepGrid{
+					Benchmarks:   []string{name},
+					SwitchCounts: []int{sw},
+					Policies:     []string{"smallest"},
+					Seeds:        []int64{0},
+				})
+			}
+		}
+	}
+	if len(grids) != 46 {
+		b.Fatalf("got %d paper grids, want 46", len(grids))
+	}
+	s := nocdr.NewSession(nocdr.WithParallel(1))
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range grids {
+			rep, err := s.Sweep(ctx, g, nocdr.SweepOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(rep.Results) != 1 || rep.Results[0].Error != "" {
+				b.Fatalf("paper cell %v failed: %+v", g.Benchmarks, rep.Results)
+			}
+		}
+	}
+}
+
 // fleetGrid is the 36-cell grid of the fleet workloads: three transpose
 // presets × three adaptive routings × four seeds, one seeded fault each.
 var fleetGrid = nocdr.SweepGrid{

@@ -329,6 +329,18 @@ func TestSmallestCycleSelfDependency(t *testing.T) {
 	}
 }
 
+// TestSmallestCycleSelfDependencyLaterInComponent pins that a
+// self-dependency beats a 2-cycle inside the same strongly connected
+// component, even when the 2-cycle sits on smaller channels: with
+// channels A < B < C and routes A→B, B→A, B→C and C→C→A, all three are
+// one component, and C's self-dependency is the smallest cycle.
+func TestSmallestCycleSelfDependencyLaterInComponent(t *testing.T) {
+	c := buildVC0(t, 3, []int{0, 1}, []int{1, 0}, []int{1, 2}, []int{2, 2, 0})
+	if got, want := c.SmallestCycle(), vc0(2); !reflect.DeepEqual(got, want) {
+		t.Errorf("SmallestCycle = %v, want the self-dependency %v", got, want)
+	}
+}
+
 // TestRepeatedDependencyListsFlowOnce pins that a route creating one
 // dependency twice is listed once among its creators.
 func TestRepeatedDependencyListsFlowOnce(t *testing.T) {
@@ -350,7 +362,8 @@ func TestRepeatedDependencyListsFlowOnce(t *testing.T) {
 // dependencies allowed, SmallestCycle is nil iff the CDG is acyclic (as
 // ProveAcyclic also finds), and otherwise a real cycle: every closing
 // pair is a dependency and no channel repeats. Every cyclic channel has
-// a cycle through it that starts at it.
+// a cycle through it that starts at it, and none is shorter than
+// SmallestCycle.
 func TestSmallestCycleAgreementProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -386,7 +399,8 @@ func TestSmallestCycleAgreementProperty(t *testing.T) {
 			seen[ch] = true
 		}
 		for _, ch := range c.CyclicChannels() {
-			if through := c.SmallestCycleThrough(ch); len(through) == 0 || through[0] != ch {
+			through := c.SmallestCycleThrough(ch)
+			if len(through) == 0 || through[0] != ch || len(through) < len(cycle) {
 				return false
 			}
 		}

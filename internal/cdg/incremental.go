@@ -47,6 +47,7 @@ type Incremental struct {
 	succ   [][]int   // adjacency, each list sorted by canonical channel order
 	flows  [][][]int // flows[v][k]: flow IDs creating v→succ[v][k], ascending
 	nEdges int
+	nSelf  int // self-dependencies v→v among the nEdges
 
 	touched []bool // touched[v]: v gained or lost an edge since the last refresh
 	cache   map[int]*sccEntry
@@ -230,6 +231,9 @@ func (m *Incremental) addFlowEdge(from, to, flowID int) {
 	m.succ[from] = slices.Insert(succ, pos, to)
 	m.flows[from] = slices.Insert(m.flows[from], pos, []int{flowID})
 	m.nEdges++
+	if from == to {
+		m.nSelf++
+	}
 	m.touched[from] = true
 	m.touched[to] = true
 	m.valid = false
@@ -254,6 +258,9 @@ func (m *Incremental) dropFlowEdge(from, to, flowID int) error {
 	m.succ[from] = slices.Delete(m.succ[from], k, k+1)
 	m.flows[from] = slices.Delete(m.flows[from], k, k+1)
 	m.nEdges--
+	if from == to {
+		m.nSelf--
+	}
 	m.touched[from] = true
 	m.touched[to] = true
 	m.valid = false
@@ -559,17 +566,24 @@ func (m *Incremental) nontrivialSCCs() [][]int {
 	return comps
 }
 
-// shortestCycleIn finds the shortest cycle inside one SCC: members are
-// scanned in canonical channel order, each probed with a BFS restricted to
-// the component (a shortest cycle through a vertex never leaves its SCC).
-// Once it holds a 2-cycle it stops, so a self-dependency on a later
-// member of the same component goes unreported; removal rejects any
-// self-dependency when it reaches one, whichever cycle comes first.
+// shortestCycleIn finds the shortest cycle inside one SCC. Nothing beats
+// a self-dependency, so while the graph has one, the component's first
+// member in canonical channel order with a self-loop is the answer, and
+// no probe runs. Otherwise members are scanned in canonical channel
+// order, each probed with a BFS restricted to the component (a shortest
+// cycle through a vertex never leaves its SCC), until a 2-cycle is held.
 //
 // A member whose bound already reaches the best cycle is skipped: its
 // probe could only come back empty. Each probe raises its start's bound,
 // to the exact length when it finds a cycle and to its cutoff when not.
 func (m *Incremental) shortestCycleIn(comp []int) (cycle []int, start int) {
+	if m.nSelf > 0 {
+		for _, s := range comp {
+			if m.hasEdge(s, s) {
+				return []int{s}, s
+			}
+		}
+	}
 	sc := &m.scratch
 	sc.ensure(len(m.chans))
 	sc.compEpoch++
@@ -580,13 +594,10 @@ func (m *Incremental) shortestCycleIn(comp []int) (cycle []int, start int) {
 	bestStart := -1
 	for _, s := range comp {
 		if best != nil && m.lb[s] >= len(best) {
-			continue // no cycle through s beats best (nor can a self-loop be there)
-		}
-		if m.hasEdge(s, s) {
-			return []int{s}, s // nothing beats a self-loop
+			continue // no cycle through s beats best
 		}
 		if len(best) == 2 {
-			break // only a self-loop could beat a 2-cycle
+			break // only a self-loop could beat a 2-cycle, and there is none
 		}
 		if cyc := m.probe(s, len(best)); cyc != nil {
 			best = cyc

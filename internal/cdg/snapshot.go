@@ -26,6 +26,7 @@ type Snapshot struct {
 	succ    [][]int
 	flows   [][][]int
 	nEdges  int
+	nSelf   int
 	touched []bool
 	cache   map[int]*sccEntry
 	valid   bool
@@ -43,6 +44,7 @@ func (m *Incremental) Snapshot() *Snapshot {
 		succ:    copyLists(m.succ),
 		flows:   copyFlows(m.flows),
 		nEdges:  m.nEdges,
+		nSelf:   m.nSelf,
 		touched: slices.Clone(m.touched),
 		cache:   copyCache(m.cache),
 		valid:   m.valid,
@@ -62,6 +64,7 @@ func (m *Incremental) Restore(s *Snapshot) {
 	m.succ = copyLists(s.succ)
 	m.flows = copyFlows(s.flows)
 	m.nEdges = s.nEdges
+	m.nSelf = s.nSelf
 	m.touched = append(m.touched[:0], s.touched...)
 	m.cache = copyCache(s.cache)
 	m.valid = s.valid

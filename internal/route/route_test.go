@@ -280,7 +280,9 @@ func TestShortestPathsPrefersCheapDetour(t *testing.T) {
 	g.AddCore("")
 	g.AddCore("")
 	g.MustAddFlow(0, 1, 10)
-	tab, err := ShortestPathsWeighted(top, g, map[topology.LinkID]float64{direct: 10})
+	base := make([]float64, top.NumLinks())
+	base[direct] = 10
+	tab, err := ShortestPathsWeighted(top, g, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +297,7 @@ func TestRouterUnreachableReturnsNil(t *testing.T) {
 		top.AddSwitch("")
 	}
 	top.MustAddLink(0, 1)
-	if p := newRouter(top, nil).path(0, 2, 1); p != nil {
+	if p := newRouter(top, nil, 1).path(0, 2); p != nil {
 		t.Errorf("path to unreachable switch = %v, want nil", p)
 	}
 }

@@ -2,6 +2,8 @@ package route
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -19,107 +21,135 @@ func ShortestPaths(top *topology.Topology, g *traffic.Graph) (*Table, error) {
 	return ShortestPathsWeighted(top, g, nil)
 }
 
-// ShortestPathsWeighted is ShortestPaths with per-link base costs (links
-// absent from base default to 1). Topology synthesis uses this to keep
-// through-traffic on its spanning backbone: backbone links cost 1 and
-// chord links slightly more, so a chord is taken for the pair it directly
-// connects but rarely mid-route — which is what keeps synthesized designs
-// largely free of channel-dependency cycles, like the designs the paper's
-// own synthesis tool produced.
-func ShortestPathsWeighted(top *topology.Topology, g *traffic.Graph, base map[topology.LinkID]float64) (*Table, error) {
-	r := newRouter(top, base)
-	table := NewTable(g.NumFlows())
+// ShortestPathsWeighted is ShortestPaths with per-link base costs,
+// indexed by link ID: a link past the end of base, or whose base cost is
+// not > 0, costs 1. Topology synthesis uses this to keep through-traffic
+// on its spanning backbone: backbone links cost 1 and chord links
+// slightly more, so a chord is taken for the pair it directly connects
+// but rarely mid-route — which is what keeps synthesized designs largely
+// free of channel-dependency cycles, like the designs the paper's own
+// synthesis tool produced.
+//
+// The routes share one backing array, each capped at its length, so
+// appending to one route's channels never writes into another's.
+func ShortestPathsWeighted(top *topology.Topology, g *traffic.Graph, base []float64) (*Table, error) {
 	// Normalizing by total bandwidth keeps the load term a tie-breaker:
 	// hop count dominates, congestion decides among equal-length paths.
 	norm := g.TotalBandwidth()
 	if norm <= 0 {
 		norm = 1
 	}
+	r := newRouter(top, base, norm)
+	// switchOf[c] is core c's switch, or -1 when c is not attached.
+	switchOf := make([]int32, g.NumCores())
+	for c := range switchOf {
+		sw, ok := top.SwitchOf(c)
+		if !ok {
+			sw = -1
+		}
+		switchOf[c] = int32(sw)
+	}
+	// span[f] is flow f's stretch of r.buf; a local flow keeps an empty one.
+	span := make([][2]int, g.NumFlows())
 	for _, fid := range g.FlowsSortedByBandwidth() {
 		f := g.Flow(fid)
-		srcSw, ok := top.SwitchOf(int(f.Src))
-		if !ok {
+		srcSw, dstSw := switchOf[f.Src], switchOf[f.Dst]
+		if srcSw < 0 {
 			return nil, fmt.Errorf("route: core %d (flow %d) not attached: %w", f.Src, fid, nocerr.ErrInvalidInput)
 		}
-		dstSw, ok := top.SwitchOf(int(f.Dst))
-		if !ok {
+		if dstSw < 0 {
 			return nil, fmt.Errorf("route: core %d (flow %d) not attached: %w", f.Dst, fid, nocerr.ErrInvalidInput)
 		}
 		if srcSw == dstSw {
-			table.Set(fid, nil)
 			continue
 		}
-		channels := r.path(int(srcSw), int(dstSw), norm)
+		lo := len(r.buf)
+		channels := r.path(int(srcSw), int(dstSw))
 		if channels == nil {
 			return nil, fmt.Errorf("route: no path for flow %d from switch %d to %d: %w", fid, srcSw, dstSw, nocerr.ErrInvalidInput)
 		}
-		for _, c := range channels {
-			r.load[c.Link] += f.Bandwidth
+		r.commit(channels, f.Bandwidth)
+		span[fid] = [2]int{lo, len(r.buf)}
+	}
+	// Carve the routes only now: r.buf may have moved while it grew.
+	routes := make([]Route, len(span))
+	table := &Table{routes: make([]*Route, len(span))}
+	for fid, s := range span {
+		routes[fid].FlowID = fid
+		if s[1] > s[0] {
+			routes[fid].Channels = r.buf[s[0]:s[1]:s[1]]
 		}
-		table.Set(fid, channels)
+		table.routes[fid] = &routes[fid]
 	}
 	return table, nil
 }
 
-// arc is one non-faulted link in the router's CSR adjacency.
+// unreached is the distance of a node no search step has reached.
+const unreached = 1e300
+
+// arc is one non-faulted link in the router's CSR adjacency, carrying
+// the link's current weight.
 type arc struct {
 	to   int32
-	link topology.LinkID
-}
-
-// heapItem is a frontier entry, ordered by (prio, node).
-type heapItem struct {
-	prio float64
-	node int32
-}
-
-func (a heapItem) less(b heapItem) bool {
-	if a.prio != b.prio {
-		return a.prio < b.prio
-	}
-	return a.node < b.node
+	link int32
+	w    float64
 }
 
 // router is a Dijkstra kernel over dense arrays, built once per routing
 // call and reused for every flow. Faulted links are left out, so every
 // path routes around them. Switch s's out-arcs are
 // adj[start[s]:start[s+1]] in link-ID order — the order the reference
-// router's successor lists keep — so relaxations, ties and heap pops
-// happen exactly as they do there. A link
-// costs its base cost plus the bandwidth already committed to it,
-// divided by the caller's normaliser.
+// router's successor lists keep — so relaxations and ties happen exactly
+// as they do there. A link weighs its base cost plus the bandwidth
+// already committed to it, divided by norm; each arc caches that weight,
+// computed when the router is built and again whenever a route commits
+// load to its link, so a relaxation adds without dividing.
+//
+// The frontier (reached, not settled) and the settled set are bitsets,
+// and each step settles the frontier's least (dist, node). That is the
+// order the reference router's lazy (prio, node) heap settles nodes in:
+// a node's live entry holds its current distance and its stale entries
+// only larger ones, so its first pop is the live entry, and it comes
+// when that key is the least among reached, unsettled nodes.
 type router struct {
 	start []int32
 	adj   []arc
+	arcOf []int32   // link → its arc in adj (unused for a faulted link)
 	cost  []float64 // resolved base cost per link
 	load  []float64 // committed bandwidth per link
+	norm  float64
 
 	dist       []float64
 	parent     []int32 // -1 at the source, -2 when unreached
-	parentLink []topology.LinkID
-	done       []bool
-	heap       []heapItem
+	parentLink []int32
+	frontier   []uint64
+	settled    []uint64
+
+	buf []topology.Channel // every path found so far, back to back
 }
 
-func newRouter(top *topology.Topology, base map[topology.LinkID]float64) *router {
+func newRouter(top *topology.Topology, base []float64, norm float64) *router {
 	n, m := top.NumSwitches(), top.NumLinks()
+	words := (n + 63) / 64
 	r := &router{
 		start:      make([]int32, n+1),
+		arcOf:      make([]int32, m),
 		cost:       make([]float64, m),
 		load:       make([]float64, m),
+		norm:       norm,
 		dist:       make([]float64, n),
 		parent:     make([]int32, n),
-		parentLink: make([]topology.LinkID, n),
-		done:       make([]bool, n),
+		parentLink: make([]int32, n),
+		frontier:   make([]uint64, words),
+		settled:    make([]uint64, words),
 	}
-	links := top.Links()
 	live := 0
-	for _, l := range links {
-		r.cost[l.ID] = 1
-		if w, ok := base[l.ID]; ok && w > 0 {
-			r.cost[l.ID] = w
+	for id := range m {
+		r.cost[id] = 1
+		if id < len(base) && base[id] > 0 {
+			r.cost[id] = base[id]
 		}
-		if !top.Faulted(l.ID) {
+		if l := top.Link(topology.LinkID(id)); !top.Faulted(l.ID) {
 			r.start[l.From+1]++
 			live++
 		}
@@ -127,56 +157,78 @@ func newRouter(top *topology.Topology, base map[topology.LinkID]float64) *router
 	for s := 0; s < n; s++ {
 		r.start[s+1] += r.start[s]
 	}
+	// parent is free until the first search, so it serves as each
+	// switch's fill cursor.
+	next := r.parent
+	copy(next, r.start[:n])
 	r.adj = make([]arc, live)
-	next := append([]int32(nil), r.start[:n]...)
-	for _, l := range links {
+	for id := range m {
+		l := top.Link(topology.LinkID(id))
 		if top.Faulted(l.ID) {
 			continue
 		}
-		r.adj[next[l.From]] = arc{to: int32(l.To), link: l.ID}
+		k := next[l.From]
 		next[l.From]++
+		r.adj[k] = arc{to: int32(l.To), link: int32(id), w: r.weight(id)}
+		r.arcOf[id] = k
 	}
 	return r
 }
 
-// path returns a minimum-cost channel list from src to dst, or nil if dst
-// is unreachable. Ties are broken toward lower predecessor IDs, so the
-// result is deterministic. src and dst must differ.
-func (r *router) path(src, dst int, norm float64) []topology.Channel {
+// weight is link l's cost under the load committed so far.
+func (r *router) weight(l int) float64 {
+	return r.cost[l] + r.load[l]/r.norm
+}
+
+// commit adds a routed flow's bandwidth to every link of its path and
+// refreshes those links' arc weights.
+func (r *router) commit(channels []topology.Channel, bw float64) {
+	for _, c := range channels {
+		r.load[c.Link] += bw
+		r.adj[r.arcOf[c.Link]].w = r.weight(int(c.Link))
+	}
+}
+
+// path appends a minimum-cost channel list from src to dst to r.buf and
+// returns it, or returns nil if dst is unreachable. Ties are broken
+// toward lower predecessor IDs, so the result is deterministic. src and
+// dst must differ.
+func (r *router) path(src, dst int) []topology.Channel {
 	n := len(r.dist)
 	if src < 0 || src >= n || dst < 0 || dst >= n {
 		return nil
 	}
-	const inf = 1e300
-	dist, parent, done := r.dist, r.parent, r.done
+	dist, parent := r.dist, r.parent
 	for i := range dist {
-		dist[i] = inf
+		dist[i] = unreached
 		parent[i] = -2
-		done[i] = false
 	}
+	clear(r.frontier)
+	clear(r.settled)
 	dist[src] = 0
 	parent[src] = -1
-	r.heap = append(r.heap[:0], heapItem{node: int32(src)})
-	for len(r.heap) > 0 {
-		u := r.pop().node
-		if done[u] {
-			continue
+	r.frontier[src>>6] |= 1 << (src & 63)
+	for {
+		u := r.closest()
+		if u < 0 {
+			break
 		}
-		done[u] = true
+		r.frontier[u>>6] &^= 1 << (u & 63)
+		r.settled[u>>6] |= 1 << (u & 63)
 		if int(u) == dst {
 			break
 		}
 		for _, a := range r.adj[r.start[u]:r.start[u+1]] {
 			v := a.to
-			if done[v] {
+			if r.settled[v>>6]&(1<<(v&63)) != 0 {
 				continue
 			}
-			nd := dist[u] + (r.cost[a.link] + r.load[a.link]/norm)
+			nd := dist[u] + a.w
 			if nd < dist[v] || (nd == dist[v] && parent[v] != -2 && u < parent[v]) {
 				dist[v] = nd
 				parent[v] = u
 				r.parentLink[v] = a.link
-				r.push(heapItem{prio: nd, node: v})
+				r.frontier[v>>6] |= 1 << (v & 63)
 			}
 		}
 	}
@@ -187,47 +239,28 @@ func (r *router) path(src, dst int, norm float64) []topology.Channel {
 	for v := int32(dst); parent[v] != -1; v = parent[v] {
 		hops++
 	}
-	channels := make([]topology.Channel, hops)
-	for v := int32(dst); parent[v] != -1; v = parent[v] {
-		hops--
-		channels[hops] = topology.Chan(r.parentLink[v], 0)
+	lo := len(r.buf)
+	r.buf = slices.Grow(r.buf, hops)[:lo+hops]
+	for v, i := int32(dst), lo+hops-1; parent[v] != -1; v, i = parent[v], i-1 {
+		r.buf[i] = topology.Chan(topology.LinkID(r.parentLink[v]), 0)
 	}
-	return channels
+	return r.buf[lo:]
 }
 
-// push and pop follow container/heap's sift order step for step, so the
-// pop sequence matches a container/heap queue under the same less.
-func (r *router) push(it heapItem) {
-	h := append(r.heap, it)
-	for j := len(h) - 1; j > 0; {
-		i := (j - 1) / 2
-		if !h[j].less(h[i]) {
-			break
+// closest returns the frontier node with the least (dist, node), walking
+// the set bits in ascending node order, or -1 when the frontier is empty.
+// A reached node's distance is below the unreached sentinel, since only a
+// shorter one relaxes it.
+func (r *router) closest() int32 {
+	best, bestDist := int32(-1), unreached
+	for w, word := range r.frontier {
+		for word != 0 {
+			v := int32(w<<6 + bits.TrailingZeros64(word))
+			word &= word - 1
+			if r.dist[v] < bestDist {
+				best, bestDist = v, r.dist[v]
+			}
 		}
-		h[i], h[j] = h[j], h[i]
-		j = i
 	}
-	r.heap = h
-}
-
-func (r *router) pop() heapItem {
-	h := r.heap
-	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	for i := 0; ; {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && h[j2].less(h[j]) {
-			j = j2
-		}
-		if !h[j].less(h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	r.heap = h[:n]
-	return h[n]
+	return best
 }

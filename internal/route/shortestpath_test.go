@@ -3,6 +3,7 @@ package route_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/regular"
@@ -47,11 +48,20 @@ func sameRoutes(t *testing.T, label string, g *traffic.Graph, want, got *route.T
 }
 
 // checkAgainstReference routes g on top with both routers and requires
-// identical tables, or an error from both.
+// identical tables, or an error from both. The router takes the oracle's
+// base map as a per-link slice, an absent link as 0, and a nil map as a
+// nil slice.
 func checkAgainstReference(t *testing.T, label string, top *topology.Topology, g *traffic.Graph, base map[topology.LinkID]float64) *route.Table {
 	t.Helper()
+	var costs []float64
+	if base != nil {
+		costs = make([]float64, top.NumLinks())
+		for id, w := range base {
+			costs[id] = w
+		}
+	}
 	want, werr := referenceShortestPaths(top, g, base)
-	got, gerr := route.ShortestPathsWeighted(top, g, base)
+	got, gerr := route.ShortestPathsWeighted(top, g, costs)
 	if (werr == nil) != (gerr == nil) {
 		t.Fatalf("%s: router error %v, oracle error %v", label, gerr, werr)
 	}
@@ -122,6 +132,32 @@ func TestShortestPathsMatchReference(t *testing.T) {
 	}
 }
 
+// TestShortestPathsRoutesIsolated checks that the routes, which share one
+// backing array, stay apart: after a channel is appended to every route
+// of a synthesized design in turn, each route still holds its own
+// channels plus that one.
+func TestShortestPathsRoutesIsolated(t *testing.T) {
+	g, err := traffic.ByName("D36_8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := synth.Synthesize(g, synth.Options{SwitchCount: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Routes.Clone()
+	extra := topology.Chan(999, 9)
+	for _, r := range res.Routes.Routes() {
+		r.Channels = append(r.Channels, extra)
+	}
+	for _, w := range want.Routes() {
+		got := res.Routes.Route(w.FlowID).Channels
+		if len(got) != len(w.Channels)+1 || !slices.Equal(got[:len(w.Channels)], w.Channels) || got[len(w.Channels)] != extra {
+			t.Fatalf("flow %d: %v after the appends, want %v plus %v", w.FlowID, got, w.Channels, extra)
+		}
+	}
+}
+
 // randomDesign builds a small random topology with random faults, chord
 // weights (including non-positive ones, which fall back to 1, and
 // negligible ones) and flows drawn from a few repeated bandwidths, so
@@ -150,7 +186,7 @@ func randomDesign(rng *rand.Rand) (*topology.Topology, *traffic.Graph, map[topol
 			base[topology.LinkID(id)] = 1.3
 		case 2:
 			// 1e-17 vanishes when added to a distance of 1 or more, so
-			// equal-priority frontier entries reach the heap's node order.
+			// frontier nodes tie on distance and the node order decides.
 			base[topology.LinkID(id)] = []float64{0, -1, 0.5, 2, 1e-17}[rng.Intn(5)]
 		}
 	}

@@ -26,38 +26,17 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 	n := g.NumCores()
 	if nParts >= n {
 		// One core per cluster (extra clusters stay empty and are dropped).
-		parts := make([][]int, 0, n)
-		for i := 0; i < n; i++ {
-			parts = append(parts, []int{i})
+		cores := make([]int, n)
+		parts := make([][]int, n)
+		for i := range parts {
+			cores[i] = i
+			parts[i] = cores[i : i+1 : i+1]
 		}
 		return parts
 	}
 	rng := rand.New(rand.NewSource(seed))
 	cap := (n + nParts - 1) / nParts
-
-	// Symmetric affinity matrix, flattened row-major, and each core's
-	// nonzero row entries in ascending partner order. Summing a row over
-	// its nonzero entries in that order gives the same floats as the dense
-	// scan, since every skipped term is +0.
-	aff := make([]float64, n*n)
-	for _, f := range g.Flows() {
-		aff[int(f.Src)*n+int(f.Dst)] += f.Bandwidth
-		aff[int(f.Dst)*n+int(f.Src)] += f.Bandwidth
-	}
-	type partner struct {
-		core int
-		w    float64
-	}
-	nbrs := make([][]partner, n)
-	volume := make([]float64, n)
-	for i := 0; i < n; i++ {
-		for j, w := range aff[i*n : (i+1)*n] {
-			if w != 0 {
-				nbrs[i] = append(nbrs[i], partner{core: j, w: w})
-				volume[i] += w
-			}
-		}
-	}
+	start, nbrs, volume := affinities(g)
 
 	// Order cores by total traffic, heaviest first.
 	order := make([]int, n)
@@ -84,7 +63,7 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 	gain := make([]float64, nParts)
 	gains := func(core int) {
 		clear(gain)
-		for _, e := range nbrs[core] {
+		for _, e := range nbrs[start[core]:start[core+1]] {
 			if p := assign[e.core]; p >= 0 {
 				gain[p] += e.w
 			}
@@ -131,8 +110,7 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 				continue // never empty a cluster: the switch count is a contract
 			}
 			gains(core)
-			curGain := gain[cur] - aff[core*n+core]
-			best, bestGain := cur, curGain
+			best, bestGain := cur, gain[cur]
 			for p := 0; p < nParts; p++ {
 				if p == cur || size[p] >= cap {
 					continue
@@ -153,32 +131,94 @@ func partition(g *traffic.Graph, nParts int, seed int64) [][]int {
 		}
 	}
 
+	// Each cluster's cores in ascending order, carved from one array.
+	// Seeding fills every cluster and refinement never empties one, so
+	// all nParts are returned.
+	backing := make([]int, n)
 	parts := make([][]int, nParts)
+	lo := 0
+	for p, sz := range size {
+		parts[p] = backing[lo : lo : lo+sz]
+		lo += sz
+	}
 	for core, p := range assign {
 		parts[p] = append(parts[p], core)
 	}
-	// Drop empty clusters (possible when refinement empties one).
-	out := parts[:0]
-	for _, p := range parts {
-		if len(p) > 0 {
-			slices.Sort(p)
-			out = append(out, p)
-		}
+	return parts
+}
+
+// partner is a core's affinity with another core: the bandwidth of the
+// flows between them, both ways.
+type partner struct {
+	core int
+	w    float64
+}
+
+// affinities returns every core's nonzero affinities, core i's as
+// nbrs[start[i]:start[i+1]] in ascending partner order, and each core's
+// volume, its affinities summed in that order. A pair's affinity sums the
+// bandwidths of the flows between the two cores in flow-ID order, and
+// the volume skips only zero terms, so both are the floats a dense n×n
+// matrix, filled in flow-ID order and summed row by row, would hold. No
+// core has affinity with itself: Validate rejects self-flows.
+func affinities(g *traffic.Graph) (start []int, nbrs []partner, volume []float64) {
+	n, nf := g.NumCores(), g.NumFlows()
+	// Core i's incident flows, as (other end, bandwidth) in flow-ID
+	// order, are inc[at[i]:at[i+1]].
+	at := make([]int, n+1)
+	for id := range nf {
+		f := g.Flow(id)
+		at[f.Src+1]++
+		at[f.Dst+1]++
 	}
-	return out
+	for i := range n {
+		at[i+1] += at[i]
+	}
+	inc := make([]partner, at[n])
+	next := slices.Clone(at[:n])
+	for id := range nf {
+		f := g.Flow(id)
+		inc[next[f.Src]] = partner{core: int(f.Dst), w: f.Bandwidth}
+		next[f.Src]++
+		inc[next[f.Dst]] = partner{core: int(f.Src), w: f.Bandwidth}
+		next[f.Dst]++
+	}
+
+	// acc[p] sums core i's flows with p; every bandwidth is positive, so
+	// acc[p] == 0 means p is not yet among i's partners.
+	acc := make([]float64, n)
+	start = make([]int, n+1)
+	nbrs = make([]partner, 0, len(inc))
+	volume = make([]float64, n)
+	for i := range n {
+		lo := len(nbrs)
+		for _, e := range inc[at[i]:at[i+1]] {
+			if acc[e.core] == 0 {
+				nbrs = append(nbrs, partner{core: e.core})
+			}
+			acc[e.core] += e.w
+		}
+		mine := nbrs[lo:]
+		slices.SortFunc(mine, func(a, b partner) int { return a.core - b.core })
+		for k := range mine {
+			mine[k].w = acc[mine[k].core]
+			acc[mine[k].core] = 0
+			volume[i] += mine[k].w
+		}
+		start[i+1] = len(nbrs)
+	}
+	return start, nbrs, volume
 }
 
 // interClusterTraffic sums flow bandwidth between clusters given the
-// per-core cluster assignment.
-func interClusterTraffic(g *traffic.Graph, assign []int, nParts int) [][]float64 {
-	m := make([][]float64, nParts)
-	for i := range m {
-		m[i] = make([]float64, nParts)
-	}
-	for _, f := range g.Flows() {
-		a, b := assign[f.Src], assign[f.Dst]
-		if a != b {
-			m[a][b] += f.Bandwidth
+// per-core cluster assignment; entry a*nParts+b is the traffic from
+// cluster a to cluster b.
+func interClusterTraffic(g *traffic.Graph, assign []int, nParts int) []float64 {
+	m := make([]float64, nParts*nParts)
+	for id := range g.NumFlows() {
+		f := g.Flow(id)
+		if a, b := assign[f.Src], assign[f.Dst]; a != b {
+			m[a*nParts+b] += f.Bandwidth
 		}
 	}
 	return m

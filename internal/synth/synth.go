@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
@@ -81,124 +82,49 @@ func SynthesizeContext(ctx context.Context, g *traffic.Graph, opts Options) (*Re
 	}
 
 	parts := partition(g, opts.SwitchCount, opts.seed())
-	top := topology.New(fmt.Sprintf("%s_s%d", g.Name, opts.SwitchCount))
+	nSw := len(parts)
 	assign := make([]int, g.NumCores())
 	for p, cores := range parts {
+		for _, core := range cores {
+			assign[core] = p
+		}
+	}
+	links, backbone, degree := chooseLinks(interClusterTraffic(g, assign, nSw), nSw, opts.maxNeighbors())
+
+	// Build the topology once, at its exact size: switch p holds cluster
+	// p, and every chosen pair becomes a bidirectional link in the order
+	// chosen, the backbone first.
+	top := topology.NewSized(g.Name+"_s"+strconv.Itoa(opts.SwitchCount), nSw, 2*len(links), g.NumCores(), degree)
+	for _, cores := range parts {
 		sw := top.AddSwitch("")
 		for _, core := range cores {
 			if err := top.AttachCore(core, sw); err != nil {
 				return nil, err
 			}
-			assign[core] = p
 		}
 	}
-	nSw := top.NumSwitches()
-	if nSw == 1 {
-		// Single switch: every flow is local; no links, no deadlock.
-		tab, err := route.ShortestPaths(top, g)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Topology: top, Routes: tab}, nil
-	}
-
-	ict := interClusterTraffic(g, assign, nSw)
-
-	// Symmetric pair weights for the backbone and chord selection.
-	type pair struct {
-		a, b int
-		w    float64
-	}
-	var pairs []pair
-	for a := 0; a < nSw; a++ {
-		for b := a + 1; b < nSw; b++ {
-			pairs = append(pairs, pair{a: a, b: b, w: ict[a][b] + ict[b][a]})
-		}
-	}
-	slices.SortFunc(pairs, func(x, y pair) int {
-		switch {
-		case x.w > y.w:
-			return -1
-		case x.w < y.w:
-			return 1
-		case x.a != y.a:
-			return x.a - y.a
-		}
-		return x.b - y.b
-	})
-
-	// chordCost marks non-backbone links: through-traffic should prefer
-	// the spanning backbone (whose shortest-path routes are up/down-style
-	// and create no dependency cycles), taking a chord mainly for the
-	// switch pair it directly serves. 1.3 < 2 keeps direct chord hops
-	// cheaper than any two-hop detour.
+	// Chord links cost chordWeight, backbone links the default 1:
+	// through-traffic should prefer the spanning backbone (whose
+	// shortest-path routes are up/down-style and create no dependency
+	// cycles), taking a chord mainly for the switch pair it directly
+	// serves. 1.3 < 2 keeps direct chord hops cheaper than any two-hop
+	// detour.
 	const chordWeight = 1.3
-	chordCost := make(map[topology.LinkID]float64)
-	neighbors := make([]int, nSw)
-	connect := func(a, b int, chord bool) error {
-		ab, ba, err := top.AddBidi(topology.SwitchID(a), topology.SwitchID(b))
+	base := make([]float64, 2*len(links))
+	for i, pr := range links {
+		ab, ba, err := top.AddBidi(topology.SwitchID(pr.a), topology.SwitchID(pr.b))
 		if err != nil {
-			return err
-		}
-		if chord {
-			chordCost[ab] = chordWeight
-			chordCost[ba] = chordWeight
-		}
-		neighbors[a]++
-		neighbors[b]++
-		return nil
-	}
-
-	// Maximum-weight spanning backbone (Kruskal over descending weights).
-	comp := make([]int, nSw)
-	for i := range comp {
-		comp[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for comp[x] != x {
-			comp[x] = comp[comp[x]]
-			x = comp[x]
-		}
-		return x
-	}
-	added := 0
-	for _, pr := range pairs {
-		if added == nSw-1 {
-			break
-		}
-		ra, rb := find(pr.a), find(pr.b)
-		if ra == rb {
-			continue
-		}
-		if err := connect(pr.a, pr.b, false); err != nil {
 			return nil, err
 		}
-		comp[ra] = rb
-		added++
-	}
-
-	// Chords: heaviest pairs first, within the neighbor budget.
-	budget := opts.maxNeighbors()
-	for _, pr := range pairs {
-		if pr.w == 0 {
-			break
-		}
-		if _, dup := top.FindLink(topology.SwitchID(pr.a), topology.SwitchID(pr.b)); dup {
-			continue
-		}
-		if neighbors[pr.a] >= budget || neighbors[pr.b] >= budget {
-			continue
-		}
-		if err := connect(pr.a, pr.b, true); err != nil {
-			return nil, err
+		if i >= backbone {
+			base[ab], base[ba] = chordWeight, chordWeight
 		}
 	}
 
 	if err := canceled(ctx); err != nil {
 		return nil, err
 	}
-	tab, err := route.ShortestPathsWeighted(top, g, chordCost)
+	tab, err := route.ShortestPathsWeighted(top, g, base)
 	if err != nil {
 		return nil, err
 	}
@@ -206,6 +132,93 @@ func SynthesizeContext(ctx context.Context, g *traffic.Graph, opts Options) (*Re
 		return nil, fmt.Errorf("synth: generated routes invalid: %w", err)
 	}
 	return &Result{Topology: top, Routes: tab}, nil
+}
+
+// pair is two switches a < b and the traffic between them, both ways.
+type pair struct {
+	a, b int32
+	w    float64
+}
+
+// chooseLinks picks the switch pairs to connect, given the inter-cluster
+// traffic matrix ict (row-major, nSw×nSw): first a maximum-weight
+// spanning backbone (Kruskal over descending weights), then chords
+// between the heaviest-communicating pairs while both ends have fewer
+// than budget neighbours (the backbone ignores the budget, so the
+// fabric is always connected). It returns the pairs in the order chosen,
+// how many of them form the backbone, and the largest number of
+// neighbours any switch ends up with.
+func chooseLinks(ict []float64, nSw, budget int) (links []pair, backbone, degree int) {
+	// Pairs by descending weight, ties by ascending (a, b). Pairs of
+	// weight 0 skip the sort: they go last in the order generated, which
+	// is where the order puts them, since no weight is negative.
+	pairs := make([]pair, 0, nSw*(nSw-1)/2)
+	collect := func(positive bool) {
+		for a := 0; a < nSw; a++ {
+			for b := a + 1; b < nSw; b++ {
+				if w := ict[a*nSw+b] + ict[b*nSw+a]; (w > 0) == positive {
+					pairs = append(pairs, pair{a: int32(a), b: int32(b), w: w})
+				}
+			}
+		}
+	}
+	collect(true)
+	slices.SortFunc(pairs, func(x, y pair) int {
+		switch {
+		case x.w > y.w:
+			return -1
+		case x.w < y.w:
+			return 1
+		case x.a != y.a:
+			return int(x.a - y.a)
+		}
+		return int(x.b - y.b)
+	})
+	collect(false)
+
+	linked := make([]bool, nSw*nSw) // linked[a*nSw+b] for a < b
+	neighbors := make([]int, nSw)
+	connect := func(pr pair) {
+		linked[int(pr.a)*nSw+int(pr.b)] = true
+		neighbors[pr.a]++
+		neighbors[pr.b]++
+		links = append(links, pr)
+	}
+
+	comp := make([]int32, nSw)
+	for i := range comp {
+		comp[i] = int32(i)
+	}
+	find := func(x int32) int32 {
+		for comp[x] != x {
+			comp[x] = comp[comp[x]]
+			x = comp[x]
+		}
+		return x
+	}
+	for _, pr := range pairs {
+		if len(links) == nSw-1 {
+			break
+		}
+		ra, rb := find(pr.a), find(pr.b)
+		if ra == rb {
+			continue
+		}
+		connect(pr)
+		comp[ra] = rb
+	}
+	backbone = len(links)
+
+	for _, pr := range pairs {
+		if pr.w == 0 {
+			break
+		}
+		if linked[int(pr.a)*nSw+int(pr.b)] || neighbors[pr.a] >= budget || neighbors[pr.b] >= budget {
+			continue
+		}
+		connect(pr)
+	}
+	return links, backbone, slices.Max(neighbors)
 }
 
 // canceled folds a done context into the sentinel scheme; see

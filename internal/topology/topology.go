@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strconv"
 )
 
 // SwitchID identifies a switch (a vertex of TG).
@@ -108,7 +109,7 @@ func (t *Topology) AddSwitch(name string) SwitchID {
 	t.init()
 	id := SwitchID(len(t.switches))
 	if name == "" {
-		name = fmt.Sprintf("SW%d", id+1)
+		name = "SW" + strconv.Itoa(int(id)+1)
 	}
 	t.switches = append(t.switches, Switch{ID: id, Name: name})
 	// Past their length, out and in hold nil, or the empty lists

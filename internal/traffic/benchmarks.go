@@ -293,9 +293,17 @@ func RandomKOut(name string, n, k int, seed int64) *Graph {
 		g.AddCore("")
 	}
 	rng := rand.New(rand.NewSource(seed))
+	// perm is refilled for every source with rand.Perm's own loop, so the
+	// draws and the permutation are Perm's, without a slice per core.
+	perm := make([]int, n)
+	dsts := make([]int, 0, k)
 	for src := 0; src < n; src++ {
-		perm := rng.Perm(n)
-		var dsts []int
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
+		}
+		dsts = dsts[:0]
 		for _, d := range perm {
 			if d != src {
 				dsts = append(dsts, d)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 )
@@ -51,7 +52,7 @@ func NewGraph(name string) *Graph {
 func (g *Graph) AddCore(name string) CoreID {
 	id := CoreID(len(g.cores))
 	if name == "" {
-		name = fmt.Sprintf("core%d", id)
+		name = "core" + strconv.Itoa(int(id))
 	}
 	g.cores = append(g.cores, Core{ID: id, Name: name})
 	return id
@@ -212,8 +213,8 @@ func (g *Graph) Clone() *Graph {
 	}
 }
 
-// CommMatrix returns the core-to-core bandwidth matrix, useful to the
-// partitioner in internal/synth.
+// CommMatrix returns the core-to-core bandwidth matrix: entry [a][b]
+// sums the bandwidth of the flows from core a to core b.
 func (g *Graph) CommMatrix() [][]float64 {
 	n := len(g.cores)
 	m := make([][]float64, n)
@@ -229,19 +230,26 @@ func (g *Graph) CommMatrix() [][]float64 {
 // FlowsSortedByBandwidth returns flow IDs sorted by descending bandwidth,
 // ties broken by ascending ID; synthesis routes heavy flows first.
 func (g *Graph) FlowsSortedByBandwidth() []int {
-	ids := make([]int, len(g.flows))
-	for i := range ids {
-		ids[i] = i
+	type key struct {
+		bw float64
+		id int
 	}
-	slices.SortFunc(ids, func(a, b int) int {
-		fa, fb := g.flows[a], g.flows[b]
+	keys := make([]key, len(g.flows))
+	for i, f := range g.flows {
+		keys[i] = key{bw: f.Bandwidth, id: i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
 		switch {
-		case fa.Bandwidth > fb.Bandwidth:
+		case a.bw > b.bw:
 			return -1
-		case fa.Bandwidth < fb.Bandwidth:
+		case a.bw < b.bw:
 			return 1
 		}
-		return fa.ID - fb.ID
+		return a.id - b.id
 	})
+	ids := make([]int, len(keys))
+	for i, k := range keys {
+		ids[i] = k.id
+	}
 	return ids
 }

@@ -3,7 +3,11 @@ package traffic
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -334,6 +338,54 @@ func TestRandomKOut(t *testing.T) {
 	h := RandomKOut("r", 12, 3, 42)
 	if h.NumFlows() != g.NumFlows() {
 		t.Error("RandomKOut not deterministic")
+	}
+}
+
+// randomKOutPerm is the reference RandomKOut: it calls rng.Perm and
+// allocates a destination slice for every core, and names cores with
+// fmt.Sprintf.
+func randomKOutPerm(name string, n, k int, seed int64) *Graph {
+	g := &Graph{Name: name}
+	for i := 0; i < n; i++ {
+		g.cores = append(g.cores, Core{ID: CoreID(i), Name: fmt.Sprintf("core%d", i)})
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for src := 0; src < n; src++ {
+		perm := rng.Perm(n)
+		var dsts []int
+		for _, d := range perm {
+			if d != src {
+				dsts = append(dsts, d)
+				if len(dsts) == k {
+					break
+				}
+			}
+		}
+		sort.Ints(dsts)
+		for _, d := range dsts {
+			g.MustAddFlow(CoreID(src), CoreID(d), float64(8*(1+rng.Intn(16))))
+		}
+	}
+	return g
+}
+
+// TestRandomKOutMatchesPerm checks that RandomKOut, which refills one
+// permutation buffer with Perm's loop and names cores with strconv,
+// builds the graph randomKOutPerm builds, core for core and flow for
+// flow.
+func TestRandomKOutMatchesPerm(t *testing.T) {
+	for _, n := range []int{2, 3, 8, 33, 128, 200} {
+		for _, k := range []int{1, 2, 6, n - 1} {
+			if CheckRandomKOut(n, k) != nil {
+				continue
+			}
+			for _, seed := range []int64{-7, 0, 1, 5, 99} {
+				got, want := RandomKOut("r", n, k, seed), randomKOutPerm("r", n, k, seed)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("RandomKOut(%d, %d, seed %d) differs from the Perm-based builder", n, k, seed)
+				}
+			}
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ bench:
 # within ~2%), the reconfiguration delta-vs-cold pair (the delta
 # path's whole reason to exist is being much cheaper than a from-scratch
 # removal, so a regression there is a product regression), and the
-# lockstep batch-vs-sequential pair (the batch engine's ≥5x multi-core
+# batch-vs-sequential pair (the batch engine's ≥5x multi-core
 # advantage over 16 independent runs must not erode), the fabric
 # result-cache hot path (the per-cell overhead every cached sweep pays),
 # a fully cache-served sweep (the fixed cost every sweep request pays
@@ -50,7 +50,7 @@ bench:
 # paper_sweep's 46 one-cell sweeps (the paper's synthesize-then-remove
 # loop end to end), all repeated so benchstat can establish
 # significance. CI runs this on the
-# PR head and base and fails on a >15% sec/op regression.
+# PR head and base and fails on a >15% sec/op or B/op regression.
 bench-pin:
 	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkSimStepTorus$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepFleetWarm$$|BenchmarkSweepVerified$$|BenchmarkSweepPaperLoop$$)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
@@ -170,8 +170,8 @@ deep-sweep:
 		-seeds 0,1 -quiet -shard-local 4 -json deep-sweep-report.json
 
 # The nightly load-sweep surface: 8x8 mesh and torus under three turn
-# models, 8 seeds x 5 injection loads per design through the lockstep
-# batch path, producing per-design latency/throughput curves with
+# models, 8 seeds x 5 injection loads per design through the batch
+# path, producing per-design latency/throughput curves with
 # saturation points in the report. The -loads axis rides the same
 # grouped scheduler the PR-tier sweeps use, so this also soaks the
 # batch engine at nightly scale.

@@ -589,11 +589,11 @@ func BenchmarkSweepParallel(b *testing.B) {
 	benchSweep(b, workers)
 }
 
-// --- Lockstep batch engine vs sequential single-variant runs: the
-// batch-first Simulate API's reason to exist. Both benchmarks run the
-// identical 16 seed variants of one removed 8x8-mesh design;
-// BenchmarkLockstep_16v dispatches them as one lockstep batch (one
-// construction, per-lane mutable state, lanes fanned across the CPUs)
+// --- Batch engine vs sequential single-variant runs: the batch-first
+// Simulate API's reason to exist. Both benchmarks run the identical 16
+// seed variants of one removed 8x8-mesh design; BenchmarkLockstep_16v
+// dispatches them as one batch (one construction, per-lane mutable
+// state, lanes split across the CPUs)
 // while BenchmarkLockstepSeq_16v runs 16 independent Simulate calls.
 // The speedup target is ≥5x on a multi-core runner (construction
 // sharing plus lane parallelism); the benchstat perf gate pins both

@@ -38,7 +38,7 @@ func runSweep(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	policies := fs.String("policies", "smallest", "comma-separated cycle-selection policies: smallest, first")
 	seeds := fs.String("seeds", "0", "comma-separated seeds for rand benchmark specs")
 	loads := fs.String("loads", "",
-		"comma-separated measurement load factors in (0,1]: with -simulate, additionally measure each cell's post-removal design at every load (one lockstep batch per design) and report per-design latency/throughput curves with a saturation estimate")
+		"comma-separated measurement load factors in (0,1]: with -simulate, additionally measure each cell's post-removal design at every load (one variant batch per design) and report per-design latency/throughput curves with a saturation estimate")
 	routing := fs.String("routing", "",
 		"comma-separated routing functions for mesh:/torus: preset cells: "+strings.Join(route.TurnModelNames(), ", ")+" (default dor; synthesized benchmarks always use shortest paths)")
 	faults := fs.Int("faults", 0,

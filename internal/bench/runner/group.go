@@ -79,7 +79,7 @@ func (r *sweepRun) groups() [][]int {
 var designBuildHook func(Job)
 
 // runGroup evaluates one design group: the design is built once from the
-// group's first member and the simulation stage runs as a lockstep batch
+// group's first member and the simulation stage runs as one variant batch
 // across the members' derived seeds (times the measurement loads, when a
 // load sweep is configured). Each member's Result must be byte-identical
 // to an independent evaluation of that cell, failures included; the

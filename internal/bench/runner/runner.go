@@ -403,7 +403,7 @@ func RunContext(ctx context.Context, grid Grid, opts Options) (*Report, error) {
 	// load) share their entire design build; the scheduler's unit of
 	// work is therefore the design group, not the cell. Each group
 	// builds its design exactly once and fans the per-cell simulations
-	// out as one lockstep batch. Cache-served cells join no group.
+	// out as one variant batch. Cache-served cells join no group.
 	groups := r.groups()
 
 	workers := opts.Parallel

@@ -165,7 +165,7 @@ func (de *designEval) witness() (*traffic.Graph, *route.RouteSet, int, error) {
 	return witnessWorkloadSet(de.g, de.preTop, set)
 }
 
-// newBatch builds a lockstep batch over one of the design's two halves.
+// newBatch builds a variant batch over one of the design's two halves.
 // A non-nil set replaces an adaptive design's route set.
 func (de *designEval) newBatch(pre bool, set *route.RouteSet, w *traffic.Graph, cfg wormhole.Config, vs []wormhole.Variant) (*wormhole.Batch, error) {
 	top, tab, half := de.postTop, de.postTab, de.postSet
@@ -187,7 +187,7 @@ func (de *designEval) newBatch(pre bool, set *route.RouteSet, w *traffic.Graph, 
 // demonstrate the hazard) and the post-removal design (must survive the
 // identical adversarial workload); the post-removal design then runs the
 // plain workload at params.Load for latency percentiles and throughput.
-// Each of the three steps is one lockstep batch across the group's
+// Each of the three steps is one variant batch across the group's
 // per-cell seeds, and each cell's outcome is byte-identical to simulating
 // that cell alone (the grouped-sweep differential pins this). When loads
 // is non-empty, the measurement batch additionally carries one lane per

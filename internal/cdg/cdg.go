@@ -151,7 +151,7 @@ func (c *CDG) SmallestCycleThrough(ch topology.Channel) []topology.Channel {
 // canonical channel order in a graph Build numbered.
 func (c *CDG) cyclicVertices() []int {
 	var out []int
-	for _, e := range c.m.cache {
+	for _, e := range c.m.sccs {
 		out = append(out, e.members...)
 	}
 	slices.Sort(out)
@@ -202,7 +202,7 @@ func (c *CDG) CountCycles(limit int) int {
 		}
 		return false
 	}
-	for _, e := range m.cache {
+	for _, e := range m.sccs {
 		for _, v := range e.members {
 			inComp[v] = true
 		}

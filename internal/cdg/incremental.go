@@ -21,10 +21,11 @@ type Reroute struct {
 
 // Incremental is a mutable channel dependency graph maintained across
 // cycle breaks. Instead of rebuilding the graph from the route table,
-// it applies each break as a handful of edge updates and restricts cycle
-// re-search to the strongly connected components those updates touched;
-// untouched components keep their cached shortest cycle. The immutable
-// CDG is a read-only view of a freshly built one.
+// it applies each break as a handful of edge updates; the next query
+// re-searches every non-trivial strongly connected component, and the
+// cycle-length bounds below let it skip the members that cannot hold a
+// shorter cycle. The immutable CDG is a read-only view of a freshly built
+// one.
 //
 // Determinism contract: every query depends only on the current edge set,
 // never on the order edges were inserted. Vertices are scanned and
@@ -49,9 +50,8 @@ type Incremental struct {
 	nEdges int
 	nSelf  int // self-dependencies v→v among the nEdges
 
-	touched []bool // touched[v]: v gained or lost an edge since the last refresh
-	cache   map[int]*sccEntry
-	valid   bool
+	sccs  []sccEntry // non-trivial SCCs; members are views into scratch buffers
+	valid bool       // sccs describes the current edges
 
 	lb     []int // lb[v] ≤ length of every cycle through v; 0 = unknown
 	origin []int // for v ≥ base: the pre-base vertex v relabels
@@ -112,10 +112,10 @@ func grow[T any](s []T, n int) []T {
 	return out
 }
 
-// sccEntry caches the analysis of one non-trivial SCC: its member set and
-// the shortest cycle inside it. An entry survives a break untouched by it.
+// sccEntry is the analysis of one non-trivial SCC: its member set and
+// the shortest cycle inside it.
 type sccEntry struct {
-	members []int // sorted by canonical channel order; members[0] is the key
+	members []int // sorted by canonical channel order
 	cycle   []int // shortest cycle, rotated to its minimum channel
 	start   int   // first member (channel order) on a shortest cycle
 }
@@ -125,17 +125,15 @@ type sccEntry struct {
 func BuildIncremental(top *topology.Topology, table *route.Table) (*Incremental, error) {
 	channels := top.Channels()
 	m := &Incremental{
-		top:     top,
-		chans:   channels,
-		id:      make([][]int, top.NumLinks()),
-		order:   make([]int, len(channels)),
-		succ:    make([][]int, len(channels)),
-		flows:   make([][][]int, len(channels)),
-		touched: make([]bool, len(channels)),
-		cache:   make(map[int]*sccEntry),
-		lb:      make([]int, len(channels)),
-		origin:  make([]int, len(channels)),
-		base:    len(channels),
+		top:    top,
+		chans:  channels,
+		id:     make([][]int, top.NumLinks()),
+		order:  make([]int, len(channels)),
+		succ:   make([][]int, len(channels)),
+		flows:  make([][][]int, len(channels)),
+		lb:     make([]int, len(channels)),
+		origin: make([]int, len(channels)),
+		base:   len(channels),
 	}
 	for i := range m.order {
 		m.order[i] = i // top.Channels() is already in canonical order
@@ -197,7 +195,6 @@ func (m *Incremental) vertex(ch topology.Channel) int {
 	m.id[ch.Link][ch.VC] = v
 	m.succ = append(m.succ, nil)
 	m.flows = append(m.flows, nil)
-	m.touched = append(m.touched, false)
 	m.lb = append(m.lb, 0)
 	m.origin = append(m.origin, v) // stands for no pre-base vertex until a relabel sets it
 	pos := sort.Search(len(m.order), func(i int) bool { return m.less(v, m.order[i]) })
@@ -234,8 +231,6 @@ func (m *Incremental) addFlowEdge(from, to, flowID int) {
 	if from == to {
 		m.nSelf++
 	}
-	m.touched[from] = true
-	m.touched[to] = true
 	m.valid = false
 }
 
@@ -261,16 +256,14 @@ func (m *Incremental) dropFlowEdge(from, to, flowID int) error {
 	if from == to {
 		m.nSelf--
 	}
-	m.touched[from] = true
-	m.touched[to] = true
 	m.valid = false
 	return nil
 }
 
 // ApplyReroute applies one flow's route change as localized edge updates.
 // Consecutive-channel pairs common to the old and new routes are left
-// untouched, so only the duplicated chain and its boundary dependencies
-// invalidate cached SCC analysis.
+// alone, so a break updates only the duplicated chain and its boundary
+// dependencies.
 //
 // A relabel reroute keeps the cycle-length bounds; any other reroute (or
 // one that fails part-way) drops them.
@@ -417,11 +410,11 @@ func (m *Incremental) Dependencies() []Dependency {
 	return out
 }
 
-// refresh brings the SCC cache up to date: one Tarjan pass over the whole
-// graph, then shortest-cycle recomputation only for components that gained
-// or lost an edge since the last refresh. This is the incremental hot
-// path: a break typically touches one small component, and every other
-// component's cached cycle is reused.
+// refresh brings the component list up to date: one Tarjan pass over
+// the whole graph, then a bounded shortest-cycle search in every
+// non-trivial component. The bounds keep that cheap: a core break is a
+// relabel, which keeps them, and a member is probed only while its bound
+// is below the best cycle its component has shown so far.
 //
 // Refresh also rebases the cycle-length bounds: they hold for the current
 // graph, so every vertex now stands for itself.
@@ -430,55 +423,19 @@ func (m *Incremental) refresh() {
 		return
 	}
 	m.base = len(m.chans)
-	comps := m.nontrivialSCCs()
-	next := make(map[int]*sccEntry, len(comps))
-	for _, comp := range comps {
-		key := comp[0]
-		old, ok := m.cache[key]
-		same := ok && sameMembers(old.members, comp)
-		if same && !m.anyTouched(comp) {
-			next[key] = old
-			continue
-		}
-		e := &sccEntry{}
-		if same {
-			e.members = old.members // entries are immutable, so this is safe to share
-		} else {
-			e.members = append([]int(nil), comp...)
-		}
-		e.cycle, e.start = m.shortestCycleIn(e.members)
-		next[key] = e
+	m.sccs = m.sccs[:0]
+	for _, comp := range m.nontrivialSCCs() {
+		cycle, start := m.shortestCycleIn(comp)
+		m.sccs = append(m.sccs, sccEntry{members: comp, cycle: cycle, start: start})
 	}
-	m.cache = next
-	clear(m.touched)
 	m.valid = true
-}
-
-func (m *Incremental) anyTouched(comp []int) bool {
-	for _, v := range comp {
-		if m.touched[v] {
-			return true
-		}
-	}
-	return false
-}
-
-func sameMembers(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // nontrivialSCCs runs an iterative Tarjan pass and returns the components
 // that can contain a cycle (size ≥ 2, or a single vertex with a
 // self-loop), each sorted by canonical channel order. The components are
-// views into scratch buffers, valid until the next call.
+// views into scratch buffers, valid until the next call; refresh is the
+// only caller, so they stay valid as long as the component list does.
 func (m *Incremental) nontrivialSCCs() [][]int {
 	n := len(m.chans)
 	sc := &m.scratch
@@ -676,7 +633,7 @@ func (m *Incremental) rotateToMinChannel(cycle []int) []int {
 // Acyclic reports whether the CDG currently has no cycles.
 func (m *Incremental) Acyclic() bool {
 	m.refresh()
-	return len(m.cache) == 0
+	return len(m.sccs) == 0
 }
 
 // SmallestCycle returns the shortest cycle in the whole CDG as an ordered
@@ -686,7 +643,8 @@ func (m *Incremental) Acyclic() bool {
 func (m *Incremental) SmallestCycle() []topology.Channel {
 	m.refresh()
 	var best *sccEntry
-	for _, e := range m.cache {
+	for i := range m.sccs {
+		e := &m.sccs[i]
 		if e.cycle == nil {
 			continue // defensive: nontrivial SCCs always have a cycle
 		}
@@ -707,7 +665,8 @@ func (m *Incremental) SmallestCycle() []topology.Channel {
 func (m *Incremental) SmallestCycleThroughFirstCyclic() []topology.Channel {
 	m.refresh()
 	var entry *sccEntry
-	for _, e := range m.cache {
+	for i := range m.sccs {
+		e := &m.sccs[i]
 		if entry == nil || m.less(e.members[0], entry.members[0]) {
 			entry = e
 		}

@@ -14,22 +14,22 @@ import (
 // byte-identical instead of staying half-mutated. Take a Snapshot before
 // the batch, Restore it on any error, drop it on commit.
 //
-// A Snapshot is independent of later mutations (every slice and the SCC
-// cache map are deep-copied; the cache entries, immutable once built, are
-// shared) and is reusable: Restore copies out of the snapshot rather than
-// aliasing it, so the same Snapshot can rescue several failed attempts.
+// A Snapshot is independent of later mutations (every slice is
+// deep-copied, the component member lists too; the cycles, never
+// modified, are shared) and is reusable: Restore copies out of the
+// snapshot rather than aliasing it, so the same Snapshot can rescue
+// several failed attempts.
 type Snapshot struct {
-	top     *topology.Topology
-	chans   []topology.Channel
-	id      [][]int
-	order   []int
-	succ    [][]int
-	flows   [][][]int
-	nEdges  int
-	nSelf   int
-	touched []bool
-	cache   map[int]*sccEntry
-	valid   bool
+	top    *topology.Topology
+	chans  []topology.Channel
+	id     [][]int
+	order  []int
+	succ   [][]int
+	flows  [][][]int
+	nEdges int
+	nSelf  int
+	sccs   []sccEntry
+	valid  bool
 }
 
 // Snapshot captures the graph's current state. Cost is O(V + E) — far
@@ -37,17 +37,16 @@ type Snapshot struct {
 // reconfiguration event is cheap.
 func (m *Incremental) Snapshot() *Snapshot {
 	return &Snapshot{
-		top:     m.top,
-		chans:   slices.Clone(m.chans),
-		id:      copyLists(m.id),
-		order:   slices.Clone(m.order),
-		succ:    copyLists(m.succ),
-		flows:   copyFlows(m.flows),
-		nEdges:  m.nEdges,
-		nSelf:   m.nSelf,
-		touched: slices.Clone(m.touched),
-		cache:   copyCache(m.cache),
-		valid:   m.valid,
+		top:    m.top,
+		chans:  slices.Clone(m.chans),
+		id:     copyLists(m.id),
+		order:  slices.Clone(m.order),
+		succ:   copyLists(m.succ),
+		flows:  copyFlows(m.flows),
+		nEdges: m.nEdges,
+		nSelf:  m.nSelf,
+		sccs:   copySCCs(m.sccs),
+		valid:  m.valid,
 	}
 }
 
@@ -65,8 +64,7 @@ func (m *Incremental) Restore(s *Snapshot) {
 	m.flows = copyFlows(s.flows)
 	m.nEdges = s.nEdges
 	m.nSelf = s.nSelf
-	m.touched = append(m.touched[:0], s.touched...)
-	m.cache = copyCache(s.cache)
+	m.sccs = copySCCs(s.sccs)
 	m.valid = s.valid
 	m.lb = make([]int, len(m.chans))
 	m.origin = make([]int, len(m.chans))
@@ -102,13 +100,14 @@ func copyFlows(src [][][]int) [][][]int {
 	return out
 }
 
-// copyCache shallow-copies the SCC cache: entries are immutable once
-// refresh builds them, so sharing them between the live graph and a
-// snapshot is safe.
-func copyCache(src map[int]*sccEntry) map[int]*sccEntry {
-	out := make(map[int]*sccEntry, len(src))
-	for k, v := range src {
-		out[k] = v
+// copySCCs copies a component list with its member lists, which in the
+// graph are views into a buffer the next refresh overwrites. Cycles are
+// never modified, so the copy shares them.
+func copySCCs(src []sccEntry) []sccEntry {
+	out := make([]sccEntry, len(src))
+	for i, e := range src {
+		e.members = slices.Clone(e.members)
+		out[i] = e
 	}
 	return out
 }

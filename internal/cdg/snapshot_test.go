@@ -2,8 +2,10 @@ package cdg
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
 )
 
@@ -45,7 +47,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if m.NumChannels() == wantChans && m.NumDependencies() == wantEdges {
 		t.Fatal("mutations did not change the graph; test is vacuous")
 	}
-	// Force a refresh so the SCC cache diverges too.
+	// Force a refresh so the component list diverges too.
 	m.Acyclic()
 
 	m.Restore(snap)
@@ -109,6 +111,65 @@ func TestSnapshotIndependentOfLaterMutations(t *testing.T) {
 	m.Restore(snap)
 	if got := m.Dependencies(); !reflect.DeepEqual(got, wantDeps) {
 		t.Errorf("snapshot was mutated through aliasing: %v, want %v", got, wantDeps)
+	}
+}
+
+// TestSnapshotCopiesComponentMembers guards the component list: its
+// member lists are views into a buffer each refresh overwrites, so a
+// snapshot that kept the views would restore the members of whatever
+// graph was refreshed last. Flow 4 first joins two 3-cycles into one
+// component, which sizes the buffer for six members; the snapshot holds
+// the two 3-cycles, and the refresh after it holds only the second one,
+// written over the first one's slots.
+func TestSnapshotCopiesComponentMembers(t *testing.T) {
+	top := linkRing(6)
+	tab := route.NewTable(5)
+	tab.Set(0, vc0(0, 1, 2))
+	tab.Set(1, vc0(2, 0))
+	tab.Set(2, vc0(3, 4, 5))
+	tab.Set(3, vc0(5, 3))
+	tab.Set(4, vc0(2, 3, 4, 5, 0))
+	m, err := BuildIncremental(top, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := func() [][]int {
+		var out [][]int
+		for _, e := range m.sccs {
+			out = append(out, slices.Clone(e.members))
+		}
+		return out
+	}
+	m.Acyclic()
+	if got := members(); len(got) != 1 || len(got[0]) != 6 {
+		t.Fatalf("components %v, want one of six channels", got)
+	}
+	if err := m.ApplyReroute(Reroute{FlowID: 4, Old: vc0(2, 3, 4, 5, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	wantCycle, wantFirst := m.SmallestCycle(), m.SmallestCycleThroughFirstCyclic()
+	wantMembers := members()
+	if len(wantMembers) != 2 {
+		t.Fatalf("components %v, want the two 3-cycles", wantMembers)
+	}
+
+	snap := m.Snapshot()
+	if err := m.ApplyReroute(Reroute{FlowID: 1, Old: vc0(2, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SmallestCycle(); !reflect.DeepEqual(got, vc0(3, 4, 5)) {
+		t.Fatalf("SmallestCycle after the reroute = %v, want the second 3-cycle", got)
+	}
+
+	m.Restore(snap)
+	if got := members(); !reflect.DeepEqual(got, wantMembers) {
+		t.Errorf("component members after restore = %v, want %v", got, wantMembers)
+	}
+	if got := m.SmallestCycle(); !reflect.DeepEqual(got, wantCycle) {
+		t.Errorf("SmallestCycle after restore = %v, want %v", got, wantCycle)
+	}
+	if got := m.SmallestCycleThroughFirstCyclic(); !reflect.DeepEqual(got, wantFirst) {
+		t.Errorf("SmallestCycleThroughFirstCyclic after restore = %v, want %v", got, wantFirst)
 	}
 }
 

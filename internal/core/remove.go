@@ -37,10 +37,11 @@ type Result struct {
 // acyclic, and answers such an input, the common case, with plain copies
 // and no break loop. Otherwise the CDG is maintained incrementally across
 // breaks: each break's channel duplications and flow reroutes are applied
-// as localized edge updates, and cycle re-search is restricted to the
-// strongly connected components those updates touched. The break
-// sequence equals that of a loop that rebuilds the CDG on every break
-// (see the differential tests). opts.FullRebuild is ignored.
+// as localized edge updates, and the cycle re-search after it skips every
+// channel whose cycle-length bound shows it cannot hold a shorter cycle
+// than one already found. The break sequence equals that of a loop that
+// rebuilds the CDG on every break (see the differential tests).
+// opts.FullRebuild is ignored.
 //
 // The inputs are not modified. Remove fails if a cycle edge cannot be
 // attributed to a flow (inconsistent inputs) or if opts.MaxIterations is

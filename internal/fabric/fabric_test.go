@@ -1,11 +1,15 @@
 package fabric
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -363,6 +367,74 @@ func TestRegistryReregisterRacesPrune(t *testing.T) {
 	}
 	if r.Count() != 1 {
 		t.Fatalf("count %d", r.Count())
+	}
+}
+
+// TestRegistryLiveJoinOrder pins Live to join order when join times
+// tie: under a clock that never moves, w-10 and w-11 come after w-9, not
+// after w-1 as an order by ID string puts them.
+func TestRegistryLiveJoinOrder(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	r := NewRegistry(RegistryOptions{Now: clk.now})
+	var want []string
+	for i := 1; i <= 11; i++ {
+		want = append(want, r.Register(fmt.Sprintf("http://w:%d", i)).ID)
+	}
+	var got []string
+	for _, w := range r.Live() {
+		got = append(got, w.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Live order %v, want join order %v", got, want)
+	}
+}
+
+// TestJoinReregistrationResetsInterval pins that a worker beats at the
+// interval its latest registration dictates. The stub coordinator asks
+// for 200 ms at the first registration, rejects w-1's heartbeat, and asks
+// for 5 ms (with a 15 ms TTL) at the second. Twenty heartbeats for w-2
+// then take about 100 ms; at the first registration's interval they
+// would take four seconds, and a coordinator would retire w-2 between
+// any two of them.
+func TestJoinReregistrationResetsInterval(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		joins   int
+		w2Beats int
+	)
+	enough := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch r.URL.Path {
+		case "/v1/workers/register":
+			joins++
+			interval := int64(200)
+			if joins > 1 {
+				interval = 5
+			}
+			fmt.Fprintf(w, `{"id": "w-%d", "heartbeat_interval_ms": %d, "ttl_ms": %d}`, joins, interval, 3*interval)
+		case "/v1/workers/w-2/heartbeat":
+			if w2Beats++; w2Beats == 20 {
+				close(enough)
+			}
+			w.WriteHeader(http.StatusNoContent)
+		default: // w-1's heartbeat: retired
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := Join(ctx, srv.URL, "http://worker:1", JoinOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-enough:
+	case <-time.After(3 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("after %d registrations w-2 sent %d heartbeats in 3 s, want 20", joins, w2Beats)
 	}
 }
 

@@ -26,6 +26,15 @@ type registerResponse struct {
 	TTLMS               int64  `json:"ttl_ms"`
 }
 
+// interval is the heartbeat period the registration dictates, or the
+// default when it names none.
+func (r *registerResponse) interval() time.Duration {
+	if d := time.Duration(r.HeartbeatIntervalMS) * time.Millisecond; d > 0 {
+		return d
+	}
+	return DefaultHeartbeatInterval
+}
+
 // workersResponse is the coordinator's GET /v1/workers document.
 type workersResponse struct {
 	Workers []Worker `json:"workers"`
@@ -69,11 +78,7 @@ func Join(ctx context.Context, coordinator, selfURL string, opts JoinOptions) er
 		opts.OnState("registered " + reg.ID)
 	}
 	go func() {
-		interval := time.Duration(reg.HeartbeatIntervalMS) * time.Millisecond
-		if interval <= 0 {
-			interval = DefaultHeartbeatInterval
-		}
-		t := time.NewTicker(interval)
+		t := time.NewTicker(reg.interval())
 		defer t.Stop()
 		for {
 			select {
@@ -93,6 +98,7 @@ func Join(ctx context.Context, coordinator, selfURL string, opts JoinOptions) er
 				// whatever ID it hands out now.
 				if r2, err := registerWorker(ctx, coordinator, selfURL, opts); err == nil {
 					reg = r2
+					t.Reset(reg.interval())
 					if opts.OnState != nil {
 						opts.OnState("re-registered " + reg.ID)
 					}

@@ -49,6 +49,8 @@ type Worker struct {
 	URL      string    `json:"url"`
 	Joined   time.Time `json:"joined"`
 	LastSeen time.Time `json:"last_seen"`
+
+	seq int // join sequence number, the number in ID
 }
 
 // Registry is the coordinator-side membership table: a monotonic ID per
@@ -103,6 +105,7 @@ func (r *Registry) Register(url string) Worker {
 		URL:      url,
 		Joined:   now,
 		LastSeen: now,
+		seq:      r.seq,
 	}
 	r.byID[w.ID] = w
 	r.byURL[url] = w
@@ -135,9 +138,7 @@ func (r *Registry) Live() []Worker {
 	for _, w := range r.byID {
 		out = append(out, *w)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Joined.Before(out[j].Joined) || (out[i].Joined.Equal(out[j].Joined) && out[i].ID < out[j].ID)
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
 	return out
 }
 

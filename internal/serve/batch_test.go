@@ -10,7 +10,7 @@ import (
 
 // TestSimulateBatchJob pins the batch request/response shape of
 // /v1/simulate: config.seeds/config.loads arrays (the CLI flag names)
-// select the lockstep batch engine and the result document becomes a
+// select the batch engine and the result document becomes a
 // seed-major variants array, each entry carrying its normalized tag plus
 // the standard single-run fields.
 func TestSimulateBatchJob(t *testing.T) {

@@ -357,7 +357,7 @@ type simulateRequest struct {
 		EpochCycles    int64   `json:"epoch_cycles"`
 		// Seeds/Loads are the batch axes, named after the CLI's
 		// -seeds/-loads flags. When either is set the job runs the
-		// lockstep batch engine over the Seeds × Loads cross product and
+		// batch engine over the Seeds × Loads cross product and
 		// the result document is the batch shape (a "variants" array);
 		// the singular seed/load_factor fields remain the accepted
 		// single-value spelling and seed every lane that does not

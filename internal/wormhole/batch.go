@@ -120,10 +120,10 @@ func (b *Batch) Run() ([]*Stats, error) {
 
 // RunContext steps every lane to completion and returns per-lane stats,
 // index-aligned with Variants. parallel > 1 partitions the lanes across
-// min(parallel, len) goroutines; within each partition the lanes advance
-// in coarse lockstep — laneBlock cycles per lane per round over the
-// shared design tables. Each lane's outcome is independent of the
-// partitioning and the block size (variant isolation invariant).
+// min(parallel, len) goroutines; each partition runs its lanes one after
+// another, in index order, through Simulator.RunContext. Each lane's
+// outcome is independent of the partitioning (variant isolation
+// invariant).
 //
 // On cancellation, finished lanes keep their stats, unfinished lanes are
 // nil, and the returned error is the lowest-indexed unfinished lane's
@@ -131,22 +131,22 @@ func (b *Batch) Run() ([]*Stats, error) {
 func (b *Batch) RunContext(ctx context.Context, parallel int) ([]*Stats, error) {
 	out := make([]*Stats, len(b.lanes))
 	errs := make([]error, len(b.lanes))
-	workers := parallel
-	if workers > len(b.lanes) {
-		workers = len(b.lanes)
+	run := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i], errs[i] = b.lanes[i].RunContext(ctx)
+		}
 	}
+	workers := min(parallel, len(b.lanes))
 	if workers <= 1 {
-		runLockstep(ctx, b.lanes, out, errs)
+		run(0, len(b.lanes))
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
-			lo := w * len(b.lanes) / workers
-			hi := (w + 1) * len(b.lanes) / workers
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				runLockstep(ctx, b.lanes[lo:hi], out[lo:hi], errs[lo:hi])
-			}(lo, hi)
+				run(lo, hi)
+			}(w*len(b.lanes)/workers, (w+1)*len(b.lanes)/workers)
 		}
 		wg.Wait()
 	}
@@ -156,59 +156,6 @@ func (b *Batch) RunContext(ctx context.Context, parallel int) ([]*Stats, error) 
 		}
 	}
 	return out, nil
-}
-
-// laneBlock is how many cycles a lane advances per lockstep round. Lanes
-// are fully independent, so the block size only trades cancellation
-// staleness against cache residency: a lane's mutable state (channel
-// buffers, in-flight flits, RNG) stays resident for a whole block
-// instead of being evicted by its neighbours every cycle, while the
-// shared design tables are hot for the entire round. 1024 matches the
-// single-run path's cancellation poll period.
-const laneBlock = ctxCheckMask + 1
-
-// runLockstep drives a slice of lanes through the RunContext protocol in
-// coarse lockstep: each round advances every live lane by up to
-// laneBlock cycles, then polls for cancellation. Per-lane results are
-// identical under any scheduling (variant isolation), so the block size
-// is purely a performance knob.
-func runLockstep(ctx context.Context, lanes []*Simulator, out []*Stats, errs []error) {
-	done := ctx.Done()
-	runs := make([]laneRun, len(lanes))
-	for i, s := range lanes {
-		runs[i] = s.startRun()
-	}
-	live := len(lanes)
-	for live > 0 {
-		if done != nil {
-			select {
-			case <-done:
-				for i := range runs {
-					if !runs[i].done {
-						errs[i] = fmt.Errorf("%w at cycle %d: %w", nocerr.ErrCanceled, lanes[i].now, ctx.Err())
-					}
-				}
-				return
-			default:
-			}
-		}
-		for i := range runs {
-			lr := &runs[i]
-			if lr.done {
-				continue
-			}
-			for c := 0; c < laneBlock; c++ {
-				if !lr.stepOnce() {
-					lr.done = true
-					live--
-					lanes[i].finishStats()
-					st := lanes[i].Stats()
-					out[i] = &st
-					break
-				}
-			}
-		}
-	}
 }
 
 // cloneVariant carves a fresh lane off a just-constructed prototype:

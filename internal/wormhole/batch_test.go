@@ -298,6 +298,72 @@ func TestBatchCancel(t *testing.T) {
 	}
 }
 
+// TestBatchCancelMidRun pins cancellation between lanes: with one
+// goroutine the lanes run one after another in index order, so when the
+// third lane emits its first epoch the first two have finished and keep
+// their stats, while the third stops at its next poll and the fourth
+// never starts.
+func TestBatchCancelMidRun(t *testing.T) {
+	grid, err := regular.Mesh(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := traffic.Transpose(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := regular.DORRoutes(grid, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const canceledLane = 2
+	variants := []wormhole.Variant{{Seed: 1}, {Seed: 2}, {Seed: 3}, {Seed: 4}}
+	// Lanes outlast the first cancellation poll, at cycle 1024.
+	base := wormhole.Config{MaxCycles: 3000, BufferDepth: 2, LoadFactor: 0.5}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := base
+	cfg.EpochCycles = 100
+	started := 0
+	cfg.OnEpoch = func(e wormhole.EpochStats) {
+		if e.Cycle != cfg.EpochCycles {
+			return
+		}
+		if started++; started == canceledLane+1 {
+			cancel()
+		}
+	}
+	b, err := wormhole.NewBatch(grid.Topology, g, tab, cfg, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := b.RunContext(ctx, 1)
+	if !errors.Is(err, nocerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	for i, v := range variants {
+		if i >= canceledLane {
+			if out[i] != nil {
+				t.Errorf("lane %d has stats though it was canceled", i)
+			}
+			continue
+		}
+		c := base
+		c.Seed = v.Seed
+		sim, err := wormhole.New(grid.Topology, g, tab, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(out[i], want) {
+			t.Errorf("finished lane %d diverges from its independent run\nbatch: %+v\noracle: %+v", i, out[i], want)
+		}
+	}
+}
+
 // FuzzLockstepVariants is the nightly fuzz leg of the tentpole's
 // invariant: for arbitrary variant counts, seeds and loads, every lane
 // of a batch must match its sequential oracle byte for byte, on both

@@ -721,14 +721,12 @@ func (s *Simulator) RunContext(ctx context.Context) (*Stats, error) {
 }
 
 // laneRun is the incremental state RunContext keeps on the stack between
-// cycles — the epoch schedule — factored out so the batch engine can
-// drive many simulators through the exact same per-cycle protocol in
-// lockstep. Any change to run semantics belongs in stepOnce, where both
-// the single-variant and batch paths pick it up.
+// cycles — the epoch schedule. RunContext and the reference-stepper tests
+// drive a run through the same startRun, stepOnce and endCycle, so any
+// change to run semantics belongs there, where both pick it up.
 type laneRun struct {
 	s         *Simulator
 	nextEpoch int64
-	done      bool
 }
 
 // startRun begins the RunContext protocol without stepping.

@@ -11,9 +11,9 @@ import (
 // SimConfig.
 type SimVariant = wormhole.Variant
 
-// SimBatch is the lockstep multi-variant simulator (see
-// Session.NewSimBatch): one shared design, N independent (seed, load)
-// lanes stepped in a single pass.
+// SimBatch is the multi-variant simulator (see Session.NewSimBatch): one
+// shared design built once, N independent (seed, load) lanes, each run to
+// completion.
 type SimBatch = wormhole.Batch
 
 // SimSpec bundles everything a batched simulation varies: the seed and
@@ -87,14 +87,14 @@ type BatchStats struct {
 }
 
 // SimulateBatch simulates every (seed, load) variant of the spec over
-// one shared design in lockstep: construction — route validation, dense
-// route indices, next-hop tables — happens once, each lane owns only its
+// one shared design: construction — route validation, dense route
+// indices, next-hop tables — happens once, each lane owns only its
 // mutable state, and per-variant stats are byte-identical to independent
 // Session.Simulate runs with the same seeds (the differential tests pin
-// this). Lanes are fanned across WithParallel goroutines; ctx is honored
-// inside the stepping loop, and EventSimEpoch snapshots stream to the
-// Session's progress feed (from every lane, concurrently under
-// WithParallel > 1).
+// this). Lanes are split across WithParallel goroutines, each running
+// its lanes one after another; ctx is honored inside the stepping loop,
+// and EventSimEpoch snapshots stream to the Session's progress feed lane
+// by lane (from several lanes at once under WithParallel > 1).
 func (s *Session) SimulateBatch(ctx context.Context, top *Topology, g *TrafficGraph, tab *RouteTable, spec SimSpec) (*BatchStats, error) {
 	b, err := wormhole.NewBatch(top, g, tab, spec.config(s.simConfig(spec.Base)), spec.variants())
 	if err != nil {

@@ -46,13 +46,16 @@ bench:
 # worker does: fault pick, routes, removal, ordering count), eight seed
 # sets of it re-swept warm on two loopback workers (what every warm
 # fleet sweep pays: keys, lookups, copies, placement), one
-# simulated, certified mesh_verify op end to end, and one pass of
+# simulated, certified mesh_verify op end to end, a simulated load
+# curve (four seeds at loads 0.5 and 1.0 beside the canonical load 1,
+# where seed-free and repeated lanes run once from one lane queue),
+# and one pass of
 # paper_sweep's 46 one-cell sweeps (the paper's synthesize-then-remove
 # loop end to end), all repeated so benchstat can establish
 # significance. CI runs this on the
 # PR head and base and fails on a >15% sec/op or B/op regression.
 bench-pin:
-	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkSimStepTorus$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepFleetWarm$$|BenchmarkSweepVerified$$|BenchmarkSweepPaperLoop$$)' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkSimStepTorus$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepFleetWarm$$|BenchmarkSweepVerified$$|BenchmarkSweepLoadCurve$$|BenchmarkSweepPaperLoop$$)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
 
 # nocbench's own tests: every workload for a few ops at seed 0 against

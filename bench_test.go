@@ -248,35 +248,69 @@ func BenchmarkSimStepAdaptive(b *testing.B) {
 	stepWarm(b, sim, err)
 }
 
+// torusDOR is mesh_verify's torus design: the 8x8 torus under uniform
+// traffic and DOR routes, as routed (cyclic) and after removal.
+func torusDOR(b *testing.B) (g *nocdr.TrafficGraph, top *nocdr.Topology, tab *nocdr.RouteTable, rm *nocdr.RemovalResult) {
+	b.Helper()
+	grid, err := regular.Torus(8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if g, err = regular.UniformTraffic(64, 32, 100); err != nil {
+		b.Fatal(err)
+	}
+	if tab, err = regular.DORRoutes(grid, g); err != nil {
+		b.Fatal(err)
+	}
+	if rm, err = nocdr.NewSession().RemoveDeadlocks(context.Background(), grid.Topology, tab); err != nil {
+		b.Fatal(err)
+	}
+	return g, grid.Topology, tab, rm
+}
+
 // BenchmarkSimStepTorus is the route-table engine at saturation, which
 // BenchmarkSimStep (load 0.1) does not reach: steady-state Step cost of
 // mesh_verify's torus measurement lane, the 8x8 torus under uniform
 // traffic and DOR routes after removal, at load 1 with two-flit buffers.
 func BenchmarkSimStepTorus(b *testing.B) {
-	grid, err := regular.Torus(8, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := regular.UniformTraffic(64, 32, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tab, err := regular.DORRoutes(grid, g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := nocdr.NewSession()
-	rm, err := s.RemoveDeadlocks(context.Background(), grid.Topology, tab)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := s.NewSimulator(rm.Topology, g, rm.Routes, nocdr.SimConfig{
+	g, _, _, rm := torusDOR(b)
+	sim, err := nocdr.NewSession().NewSimulator(rm.Topology, g, rm.Routes, nocdr.SimConfig{
 		MaxCycles:   1 << 62,
 		LoadFactor:  1,
 		BufferDepth: 2,
 		Seed:        11,
 	})
 	stepWarm(b, sim, err)
+}
+
+// BenchmarkDeadlockFree_Acyclic is the yes/no deadlock check that
+// `nocdr check`, served removals and reconfiguration design checks make,
+// on the removed torus design. With BenchmarkDeadlockFree_Cyclic, the
+// torus as routed, it is the pair any shortcut for acyclic inputs (such
+// as asking cdg.ProveAcyclic before building the CDG) must hold: faster
+// on this row without slowing the cyclic one.
+func BenchmarkDeadlockFree_Acyclic(b *testing.B) {
+	_, _, _, rm := torusDOR(b)
+	benchDeadlockFree(b, rm.Topology, rm.Routes, true)
+}
+
+// BenchmarkDeadlockFree_Cyclic is the same check on the torus design as
+// routed, whose CDG is cyclic.
+func BenchmarkDeadlockFree_Cyclic(b *testing.B) {
+	_, top, tab, _ := torusDOR(b)
+	benchDeadlockFree(b, top, tab, false)
+}
+
+func benchDeadlockFree(b *testing.B, top *nocdr.Topology, tab *nocdr.RouteTable, want bool) {
+	s := nocdr.NewSession()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		free, err := s.DeadlockFree(top, tab)
+		if err != nil || free != want {
+			b.Fatalf("deadlock-free = %v, %v; want %v", free, err, want)
+		}
+	}
 }
 
 // --- E11: simulation validation (cycles simulated per second, and the
@@ -881,6 +915,40 @@ func BenchmarkSweepVerified(b *testing.B) {
 				if r.Error != "" || r.Certify == nil || !r.Certify.Agree {
 					b.Fatalf("cell %s failed verification: %+v", r.Job.Key(), r)
 				}
+			}
+		}
+	}
+}
+
+// BenchmarkSweepLoadCurve is a simulated load-curve sweep: the 8x8
+// transpose mesh under odd-even routing (acyclic, so measurement lanes
+// only), seeds 1–4, each measured at the canonical load 1 and at loads
+// 0.5 and 1.0, on two workers. Every transpose flow has one bandwidth, so
+// at load 1 no injection draw decides anything and the four seeds'
+// load-1 lanes are one run, and each seed's load-1 curve point repeats
+// its canonical lane: 5 of the 12 lanes run, from one lane queue.
+func BenchmarkSweepLoadCurve(b *testing.B) {
+	grid := nocdr.SweepGrid{
+		Benchmarks:   []string{"mesh:8x8:transpose"},
+		SwitchCounts: []int{64},
+		Policies:     []string{"smallest"},
+		Routings:     []string{"odd-even"},
+		Seeds:        []int64{1, 2, 3, 4},
+		Loads:        []float64{0.5, 1.0},
+	}
+	s := nocdr.NewSession(nocdr.WithParallel(2))
+	opts := nocdr.SweepOptions{Simulate: true}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := s.Sweep(ctx, grid, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range rep.Results {
+			if r.Error != "" || r.Sim == nil || r.Sim.PostDeadlock || len(r.Sim.LoadSweep) != 2 {
+				b.Fatalf("cell %s failed: %+v", r.Job.Key(), r)
 			}
 		}
 	}

@@ -185,14 +185,16 @@ func (de *designEval) newBatch(pre bool, set *route.RouteSet, w *traffic.Graph, 
 // For a cyclic design it constructs the witness workload and simulates it
 // on both the pre-removal design (negative control: must deadlock to
 // demonstrate the hazard) and the post-removal design (must survive the
-// identical adversarial workload); the post-removal design then runs the
+// identical adversarial workload); the post-removal design also runs the
 // plain workload at params.Load for latency percentiles and throughput.
-// Each of the three steps is one variant batch across the group's
-// per-cell seeds, and each cell's outcome is byte-identical to simulating
-// that cell alone (the grouped-sweep differential pins this). When loads
-// is non-empty, the measurement batch additionally carries one lane per
-// (seed, load) pair and the extra points land in each cell's LoadSweep,
-// leaving the canonical params.Load measurement untouched.
+// Each of the three is one variant batch across the group's per-cell
+// seeds, built in that order, and all three run from one lane queue,
+// measurement first since its lanes are the longest. Each cell's outcome
+// is byte-identical to simulating that cell alone (the grouped-sweep
+// differential pins this). When loads is non-empty, the measurement
+// batch additionally carries one lane per (seed, load) pair and the extra
+// points land in each cell's LoadSweep, leaving the canonical params.Load
+// measurement untouched.
 func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds []int64, loads []float64, parallel int) ([]*SimResult, error) {
 	params = params.withDefaults()
 	results := make([]*SimResult, len(seeds))
@@ -213,8 +215,10 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 		witnessVs[i] = wormhole.Variant{Seed: s}
 	}
 
+	var witness []*wormhole.Batch // pre-removal, then post-removal
+	nflows := 0
 	if !de.initialAcyclic {
-		w, pinned, nflows, err := de.witness()
+		w, pinned, n, err := de.witness()
 		if err != nil {
 			return nil, fmt.Errorf("runner: witness workload: %w", err)
 		}
@@ -228,27 +232,11 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 			if err != nil {
 				return nil, fmt.Errorf("runner: pre-removal sim: %w", err)
 			}
-			preStats, err := pre.RunContext(ctx, parallel)
-			if err != nil {
-				return nil, fmt.Errorf("runner: pre-removal sim: %w", err)
-			}
 			postW, err := de.newBatch(false, nil, w, witnessCfg, witnessVs)
 			if err != nil {
 				return nil, fmt.Errorf("runner: post-removal witness sim: %w", err)
 			}
-			wStats, err := postW.RunContext(ctx, parallel)
-			if err != nil {
-				return nil, fmt.Errorf("runner: post-removal witness sim: %w", err)
-			}
-			for i, res := range results {
-				res.PreRan = true
-				res.WitnessFlows = nflows
-				res.PreDeadlock = preStats[i].Deadlocked
-				res.PreDeadlockCycle = preStats[i].DeadlockCycle
-				if wStats[i].Deadlocked {
-					res.PostDeadlock = true
-				}
-			}
+			witness, nflows = []*wormhole.Batch{pre, postW}, n
 		}
 	}
 
@@ -268,10 +256,21 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 	if err != nil {
 		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
 	}
-	stats, err := post.RunContext(ctx, parallel)
+	out, err := wormhole.RunBatches(ctx, parallel, append([]*wormhole.Batch{post}, witness...)...)
 	if err != nil {
-		return nil, fmt.Errorf("runner: post-removal sim: %w", err)
+		return nil, fmt.Errorf("runner: simulation: %w", err)
 	}
+	if witness != nil {
+		preStats, wStats := out[1], out[2]
+		for i, res := range results {
+			res.PreRan = true
+			res.WitnessFlows = nflows
+			res.PreDeadlock = preStats[i].Deadlocked
+			res.PreDeadlockCycle = preStats[i].DeadlockCycle
+			res.PostDeadlock = wStats[i].Deadlocked
+		}
+	}
+	stats := out[0]
 	for i, res := range results {
 		st := stats[i*stride]
 		res.PostDeadlock = res.PostDeadlock || st.Deadlocked

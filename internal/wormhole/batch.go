@@ -3,7 +3,9 @@ package wormhole
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
@@ -28,7 +30,8 @@ type Variant struct {
 // channel indexing, route validation, the transition table — happens once
 // and is shared read-only across every lane; each lane owns only its
 // mutable state (channel rings in one contiguous per-lane flit block,
-// source queues, packet slots, channel bits, flow worklist, RNG, stats).
+// source queues, packet slots, channel bits, flow worklist, RNG, stats),
+// allocated by the goroutine that runs it.
 //
 // Variant isolation invariant: lanes share nothing mutable, so each
 // lane's statistics are byte-identical to an independent Simulator built
@@ -37,11 +40,23 @@ type Variant struct {
 // deterministic per lane because every shared table is immutable and the
 // only randomness is the lane's own splitmix64 stream.
 //
+// One run per distinct lane: two lanes at the same load whose seeds
+// cannot make their runs differ — equal seeds, drain mode, or a load at
+// which no flow's injection draw decides anything — are one run, and the
+// later lane reports a deep copy of the earlier one's stats. The rule
+// does not apply when Config.OnEpoch is set, so every lane emits its own
+// epochs.
+//
 // Concurrency contract: RunContext may fan lanes across goroutines, but
 // a Batch itself is single-use and single-goroutine like Simulator.
 type Batch struct {
-	lanes    []*Simulator
+	proto    *Simulator
 	variants []Variant
+	// runOf[i] is the lane whose run lane i reports: i for a distinct
+	// lane, the first lane with the same run otherwise.
+	runOf []int
+	// protoLane is the distinct lane the prototype runs as, -1 if none.
+	protoLane int
 }
 
 // NewBatch builds a batch over the single-path (table-routed) engine:
@@ -67,20 +82,35 @@ func NewAdaptiveBatch(top *topology.Topology, g *traffic.Graph, set *route.Route
 	return newBatch(proto, cfg, variants)
 }
 
+// runKey identifies a lane's run: its load, and its seed where the seed
+// can make a difference (0 otherwise).
+type runKey struct {
+	load float64
+	seed int64
+}
+
 // newBatch normalizes the variants against the (already defaulted) base
-// config and carves one lane per variant off the prototype. The first
-// variant that matches the base config gets the prototype itself, so a
-// batch of one base variant is exactly the simulator New would have
-// returned.
+// config and maps each to its run. The first distinct lane whose run is
+// the prototype's gets the prototype itself, so a batch of one base
+// variant is exactly the simulator New would have returned.
 func newBatch(proto *Simulator, cfg Config, variants []Variant) (*Batch, error) {
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("wormhole: batch needs at least one variant: %w", nocerr.ErrInvalidInput)
 	}
 	b := &Batch{
-		lanes:    make([]*Simulator, len(variants)),
-		variants: make([]Variant, len(variants)),
+		proto:     proto,
+		variants:  make([]Variant, len(variants)),
+		runOf:     make([]int, len(variants)),
+		protoLane: -1,
 	}
-	protoUsed := false
+	key := func(v Variant) runKey {
+		if proto.seedFree(v.Load) {
+			return runKey{load: v.Load}
+		}
+		return runKey{load: v.Load, seed: v.Seed}
+	}
+	protoKey := key(Variant{Seed: cfg.Seed, Load: cfg.LoadFactor})
+	first := make(map[runKey]int, len(variants))
 	for i, v := range variants {
 		if v.Seed == 0 {
 			v.Seed = cfg.Seed
@@ -93,17 +123,33 @@ func newBatch(proto *Simulator, cfg Config, variants []Variant) (*Batch, error) 
 			return nil, fmt.Errorf("wormhole: variant %d load %f must be in (0,1]: %w", i, v.Load, nocerr.ErrInvalidInput)
 		}
 		b.variants[i] = v
-		if !protoUsed && v.Seed == cfg.Seed && v.Load == cfg.LoadFactor {
-			b.lanes[i] = proto
-			protoUsed = true
-			continue
+		k := key(v)
+		run, seen := first[k]
+		if !seen || cfg.OnEpoch != nil {
+			first[k], run = i, i
+			if b.protoLane < 0 && k == protoKey {
+				b.protoLane = i
+			}
 		}
-		laneCfg := cfg
-		laneCfg.Seed = v.Seed
-		laneCfg.LoadFactor = v.Load
-		b.lanes[i] = proto.cloneVariant(laneCfg)
+		b.runOf[i] = run
 	}
 	return b, nil
+}
+
+// seedFree reports whether the seed cannot change a run at load. In
+// drain mode no draw is made. Otherwise the injection draw, the seeded
+// stream's only use, compares the draw's top 63 bits against each flow's
+// probBits, so it never fires at 0 and always fires from 2^63 on.
+func (s *Simulator) seedFree(load float64) bool {
+	if s.cfg.PacketsPerFlow > 0 {
+		return true
+	}
+	for i := range s.flows {
+		if pb := probBits(load, s.flows[i].bw, s.maxBW); pb != 0 && pb < 1<<63 {
+			return false
+		}
+	}
+	return true
 }
 
 // Variants returns the normalized variants, lane-aligned with the slices
@@ -118,53 +164,112 @@ func (b *Batch) Run() ([]*Stats, error) {
 	return b.RunContext(context.Background(), 1)
 }
 
-// RunContext steps every lane to completion and returns per-lane stats,
-// index-aligned with Variants. parallel > 1 partitions the lanes across
-// min(parallel, len) goroutines; each partition runs its lanes one after
-// another, in index order, through Simulator.RunContext. Each lane's
-// outcome is independent of the partitioning (variant isolation
-// invariant).
-//
-// On cancellation, finished lanes keep their stats, unfinished lanes are
-// nil, and the returned error is the lowest-indexed unfinished lane's
-// (wrapping nocerr.ErrCanceled and ctx.Err()).
+// RunContext steps every distinct lane to completion and returns
+// per-lane stats, index-aligned with Variants: it is RunBatches over
+// this batch alone. Each lane's outcome is independent of parallel
+// (variant isolation invariant).
 func (b *Batch) RunContext(ctx context.Context, parallel int) ([]*Stats, error) {
-	out := make([]*Stats, len(b.lanes))
-	errs := make([]error, len(b.lanes))
-	run := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i], errs[i] = b.lanes[i].RunContext(ctx)
+	out, err := RunBatches(ctx, parallel, b)
+	return out[0], err
+}
+
+// laneRef names one lane of one batch of a RunBatches call.
+type laneRef struct{ batch, lane int }
+
+// RunBatches runs the distinct lanes of every batch from one queue,
+// batch by batch and in lane order, over min(parallel, lanes)
+// goroutines, each taking the next lane when it finishes one, building
+// it and running it through Simulator.RunContext. Putting the batch with
+// the longest lanes first lets the shorter ones fill in behind it. It
+// returns per-lane stats indexed [batch][lane]; a lane that repeats an
+// earlier lane's run gets a deep copy of its stats.
+//
+// On cancellation, finished lanes and their copies keep their stats,
+// unfinished lanes are nil, and the returned error is that of the lowest
+// (batch, lane) lane that did not finish (wrapping nocerr.ErrCanceled
+// and ctx.Err()).
+func RunBatches(ctx context.Context, parallel int, batches ...*Batch) ([][]*Stats, error) {
+	out := make([][]*Stats, len(batches))
+	errs := make([][]error, len(batches))
+	var queue []laneRef
+	for bi, b := range batches {
+		out[bi] = make([]*Stats, len(b.variants))
+		errs[bi] = make([]error, len(b.variants))
+		for i, run := range b.runOf {
+			if run == i {
+				queue = append(queue, laneRef{bi, i})
+			}
 		}
 	}
-	workers := min(parallel, len(b.lanes))
-	if workers <= 1 {
-		run(0, len(b.lanes))
+	run := func(r laneRef) {
+		out[r.batch][r.lane], errs[r.batch][r.lane] = batches[r.batch].lane(r.lane).RunContext(ctx)
+	}
+	if workers := min(parallel, len(queue)); workers <= 1 {
+		for _, r := range queue {
+			run(r)
+		}
 	} else {
+		var next atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for range workers {
 			wg.Add(1)
-			go func(lo, hi int) {
+			go func() {
 				defer wg.Done()
-				run(lo, hi)
-			}(w*len(b.lanes)/workers, (w+1)*len(b.lanes)/workers)
+				for k := next.Add(1) - 1; k < int64(len(queue)); k = next.Add(1) - 1 {
+					run(queue[k])
+				}
+			}()
 		}
 		wg.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return out, err
+	var first error
+	for bi, b := range batches {
+		for i, run := range b.runOf {
+			if run != i {
+				if st := out[bi][run]; st != nil {
+					out[bi][i] = st.clone()
+				} else {
+					errs[bi][i] = errs[bi][run]
+				}
+			}
+			if first == nil {
+				first = errs[bi][i]
+			}
 		}
 	}
-	return out, nil
+	return out, first
+}
+
+// lane returns the simulator for distinct lane i: the prototype, or a
+// fresh lane carved off it.
+func (b *Batch) lane(i int) *Simulator {
+	if i == b.protoLane {
+		return b.proto
+	}
+	cfg := b.proto.cfg
+	cfg.Seed = b.variants[i].Seed
+	cfg.LoadFactor = b.variants[i].Load
+	return b.proto.cloneVariant(cfg)
+}
+
+// clone deep-copies stats, so a copy lane shares no slice with its
+// source.
+func (st *Stats) clone() *Stats {
+	c := *st
+	c.DeadlockPackets = slices.Clone(st.DeadlockPackets)
+	c.Latencies = slices.Clone(st.Latencies)
+	c.PerFlow = slices.Clone(st.PerFlow)
+	return &c
 }
 
 // cloneVariant carves a fresh lane off a just-constructed prototype:
 // everything immutable — the channel index, dense per-channel metadata,
 // the transition table — is shared by reference; everything the stepping
 // loop mutates is allocated fresh. The lane's injection probabilities are
-// recomputed with the exact float expression the constructors use, so a
+// recomputed with probBits, the expression the constructors use, so a
 // lane is byte-for-byte the simulator New/NewAdaptive would return for
-// laneCfg.
+// laneCfg. It reads only prototype fields no run writes, so a lane may be
+// carved while the prototype runs as another lane.
 func (s *Simulator) cloneVariant(cfg Config) *Simulator {
 	c := &Simulator{
 		idx:      s.idx,
@@ -179,13 +284,17 @@ func (s *Simulator) cloneVariant(cfg Config) *Simulator {
 		c.linkOcc = make([]int32, len(s.linkOcc))
 	}
 	for i := range s.flows {
-		fs := s.flows[i]
-		fs.next = s.tab.enter[fs.src]
-		fs.queue = nil
-		fs.qhead = 0
-		fs.created = 0
-		fs.probBits = uint64(cfg.LoadFactor * fs.bw / s.maxBW * (1 << 63))
-		c.flows[i] = fs
+		fs := &s.flows[i]
+		c.flows[i] = flowState{
+			id:       fs.id,
+			src:      fs.src,
+			next:     s.tab.enter[fs.src],
+			probBits: probBits(cfg.LoadFactor, fs.bw, s.maxBW),
+			bw:       fs.bw,
+			flits:    fs.flits,
+			local:    fs.local,
+			maxLen:   fs.maxLen,
+		}
 	}
 	return c
 }

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
+	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 	"github.com/nocdr/nocdr/internal/wormhole"
 )
@@ -436,4 +439,367 @@ func FuzzLockstepVariants(f *testing.F) {
 			}
 		}
 	})
+}
+
+// torusDOR is mesh_verify's torus design for g: the 8x8 torus under
+// dimension-ordered routes, after deadlock removal when removed is set
+// (the table as routed is cyclic).
+func torusDOR(t *testing.T, g *traffic.Graph, removed bool) (*topology.Topology, *route.Table) {
+	t.Helper()
+	grid, err := regular.Torus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := regular.DORRoutes(grid, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !removed {
+		return grid.Topology, tab
+	}
+	res, err := core.Remove(grid.Topology, tab, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Topology, res.Routes
+}
+
+// uniformTraffic is mesh_verify's torus traffic: every core sends one
+// 100-unit flow to the core 32 ahead.
+func uniformTraffic(t *testing.T) *traffic.Graph {
+	t.Helper()
+	g, err := regular.UniformTraffic(64, 32, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// twoBandwidthTraffic is uniformTraffic with every odd core's flow at
+// half the bandwidth, so no load above 0 saturates every flow.
+func twoBandwidthTraffic() *traffic.Graph {
+	g := traffic.NewGraph("two_bandwidths")
+	for i := 0; i < 64; i++ {
+		g.AddCore("")
+	}
+	for i := 0; i < 64; i++ {
+		g.MustAddFlow(traffic.CoreID(i), traffic.CoreID((i+32)%64), float64(100-50*(i%2)))
+	}
+	return g
+}
+
+// seedVariants is one variant per seed in [lo, hi] at load.
+func seedVariants(lo, hi int64, load float64) []wormhole.Variant {
+	var vs []wormhole.Variant
+	for s := lo; s <= hi; s++ {
+		vs = append(vs, wormhole.Variant{Seed: s, Load: load})
+	}
+	return vs
+}
+
+// tableOracle runs variant v of cfg as an independent simulator.
+func tableOracle(t *testing.T, top *topology.Topology, g *traffic.Graph, tab *route.Table, cfg wormhole.Config, v wormhole.Variant) *wormhole.Stats {
+	t.Helper()
+	cfg.Seed, cfg.LoadFactor, cfg.OnEpoch = v.Seed, v.Load, nil
+	sim, err := wormhole.New(top, g, tab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestBatchRunsEachDistinctLaneOnce pins the one-run rule: lanes at one
+// load are one run when their seeds are equal, in drain mode, or when no
+// flow's injection draw decides anything at that load (every flow of
+// equal-bandwidth traffic at load 1). Every lane, run or copied, must
+// equal an independent run with its own seed.
+func TestBatchRunsEachDistinctLaneOnce(t *testing.T) {
+	uniform, twoBW := uniformTraffic(t), twoBandwidthTraffic()
+	cfg := wormhole.Config{MaxCycles: 2000, BufferDepth: 2, CollectLatencies: true}
+	drain := cfg
+	drain.MaxCycles, drain.PacketsPerFlow = 1<<20, 5
+	for _, tc := range []struct {
+		name string
+		g    *traffic.Graph
+		cfg  wormhole.Config
+		vs   []wormhole.Variant
+		runs int
+	}{
+		{"load 1 seeds 1-4", uniform, cfg, seedVariants(1, 4, 1), 1},
+		{"load 0.7 seeds 1-4", uniform, cfg, seedVariants(1, 4, 0.7), 4},
+		{"two bandwidths at load 1", twoBW, cfg, seedVariants(1, 4, 1), 4},
+		{"drain mode at load 0.7", twoBW, drain, seedVariants(1, 4, 0.7), 1},
+		// A -loads axis holding the canonical load repeats each seed's
+		// canonical lane.
+		{"repeated seed and load", twoBW, cfg, []wormhole.Variant{
+			{Seed: 1, Load: 0.7}, {Seed: 1, Load: 0.5}, {Seed: 1, Load: 0.7},
+			{Seed: 2, Load: 0.7}, {Seed: 2, Load: 0.5}, {Seed: 2, Load: 0.7},
+		}, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			top, tab := torusDOR(t, tc.g, true)
+			b, err := wormhole.NewBatch(top, tc.g, tab, tc.cfg, tc.vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Runs() != tc.runs {
+				t.Errorf("%d of %d lanes run, want %d", b.Runs(), b.Len(), tc.runs)
+			}
+			got, err := b.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range tc.vs {
+				if want := tableOracle(t, top, tc.g, tab, tc.cfg, v); !reflect.DeepEqual(got[i], want) {
+					t.Errorf("lane %d (%+v) diverges from its independent run\nbatch: %+v\noracle: %+v", i, v, got[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestBatchEpochsRunEveryLane pins the rule's exception: with OnEpoch
+// set, lanes that would be one run each run and emit their own epochs.
+func TestBatchEpochsRunEveryLane(t *testing.T) {
+	g := uniformTraffic(t)
+	top, tab := torusDOR(t, g, true)
+	cfg := wormhole.Config{MaxCycles: 2000, BufferDepth: 2, LoadFactor: 1, EpochCycles: 500}
+	var cycles []int64
+	cfg.OnEpoch = func(e wormhole.EpochStats) { cycles = append(cycles, e.Cycle) }
+	vs := seedVariants(1, 4, 1)
+	b, err := wormhole.NewBatch(top, g, tab, cfg, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Runs() != len(vs) {
+		t.Errorf("%d of %d lanes run with OnEpoch set", b.Runs(), len(vs))
+	}
+	got, err := b.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int64
+	for range vs {
+		want = append(want, 500, 1000, 1500, 2000)
+	}
+	if !slices.Equal(cycles, want) {
+		t.Errorf("epochs at cycles %v, want %v", cycles, want)
+	}
+	for i, v := range vs {
+		if w := tableOracle(t, top, g, tab, cfg, v); !reflect.DeepEqual(got[i], w) {
+			t.Errorf("lane %d diverges from its independent run", i)
+		}
+	}
+}
+
+// TestBatchCopiesShareNothing pins that a copy lane's stats are a deep
+// copy: writing into one lane's slices leaves the other lane's intact.
+func TestBatchCopiesShareNothing(t *testing.T) {
+	g := uniformTraffic(t)
+	for _, removed := range []bool{true, false} {
+		top, tab := torusDOR(t, g, removed)
+		cfg := wormhole.Config{MaxCycles: 2000, BufferDepth: 2, LoadFactor: 1, CollectLatencies: true}
+		vs := seedVariants(1, 2, 1)
+		b, err := wormhole.NewBatch(top, g, tab, cfg, vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Runs() != 1 {
+			t.Fatalf("removed=%v: %d lanes run, want 1", removed, b.Runs())
+		}
+		for _, written := range []int{0, 1} {
+			got, err := b.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := got[written]
+			if st.Deadlocked == removed || len(st.PerFlow) == 0 {
+				t.Fatalf("removed=%v: deadlocked=%v with %d flows", removed, st.Deadlocked, len(st.PerFlow))
+			}
+			st.PerFlow[0].Delivered = -1
+			if removed {
+				st.Latencies[0] = -1
+			} else {
+				st.DeadlockPackets[0] = -1
+			}
+			other := 1 - written
+			if want := tableOracle(t, top, g, tab, cfg, vs[other]); !reflect.DeepEqual(got[other], want) {
+				t.Errorf("removed=%v: writing lane %d's stats changed lane %d's", removed, written, other)
+			}
+			// A batch is single-use: rebuild it for the next pass.
+			if b, err = wormhole.NewBatch(top, g, tab, cfg, vs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestRunBatchesCancelMidRun pins cancellation across batches of one
+// RunBatches call. With one goroutine the queue runs batch by batch in
+// lane order: the first batch (two runs, two copies) finishes, the
+// second batch's lane 1 cancels at its first epoch and stops at the poll
+// at cycle 1024, and nothing after it starts. Finished lanes and their
+// copies keep their stats, every other lane is nil, and the error is
+// lane (1, 1)'s.
+func TestRunBatchesCancelMidRun(t *testing.T) {
+	g := uniformTraffic(t)
+	top, tab := torusDOR(t, g, true)
+	base := wormhole.Config{MaxCycles: 3000, BufferDepth: 2, CollectLatencies: true}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	epochCfg := base
+	epochCfg.EpochCycles = 100
+	started := 0
+	epochCfg.OnEpoch = func(e wormhole.EpochStats) {
+		if e.Cycle != epochCfg.EpochCycles {
+			return
+		}
+		if started++; started == 2 {
+			cancel()
+		}
+	}
+	copies := []wormhole.Variant{{Seed: 1, Load: 1}, {Seed: 1, Load: 0.5}, {Seed: 2, Load: 1}, {Seed: 1, Load: 0.5}}
+	specs := []struct {
+		cfg      wormhole.Config
+		vs       []wormhole.Variant
+		finished int // lanes that keep stats
+	}{
+		{base, copies, 4},
+		{epochCfg, seedVariants(1, 3, 0.5), 1},
+		{base, copies, 0},
+	}
+	batches := make([]*wormhole.Batch, len(specs))
+	for i, sp := range specs {
+		b, err := wormhole.NewBatch(top, g, tab, sp.cfg, sp.vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches[i] = b
+	}
+	out, err := wormhole.RunBatches(ctx, 1, batches...)
+	if !errors.Is(err, nocerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "at cycle 1024") {
+		t.Errorf("error %q is not that of lane (1, 1), canceled at cycle 1024", err)
+	}
+	for bi, sp := range specs {
+		for i, v := range sp.vs {
+			if i >= sp.finished {
+				if out[bi][i] != nil {
+					t.Errorf("lane (%d, %d) has stats though it did not finish", bi, i)
+				}
+				continue
+			}
+			if want := tableOracle(t, top, g, tab, sp.cfg, v); !reflect.DeepEqual(out[bi][i], want) {
+				t.Errorf("finished lane (%d, %d) diverges from its independent run", bi, i)
+			}
+		}
+	}
+}
+
+// TestRunBatchesParallelMatchesSerial pins that the shared queue is
+// invisible in the results: batches whose lanes differ widely in length
+// (full-horizon runs, a run that deadlocks early, a short drain) give
+// the same stats at parallel 1 to 4, each equal to an independent run.
+// The base variant makes the prototype run as a lane while the other
+// lanes are carved off it.
+func TestRunBatchesParallelMatchesSerial(t *testing.T) {
+	g := twoBandwidthTraffic()
+	top, tab := torusDOR(t, g, true)
+	cyclicTop, cyclicTab := torusDOR(t, uniformTraffic(t), false)
+	long := wormhole.Config{MaxCycles: 3000, BufferDepth: 2, LoadFactor: 0.6, CollectLatencies: true}
+	drain := wormhole.Config{MaxCycles: 1 << 20, BufferDepth: 2, PacketsPerFlow: 2}
+	type spec struct {
+		top *topology.Topology
+		g   *traffic.Graph
+		tab *route.Table
+		cfg wormhole.Config
+		vs  []wormhole.Variant
+	}
+	specs := []spec{
+		{top, g, tab, long, []wormhole.Variant{{Seed: 3}, {}, {Seed: 2, Load: 0.9}, {Seed: 4, Load: 0.2}}},
+		{cyclicTop, uniformTraffic(t), cyclicTab, long, seedVariants(1, 3, 1)},
+		{top, g, tab, drain, seedVariants(5, 6, 0)},
+	}
+	run := func(parallel int) [][]*wormhole.Stats {
+		batches := make([]*wormhole.Batch, len(specs))
+		for i, sp := range specs {
+			b, err := wormhole.NewBatch(sp.top, sp.g, sp.tab, sp.cfg, sp.vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches[i] = b
+		}
+		out, err := wormhole.RunBatches(context.Background(), parallel, batches...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	serial := run(1)
+	for bi, sp := range specs {
+		b, err := wormhole.NewBatch(sp.top, sp.g, sp.tab, sp.cfg, sp.vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range b.Variants() {
+			if want := tableOracle(t, sp.top, sp.g, sp.tab, sp.cfg, v); !reflect.DeepEqual(serial[bi][i], want) {
+				t.Errorf("lane (%d, %d) diverges from its independent run", bi, i)
+			}
+		}
+	}
+	if !serial[1][0].Deadlocked || serial[2][0].Drained != true {
+		t.Fatalf("lanes lost their lengths: cyclic deadlocked=%v, drain drained=%v", serial[1][0].Deadlocked, serial[2][0].Drained)
+	}
+	for parallel := 2; parallel <= 4; parallel++ {
+		if got := run(parallel); !reflect.DeepEqual(got, serial) {
+			t.Errorf("parallel %d changed results", parallel)
+		}
+	}
+}
+
+// TestStatsLatenciesMidRun pins that a snapshot's Latencies is
+// LatencyCount samples in ascending order, consistent with the counters,
+// and a fresh slice that later cycles do not touch.
+func TestStatsLatenciesMidRun(t *testing.T) {
+	g := uniformTraffic(t)
+	top, tab := torusDOR(t, g, true)
+	sim, err := wormhole.New(top, g, tab, wormhole.Config{MaxCycles: 4000, BufferDepth: 2, LoadFactor: 0.8, WarmupCycles: 200, CollectLatencies: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := sim.Stats(); st.Latencies != nil {
+		t.Fatalf("latencies %v before any delivery", st.Latencies)
+	}
+	var prev wormhole.Stats
+	var prevLats []int64
+	for _, until := range []int64{300, 1500, 3000} {
+		for sim.Now() < until {
+			sim.Step()
+		}
+		st := sim.Stats()
+		if st.LatencyCount == 0 || int64(len(st.Latencies)) != st.LatencyCount {
+			t.Fatalf("cycle %d: %d latencies, LatencyCount %d", until, len(st.Latencies), st.LatencyCount)
+		}
+		if !slices.IsSorted(st.Latencies) {
+			t.Fatalf("cycle %d: latencies not ascending", until)
+		}
+		var sum int64
+		for _, l := range st.Latencies {
+			sum += l
+		}
+		if sum != st.LatencySum || st.Latencies[len(st.Latencies)-1] != st.LatencyMax {
+			t.Fatalf("cycle %d: latencies sum to %d with max %d, counters say %d and %d",
+				until, sum, st.Latencies[len(st.Latencies)-1], st.LatencySum, st.LatencyMax)
+		}
+		if prev.LatencyCount > 0 && !slices.Equal(prev.Latencies, prevLats) {
+			t.Fatalf("cycle %d: the previous snapshot's latencies changed", until)
+		}
+		prev, prevLats = st, slices.Clone(st.Latencies)
+	}
 }

@@ -73,7 +73,8 @@ type Config struct {
 	// run then never reports Deadlocked; it reports Recoveries instead.
 	Recovery bool
 	// CollectLatencies records every delivered packet's latency so the
-	// Stats percentile helpers work (costs memory on long runs).
+	// Stats percentile helpers work. Latencies are counted per cycle
+	// value, so the cost is one counter per cycle of the largest latency.
 	CollectLatencies bool
 	// EpochCycles, when > 0 together with OnEpoch, emits an EpochStats
 	// snapshot every EpochCycles simulated cycles — the progress feed for

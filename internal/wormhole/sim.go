@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
@@ -128,7 +127,11 @@ type Simulator struct {
 	now          int64
 	lastProgress int64
 	stats        Stats
-	rec          *recovery // in-flight DISHA-style recovery, if any
+	// latHist counts recorded latencies by cycles (Config.CollectLatencies):
+	// latHist[l] samples of latency l, long enough for the largest so far.
+	// Stats expands it into the ascending Latencies slice.
+	latHist []int64
+	rec     *recovery // in-flight DISHA-style recovery, if any
 
 	// maxBW is the bandwidth normalizer probBits was scaled with, kept so
 	// batch lanes recompute per-load probabilities with the exact same
@@ -206,7 +209,7 @@ func (s *Simulator) addFlow(f traffic.Flow, paths [][]int32) error {
 		id:       f.ID,
 		src:      src,
 		next:     s.tab.enter[src],
-		probBits: uint64(s.cfg.LoadFactor * f.Bandwidth / s.maxBW * (1 << 63)),
+		probBits: probBits(s.cfg.LoadFactor, f.Bandwidth, s.maxBW),
 		bw:       f.Bandwidth,
 		flits:    f.PacketFlits,
 		local:    len(s.tab.out(src)) == 0,
@@ -299,10 +302,20 @@ func (s *Simulator) dequeue(fi int) {
 // Now returns the current simulation cycle.
 func (s *Simulator) Now() int64 { return s.now }
 
-// Stats returns a snapshot of the statistics so far.
+// Stats returns a snapshot of the statistics so far. With
+// Config.CollectLatencies, Latencies is a fresh slice of LatencyCount
+// samples in ascending order (nil while there are none).
 func (s *Simulator) Stats() Stats {
 	st := s.stats
 	st.Cycles = s.now
+	if st.LatencyCount > 0 && s.cfg.CollectLatencies {
+		st.Latencies = make([]int64, 0, st.LatencyCount)
+		for lat, n := range s.latHist {
+			for ; n > 0; n-- {
+				st.Latencies = append(st.Latencies, int64(lat))
+			}
+		}
+	}
 	return st
 }
 
@@ -378,6 +391,14 @@ func (s *Simulator) createPackets() {
 		s.enqueue(i, slot)
 		s.stats.InjectedPackets++
 	}
+}
+
+// probBits scales a flow's per-cycle creation probability at load to the
+// [0, 2^63] range the injection draw compares against. Every lane of
+// every constructor computes it with this one float expression, so a
+// batch lane injects exactly like an independent simulator.
+func probBits(load, bw, maxBW float64) uint64 {
+	return uint64(load * bw / maxBW * (1 << 63))
 }
 
 // nextRand draws the next value of the seeded injection process. It is a
@@ -660,7 +681,10 @@ func (s *Simulator) recordDelivery(p *packet) {
 		fs.LatencySum += lat
 		fs.LatencyN++
 		if s.cfg.CollectLatencies {
-			s.stats.Latencies = append(s.stats.Latencies, lat)
+			if lat >= int64(len(s.latHist)) {
+				s.latHist = append(s.latHist, make([]int64, lat+1-int64(len(s.latHist)))...)
+			}
+			s.latHist[lat]++
 		}
 	}
 }
@@ -715,7 +739,6 @@ func (s *Simulator) RunContext(ctx context.Context) (*Stats, error) {
 			break
 		}
 	}
-	s.finishStats()
 	st := s.Stats()
 	return &st, nil
 }
@@ -740,7 +763,7 @@ func (s *Simulator) startRun() laneRun {
 
 // stepOnce advances the run by one cycle. It returns false when the run
 // is over — horizon reached, deadlock confirmed, or drained — after which
-// the caller finalizes with finishStats/Stats.
+// the caller reads Stats.
 func (lr *laneRun) stepOnce() bool {
 	if lr.s.now >= lr.s.cfg.MaxCycles {
 		return false
@@ -779,10 +802,4 @@ func (lr *laneRun) endCycle() bool {
 		return false
 	}
 	return true
-}
-
-func (s *Simulator) finishStats() {
-	if s.cfg.CollectLatencies {
-		slices.Sort(s.stats.Latencies)
-	}
 }

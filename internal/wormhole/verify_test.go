@@ -162,16 +162,14 @@ func (r *refStepper) run() Stats {
 			break
 		}
 	}
-	s.finishStats()
 	return s.Stats()
 }
 
-// diffStats compares two stats snapshots field by field, ignoring the
-// collection order of Latencies (both runs record the same multiset; only
-// the finish pass sorts it).
+// diffStats compares two stats snapshots field by field, Latencies
+// included: both runs record the same multiset, and Stats returns it
+// sorted.
 func diffStats(t *testing.T, label string, a, b Stats) {
 	t.Helper()
-	a.Latencies, b.Latencies = nil, nil
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("%s: fast and reference stats diverge:\nfast: %+v\nref:  %+v", label, a, b)
 	}
@@ -211,8 +209,6 @@ func diffScenario(t *testing.T, label string, build func() (*topology.Topology, 
 			diffStats(t, fmt.Sprintf("%s @ cycle %d", label, cycle), fast.Stats(), refSim.Stats())
 		}
 	}
-	fast.finishStats()
-	refSim.finishStats()
 	want, got := fast.Stats(), refSim.Stats()
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("%s: final stats diverge:\nfast: %+v\nref:  %+v", label, want, got)

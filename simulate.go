@@ -12,8 +12,8 @@ import (
 type SimVariant = wormhole.Variant
 
 // SimBatch is the multi-variant simulator (see Session.NewSimBatch): one
-// shared design built once, N independent (seed, load) lanes, each run to
-// completion.
+// shared design built once, N independent (seed, load) lanes, each
+// distinct lane run to completion once.
 type SimBatch = wormhole.Batch
 
 // SimSpec bundles everything a batched simulation varies: the seed and
@@ -91,8 +91,12 @@ type BatchStats struct {
 // indices, next-hop tables — happens once, each lane owns only its
 // mutable state, and per-variant stats are byte-identical to independent
 // Session.Simulate runs with the same seeds (the differential tests pin
-// this). Lanes are split across WithParallel goroutines, each running
-// its lanes one after another; ctx is honored inside the stepping loop,
+// this). WithParallel goroutines take the lanes from one queue, each
+// allocating and running a lane to completion before taking the next.
+// Variants whose seed cannot change the run (equal seeds, drain mode, or
+// a load at which every flow always injects) run once and get copies of
+// its stats, unless an epoch callback is attached (SimConfig.OnEpoch or
+// the Session's progress feed). ctx is honored inside the stepping loop,
 // and EventSimEpoch snapshots stream to the Session's progress feed lane
 // by lane (from several lanes at once under WithParallel > 1).
 func (s *Session) SimulateBatch(ctx context.Context, top *Topology, g *TrafficGraph, tab *RouteTable, spec SimSpec) (*BatchStats, error) {

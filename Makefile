@@ -34,9 +34,12 @@ bench:
 # cycle search's bound pruning carries the time), synthesis of the same
 # two designs (partition plus the dense shortest-path router), the
 # Session-API overhead twin (which must track BenchmarkRemoval_
-# within ~2%), the reconfiguration delta-vs-cold pair (the delta
-# path's whole reason to exist is being much cheaper than a from-scratch
-# removal, so a regression there is a product regression), and the
+# within ~2%), the yes/no acyclicity pair on the 8x8 DOR torus before
+# and after removal (DeadlockFree builds no CDG; any shortcut for one
+# answer must hold the other), the reconfiguration delta-vs-cold pair
+# (the delta path's whole reason to exist is being much cheaper than a
+# from-scratch removal, so a regression there is a product regression),
+# and the
 # batch-vs-sequential pair (the batch engine's ≥5x multi-core
 # advantage over 16 independent runs must not erode), the fabric
 # result-cache hot path (the per-cell overhead every cached sweep pays),
@@ -55,7 +58,7 @@ bench:
 # significance. CI runs this on the
 # PR head and base and fails on a >15% sec/op or B/op regression.
 bench-pin:
-	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkSimStepTorus$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepFleetWarm$$|BenchmarkSweepVerified$$|BenchmarkSweepLoadCurve$$|BenchmarkSweepPaperLoop$$)' \
+	$(GO) test -run='^$$' -bench='^(BenchmarkSimStep$$|BenchmarkSimStepAdaptive$$|BenchmarkSimStepTorus$$|BenchmarkRemoval_|BenchmarkRemoveIncremental_(128Cores|D36_8_35sw)$$|BenchmarkSynthesize_(128Cores|D36_8_35sw)$$|BenchmarkSessionOverhead$$|BenchmarkDeadlockFree_(Acyclic|Cyclic)$$|BenchmarkReconfigure_|BenchmarkLockstep|BenchmarkCache|BenchmarkSweepWarmCache$$|BenchmarkSweepFleetGrid$$|BenchmarkSweepFleetCold$$|BenchmarkSweepFleetWarm$$|BenchmarkSweepVerified$$|BenchmarkSweepLoadCurve$$|BenchmarkSweepPaperLoop$$)' \
 		-count=6 -benchtime=0.5s . | tee $(BENCH_OUT)
 
 # nocbench's own tests: every workload for a few ops at seed 0 against

@@ -31,8 +31,9 @@ type sweepRun struct {
 	finished int        // cells reported so far
 }
 
-// newSweepRun validates grid and opts and enumerates, filters and keys
-// the cells of the run.
+// newSweepRun validates grid and opts, the simulation parameters of a
+// simulating run included, and enumerates, filters and keys the cells of
+// the run.
 func newSweepRun(grid Grid, opts Options) (*sweepRun, error) {
 	grid = grid.normalized()
 	specs, err := grid.specs()
@@ -41,6 +42,11 @@ func newSweepRun(grid Grid, opts Options) (*sweepRun, error) {
 	}
 	if opts.ShardCount < 0 || (opts.ShardCount > 0 && (opts.ShardIndex < 0 || opts.ShardIndex >= opts.ShardCount)) {
 		return nil, fmt.Errorf("%w: shard %d/%d out of range", nocerr.ErrInvalidInput, opts.ShardIndex, opts.ShardCount)
+	}
+	if opts.Simulate {
+		if err := ValidateSim(opts.Sim); err != nil {
+			return nil, err
+		}
 	}
 	opts.maxPaths = grid.MaxPaths
 	jobs := grid.jobs(specs)

@@ -148,6 +148,38 @@ func TestShardedSimulatedMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestSweepRefusesDeepBufferUpFront pins where a buffer depth over
+// wormhole.MaxBufferDepth is refused: a local run fails before any cell
+// runs, and a sharded run before any worker sees a request, so the
+// depth never reaches a fleet whose 400s would retire every worker.
+func TestSweepRefusesDeepBufferUpFront(t *testing.T) {
+	grid := runner.Grid{Benchmarks: []string{"torus:4x4:uniform"}, Seeds: []int64{0}}
+	opts := runner.Options{Simulate: true, Sim: runner.SimParams{BufferDepth: 1 << 62}}
+	cells := 0
+	local := opts
+	local.OnResult = func(int, int, runner.Result) { cells++ }
+	if _, err := runner.Run(grid, local); !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Fatalf("local run: error %v, want ErrInvalidInput", err)
+	}
+	if cells != 0 {
+		t.Fatalf("local run completed %d cells before refusing", cells)
+	}
+	var requests atomic.Int64
+	urls := startWorkers(t, 2, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			h.ServeHTTP(w, r)
+		})
+	})
+	sh := &runner.Sharded{Workers: urls}
+	if _, err := sh.RunContext(context.Background(), grid, opts); !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Fatalf("sharded run: error %v, want ErrInvalidInput", err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("sharded run sent %d requests before refusing", n)
+	}
+}
+
 // TestShardedOptionsForwarded pins that the removal configuration
 // reaches the workers: a forward-only sharded run must match the
 // identically configured local run, not the default-policy one.

@@ -42,6 +42,25 @@ func (p SimParams) withDefaults() SimParams {
 	return p
 }
 
+// config is the simulator configuration of p's canonical measurement.
+func (p SimParams) config() wormhole.Config {
+	p = p.withDefaults()
+	return wormhole.Config{
+		MaxCycles:   p.Cycles,
+		LoadFactor:  p.Load,
+		BufferDepth: p.BufferDepth,
+		Adaptive:    p.Adaptive,
+	}
+}
+
+// ValidateSim returns the error every simulated cell would fail with on
+// p, so that a sweep can refuse p before any cell runs or any shard is
+// dispatched: an unusable parameter, or a buffer deeper than
+// wormhole.MaxBufferDepth (wrapping nocerr.ErrInvalidInput).
+func ValidateSim(p SimParams) error {
+	return wormhole.CheckConfig(p.config(), 0)
+}
+
 // SimResult is the flit-level verification outcome of one grid cell: the
 // negative control (the pre-removal design must deadlock under the
 // constructed witness workload if its CDG was cyclic), the post-removal
@@ -201,12 +220,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 	for i := range results {
 		results[i] = &SimResult{}
 	}
-	cfg := wormhole.Config{
-		MaxCycles:   params.Cycles,
-		LoadFactor:  params.Load,
-		BufferDepth: params.BufferDepth,
-		Adaptive:    params.Adaptive,
-	}
+	cfg := params.config()
 	// One witness lane per seed. A seed of 0 normalizes to the base
 	// config's defaulted seed inside the batch — the same fallback a
 	// zero Config.Seed gets from a single simulator.

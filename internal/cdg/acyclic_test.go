@@ -9,26 +9,36 @@ import (
 
 // tableWalk walks a table's routes in flow-ID order.
 func tableWalk(tab *route.Table) Paths {
-	return func(visit func([]topology.Channel)) {
+	return func(visit func(int, []topology.Channel)) {
 		for _, r := range tab.Routes() {
-			visit(r.Channels)
+			visit(r.FlowID, r.Channels)
 		}
 	}
 }
 
 // setWalk walks a route set's candidate paths in pseudo-flow order.
 func setWalk(set *route.RouteSet) Paths {
-	return func(visit func([]topology.Channel)) {
+	return func(visit func(int, []topology.Channel)) {
+		pseudo := 0
 		for f := 0; f < set.NumFlows(); f++ {
 			for _, p := range route.PathsOf(set, f) {
-				visit(p)
+				visit(pseudo, p)
+				pseudo++
 			}
 		}
 	}
 }
 
-// TestProveAcyclicCases pins the pass's verdict on the shapes the break
-// loop treats specially: it proves only what Build would report acyclic.
+// errText is an error's text, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestProveAcyclicCases pins the pass's answer on the shapes the break
+// loop treats specially: its verdict is Build's, and so is its error.
 func TestProveAcyclicCases(t *testing.T) {
 	top, cyclic := paperExample(t)
 	if _, err := top.AddVC(1); err != nil {
@@ -52,22 +62,28 @@ func TestProveAcyclicCases(t *testing.T) {
 		{"negative link", [][]topology.Channel{{ch(-1, 0)}}, false},
 		{"missing VC", [][]topology.Channel{{ch(0, 0), ch(2, 1)}}, false},
 		{"negative VC", [][]topology.Channel{{ch(0, -1)}}, false},
+		{"bad hop after a cycle", [][]topology.Channel{{ch(0, 0), ch(1, 0)}, {ch(1, 0), ch(0, 0)}, {ch(2, 0), ch(3, 1)}}, false},
+		{"two bad hops", [][]topology.Channel{{ch(0, 0), ch(2, 1), ch(5, 0)}, {ch(6, 0)}}, false},
 	}
 	for _, c := range cases {
 		tab := route.NewTable(len(c.routes))
 		for f, r := range c.routes {
 			tab.Set(f, r)
 		}
-		if got := ProveAcyclic(top, tableWalk(tab)); got != c.want {
+		got, err := ProveAcyclic(top, tableWalk(tab))
+		if got != c.want {
 			t.Errorf("%s: ProveAcyclic = %v, want %v", c.name, got, c.want)
 		}
-		g, err := Build(top, tab)
-		if want := err == nil && g.Acyclic(); want != c.want {
+		g, buildErr := Build(top, tab)
+		if want := buildErr == nil && g.Acyclic(); want != c.want {
 			t.Errorf("%s: Build acyclic = %v, case says %v", c.name, want, c.want)
 		}
+		if errText(err) != errText(buildErr) {
+			t.Errorf("%s: ProveAcyclic error %q, Build's %q", c.name, errText(err), errText(buildErr))
+		}
 	}
-	if ProveAcyclic(top, tableWalk(cyclic)) {
-		t.Error("Figure 2's cyclic CDG proven acyclic")
+	if ok, err := ProveAcyclic(top, tableWalk(cyclic)); ok || err != nil {
+		t.Errorf("Figure 2's cyclic CDG: ProveAcyclic = %v, %v; want false, nil", ok, err)
 	}
 	// A faulted link is not rejected: Build does not reject it either.
 	if err := top.Fault(0); err != nil {
@@ -75,8 +91,8 @@ func TestProveAcyclicCases(t *testing.T) {
 	}
 	tab := route.NewTable(1)
 	tab.Set(0, []topology.Channel{ch(0, 0), ch(1, 0)})
-	if !ProveAcyclic(top, tableWalk(tab)) {
-		t.Error("route over a faulted link not proven acyclic")
+	if ok, err := ProveAcyclic(top, tableWalk(tab)); !ok || err != nil {
+		t.Errorf("route over a faulted link: ProveAcyclic = %v, %v; want true, nil", ok, err)
 	}
 }
 
@@ -152,7 +168,7 @@ func fuzzPassDesign(data []byte) (*topology.Topology, *route.RouteSet) {
 // FuzzAcyclicPass holds the pass to Build on small random designs,
 // unprovisioned and repeated channels included: it proves a set acyclic
 // exactly when BuildSet succeeds and reports the union CDG acyclic, and
-// answers "not proven" otherwise.
+// fails exactly when BuildSet fails, with its error text.
 func FuzzAcyclicPass(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0x11, 0x11, 0x11})
@@ -163,10 +179,14 @@ func FuzzAcyclicPass(f *testing.F) {
 	f.Add([]byte{2, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0, 1, 2, 0xFF, 2, 3, 0xFF, 3, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top, set := fuzzPassDesign(data)
-		g, _, err := BuildSet(top, set)
-		want := err == nil && g.Acyclic()
-		if got := ProveAcyclic(top, setWalk(set)); got != want {
-			t.Fatalf("ProveAcyclic = %v, BuildSet acyclic = %v (err %v)", got, want, err)
+		g, _, buildErr := BuildSet(top, set)
+		want := buildErr == nil && g.Acyclic()
+		got, err := ProveAcyclic(top, setWalk(set))
+		if got != want {
+			t.Fatalf("ProveAcyclic = %v, BuildSet acyclic = %v (err %v)", got, want, buildErr)
+		}
+		if errText(err) != errText(buildErr) {
+			t.Fatalf("ProveAcyclic error %q, BuildSet's %q", errText(err), errText(buildErr))
 		}
 	})
 }

@@ -388,7 +388,8 @@ func TestSmallestCycleAgreementProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		cycle := c.SmallestCycle()
-		if (cycle == nil) != c.Acyclic() || c.Acyclic() != ProveAcyclic(top, tableWalk(tab)) {
+		proven, err := ProveAcyclic(top, tableWalk(tab))
+		if (cycle == nil) != c.Acyclic() || c.Acyclic() != proven || err != nil {
 			return false
 		}
 		seen := map[topology.Channel]bool{}
@@ -463,4 +464,29 @@ func TestConcurrentQueries(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRebindValidatesAgainstNewTopology pins what Rebind is for: a
+// reroute onto a VC only the rebound topology has is refused before the
+// rebind and accepted after it.
+func TestRebindValidatesAgainstNewTopology(t *testing.T) {
+	top, tab := paperExample(t)
+	m, err := BuildIncremental(top, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := top.Clone()
+	if _, err := clone.AddVC(0); err != nil {
+		t.Fatal(err)
+	}
+	onClone := Reroute{FlowID: 3,
+		Old: []topology.Channel{topology.Chan(0, 0), topology.Chan(1, 0)},
+		New: []topology.Channel{topology.Chan(0, 1), topology.Chan(1, 0)}}
+	if err := m.ApplyReroute(onClone); err == nil {
+		t.Fatal("reroute onto a channel the bound topology lacks succeeded")
+	}
+	m.Rebind(clone)
+	if err := m.ApplyReroute(onClone); err != nil {
+		t.Fatalf("reroute onto rebound topology's channel: %v", err)
+	}
 }

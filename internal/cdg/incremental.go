@@ -38,7 +38,7 @@ type Reroute struct {
 // so the smallest-cycle scan can skip a vertex whose bound already reaches
 // the best cycle found. Probes raise the bounds; a relabel reroute (see
 // relabels) keeps them, because no cycle gets shorter under it; any other
-// reroute, and Restore, drops them all to 0.
+// reroute drops them all to 0.
 type Incremental struct {
 	top   *topology.Topology
 	chans []topology.Channel // vertex id → channel, in id-assignment order
@@ -159,6 +159,16 @@ func BuildIncremental(top *topology.Topology, table *route.Table) (*Incremental,
 		}
 	}
 	return m, nil
+}
+
+// Rebind points the graph's channel validation at a different topology:
+// typically a clone of the original that has just had a link faulted and
+// will receive a replay's new VCs. Reroutes are validated against the
+// bound topology. The clone must be structurally identical to the
+// original (same switch and link IDs); only fault masks and VC counts may
+// diverge.
+func (m *Incremental) Rebind(top *topology.Topology) {
+	m.top = top
 }
 
 // lookup returns the vertex id of ch, or -1 when the graph has none.

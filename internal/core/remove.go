@@ -56,7 +56,9 @@ func Remove(top *topology.Topology, tab *route.Table, opts Options) (*Result, er
 // nocerr.ErrCanceled and ctx.Err() as soon as the context is done. A
 // canceled removal returns no partial result.
 func RemoveContext(ctx context.Context, top *topology.Topology, tab *route.Table, opts Options) (*Result, error) {
-	if cdg.ProveAcyclic(top, tablePaths(tab)) {
+	// An error here is the break loop's to report: its CDG build names
+	// the same hop.
+	if ok, _ := cdg.ProveAcyclic(top, tablePaths(tab)); ok {
 		// The loop checks ctx right after building its CDG; a settled
 		// input fails the same way.
 		if err := canceled(ctx); err != nil {
@@ -67,12 +69,13 @@ func RemoveContext(ctx context.Context, top *topology.Topology, tab *route.Table
 	return remove(ctx, top.Clone(), tab.Clone(), opts)
 }
 
-// tablePaths walks a table's routes in flow-ID order.
+// tablePaths walks a table's routes in flow-ID order, as cdg.Build
+// does.
 func tablePaths(tab *route.Table) cdg.Paths {
-	return func(visit func([]topology.Channel)) {
+	return func(visit func(int, []topology.Channel)) {
 		for f := 0; f < tab.NumFlows(); f++ {
 			if r := tab.Route(f); r != nil {
-				visit(r.Channels)
+				visit(r.FlowID, r.Channels)
 			}
 		}
 	}
@@ -215,25 +218,27 @@ func scanRoutes(tab *route.Table, flows []int) []*route.Route {
 }
 
 // DeadlockFree reports whether the topology/route pair already has an
-// acyclic CDG (no removal needed).
+// acyclic CDG (no removal needed). It builds no CDG: cdg.ProveAcyclic
+// answers, and names the first unprovisioned hop as cdg.Build would.
 func DeadlockFree(top *topology.Topology, tab *route.Table) (bool, error) {
-	g, err := cdg.Build(top, tab)
-	if err != nil {
-		return false, err
-	}
-	return g.Acyclic(), nil
+	return cdg.ProveAcyclic(top, tablePaths(tab))
 }
 
 // Verify checks a Result: every route's channels must be provisioned in
-// the result topology (cdg.Build names the first hop that is not) and its
-// CDG must be acyclic. It is used by tests and by the CLI after every
-// removal.
+// the result topology (the error names the first hop that is not, as
+// cdg.Build would) and its CDG must be acyclic. It is used by tests and
+// by the CLI after every removal.
 func (r *Result) Verify() error {
-	g, err := cdg.Build(r.Topology, r.Routes)
+	return verify(r.Topology, tablePaths(r.Routes))
+}
+
+// verify is Verify over any route walk.
+func verify(top *topology.Topology, paths cdg.Paths) error {
+	ok, err := cdg.ProveAcyclic(top, paths)
 	if err != nil {
 		return err
 	}
-	if !g.Acyclic() {
+	if !ok {
 		return fmt.Errorf("%w: result CDG still cyclic", nocerr.ErrCyclicCDG)
 	}
 	return nil

@@ -34,7 +34,7 @@ type SetResult struct {
 // inputs are never mutated. Cancellation is cooperative, as in
 // RemoveContext.
 func RemoveSetContext(ctx context.Context, top *topology.Topology, set *route.RouteSet, opts Options) (*SetResult, error) {
-	if cdg.ProveAcyclic(top, setPaths(set)) {
+	if ok, _ := cdg.ProveAcyclic(top, setPaths(set)); ok {
 		if err := canceled(ctx); err != nil {
 			return nil, err
 		}
@@ -72,27 +72,29 @@ func foldSet(res *Result, refs []route.PathRef, numFlows int) (*SetResult, error
 	}, nil
 }
 
-// setPaths walks a set's candidate paths in Flatten's pseudo-flow order.
+// setPaths walks a set's candidate paths in Flatten's pseudo-flow order,
+// each under its pseudo-flow ID.
 func setPaths(set *route.RouteSet) cdg.Paths {
-	return func(visit func([]topology.Channel)) {
+	return func(visit func(int, []topology.Channel)) {
+		pseudo := 0
 		for f := 0; f < set.NumFlows(); f++ {
 			for _, p := range route.PathsOf(set, f) {
-				visit(p)
+				visit(pseudo, p)
+				pseudo++
 			}
 		}
 	}
 }
 
-// DeadlockFreeSet reports whether the route set's union CDG is acyclic.
+// DeadlockFreeSet reports whether the route set's union CDG is acyclic,
+// as DeadlockFree does for a table; an error names a pseudo-flow ID, as
+// cdg.BuildSet's would.
 func DeadlockFreeSet(top *topology.Topology, set *route.RouteSet) (bool, error) {
-	tab, _ := set.Flatten()
-	return DeadlockFree(top, tab)
+	return cdg.ProveAcyclic(top, setPaths(set))
 }
 
 // VerifySet checks a SetResult the way Result.Verify checks a Result:
 // acyclic union CDG and only provisioned channels on every path.
 func (r *SetResult) VerifySet() error {
-	tab, _ := r.Routes.Flatten()
-	tmp := &Result{Topology: r.Topology, Routes: tab}
-	return tmp.Verify()
+	return verify(r.Topology, setPaths(r.Routes))
 }

@@ -20,8 +20,9 @@ import (
 // must be working copies the caller can afford to lose, and m must be
 // the incremental CDG built over exactly that pair (after the caller's
 // reroutes have been applied to all three). On any error the trio is
-// left mid-mutation — callers needing atomicity take a cdg.Snapshot
-// plus their own topology/route copies first and restore on failure.
+// left mid-mutation — callers needing atomicity work on copies of the
+// topology and routes and, on failure, drop all three and rebuild the
+// CDG from the inputs they kept.
 //
 // The returned Result aliases top and tab. AddedVCs counts only the VCs
 // this replay added — the reconfiguration delta — not the ones the

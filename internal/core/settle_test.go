@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -183,9 +184,9 @@ func (d corpusDesign) paths() cdg.Paths {
 	return setPaths(d.set)
 }
 
-// acyclic is the full CDG's verdict on the design.
-func (d corpusDesign) acyclic(t *testing.T) bool {
-	t.Helper()
+// verdict is the full CDG's answer on the design: acyclic or not, or
+// the error its build fails with.
+func (d corpusDesign) verdict() (bool, error) {
 	var g *cdg.CDG
 	var err error
 	if d.tab != nil {
@@ -194,23 +195,128 @@ func (d corpusDesign) acyclic(t *testing.T) bool {
 		g, _, err = cdg.BuildSet(d.top, d.set)
 	}
 	if err != nil {
+		return false, err
+	}
+	return g.Acyclic(), nil
+}
+
+// acyclic is the full CDG's verdict on a design whose channels are all
+// provisioned.
+func (d corpusDesign) acyclic(t *testing.T) bool {
+	t.Helper()
+	ok, err := d.verdict()
+	if err != nil {
 		t.Fatalf("%s: %v", d.name, err)
 	}
-	return g.Acyclic()
+	return ok
+}
+
+// checkVerdict holds the yes/no entry points to the full CDG on d: the
+// pass, DeadlockFree (or DeadlockFreeSet) and Verify (or VerifySet) give
+// its verdict and, when a hop is unprovisioned, its error text.
+func (d corpusDesign) checkVerdict(t *testing.T) {
+	t.Helper()
+	want, wantErr := d.verdict()
+	same := func(what string, got bool, err error) {
+		t.Helper()
+		if got != want || errText(err) != errText(wantErr) {
+			t.Fatalf("%s: %s = %v, %q; full CDG %v, %q", d.name, what, got, errText(err), want, errText(wantErr))
+		}
+	}
+	got, err := cdg.ProveAcyclic(d.top, d.paths())
+	same("ProveAcyclic", got, err)
+	var verr error
+	if d.tab != nil {
+		got, err = DeadlockFree(d.top, d.tab)
+		verr = (&Result{Topology: d.top, Routes: d.tab}).Verify()
+	} else {
+		got, err = DeadlockFreeSet(d.top, d.set)
+		verr = (&SetResult{Topology: d.top, Routes: d.set}).VerifySet()
+	}
+	same("DeadlockFree", got, err)
+	switch {
+	case wantErr != nil:
+		if errText(verr) != errText(wantErr) {
+			t.Fatalf("%s: Verify error %q, want %q", d.name, errText(verr), errText(wantErr))
+		}
+	case want:
+		if verr != nil {
+			t.Fatalf("%s: Verify of an acyclic design: %v", d.name, verr)
+		}
+	case !errors.Is(verr, nocerr.ErrCyclicCDG):
+		t.Fatalf("%s: Verify of a cyclic design: %v, want ErrCyclicCDG", d.name, verr)
+	}
+}
+
+// errText is an error's text, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// badHops returns copies of d with one hop moved onto an unprovisioned
+// channel: a VC its link lacks, then an unknown link, at a hop picked by
+// rng. A table design also yields both copies lifted to a route set, so
+// the set walk's pseudo-flow IDs are checked on the same routes.
+func (d corpusDesign) badHops(rng *rand.Rand) []corpusDesign {
+	var paths [][]topology.Channel
+	if d.tab != nil {
+		for _, r := range d.tab.Routes() {
+			paths = append(paths, r.Channels)
+		}
+	} else {
+		for f := 0; f < d.set.NumFlows(); f++ {
+			paths = append(paths, route.PathsOf(d.set, f)...)
+		}
+	}
+	var hops [][2]int // (path, hop) of every channel
+	for p, path := range paths {
+		for h := range path {
+			hops = append(hops, [2]int{p, h})
+		}
+	}
+	if len(hops) == 0 {
+		return nil
+	}
+	var out []corpusDesign
+	at := hops[rng.Intn(len(hops))]
+	old := paths[at[0]][at[1]]
+	for _, bad := range []topology.Channel{
+		topology.Chan(old.Link, d.top.Link(old.Link).VCs),
+		topology.Chan(topology.LinkID(d.top.NumLinks()), 0),
+	} {
+		paths[at[0]][at[1]] = bad
+		b := corpusDesign{name: fmt.Sprintf("%s/bad %v at %v", d.name, bad, at), top: d.top}
+		if d.tab != nil {
+			b.tab = d.tab.Clone()
+			out = append(out, b, corpusDesign{name: b.name + "/lifted", top: d.top, set: route.FromTable(b.tab)})
+		} else {
+			b.set = d.set.Clone()
+			out = append(out, b)
+		}
+	}
+	paths[at[0]][at[1]] = old
+	return out
 }
 
 // TestSettleMatchesFullRebuildCorpus is the acyclic first pass's
-// differential check: on every corpus design its verdict equals the full
-// CDG's, and both removal entry points return exactly what their
-// rebuild-every-break oracle returns.
+// differential check: on every corpus design, and on copies of each with
+// an unprovisioned hop, its verdict and error equal the full CDG's, and
+// both removal entry points return exactly what their rebuild-every-break
+// oracle returns.
 func TestSettleMatchesFullRebuildCorpus(t *testing.T) {
-	acyclic := 0
+	acyclic, bad := 0, 0
 	corpus := settleCorpus(t)
+	rng := rand.New(rand.NewSource(1))
 	for _, d := range corpus {
-		want := d.acyclic(t)
-		if got := cdg.ProveAcyclic(d.top, d.paths()); got != want {
-			t.Fatalf("%s: ProveAcyclic = %v, full CDG acyclic = %v", d.name, got, want)
+		d.checkVerdict(t)
+		for _, b := range d.badHops(rng) {
+			b.checkVerdict(t)
+			bad++
 		}
+		want := d.acyclic(t)
 		if want {
 			acyclic++
 		}
@@ -229,7 +335,7 @@ func TestSettleMatchesFullRebuildCorpus(t *testing.T) {
 			t.Fatalf("%s: InitialAcyclic = %v, full CDG acyclic = %v", d.name, got.initialAcyclic, want)
 		}
 	}
-	t.Logf("%d of %d corpus designs start acyclic", acyclic, len(corpus))
+	t.Logf("%d of %d corpus designs start acyclic; %d copies with a bad hop", acyclic, len(corpus), bad)
 	// The corpus must exercise both sides of the pass.
 	if acyclic == 0 || acyclic == len(corpus) {
 		t.Fatalf("%d of %d corpus designs acyclic; want a mix", acyclic, len(corpus))

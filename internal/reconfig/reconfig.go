@@ -67,7 +67,11 @@ type State struct {
 	tab  *route.Table
 	refs []route.PathRef
 	dead []bool
-	m    *cdg.Incremental
+	// m is the CDG of the committed design and tab, or nil after a
+	// rolled-back event, which leaves it half-mutated; the next event
+	// rebuilds it. A rebuilt graph picks the cycles the maintained one
+	// would (cdg's determinism contract), so the replay is the same.
+	m *cdg.Incremental
 }
 
 // NewState wraps a design for online reconfiguration. The design is
@@ -117,8 +121,14 @@ func (s *State) ApplyFault(ctx context.Context, link topology.LinkID, opts Optio
 
 	// Work on copies; the committed state is only swapped in at the end.
 	// The CDG is the one exception — it is mutated in place (that is the
-	// point of warm-starting) and rescued by the snapshot on any error.
-	snap := s.m.Snapshot()
+	// point of warm-starting) and dropped on any error.
+	if s.m == nil {
+		m, err := cdg.BuildIncremental(s.design.Topology, s.tab)
+		if err != nil {
+			return nil, err
+		}
+		s.m = m
+	}
 	workTop := s.design.Topology.Clone()
 	if err := workTop.Fault(link); err != nil {
 		return nil, err
@@ -128,7 +138,7 @@ func (s *State) ApplyFault(ctx context.Context, link topology.LinkID, opts Optio
 	workRefs := append([]route.PathRef(nil), s.refs...)
 	workDead := append([]bool(nil), s.dead...)
 	rollback := func() {
-		s.m.Restore(snap)
+		s.m = nil
 		stage(StageRolledBack)
 	}
 

@@ -251,6 +251,92 @@ func TestApplyFaultRollbackByteIdentical(t *testing.T) {
 	}
 }
 
+// TestApplyFaultMidReplayRollback fails an event on its VC limit after
+// the replay has broken cycles in the live CDG, then applies the same
+// fault with no limit: the delta and the design must be byte-identical
+// to those of a state that never failed. A committed event comes first,
+// so the CDG rebuilt after the rollback covers duplicate VCs, emptied
+// pseudo-flow slots and appended ones.
+func TestApplyFaultMidReplayRollback(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		g := mustGrid(t, wrap, 6, 6)
+		d := buildDesign(t, g, allToAll(t, 36), route.MinimalAdaptive)
+		rollbacks := 0
+		for seed := int64(0); seed < 8 && rollbacks < 2; seed++ {
+			faults, err := regular.SelectFaults(g, 2, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			first, second := faults[0], faults[1]
+			apply := func(st *State, link topology.LinkID, opts Options) ([]byte, error) {
+				t.Helper()
+				opts.SkipSim = true
+				delta, err := st.ApplyFault(context.Background(), link, opts)
+				if err != nil {
+					return nil, err
+				}
+				data, err := delta.MarshalJSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data, nil
+			}
+			fresh, err := NewState(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := apply(fresh, first, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			var want *Delta
+			if want, err = fresh.ApplyFault(context.Background(), second, Options{SkipSim: true}); err != nil {
+				t.Fatal(err)
+			}
+			if want.Iterations < 2 {
+				continue // a limit cannot fail this replay after a break
+			}
+			wantDelta, _ := want.MarshalJSON()
+
+			st, err := NewState(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := apply(st, first, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			before := designJSON(t, st.Design())
+			breaks := 0
+			_, err = apply(st, second, Options{
+				VCLimit: want.VCsAdded - 1,
+				OnBreak: func(core.BreakRecord) { breaks++ },
+			})
+			if !errors.Is(err, nocerr.ErrVCLimit) {
+				t.Fatalf("wrap=%v seed %d: err = %v, want ErrVCLimit", wrap, seed, err)
+			}
+			if breaks == 0 {
+				t.Fatalf("wrap=%v seed %d: the limit failed the replay before any break", wrap, seed)
+			}
+			if !bytes.Equal(before, designJSON(t, st.Design())) {
+				t.Fatalf("wrap=%v seed %d: failed event mutated the design", wrap, seed)
+			}
+			got, err := apply(st, second, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantDelta) {
+				t.Fatalf("wrap=%v seed %d: delta after rollback differs from a fresh state's:\n%s\nwant:\n%s", wrap, seed, got, wantDelta)
+			}
+			if !bytes.Equal(designJSON(t, st.Design()), designJSON(t, fresh.Design())) {
+				t.Fatalf("wrap=%v seed %d: design after rollback differs from a fresh state's", wrap, seed)
+			}
+			rollbacks++
+		}
+		if rollbacks == 0 {
+			t.Fatalf("wrap=%v: no seed gave a replay of two or more breaks", wrap)
+		}
+	}
+}
+
 // TestApplyFaultInputValidation covers the error surface.
 func TestApplyFaultInputValidation(t *testing.T) {
 	g := mustGrid(t, false, 3, 3)

@@ -153,11 +153,11 @@ func Ring(n int, bidirectional bool) (*Grid, error) {
 	return &Grid{Topology: top, Cols: n, Rows: 1, Wrap: true}, nil
 }
 
-// DORRoutes computes dimension-ordered (X then Y) routes for every flow:
-// on a mesh this is the textbook deadlock-free XY routing; on a torus
-// each dimension takes the minimal direction (ties go positive), crossing
-// the wrap-around link when shorter — the configuration whose CDG cycles
-// the removal algorithm exists to break.
+// DORRoutes computes dimension-ordered (X then Y) routes for every flow
+// with route.DORPath: on a mesh this is the textbook deadlock-free XY
+// routing; on a torus each dimension takes the minimal direction (ties
+// go positive), crossing the wrap-around link when shorter — the
+// configuration whose CDG cycles the removal algorithm exists to break.
 func DORRoutes(g *Grid, tg *traffic.Graph) (*route.Table, error) {
 	tab := route.NewTable(tg.NumFlows())
 	for _, f := range tg.Flows() {
@@ -169,58 +169,13 @@ func DORRoutes(g *Grid, tg *traffic.Graph) (*route.Table, error) {
 		if !ok {
 			return nil, fmt.Errorf("regular: core %d not attached", f.Dst)
 		}
-		var channels []topology.Channel
-		cx, cy := g.Coord(src)
-		dx, dy := g.Coord(dst)
-		// X dimension first.
-		for cx != dx {
-			step := dirStep(cx, dx, g.Cols, g.Wrap)
-			next := (cx + step + g.Cols) % g.Cols
-			id, ok := g.Topology.FindLink(g.SwitchAt(cx, cy), g.SwitchAt(next, cy))
-			if !ok {
-				return nil, fmt.Errorf("regular: missing X link (%d,%d)→(%d,%d)", cx, cy, next, cy)
-			}
-			if g.Topology.Faulted(id) {
-				return nil, fmt.Errorf("regular: DOR route for flow %d crosses faulted link %d (deterministic DOR cannot route around faults; use an adaptive routing)", f.ID, id)
-			}
-			channels = append(channels, topology.Chan(id, 0))
-			cx = next
-		}
-		// Then Y.
-		for cy != dy {
-			step := dirStep(cy, dy, g.Rows, g.Wrap)
-			next := (cy + step + g.Rows) % g.Rows
-			id, ok := g.Topology.FindLink(g.SwitchAt(cx, cy), g.SwitchAt(cx, next))
-			if !ok {
-				return nil, fmt.Errorf("regular: missing Y link (%d,%d)→(%d,%d)", cx, cy, cx, next)
-			}
-			if g.Topology.Faulted(id) {
-				return nil, fmt.Errorf("regular: DOR route for flow %d crosses faulted link %d (deterministic DOR cannot route around faults; use an adaptive routing)", f.ID, id)
-			}
-			channels = append(channels, topology.Chan(id, 0))
-			cy = next
+		channels, err := route.DORPath(g.Topology, g.Spec(), src, dst)
+		if err != nil {
+			return nil, fmt.Errorf("regular: DOR route for flow %d: %w (deterministic DOR cannot route around faults; use an adaptive routing)", f.ID, err)
 		}
 		tab.Set(f.ID, channels)
 	}
 	return tab, nil
-}
-
-// dirStep returns +1 or −1: the minimal-distance direction from cur to
-// dst along a dimension of size n, wrapping only when the topology wraps
-// (and the dimension is large enough to have wrap links). Ties go +1.
-func dirStep(cur, dst, n int, wrap bool) int {
-	if !wrap || n <= 2 {
-		if dst > cur {
-			return 1
-		}
-		return -1
-	}
-	fwd := ((dst - cur) + n) % n
-	bwd := n - fwd
-	if fwd <= bwd {
-		return 1
-	}
-	return -1
 }
 
 // UniformTraffic builds a one-core-per-switch traffic graph where every

@@ -1,12 +1,14 @@
 package regular
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/cdg"
 	"github.com/nocdr/nocdr/internal/core"
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/topology"
 	"github.com/nocdr/nocdr/internal/traffic"
 	"github.com/nocdr/nocdr/internal/wormhole"
@@ -476,5 +478,36 @@ func TestGridSizedMatchesUnsized(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDORRoutesFaultNamesFlowAndLink pins DORRoutes' error on a faulted
+// XY path: it names the first flow whose path crosses the fault and the
+// faulted link, wraps ErrInvalidInput, and advises an adaptive routing.
+func TestDORRoutesFaultNamesFlowAndLink(t *testing.T) {
+	g, err := Mesh(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := traffic.NewGraph("faulted")
+	for i := 0; i < 9; i++ {
+		tg.AddCore("")
+	}
+	tg.MustAddFlow(3, 5, 1) // (0,1) → (2,1): stays off the fault
+	tg.MustAddFlow(0, 2, 1) // (0,0) → (2,0): crosses (1,0)→(2,0)
+	link, ok := g.Topology.FindLink(g.SwitchAt(1, 0), g.SwitchAt(2, 0))
+	if !ok {
+		t.Fatal("no link (1,0)→(2,0)")
+	}
+	if err := g.Topology.Fault(link); err != nil {
+		t.Fatal(err)
+	}
+	_, err = DORRoutes(g, tg)
+	want := fmt.Sprintf("regular: DOR route for flow 1: route: DOR path crosses faulted link %d: invalid input (deterministic DOR cannot route around faults; use an adaptive routing)", link)
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Errorf("%v does not wrap ErrInvalidInput", err)
 	}
 }

@@ -259,7 +259,7 @@ func flowPaths(top *topology.Topology, g *traffic.Graph, gs GridSpec, adj [][]to
 		// No escape for DOR: the documented contract is that the
 		// deterministic baseline cannot route around a fault, so a
 		// fault on an XY path is a hard error, not a silent detour.
-		p, err := dorPath(top, gs, src, dst)
+		p, err := DORPath(top, gs, src, dst)
 		if err != nil {
 			return nil, fmt.Errorf("route: flow %d (%d→%d) unroutable under %s: %w", f.ID, src, dst, model, err)
 		}
@@ -310,11 +310,13 @@ func RegenerateFlows(top *topology.Topology, g *traffic.Graph, gs GridSpec, mode
 	return out, nil
 }
 
-// dorPath walks X then Y, taking the minimal direction per dimension
-// (ties positive, matching internal/regular.DORRoutes), and fails if any
-// hop's link is missing or faulted — deterministic DOR cannot route
-// around a fault.
-func dorPath(top *topology.Topology, gs GridSpec, src, dst topology.SwitchID) ([]topology.Channel, error) {
+// DORPath is the dimension-ordered walk from src to dst on VC 0: X then
+// Y, each dimension in its minimal direction, crossing a wrap-around link
+// where the grid has them and that is shorter (ties go positive). It
+// fails if any hop's link is missing or faulted — deterministic DOR
+// cannot route around a fault. It is the one DOR walker: GridRoutes'
+// DOR model and regular.DORRoutes both take their paths from it.
+func DORPath(top *topology.Topology, gs GridSpec, src, dst topology.SwitchID) ([]topology.Channel, error) {
 	var channels []topology.Channel
 	cx, cy := gs.coord(src)
 	dx, dy := gs.coord(dst)

@@ -250,11 +250,11 @@ func TestFlattenSinglePathIdentity(t *testing.T) {
 	}
 }
 
-// TestGridRoutesDORMatchesRegular pins the two DOR implementations to
-// each other: route.GridRoutes under the DOR model must produce exactly
-// the channel sequences of regular.DORRoutes on mesh and torus — the
-// claim that dor sweep cells match the classic single-path pipeline
-// rests on the two XY walks (and their tie-breaks) staying in sync.
+// TestGridRoutesDORMatchesRegular pins the two DOR entry points to each
+// other: route.GridRoutes under the DOR model must produce exactly the
+// channel sequences of regular.DORRoutes on mesh and torus — the claim
+// that dor sweep cells match the classic single-path pipeline rests on
+// both taking one DORPath per flow, between the same switches.
 func TestGridRoutesDORMatchesRegular(t *testing.T) {
 	for _, wrap := range []bool{false, true} {
 		var grid *regular.Grid

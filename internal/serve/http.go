@@ -12,9 +12,11 @@ import (
 	"time"
 
 	nocdr "github.com/nocdr/nocdr"
+	"github.com/nocdr/nocdr/internal/bench/runner"
 	"github.com/nocdr/nocdr/internal/certify"
 	"github.com/nocdr/nocdr/internal/fabric"
 	"github.com/nocdr/nocdr/internal/nocerr"
+	"github.com/nocdr/nocdr/internal/wormhole"
 )
 
 // Handler mounts the v1 API on a fresh mux. Mutating routes sit behind
@@ -309,6 +311,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	if req.Simulate {
+		if err := runner.ValidateSim(req.Sim); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+	}
 	shardIndex, shardCount, err := parseShard(r.URL.Query().Get("shard"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -435,6 +443,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 100000
 	}
+	if err := checkSimulate(&cfg, req.Topology); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	keyReq := req
 	keyReq.Options.NoCache = false
 	if len(req.Config.Seeds) > 0 || len(req.Config.Loads) > 0 {
@@ -463,6 +475,33 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return toSimulateResult(st), nil
 		})
 	})
+}
+
+// maxEpochEvents bounds the sim_epoch events one variant of a simulate
+// job logs, max_cycles / epoch_cycles.
+const maxEpochEvents = 10_000
+
+// checkSimulate refuses a simulate config before its job is enqueued:
+// anything the simulator would refuse, a lane over its flit budget on
+// the posted topology, and an epoch_cycles that would log more than
+// maxEpochEvents events per variant. An unset epoch_cycles gets the
+// Session's default period, lengthened where max_cycles calls for it,
+// so that a long job's event log stays within the same bound.
+func checkSimulate(cfg *nocdr.SimConfig, top *nocdr.Topology) error {
+	if err := wormhole.CheckConfig(*cfg, top.TotalVCs()); err != nil {
+		return err
+	}
+	if cfg.EpochCycles == 0 {
+		if cfg.MaxCycles/nocdr.DefaultEpochCycles > maxEpochEvents {
+			cfg.EpochCycles = (cfg.MaxCycles + maxEpochEvents - 1) / maxEpochEvents
+		}
+		return nil
+	}
+	if cfg.MaxCycles/cfg.EpochCycles > maxEpochEvents {
+		return fmt.Errorf("%w: epoch_cycles %d logs more than %d epoch events in max_cycles %d",
+			nocerr.ErrInvalidInput, cfg.EpochCycles, maxEpochEvents, cfg.MaxCycles)
+	}
+	return nil
 }
 
 // reconfigureRequest is the POST /v1/reconfigure body: a removed design

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	nocdr "github.com/nocdr/nocdr"
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/regular"
 )
 
@@ -496,6 +498,80 @@ func TestSweepRejectsOversizedGrid(t *testing.T) {
 	var hz map[string]any
 	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz["status"] != "ok" {
 		t.Fatalf("healthz after oversized sweeps: %d %v", code, hz)
+	}
+}
+
+// TestSimulationBodiesBounded pins the bounds a simulation body meets
+// before its job is enqueued. A buffer depth of 2^62 used to panic the
+// job worker sizing its flit block, and one of 2^31+4 to exhaust memory
+// on a two-switch design; an epoch period of one cycle logged one event
+// per simulated cycle. Each is a 400 now, and the server goes on to run
+// the next job.
+func TestSimulationBodiesBounded(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	topo, traffic, routes := foreverDesign(t)
+	simulate := func(config map[string]any) map[string]any {
+		return map[string]any{"topology": topo, "traffic": traffic, "routes": routes, "config": config}
+	}
+	for _, c := range []struct {
+		name, path string
+		body       map[string]any
+	}{
+		{"simulate, depth 2^62", "/v1/simulate", simulate(map[string]any{"buffer_depth": int64(1) << 62})},
+		{"simulate, depth 2^31+4", "/v1/simulate", simulate(map[string]any{"buffer_depth": int64(1)<<31 + 4})},
+		{"simulate, one-cycle epochs", "/v1/simulate", simulate(map[string]any{"max_cycles": 200000, "epoch_cycles": 1})},
+		{"sweep, depth 2^62", "/v1/sweep", map[string]any{
+			"grid":     map[string]any{"benchmarks": []string{"torus:4x4:uniform"}},
+			"simulate": true,
+			"sim":      map[string]any{"BufferDepth": int64(1) << 62},
+		}},
+	} {
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, ts.URL+c.path, c.body, &e); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.name, code)
+		}
+		if !strings.Contains(e.Error, "invalid input") {
+			t.Errorf("%s: error %q does not report invalid input", c.name, e.Error)
+		}
+		var sub submitResponse
+		if code := postJSON(t, ts.URL+"/v1/simulate", simulate(map[string]any{"max_cycles": 2000, "epoch_cycles": 500}), &sub); code != http.StatusAccepted {
+			t.Fatalf("after %s: submit status %d", c.name, code)
+		}
+		if st := waitTerminal(t, ts.URL, sub.ID); st.State != StateDone || st.Events != 4 {
+			t.Fatalf("after %s: job %s with %d events (error %q), want done with 4", c.name, st.State, st.Events, st.Error)
+		}
+	}
+}
+
+// TestCheckSimulateEpochs pins the epoch bound at its edge: a set period
+// may log maxEpochEvents events per variant and no more, and an unset one
+// keeps the Session's default until max_cycles would overrun the bound,
+// then stretches to the shortest period that keeps it.
+func TestCheckSimulateEpochs(t *testing.T) {
+	var top nocdr.Topology
+	top.AddSwitch("")
+	for _, c := range []struct {
+		maxCycles, epoch int64
+		want             int64 // the period the job runs with; -1 = refused
+	}{
+		{100000, 0, 0},
+		{maxEpochEvents * nocdr.DefaultEpochCycles, 0, 0},
+		{maxEpochEvents*nocdr.DefaultEpochCycles + nocdr.DefaultEpochCycles, 0, nocdr.DefaultEpochCycles + 1},
+		{4_000_000_000, 0, 400_000},
+		{maxEpochEvents * 7, 7, 7},
+		{maxEpochEvents*7 + 7, 7, -1},
+		{200000, 1, -1},
+	} {
+		cfg := nocdr.SimConfig{MaxCycles: c.maxCycles, EpochCycles: c.epoch}
+		err := checkSimulate(&cfg, &top)
+		switch {
+		case c.want < 0 && !errors.Is(err, nocerr.ErrInvalidInput):
+			t.Errorf("max_cycles %d, epoch_cycles %d: error %v, want ErrInvalidInput", c.maxCycles, c.epoch, err)
+		case c.want >= 0 && (err != nil || cfg.EpochCycles != c.want):
+			t.Errorf("max_cycles %d, epoch_cycles %d: period %d, error %v; want %d", c.maxCycles, c.epoch, cfg.EpochCycles, err, c.want)
+		}
 	}
 }
 

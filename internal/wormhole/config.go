@@ -35,12 +35,41 @@ import (
 	"github.com/nocdr/nocdr/internal/nocerr"
 )
 
+// MaxBufferDepth is the deepest per-VC buffer Config.Validate accepts, in
+// flits. It keeps a lane's flit block (channels × depth slots) sizable
+// and its ring indices inside int32.
+const MaxBufferDepth = 1 << 16
+
+// MaxLaneFlits bounds one lane's flit buffers: channels × BufferDepth
+// slots, 8 bytes each (128 MiB at the bound). A decoded topology's
+// largest channel count fits it at depth 16, a sweep spec's at depth 512.
+const MaxLaneFlits = 1 << 24
+
+// CheckConfig returns the error New fails with on cfg, its defaults
+// applied, for a design of the given number of channels: an unusable
+// field, or a lane of more than MaxLaneFlits flit slots (wrapping
+// nocerr.ErrInvalidInput). A channel count of 0 skips the lane budget.
+// The constructors size every lane through it, and a caller may use it
+// to refuse a configuration before building anything.
+func CheckConfig(cfg Config, channels int) error {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if channels > 0 && cfg.BufferDepth > MaxLaneFlits/channels {
+		return fmt.Errorf("wormhole: %d channels × BufferDepth %d exceed the %d flit slots a lane may hold: %w",
+			channels, cfg.BufferDepth, MaxLaneFlits, nocerr.ErrInvalidInput)
+	}
+	return nil
+}
+
 // Config parameterizes a simulation. The zero value of every field except
 // MaxCycles picks a sensible default.
 type Config struct {
 	// MaxCycles is the simulation horizon. Required, > 0.
 	MaxCycles int64
-	// BufferDepth is the per-VC buffer depth in flits. Default 4.
+	// BufferDepth is the per-VC buffer depth in flits, at most
+	// MaxBufferDepth. Default 4.
 	BufferDepth int
 	// LoadFactor scales injection: the heaviest flow attempts a new
 	// packet each cycle with this probability, lighter flows
@@ -156,6 +185,9 @@ func (c Config) Validate() error {
 	}
 	if c.BufferDepth < 1 {
 		return fmt.Errorf("wormhole: BufferDepth %d must be >= 1", c.BufferDepth)
+	}
+	if c.BufferDepth > MaxBufferDepth {
+		return fmt.Errorf("wormhole: BufferDepth %d exceeds %d: %w", c.BufferDepth, MaxBufferDepth, nocerr.ErrInvalidInput)
 	}
 	// Positive-form check so NaN fails too.
 	if !(c.LoadFactor >= 0 && c.LoadFactor <= 1) {

@@ -142,7 +142,9 @@ type Simulator struct {
 // newSkeleton builds the per-channel metadata and one lane's mutable
 // state, shared by both constructors.
 func newSkeleton(top *topology.Topology, g *traffic.Graph, cfg Config) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
+	// Every batch lane carved off this simulator has its channels and
+	// its depth, so this sizes them all.
+	if err := CheckConfig(cfg, top.TotalVCs()); err != nil {
 		return nil, err
 	}
 	if err := g.Validate(); err != nil {

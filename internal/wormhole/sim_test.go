@@ -2,11 +2,13 @@ package wormhole
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/bits"
 	"testing"
 
 	"github.com/nocdr/nocdr/internal/core"
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/ordering"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
@@ -83,6 +85,41 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(top, g, tab, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestBufferDepthBounded pins the two bounds on a lane's flit buffers:
+// Config.Validate refuses a depth over MaxBufferDepth, and a simulator or
+// a batch whose channels × depth exceed MaxLaneFlits is refused before a
+// lane is allocated. Both errors wrap nocerr.ErrInvalidInput.
+func TestBufferDepthBounded(t *testing.T) {
+	top, g, tab := lineExample(4)
+	for _, depth := range []int{MaxBufferDepth + 1, 1<<31 + 4, 1 << 62} {
+		_, err := New(top, g, tab, Config{MaxCycles: 10, BufferDepth: depth})
+		if !errors.Is(err, nocerr.ErrInvalidInput) {
+			t.Errorf("depth %d: error %v, want ErrInvalidInput", depth, err)
+		}
+	}
+	cfg := Config{MaxCycles: 10, BufferDepth: MaxBufferDepth}
+	if _, err := New(top, g, tab, cfg); err != nil {
+		t.Fatalf("two channels at the deepest buffer: %v", err)
+	}
+	for top.TotalVCs() <= MaxLaneFlits/MaxBufferDepth {
+		if _, err := top.AddVC(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := New(top, g, tab, cfg); !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Errorf("%d channels at depth %d: error %v, want ErrInvalidInput", top.TotalVCs(), MaxBufferDepth, err)
+	}
+	if _, err := NewBatch(top, g, tab, cfg, []Variant{{Seed: 1}, {Seed: 2}}); !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Errorf("batch of %d channels at depth %d: error %v, want ErrInvalidInput", top.TotalVCs(), MaxBufferDepth, err)
+	}
+	if err := CheckConfig(cfg, top.TotalVCs()); !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Errorf("CheckConfig: error %v, want ErrInvalidInput", err)
+	}
+	if err := CheckConfig(Config{MaxCycles: 10}, top.TotalVCs()); err != nil {
+		t.Errorf("CheckConfig of the default depth: %v", err)
 	}
 }
 

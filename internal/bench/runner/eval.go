@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/nocdr/nocdr/internal/core"
+	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/ordering"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
@@ -78,7 +79,9 @@ func buildRegular(ctx context.Context, grid *regular.Grid, g *traffic.Graph, opt
 // evaluation outcome (point) plus everything the simulation stage needs
 // to instantiate pre- and post-removal simulators. One designEval serves
 // every seed/load variant of a cell group — the design cache the grouped
-// scheduler keys on.
+// scheduler keys on. A design proven acyclic up front is its own
+// post-removal design: its pre and post halves alias one topology and
+// one table or set, which nothing downstream modifies.
 type designEval struct {
 	point Point
 	g     *traffic.Graph
@@ -93,6 +96,16 @@ type designEval struct {
 	adaptive        bool
 }
 
+// removalCanceled is the error a removal would return under ctx, for a
+// design proven acyclic, whose removal is skipped: a done ctx still
+// cancels the cell.
+func removalCanceled(ctx context.Context, label string) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("runner: remove %s: %w: %w", label, nocerr.ErrCanceled, err)
+	}
+	return nil
+}
+
 // buildAdaptive evaluates a regular-topology preset under an adaptive
 // routing function: a multi-candidate route set generated by the given
 // turn model (routing around any masked link faults), deadlock removal
@@ -105,61 +118,64 @@ func buildAdaptive(ctx context.Context, grid *regular.Grid, g *traffic.Graph, mo
 	if err != nil {
 		return nil, fmt.Errorf("runner: %s routes for %s: %w", model, top.Name, err)
 	}
-	var p Point
+	de := &designEval{g: g, preSet: set, postSet: set, preTop: top, postTop: top, initialAcyclic: true, adaptive: true}
 	start := time.Now()
-	rm, err := core.RemoveSetContext(ctx, top, set, core.Options{
-		Selection: opts.Selection,
-		Policy:    opts.Policy,
-		VCLimit:   opts.VCLimit,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: remove %s: %w", label, err)
+	// Any answer but a proof, an error included, is left to the
+	// removal, which reports the error.
+	if ok, err := core.DeadlockFreeSet(top, set); ok && err == nil {
+		if err := removalCanceled(ctx, label); err != nil {
+			return nil, err
+		}
+	} else {
+		rm, err := core.RemoveSetContext(ctx, top, set, opts.removal())
+		if err != nil {
+			return nil, fmt.Errorf("runner: remove %s: %w", label, err)
+		}
+		de.postSet, de.postTop, de.initialAcyclic = rm.Routes, rm.Topology, rm.InitialAcyclic
+		de.point.RemovalVCs, de.point.Breaks = rm.AddedVCs, rm.Iterations
 	}
+	p := &de.point
 	p.RemovalTime = time.Since(start)
 	if p.OrderingVCs, err = ordering.AddedVCsSet(top, set); err != nil {
 		return nil, fmt.Errorf("runner: ordering %s: %w", label, err)
 	}
 	p.Links = top.NumLinks()
 	p.MaxRouteLen = set.MaxLen()
-	p.InitialAcyclic = rm.InitialAcyclic
-	p.RemovalVCs = rm.AddedVCs
-	p.Breaks = rm.Iterations
+	p.InitialAcyclic = de.initialAcyclic
 	p.Paths = set.TotalPaths()
-	return &designEval{
-		point: p, g: g,
-		preSet: set, postSet: rm.Routes,
-		preTop: top, postTop: rm.Topology,
-		initialAcyclic: rm.InitialAcyclic,
-		adaptive:       true,
-	}, nil
+	return de, nil
 }
 
 // buildRouted evaluates a fully routed single-path design: removal and
 // the ordering baseline. No simulation.
 func buildRouted(ctx context.Context, g *traffic.Graph, top *topology.Topology, tab *route.Table, opts EvalOptions, label string) (*designEval, error) {
-	var p Point
+	de := &designEval{g: g, preTab: tab, postTab: tab, preTop: top, postTop: top, initialAcyclic: true}
 	start := time.Now()
-	rm, err := core.RemoveContext(ctx, top, tab, core.Options{
-		Selection: opts.Selection,
-		Policy:    opts.Policy,
-		VCLimit:   opts.VCLimit,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("runner: remove %s: %w", label, err)
+	if ok, err := core.DeadlockFree(top, tab); ok && err == nil {
+		if err := removalCanceled(ctx, label); err != nil {
+			return nil, err
+		}
+	} else {
+		rm, err := core.RemoveContext(ctx, top, tab, opts.removal())
+		if err != nil {
+			return nil, fmt.Errorf("runner: remove %s: %w", label, err)
+		}
+		de.postTab, de.postTop, de.initialAcyclic = rm.Routes, rm.Topology, rm.InitialAcyclic
+		de.point.RemovalVCs, de.point.Breaks = rm.AddedVCs, rm.Iterations
 	}
+	p := &de.point
 	p.RemovalTime = time.Since(start)
+	var err error
 	if p.OrderingVCs, err = ordering.AddedVCs(top, tab); err != nil {
 		return nil, fmt.Errorf("runner: ordering %s: %w", label, err)
 	}
 	p.Links = top.NumLinks()
 	p.MaxRouteLen = tab.MaxLen()
-	p.InitialAcyclic = rm.InitialAcyclic
-	p.RemovalVCs = rm.AddedVCs
-	p.Breaks = rm.Iterations
-	return &designEval{
-		point: p, g: g,
-		preTab: tab, postTab: rm.Routes,
-		preTop: top, postTop: rm.Topology,
-		initialAcyclic: rm.InitialAcyclic,
-	}, nil
+	p.InitialAcyclic = de.initialAcyclic
+	return de, nil
+}
+
+// removal returns the removal options the evaluation runs under.
+func (o EvalOptions) removal() core.Options {
+	return core.Options{Selection: o.Selection, Policy: o.Policy, VCLimit: o.VCLimit}
 }

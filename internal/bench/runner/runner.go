@@ -73,7 +73,7 @@ type Grid struct {
 	// on one of its XY paths — pair faults with an adaptive routing.
 	Faults int `json:"faults,omitempty"`
 	// MaxPaths caps candidate paths per flow for adaptive routings
-	// (0 = route.MaxDefaultPaths).
+	// (0 = route.MaxDefaultPaths), at most route.MaxPaths.
 	MaxPaths int `json:"max_paths,omitempty"`
 	// Loads is the measurement load-sweep axis, values in (0, 1]. When
 	// set (and the run simulates), every cell additionally measures the
@@ -175,8 +175,9 @@ func (g Grid) jobs(specs []spec) []Job {
 // benchmark spec is parsed and put through the argument checks its
 // generators run first, so it passes exactly when its design would build.
 // A number in a spec that does not fit an int, a spec naming more than
-// MaxSpecCores cores, and a grid of more than MaxGridCells cells are
-// errors wrapping nocerr.ErrInvalidInput.
+// MaxSpecCores cores, a grid of more than MaxGridCells cells and a
+// MaxPaths above route.MaxPaths are errors wrapping
+// nocerr.ErrInvalidInput.
 func (g Grid) Validate() error {
 	_, err := g.normalized().specs()
 	return err
@@ -215,6 +216,9 @@ func (g Grid) specs() ([]spec, error) {
 	}
 	if g.MaxPaths < 0 {
 		return nil, fmt.Errorf("runner: negative max-paths %d", g.MaxPaths)
+	}
+	if g.MaxPaths > route.MaxPaths {
+		return nil, fmt.Errorf("runner: max-paths %d exceeds %d: %w", g.MaxPaths, route.MaxPaths, nocerr.ErrInvalidInput)
 	}
 	for _, l := range g.Loads {
 		// Positive-form check so NaN fails too.

@@ -3,11 +3,14 @@ package runner
 import (
 	"bytes"
 	"context"
+	"errors"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"github.com/nocdr/nocdr/internal/nocerr"
+	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/traffic"
 )
 
@@ -459,6 +462,12 @@ func TestGridValidateRoutingAxis(t *testing.T) {
 	}
 	if err := (Grid{Benchmarks: []string{"mesh:4"}, MaxPaths: -2}).Validate(); err == nil {
 		t.Error("negative max-paths accepted")
+	}
+	if err := (Grid{Benchmarks: []string{"mesh:4"}, MaxPaths: route.MaxPaths}).Validate(); err != nil {
+		t.Errorf("max-paths at the bound rejected: %v", err)
+	}
+	if err := (Grid{Benchmarks: []string{"mesh:4"}, MaxPaths: route.MaxPaths + 1}).Validate(); !errors.Is(err, nocerr.ErrInvalidInput) {
+		t.Errorf("max-paths above the bound: err %v, want invalid input", err)
 	}
 	if err := (Grid{Benchmarks: []string{"mesh:4"}, Routings: []string{"west-first", "min-adaptive"}, Faults: 2}).Validate(); err != nil {
 		t.Errorf("valid adaptive grid rejected: %v", err)

@@ -100,41 +100,43 @@ type csr struct {
 type arc struct{ to, link int32 }
 
 func newSwitchGraph(top *topology.Topology) *switchGraph {
-	links := top.Links()
-	n := top.NumSwitches()
+	n, m := top.NumSwitches(), top.NumLinks()
 	sg := &switchGraph{
-		fwd:  newCSR(n, links, false),
-		rev:  newCSR(n, links, true),
-		down: make([]bool, len(links)),
+		fwd:  newCSR(top, false),
+		rev:  newCSR(top, true),
+		down: make([]bool, m),
 		seen: make([]bool, n),
 	}
-	for _, l := range links {
-		sg.down[l.ID] = top.Faulted(l.ID)
+	for id := range sg.down {
+		sg.down[id] = top.Faulted(topology.LinkID(id))
 	}
 	return sg
 }
 
 // newCSR groups the links by source switch, or by destination switch
-// (with the arcs pointing backwards) when reverse is set.
-func newCSR(n int, links []topology.Link, reverse bool) csr {
-	c := csr{start: make([]int32, n+1), arcs: make([]arc, len(links))}
-	ends := func(l topology.Link) (int32, int32) {
+// (with the arcs pointing backwards) when reverse is set, each group in
+// link-ID order.
+func newCSR(top *topology.Topology, reverse bool) csr {
+	n, m := top.NumSwitches(), top.NumLinks()
+	c := csr{start: make([]int32, n+1), arcs: make([]arc, m)}
+	ends := func(id int) (int32, int32) {
+		l := top.Link(topology.LinkID(id))
 		if reverse {
 			return int32(l.To), int32(l.From)
 		}
 		return int32(l.From), int32(l.To)
 	}
-	for _, l := range links {
-		src, _ := ends(l)
+	for id := 0; id < m; id++ {
+		src, _ := ends(id)
 		c.start[src+1]++
 	}
 	for s := 0; s < n; s++ {
 		c.start[s+1] += c.start[s]
 	}
 	next := append([]int32(nil), c.start[:n]...)
-	for _, l := range links {
-		src, dst := ends(l)
-		c.arcs[next[src]] = arc{to: dst, link: int32(l.ID)}
+	for id := 0; id < m; id++ {
+		src, dst := ends(id)
+		c.arcs[next[src]] = arc{to: dst, link: int32(id)}
 		next[src]++
 	}
 	return c

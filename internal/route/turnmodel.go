@@ -2,7 +2,6 @@ package route
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -199,6 +198,12 @@ func (gs GridSpec) hopDir(a, b topology.SwitchID) dir {
 // the CDG — small.
 const MaxDefaultPaths = 4
 
+// MaxPaths is the largest per-flow cap GridRoutes and RegenerateFlows
+// accept. The cap is what bounds an enumeration: the corner flow of an
+// n×n transpose mesh has C(2n−2, n−1) minimal paths, 155,117,520 at
+// 16×16, and every path found is kept.
+const MaxPaths = 64
+
 // GridRoutes generates a RouteSet for every flow of g on the grid
 // topology top under the given turn model: up to maxPaths minimal paths
 // per flow, each respecting the model's turn prohibitions and avoiding
@@ -210,30 +215,147 @@ const MaxDefaultPaths = 4
 // expected to repair. DOR takes no escape: a fault on a flow's XY path
 // is a hard error, per the documented deterministic-baseline contract.
 // A flow whose endpoints are disconnected even by the escape search is
-// an error.
+// an error, and so is a maxPaths above MaxPaths.
 func GridRoutes(top *topology.Topology, g *traffic.Graph, gs GridSpec, model TurnModel, maxPaths int) (*RouteSet, error) {
-	if gs.Cols < 1 || gs.Rows < 1 || gs.Cols*gs.Rows != top.NumSwitches() {
-		return nil, fmt.Errorf("route: grid %dx%d does not match topology with %d switches: %w",
-			gs.Cols, gs.Rows, top.NumSwitches(), nocerr.ErrInvalidInput)
+	e, err := newEnumerator(top, gs, model, maxPaths)
+	if err != nil {
+		return nil, err
 	}
-	if maxPaths <= 0 {
-		maxPaths = MaxDefaultPaths
-	}
-	adj := sortedAdjacency(top)
 	set := NewRouteSet(g.NumFlows())
-	for _, f := range g.Flows() {
-		paths, err := flowPaths(top, g, gs, adj, model, maxPaths, f.ID)
+	for id := range set.paths {
+		paths, err := e.flowPaths(g, id)
 		if err != nil {
 			return nil, err
 		}
 		if paths == nil {
 			paths = [][]topology.Channel{nil} // local flow: cores share a switch
 		}
-		// flowPaths returns fresh, distinct paths, so the set keeps them
-		// without Add's copy and duplicate scan.
-		set.paths[f.ID] = paths
+		// flowPaths returns distinct paths, each capped at its length,
+		// so the set keeps them without Add's copy and duplicate scan.
+		set.paths[id] = paths
 	}
 	return set, nil
+}
+
+// enumerator is the path search one GridRoutes or RegenerateFlows call
+// runs for each of its flows. It holds the grid's working links once,
+// and the storage every flow's paths are carved from.
+type enumerator struct {
+	top   *topology.Topology
+	gs    GridSpec
+	model TurnModel
+	max   int
+	// Switch s's working (non-faulted) out-links are arcs[start[s]:
+	// start[s+1]], in ascending link-ID order.
+	start []int32
+	arcs  []gridArc
+	// x and y are each switch's grid coordinates.
+	x, y []int32
+
+	// The current flow's search: its destination's coordinates, the
+	// walk's prefix, one slot per minimal hop, and the paths found.
+	dx, dy int32
+	prefix []topology.Channel
+	found  [][]topology.Channel
+	// dead[s*5+came] == stamp marks a walk state (switch, arrival
+	// direction) of the current flow that reaches dst by no permitted
+	// path. stamp moves on with every flow, so dead is never cleared.
+	dead  []uint32
+	stamp uint32
+	// Every flow's paths, and its list of them, are carved from these.
+	paths chunks[topology.Channel]
+	lists chunks[[]topology.Channel]
+}
+
+// chunks hands out copies of slices, each capped at its length, from
+// arrays it allocates as it runs out. Each new array is as large as
+// everything handed out before it, so storage grows with what is kept,
+// in a logarithmic number of allocations and without copying anything
+// twice.
+type chunks[T any] struct {
+	free []T // the current array, filled up to its length
+	kept int
+}
+
+// keep returns a capped copy of p, or nil for an empty p.
+func (c *chunks[T]) keep(p []T) []T {
+	if len(p) == 0 {
+		return nil
+	}
+	if cap(c.free)-len(c.free) < len(p) {
+		c.free = make([]T, 0, max(c.kept, len(p)))
+	}
+	c.kept += len(p)
+	start := len(c.free)
+	c.free = append(c.free, p...)
+	return c.free[start:len(c.free):len(c.free)]
+}
+
+// gridArc is one working out-link: its ID, far end and grid direction.
+type gridArc struct {
+	link, to int32
+	dir      dir
+}
+
+// newEnumerator checks the grid shape and the path cap, and indexes the
+// topology's working links by source switch.
+func newEnumerator(top *topology.Topology, gs GridSpec, model TurnModel, maxPaths int) (*enumerator, error) {
+	n := top.NumSwitches()
+	if gs.Cols < 1 || gs.Rows < 1 || gs.Cols*gs.Rows != n {
+		return nil, fmt.Errorf("route: grid %dx%d does not match topology with %d switches: %w",
+			gs.Cols, gs.Rows, n, nocerr.ErrInvalidInput)
+	}
+	if maxPaths > MaxPaths {
+		return nil, fmt.Errorf("route: max paths %d exceeds %d: %w", maxPaths, MaxPaths, nocerr.ErrInvalidInput)
+	}
+	if maxPaths <= 0 {
+		maxPaths = MaxDefaultPaths
+	}
+	e := &enumerator{
+		top: top, gs: gs, model: model, max: maxPaths,
+		start: make([]int32, n+1),
+		x:     make([]int32, n),
+		y:     make([]int32, n),
+		dead:  make([]uint32, 5*n),
+	}
+	for sw := 0; sw < n; sw++ {
+		x, y := gs.coord(topology.SwitchID(sw))
+		e.x[sw], e.y[sw] = int32(x), int32(y)
+	}
+	// A counting sort by source switch: scanning links in ID order
+	// leaves each switch's arcs in ascending link-ID order.
+	m := top.NumLinks()
+	working := 0
+	for id := 0; id < m; id++ {
+		if l := top.Link(topology.LinkID(id)); !top.Faulted(l.ID) {
+			e.start[l.From+1]++
+			working++
+		}
+	}
+	for s := 0; s < n; s++ {
+		e.start[s+1] += e.start[s]
+	}
+	e.arcs = make([]gridArc, working)
+	next := make([]int32, n)
+	copy(next, e.start[:n])
+	for id := 0; id < m; id++ {
+		if l := top.Link(topology.LinkID(id)); !top.Faulted(l.ID) {
+			e.arcs[next[l.From]] = gridArc{link: int32(id), to: int32(l.To), dir: gs.hopDir(l.From, l.To)}
+			next[l.From]++
+		}
+	}
+	return e, nil
+}
+
+// out returns switch sw's working arcs.
+func (e *enumerator) out(sw int32) []gridArc {
+	return e.arcs[e.start[sw]:e.start[sw+1]]
+}
+
+// distToDst is the minimal hop distance from sw to the current flow's
+// destination.
+func (e *enumerator) distToDst(sw int32) int {
+	return dimDist(int(e.x[sw]), int(e.dx), e.gs.Cols, e.gs.Wrap) + dimDist(int(e.y[sw]), int(e.dy), e.gs.Rows, e.gs.Wrap)
 }
 
 // flowPaths computes one flow's candidate paths under the shared
@@ -241,13 +363,13 @@ func GridRoutes(top *topology.Topology, g *traffic.Graph, gs GridSpec, model Tur
 // escape when faults exhaust them, DOR hard-failing on faults. A nil
 // result with nil error means a local flow (src and dst share a switch);
 // otherwise at least one path is returned.
-func flowPaths(top *topology.Topology, g *traffic.Graph, gs GridSpec, adj [][]topology.LinkID, model TurnModel, maxPaths int, flowID int) ([][]topology.Channel, error) {
+func (e *enumerator) flowPaths(g *traffic.Graph, flowID int) ([][]topology.Channel, error) {
 	f := g.Flow(flowID)
-	src, ok := top.SwitchOf(int(f.Src))
+	src, ok := e.top.SwitchOf(int(f.Src))
 	if !ok {
 		return nil, fmt.Errorf("route: core %d (flow %d) not attached: %w", f.Src, f.ID, nocerr.ErrInvalidInput)
 	}
-	dst, ok := top.SwitchOf(int(f.Dst))
+	dst, ok := e.top.SwitchOf(int(f.Dst))
 	if !ok {
 		return nil, fmt.Errorf("route: core %d (flow %d) not attached: %w", f.Dst, f.ID, nocerr.ErrInvalidInput)
 	}
@@ -255,24 +377,24 @@ func flowPaths(top *topology.Topology, g *traffic.Graph, gs GridSpec, adj [][]to
 		return nil, nil
 	}
 	var paths [][]topology.Channel
-	if model == DOR {
+	if e.model == DOR {
 		// No escape for DOR: the documented contract is that the
 		// deterministic baseline cannot route around a fault, so a
 		// fault on an XY path is a hard error, not a silent detour.
-		p, err := DORPath(top, gs, src, dst)
+		p, err := DORPath(e.top, e.gs, src, dst)
 		if err != nil {
-			return nil, fmt.Errorf("route: flow %d (%d→%d) unroutable under %s: %w", f.ID, src, dst, model, err)
+			return nil, fmt.Errorf("route: flow %d (%d→%d) unroutable under %s: %w", f.ID, src, dst, e.model, err)
 		}
 		paths = [][]topology.Channel{p}
 	} else {
-		paths = enumerateMinimal(top, gs, adj, model, src, dst, maxPaths)
+		paths = e.enumerateMinimal(src, dst)
 	}
 	if len(paths) == 0 {
 		// Fault escape: deterministic shortest path over every working
 		// link, turn restrictions waived.
-		p, err := bfsPath(top, adj, src, dst)
+		p, err := e.bfsPath(src, dst)
 		if err != nil {
-			return nil, fmt.Errorf("route: flow %d (%d→%d) unroutable under %s: %w", f.ID, src, dst, model, err)
+			return nil, fmt.Errorf("route: flow %d (%d→%d) unroutable under %s: %w", f.ID, src, dst, e.model, err)
 		}
 		paths = [][]topology.Channel{p}
 	}
@@ -283,25 +405,21 @@ func flowPaths(top *topology.Topology, g *traffic.Graph, gs GridSpec, adj [][]to
 // the incremental half of GridRoutes, used by online reconfiguration to
 // reroute only the flows a fresh link fault displaced. Semantics per
 // flow are identical to GridRoutes (same enumeration order, same BFS
-// escape, same DOR hard-error contract), so a full regeneration and a
-// per-flow regeneration of every flow agree path-for-path. The result
-// maps flow ID → candidate paths; a local flow maps to nil. Unknown flow
-// IDs are an error.
+// escape, same DOR hard-error contract, same maxPaths bound), so a full
+// regeneration and a per-flow regeneration of every flow agree
+// path-for-path. The result maps flow ID → candidate paths; a local flow
+// maps to nil. Unknown flow IDs are an error.
 func RegenerateFlows(top *topology.Topology, g *traffic.Graph, gs GridSpec, model TurnModel, maxPaths int, flows []int) (map[int][][]topology.Channel, error) {
-	if gs.Cols < 1 || gs.Rows < 1 || gs.Cols*gs.Rows != top.NumSwitches() {
-		return nil, fmt.Errorf("route: grid %dx%d does not match topology with %d switches: %w",
-			gs.Cols, gs.Rows, top.NumSwitches(), nocerr.ErrInvalidInput)
+	e, err := newEnumerator(top, gs, model, maxPaths)
+	if err != nil {
+		return nil, err
 	}
-	if maxPaths <= 0 {
-		maxPaths = MaxDefaultPaths
-	}
-	adj := sortedAdjacency(top)
 	out := make(map[int][][]topology.Channel, len(flows))
 	for _, id := range flows {
 		if id < 0 || id >= g.NumFlows() {
 			return nil, fmt.Errorf("route: unknown flow %d: %w", id, nocerr.ErrInvalidInput)
 		}
-		paths, err := flowPaths(top, g, gs, adj, model, maxPaths, id)
+		paths, err := e.flowPaths(g, id)
 		if err != nil {
 			return nil, err
 		}
@@ -361,63 +479,65 @@ func DORPath(top *topology.Topology, gs GridSpec, src, dst topology.SwitchID) ([
 	return channels, nil
 }
 
-// sortedAdjacency returns each switch's working (non-faulted) out-links
-// in ascending link-ID order, built once per GridRoutes call so the
-// per-flow path searches do not re-copy and re-sort the same link lists
-// on every node visit.
-func sortedAdjacency(top *topology.Topology) [][]topology.LinkID {
-	adj := make([][]topology.LinkID, top.NumSwitches())
-	for sw := range adj {
-		links := top.OutLinks(topology.SwitchID(sw))
-		slices.Sort(links)
-		working := links[:0]
-		for _, id := range links {
-			if !top.Faulted(id) {
-				working = append(working, id)
-			}
-		}
-		adj[sw] = working
+// enumerateMinimal DFS-enumerates up to the cap's number of minimal
+// paths src→dst whose every turn the model permits and whose every link
+// is working. Every hop strictly decreases the distance to dst, so the
+// search space is a DAG and terminates; candidate hops are explored in
+// ascending link-ID order, making the enumeration (and its truncation) a
+// pure function of the inputs.
+//
+// The walk writes one prefix buffer of the flow's minimal hop count and
+// copies a path out only when it reaches dst. Which paths complete a
+// prefix depends only on the state it ends in, its switch and arrival
+// direction, so a state that completed none is marked dead and never
+// searched again for this flow: skipping it drops no path and moves none.
+func (e *enumerator) enumerateMinimal(src, dst topology.SwitchID) [][]topology.Channel {
+	e.dx, e.dy = e.x[dst], e.y[dst]
+	hops := e.gs.dist(src, dst)
+	if cap(e.prefix) < hops {
+		e.prefix = make([]topology.Channel, hops)
 	}
-	return adj
+	e.prefix = e.prefix[:hops]
+	e.stamp++
+	e.found = e.found[:0]
+	e.walk(int32(src), dirNone, 0)
+	return e.lists.keep(e.found)
 }
 
-// enumerateMinimal DFS-enumerates up to maxPaths minimal paths src→dst
-// whose every turn the model permits and whose every link is working.
-// Every hop strictly decreases the distance to dst, so the search space
-// is a DAG and terminates; candidate hops are explored in ascending
-// link-ID order (adj), making the enumeration (and its truncation) a
-// pure function of the inputs.
-func enumerateMinimal(top *topology.Topology, gs GridSpec, adj [][]topology.LinkID, model TurnModel, src, dst topology.SwitchID, maxPaths int) [][]topology.Channel {
-	var out [][]topology.Channel
-	var walk func(cur topology.SwitchID, came dir, prefix []topology.Channel)
-	walk = func(cur topology.SwitchID, came dir, prefix []topology.Channel) {
-		if len(out) >= maxPaths {
-			return
+// walk extends a prefix of depth hops that ends at switch cur, entered
+// in direction came.
+func (e *enumerator) walk(cur int32, came dir, depth int) {
+	if depth == len(e.prefix) { // cur is dst: minimal hops end nowhere else
+		e.found = append(e.found, e.paths.keep(e.prefix))
+		return
+	}
+	state := int(cur)*5 + int(came)
+	if e.dead[state] == e.stamp {
+		return
+	}
+	found := len(e.found)
+	left := len(e.prefix) - depth - 1
+	for _, a := range e.out(cur) {
+		if e.distToDst(a.to) != left {
+			continue
 		}
-		if cur == dst {
-			out = append(out, append([]topology.Channel(nil), prefix...))
-			return
+		if e.model != MinimalAdaptive && !e.model.permittedTurn(came, a.dir, int(e.x[cur])) {
+			continue
 		}
-		d := gs.dist(cur, dst)
-		for _, id := range adj[cur] {
-			next := top.Link(id).To
-			if gs.dist(next, dst) != d-1 {
-				continue
-			}
-			to := gs.hopDir(cur, next)
-			if model != MinimalAdaptive && !model.permittedTurn(came, to, int(cur)%gs.Cols) {
-				continue
-			}
-			walk(next, to, append(prefix, topology.Chan(id, 0)))
+		e.prefix[depth] = topology.Chan(topology.LinkID(a.link), 0)
+		e.walk(a.to, a.dir, depth+1)
+		if len(e.found) >= e.max {
+			return
 		}
 	}
-	walk(src, dirNone, nil)
-	return out
+	if len(e.found) == found {
+		e.dead[state] = e.stamp
+	}
 }
 
 // bfsPath is the deterministic fewest-hops path over non-faulted links,
-// exploring neighbors in ascending link-ID order (adj).
-func bfsPath(top *topology.Topology, adj [][]topology.LinkID, src, dst topology.SwitchID) ([]topology.Channel, error) {
+// exploring neighbors in ascending link-ID order.
+func (e *enumerator) bfsPath(src, dst topology.SwitchID) ([]topology.Channel, error) {
 	type hop struct {
 		prev topology.SwitchID
 		link topology.LinkID
@@ -431,12 +551,12 @@ func bfsPath(top *topology.Topology, adj [][]topology.LinkID, src, dst topology.
 		if cur == dst {
 			break
 		}
-		for _, id := range adj[cur] {
-			next := top.Link(id).To
+		for _, a := range e.out(int32(cur)) {
+			next := topology.SwitchID(a.to)
 			if _, seen := parent[next]; seen {
 				continue
 			}
-			parent[next] = hop{prev: cur, link: id}
+			parent[next] = hop{prev: cur, link: topology.LinkID(a.link)}
 			queue = append(queue, next)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	nocdr "github.com/nocdr/nocdr"
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/regular"
+	"github.com/nocdr/nocdr/internal/route"
 )
 
 // ringDesign builds the paper's Figure 1 four-switch ring with its four
@@ -498,6 +499,51 @@ func TestSweepRejectsOversizedGrid(t *testing.T) {
 	var hz map[string]any
 	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz["status"] != "ok" {
 		t.Fatalf("healthz after oversized sweeps: %d %v", code, hz)
+	}
+}
+
+// TestSweepRefusesMaxPathsOverBound pins the per-flow path bound at the
+// HTTP surface. A sweep asking for 2^30 minimal paths per flow of a
+// 16×16 transpose mesh, whose corner flow alone has 155,117,520, is a
+// 400 before any job exists. A reconfiguration design that records a
+// cap above route.MaxPaths fails its job with invalid input.
+func TestSweepRefusesMaxPathsOverBound(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	var e struct {
+		Error string `json:"error"`
+	}
+	body := map[string]any{"grid": map[string]any{
+		"benchmarks": []string{"mesh:16x16:transpose"},
+		"routings":   []string{"min-adaptive"},
+		"max_paths":  1 << 30,
+	}}
+	if code := postJSON(t, ts.URL+"/v1/sweep", body, &e); code != http.StatusBadRequest {
+		t.Fatalf("sweep with max_paths 2^30: status %d, want 400", code)
+	}
+	if !strings.Contains(e.Error, "invalid input") {
+		t.Errorf("error %q does not report invalid input", e.Error)
+	}
+	var jobs struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs", &jobs); code != http.StatusOK || len(jobs.Jobs) != 0 {
+		t.Fatalf("jobs after the refused sweep: status %d, %d jobs, want none", code, len(jobs.Jobs))
+	}
+
+	design, faults := reconfigDesignJSON(t)
+	var doc map[string]any
+	if err := json.Unmarshal(design, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["max_paths"] = route.MaxPaths + 1
+	var sub submitResponse
+	if code := postJSON(t, ts.URL+"/v1/reconfigure", map[string]any{
+		"design": doc, "faults": faults, "options": map[string]any{"skip_sim": true},
+	}, &sub); code != http.StatusAccepted {
+		t.Fatalf("reconfigure submission: status %d", code)
+	}
+	if st := waitTerminal(t, ts.URL, sub.ID); st.State != StateFailed || !strings.Contains(st.Error, "invalid input") {
+		t.Fatalf("reconfigure with max_paths %d: job %s (error %q), want failed with invalid input", route.MaxPaths+1, st.State, st.Error)
 	}
 }
 

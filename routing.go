@@ -71,10 +71,10 @@ func ParseAdaptiveSelection(s string) (AdaptiveSelection, error) {
 
 // GridRoutes generates a multi-candidate route set for every flow of g
 // on a regular grid under the given turn model: up to maxPaths minimal
-// paths per flow (0 = the library default), avoiding faulted links, with
-// a deterministic shortest-path escape when faults break every permitted
-// minimal path. See the route package documentation for the turn-model
-// semantics.
+// paths per flow (0 = the library default of 4; a cap above 64 is
+// ErrInvalidInput), avoiding faulted links, with a deterministic
+// shortest-path escape when faults break every permitted minimal path.
+// See the route package documentation for the turn-model semantics.
 func GridRoutes(grid *Grid, g *TrafficGraph, model TurnModel, maxPaths int) (*RouteSet, error) {
 	set, err := route.GridRoutes(grid.Topology, g, grid.Spec(), model, maxPaths)
 	return set, wrapErr(err)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of `nocdr serve`: synthesize a benchmark design,
 # submit it to /v1/remove over HTTP, poll the job to completion, and
-# assert (with jq) that the repaired design is deadlock-free. Exercises
-# the same path the CI serve-smoke job gates.
+# assert (with jq) that the repaired design is deadlock-free. It also
+# posts a sweep over the per-flow path bound and asserts a 400 with no
+# job created. Exercises the same path the CI serve-smoke job gates.
 set -euo pipefail
 
 PORT="${PORT:-18080}"
@@ -26,6 +27,19 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 curl -fsS "$BASE/healthz" | jq -e '.status == "ok"' > /dev/null
+
+echo "== refusing a sweep over the per-flow path bound (max_paths 2^30)"
+STATUS=$(curl -sS -o "$DIR/refused.json" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+    --data '{"grid":{"benchmarks":["mesh:16x16:transpose"],"routings":["min-adaptive"],"max_paths":1073741824}}' \
+    "$BASE/v1/sweep")
+if [ "$STATUS" != "400" ]; then
+    echo "over-bound sweep answered $STATUS, want 400" >&2
+    cat "$DIR/refused.json" >&2
+    exit 1
+fi
+jq -e '.error | test("invalid input")' "$DIR/refused.json" > /dev/null
+curl -fsS "$BASE/v1/jobs" | jq -e '.jobs | length == 0' > /dev/null
+echo "   400, no job created"
 
 echo "== submitting /v1/remove"
 jq -n --slurpfile topo "$DIR/topology.json" --slurpfile routes "$DIR/routes.json" \

@@ -113,7 +113,8 @@ func WithRouting(models ...string) Option {
 func WithFaults(n int) Option { return func(s *Session) { s.faults = n } }
 
 // WithMaxPaths caps candidate paths per flow for adaptive sweep cells
-// (0 = the library default).
+// (0 = the library default of 4). A cap above 64 fails the sweep or the
+// reconfiguration design with ErrInvalidInput.
 func WithMaxPaths(n int) Option { return func(s *Session) { s.maxPaths = n } }
 
 // WithWorkers makes Sweep dispatch the grid across running `nocdr serve`

@@ -61,7 +61,7 @@ func VCSweep(g *traffic.Graph, switchCounts []int) ([]SweepPoint, error) {
 		if s > g.NumCores() {
 			continue // cannot have more switches than cores
 		}
-		p, err := runner.Evaluate(g, s, runner.EvalOptions{})
+		p, err := runner.Evaluate(g, s)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %w", err)
 		}

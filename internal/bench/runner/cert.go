@@ -64,7 +64,7 @@ type certEval struct {
 // post-removal designs. Checker errors are folded into the eval — the
 // cell records the disagreement instead of failing.
 func (de *designEval) certify() *certEval {
-	ce := &certEval{salt: certify.Salt, initialAcyclic: de.initialAcyclic}
+	ce := &certEval{salt: certify.Salt, initialAcyclic: de.res.InitialAcyclic}
 	pre, err := checkDesign(de.preTop, de.preTab, de.preSet, "pre")
 	if err != nil {
 		ce.err = fmt.Sprintf("pre design: %v", err)

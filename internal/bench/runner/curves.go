@@ -47,16 +47,6 @@ type DesignCurve struct {
 	SaturationLoad float64 `json:"saturation_load,omitempty"`
 }
 
-// curveKey identifies a curve: the design axes without the seed, so the
-// seeds column aggregates into one curve per design.
-type curveKey struct {
-	benchmark string
-	switches  int
-	routing   string
-	faults    int
-	policy    string
-}
-
 // BuildCurves aggregates the report's per-cell LoadSweep points into one
 // curve per design, in first-appearance order over the results. It is a
 // pure function of the result slots, so serial, parallel and
@@ -67,14 +57,16 @@ func BuildCurves(rep *Report) []DesignCurve {
 		curve  DesignCurve
 		byLoad map[float64]*CurvePoint
 	}
-	byKey := map[curveKey]*acc{}
+	// A curve is a designKey, so the seeds column aggregates into one
+	// curve per design.
+	byKey := map[Job]*acc{}
 	var order []*acc
 	for i := range rep.Results {
 		res := &rep.Results[i]
 		if res.Sim == nil || len(res.Sim.LoadSweep) == 0 {
 			continue
 		}
-		k := curveKey{res.Benchmark, res.SwitchCount, res.Routing, res.Faults, res.Policy}
+		k := designKey(res.Job)
 		a, ok := byKey[k]
 		if !ok {
 			a = &acc{

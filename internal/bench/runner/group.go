@@ -3,26 +3,10 @@ package runner
 import (
 	"context"
 
+	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
 )
-
-// groupKey identifies a design: every job with the same key builds the
-// same topology, routes, removal and ordering, so the grouped scheduler
-// evaluates the design once and fans only the simulation stage out
-// across the member cells. The seed participates only when the design
-// itself is seed-dependent (seeded random traffic, seeded fault
-// scenarios); otherwise the seeds axis varies just the injection
-// process and the whole seed column shares one build.
-type groupKey struct {
-	benchmark string
-	switches  int
-	routing   string
-	faults    int
-	policy    string
-	seeded    bool
-	seed      int64
-}
 
 // designDependsOnSeed reports whether the job's design (not just its
 // injection process) varies with the seed: rand: specs synthesize a
@@ -35,33 +19,34 @@ func designDependsOnSeed(s spec, job Job) bool {
 	return s.family == "rand"
 }
 
-func keyOf(s spec, job Job) groupKey {
-	k := groupKey{
-		benchmark: job.Benchmark,
-		switches:  job.SwitchCount,
-		routing:   job.Routing,
-		faults:    job.Faults,
-		policy:    job.Policy,
-	}
-	if designDependsOnSeed(s, job) {
-		k.seeded, k.seed = true, job.Seed
-	}
-	return k
+// designKey is the job with its seed cleared: the identity of a load
+// curve, and of a design group unless the design depends on the seed.
+func designKey(job Job) Job {
+	job.Seed = 0
+	return job
 }
 
 // groups partitions the run's incomplete cells into design groups, in
-// first-appearance order. Seeds are the innermost Jobs axis, so on a
-// full grid each group is a contiguous run of cells; shard-filtered
-// cells group the same way with fewer members. Cells the result cache
-// already completed join no group.
+// first-appearance order: every job of a group builds the same topology,
+// routes, removal and ordering, so the grouped scheduler evaluates the
+// design once and fans only the simulation stage out across the member
+// cells. A group is a designKey, or a whole job when its design depends
+// on the seed; otherwise the seeds axis varies just the injection
+// process and the whole seed column shares one build. Seeds are the
+// innermost Jobs axis, so on a full grid each group is a contiguous run
+// of cells; shard-filtered cells group the same way with fewer members.
+// Cells the result cache already completed join no group.
 func (r *sweepRun) groups() [][]int {
-	byKey := map[groupKey]int{}
+	byKey := map[Job]int{}
 	var groups [][]int
 	for i, j := range r.jobs {
 		if r.filled[i] {
 			continue
 		}
-		k := keyOf(r.specs[j.Benchmark], j)
+		k := j
+		if !designDependsOnSeed(r.specs[j.Benchmark], j) {
+			k = designKey(j)
+		}
 		gi, ok := byKey[k]
 		if !ok {
 			gi = len(groups)
@@ -93,23 +78,6 @@ func (r *sweepRun) runGroup(ctx context.Context, members []int, laneParallel int
 		}
 	}
 
-	policy, err := ParsePolicy(job0.Policy)
-	if err != nil {
-		emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
-		return
-	}
-	evalOpts := EvalOptions{
-		Selection: policy,
-		Policy:    opts.Policy,
-		VCLimit:   opts.VCLimit,
-		MaxPaths:  opts.maxPaths,
-	}
-
-	if hook := designBuildHook; hook != nil {
-		hook(job0)
-	}
-
-	var de *designEval
 	var cores int
 	failAll := func(err error) {
 		emit(func(j Job) Result {
@@ -117,11 +85,24 @@ func (r *sweepRun) runGroup(ctx context.Context, members []int, laneParallel int
 			return r.fail(err)
 		})
 	}
+
+	policy, err := ParsePolicy(job0.Policy)
+	if err != nil {
+		failAll(err)
+		return
+	}
+	removal := core.Options{Selection: policy, Policy: opts.Policy, VCLimit: opts.VCLimit}
+
+	if hook := designBuildHook; hook != nil {
+		hook(job0)
+	}
+
+	var de *designEval
 	s := r.specs[job0.Benchmark]
 	if s.preset() {
 		grid, g, err := s.build()
 		if err != nil {
-			emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
+			failAll(err)
 			return
 		}
 		cores = g.NumCores()
@@ -144,9 +125,9 @@ func (r *sweepRun) runGroup(ctx context.Context, members []int, laneParallel int
 			}
 		}
 		if model == route.DOR && job0.Faults == 0 {
-			de, err = buildRegular(ctx, grid, g, evalOpts)
+			de, err = buildRegular(ctx, grid, g, removal)
 		} else {
-			de, err = buildAdaptive(ctx, grid, g, model, evalOpts)
+			de, err = buildAdaptive(ctx, grid, g, model, opts.maxPaths, removal)
 		}
 		if err != nil {
 			failAll(err)
@@ -155,7 +136,7 @@ func (r *sweepRun) runGroup(ctx context.Context, members []int, laneParallel int
 	} else {
 		g, err := s.graph(job0.Seed)
 		if err != nil {
-			emit(func(j Job) Result { return Result{Job: j, Error: err.Error()} })
+			failAll(err)
 			return
 		}
 		cores = g.NumCores()
@@ -163,7 +144,7 @@ func (r *sweepRun) runGroup(ctx context.Context, members []int, laneParallel int
 			emit(func(j Job) Result { return Result{Job: j, Cores: cores, Skipped: true} })
 			return
 		}
-		de, err = buildSynth(ctx, g, job0.SwitchCount, evalOpts)
+		de, err = buildSynth(ctx, g, job0.SwitchCount, removal)
 		if err != nil {
 			failAll(err)
 			return
@@ -178,48 +159,30 @@ func (r *sweepRun) runGroup(ctx context.Context, members []int, laneParallel int
 		ce = de.certify()
 	}
 
-	base := Result{Cores: cores}
-	base.Links = de.point.Links
-	base.MaxRouteLen = de.point.MaxRouteLen
-	base.InitialAcyclic = de.point.InitialAcyclic
-	base.RemovalVCs = de.point.RemovalVCs
-	base.OrderingVCs = de.point.OrderingVCs
-	base.Breaks = de.point.Breaks
-	base.Paths = de.point.Paths
+	var sims []*SimResult
+	if opts.Simulate {
+		// Derive the per-cell simulation seeds from the job seeds so the
+		// seeds axis varies the injection process even on deterministic
+		// benchmarks.
+		seeds := make([]int64, len(members))
+		for k, i := range members {
+			seeds[k] = opts.Sim.Seed + jobs[i].Seed + 1
+		}
+		if sims, err = de.simEvalBatch(ctx, opts.Sim, seeds, loads, laneParallel); err != nil {
+			failAll(err)
+			return
+		}
+	}
 	// The removal ran once for the whole group; every member reports its
 	// wall-clock (timings are progress-only and never serialized).
-	base.RemovalTime = de.point.RemovalTime
-
-	if !opts.Simulate {
-		emit(func(j Job) Result {
-			r := base
-			r.Job = j
-			if ce != nil {
-				r.Certify = ce.withSim(nil)
-			}
-			return r
-		})
-		return
-	}
-
-	// Derive the per-cell simulation seeds from the job seeds so the
-	// seeds axis varies the injection process even on deterministic
-	// benchmarks.
-	seeds := make([]int64, len(members))
 	for k, i := range members {
-		seeds[k] = opts.Sim.Seed + jobs[i].Seed + 1
-	}
-	sims, err := de.simEvalBatch(ctx, opts.Sim, seeds, loads, laneParallel)
-	if err != nil {
-		failAll(err)
-		return
-	}
-	for k, i := range members {
-		r := base
+		r := de.res
 		r.Job = jobs[i]
-		r.Sim = sims[k]
+		if sims != nil {
+			r.Sim = sims[k]
+		}
 		if ce != nil {
-			r.Certify = ce.withSim(sims[k])
+			r.Certify = ce.withSim(r.Sim)
 		}
 		results[i] = r
 	}

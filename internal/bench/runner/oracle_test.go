@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/traffic"
@@ -27,12 +28,7 @@ func runJob(ctx context.Context, job Job, opts Options) Result {
 		res.Error = err.Error()
 		return res
 	}
-	evalOpts := EvalOptions{
-		Selection: policy,
-		Policy:    opts.Policy,
-		VCLimit:   opts.VCLimit,
-		MaxPaths:  opts.maxPaths,
-	}
+	removal := core.Options{Selection: policy, Policy: opts.Policy, VCLimit: opts.VCLimit}
 
 	var de *designEval
 	s, err := parseSpec(job.Benchmark)
@@ -64,9 +60,9 @@ func runJob(ctx context.Context, job Job, opts Options) Result {
 			}
 		}
 		if model == route.DOR && job.Faults == 0 {
-			de, err = buildRegular(ctx, grid, g, evalOpts)
+			de, err = buildRegular(ctx, grid, g, removal)
 		} else {
-			de, err = buildAdaptive(ctx, grid, g, model, evalOpts)
+			de, err = buildAdaptive(ctx, grid, g, model, opts.maxPaths, removal)
 		}
 		if err != nil {
 			return res.fail(err)
@@ -82,7 +78,7 @@ func runJob(ctx context.Context, job Job, opts Options) Result {
 			res.Skipped = true
 			return res
 		}
-		if de, err = buildSynth(ctx, g, job.SwitchCount, evalOpts); err != nil {
+		if de, err = buildSynth(ctx, g, job.SwitchCount, removal); err != nil {
 			return res.fail(err)
 		}
 	}
@@ -98,19 +94,12 @@ func runJob(ctx context.Context, job Job, opts Options) Result {
 		}
 		res.Sim = sim
 	}
+	out := de.res
+	out.Job, out.Sim = job, res.Sim
 	if opts.Certify {
-		res.Certify = de.certify().withSim(res.Sim)
+		out.Certify = de.certify().withSim(res.Sim)
 	}
-	p := de.point
-	res.Links = p.Links
-	res.MaxRouteLen = p.MaxRouteLen
-	res.InitialAcyclic = p.InitialAcyclic
-	res.RemovalVCs = p.RemovalVCs
-	res.OrderingVCs = p.OrderingVCs
-	res.Breaks = p.Breaks
-	res.Paths = p.Paths
-	res.RemovalTime = p.RemovalTime
-	return res
+	return out
 }
 
 // newSim builds a single simulator over one of the design's two halves.
@@ -145,7 +134,7 @@ func (de *designEval) simEval(ctx context.Context, params SimParams) (*SimResult
 		Adaptive:    params.Adaptive,
 	}
 
-	if !de.initialAcyclic {
+	if !de.res.InitialAcyclic {
 		w, pinned, nflows, err := de.witness()
 		if err != nil {
 			return nil, fmt.Errorf("runner: witness workload: %w", err)

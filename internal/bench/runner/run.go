@@ -44,7 +44,7 @@ func newSweepRun(grid Grid, opts Options) (*sweepRun, error) {
 		return nil, fmt.Errorf("%w: shard %d/%d out of range", nocerr.ErrInvalidInput, opts.ShardIndex, opts.ShardCount)
 	}
 	if opts.Simulate {
-		if err := ValidateSim(opts.Sim); err != nil {
+		if err := ValidateSim(grid, opts.Sim); err != nil {
 			return nil, err
 		}
 	}

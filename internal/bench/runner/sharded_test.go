@@ -27,6 +27,7 @@ import (
 	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/serve"
+	"github.com/nocdr/nocdr/internal/wormhole"
 )
 
 // startWorkers brings up n serve workers, optionally wrapping each
@@ -149,34 +150,50 @@ func TestShardedSimulatedMatchesSerial(t *testing.T) {
 }
 
 // TestSweepRefusesDeepBufferUpFront pins where a buffer depth over
-// wormhole.MaxBufferDepth is refused: a local run fails before any cell
-// runs, and a sharded run before any worker sees a request, so the
-// depth never reaches a fleet whose 400s would retire every worker.
+// wormhole.MaxBufferDepth, or a cell at wormhole.MaxLanes loads (one
+// lane over the bound with the canonical load), is refused: a local run
+// fails before any cell runs, and a sharded run before any worker sees a
+// request, so the run never reaches a fleet whose 400s would retire
+// every worker.
 func TestSweepRefusesDeepBufferUpFront(t *testing.T) {
 	grid := runner.Grid{Benchmarks: []string{"torus:4x4:uniform"}, Seeds: []int64{0}}
-	opts := runner.Options{Simulate: true, Sim: runner.SimParams{BufferDepth: 1 << 62}}
-	cells := 0
-	local := opts
-	local.OnResult = func(int, int, runner.Result) { cells++ }
-	if _, err := runner.Run(grid, local); !errors.Is(err, nocerr.ErrInvalidInput) {
-		t.Fatalf("local run: error %v, want ErrInvalidInput", err)
+	loaded := grid
+	loaded.Loads = make([]float64, wormhole.MaxLanes)
+	for i := range loaded.Loads {
+		loaded.Loads[i] = float64(i+1) / float64(len(loaded.Loads))
 	}
-	if cells != 0 {
-		t.Fatalf("local run completed %d cells before refusing", cells)
-	}
-	var requests atomic.Int64
-	urls := startWorkers(t, 2, func(_ int, h http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			requests.Add(1)
-			h.ServeHTTP(w, r)
+	for _, c := range []struct {
+		name string
+		grid runner.Grid
+		sim  runner.SimParams
+	}{
+		{"depth 2^62", grid, runner.SimParams{BufferDepth: 1 << 62}},
+		{"MaxLanes loads", loaded, runner.SimParams{}},
+	} {
+		opts := runner.Options{Simulate: true, Sim: c.sim}
+		cells := 0
+		local := opts
+		local.OnResult = func(int, int, runner.Result) { cells++ }
+		if _, err := runner.Run(c.grid, local); !errors.Is(err, nocerr.ErrInvalidInput) {
+			t.Fatalf("%s: local run: error %v, want ErrInvalidInput", c.name, err)
+		}
+		if cells != 0 {
+			t.Fatalf("%s: local run completed %d cells before refusing", c.name, cells)
+		}
+		var requests atomic.Int64
+		urls := startWorkers(t, 2, func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				requests.Add(1)
+				h.ServeHTTP(w, r)
+			})
 		})
-	})
-	sh := &runner.Sharded{Workers: urls}
-	if _, err := sh.RunContext(context.Background(), grid, opts); !errors.Is(err, nocerr.ErrInvalidInput) {
-		t.Fatalf("sharded run: error %v, want ErrInvalidInput", err)
-	}
-	if n := requests.Load(); n != 0 {
-		t.Fatalf("sharded run sent %d requests before refusing", n)
+		sh := &runner.Sharded{Workers: urls}
+		if _, err := sh.RunContext(context.Background(), c.grid, opts); !errors.Is(err, nocerr.ErrInvalidInput) {
+			t.Fatalf("%s: sharded run: error %v, want ErrInvalidInput", c.name, err)
+		}
+		if n := requests.Load(); n != 0 {
+			t.Fatalf("%s: sharded run sent %d requests before refusing", c.name, n)
+		}
 	}
 }
 

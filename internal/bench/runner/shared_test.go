@@ -7,6 +7,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/nocdr/nocdr/internal/core"
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/route"
 	"github.com/nocdr/nocdr/internal/topology"
@@ -39,14 +40,14 @@ func sharedCell(t *testing.T, ctx context.Context, benchmark string, model route
 		t.Fatal(err)
 	}
 	if model == route.DOR {
-		return buildRegular(ctx, grid, g, EvalOptions{})
+		return buildRegular(ctx, grid, g, core.Options{})
 	}
-	return buildAdaptive(ctx, grid, g, model, EvalOptions{})
+	return buildAdaptive(ctx, grid, g, model, 0, core.Options{})
 }
 
-// TestProvenDesignIsItsOwnPostDesign pins the runner's shortcut for a
-// design whose CDG is proven acyclic up front: no removal runs, its pre
-// and post halves alias one topology and one table or set, and neither
+// TestProvenDesignIsItsOwnPostDesign pins the runner's design for one
+// whose CDG the removal proves acyclic up front: nothing is broken, its
+// pre and post halves alias one topology and one table or set, and neither
 // simulation nor certification changes a byte of it. A cyclic design
 // still gets a removed copy, and leaves its input as it was. A done
 // context cancels either kind of cell.
@@ -67,23 +68,23 @@ func TestProvenDesignIsItsOwnPostDesign(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if de.initialAcyclic != c.proven || de.point.InitialAcyclic != c.proven {
-			t.Fatalf("%s: initially acyclic = %v, want %v", name, de.initialAcyclic, c.proven)
+		if de.res.InitialAcyclic != c.proven {
+			t.Fatalf("%s: initially acyclic = %v, want %v", name, de.res.InitialAcyclic, c.proven)
 		}
 		aliased := [3]bool{de.preTop == de.postTop, de.preTab == de.postTab, de.preSet == de.postSet}
 		if c.proven {
 			if aliased != [3]bool{true, true, true} {
 				t.Fatalf("%s: proven design's halves alias %v, want topology and routes shared", name, aliased)
 			}
-			if de.point.RemovalVCs != 0 || de.point.Breaks != 0 {
-				t.Fatalf("%s: proven design reports %d VCs and %d breaks", name, de.point.RemovalVCs, de.point.Breaks)
+			if de.res.RemovalVCs != 0 || de.res.Breaks != 0 {
+				t.Fatalf("%s: proven design reports %d VCs and %d breaks", name, de.res.RemovalVCs, de.res.Breaks)
 			}
 		} else {
 			// The nil half of a table or adaptive cell compares equal.
 			if aliased[0] || (aliased[1] && de.preTab != nil) || (aliased[2] && de.preSet != nil) {
 				t.Fatalf("%s: cyclic design's halves alias %v, want fresh copies", name, aliased)
 			}
-			if de.point.RemovalVCs == 0 {
+			if de.res.RemovalVCs == 0 {
 				t.Fatalf("%s: cyclic design's removal added no VC", name)
 			}
 		}

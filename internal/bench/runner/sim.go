@@ -53,12 +53,28 @@ func (p SimParams) config() wormhole.Config {
 	}
 }
 
-// ValidateSim returns the error every simulated cell would fail with on
-// p, so that a sweep can refuse p before any cell runs or any shard is
-// dispatched: an unusable parameter, or a buffer deeper than
-// wormhole.MaxBufferDepth (wrapping nocerr.ErrInvalidInput).
-func ValidateSim(p SimParams) error {
-	return wormhole.CheckConfig(p.config(), 0)
+// ValidateSim returns the error a simulated sweep of the valid grid g
+// fails with on p, so that the sweep can be refused before any cell runs
+// or any shard is dispatched: an unusable parameter, a buffer deeper than
+// wormhole.MaxBufferDepth, or more measurement lanes than
+// wormhole.MaxLanes, one per cell and load with the canonical load
+// counted (each wrapping nocerr.ErrInvalidInput).
+func ValidateSim(g Grid, p SimParams) error {
+	if err := wormhole.CheckConfig(p.config(), 0); err != nil {
+		return err
+	}
+	g = g.normalized()
+	presets := 0
+	for _, b := range g.Benchmarks {
+		if s, _ := parseSpec(b); s.preset() {
+			presets++
+		}
+	}
+	cells, _ := g.cellCount(presets)
+	if _, err := wormhole.CheckLanes(cells, 1+len(g.Loads)); err != nil {
+		return fmt.Errorf("runner: simulated sweep: %w", err)
+	}
+	return nil
 }
 
 // SimResult is the flit-level verification outcome of one grid cell: the
@@ -231,7 +247,7 @@ func (de *designEval) simEvalBatch(ctx context.Context, params SimParams, seeds 
 
 	var witness []*wormhole.Batch // pre-removal, then post-removal
 	nflows := 0
-	if !de.initialAcyclic {
+	if !de.res.InitialAcyclic {
 		w, pinned, n, err := de.witness()
 		if err != nil {
 			return nil, fmt.Errorf("runner: witness workload: %w", err)

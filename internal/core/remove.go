@@ -10,8 +10,10 @@ import (
 	"github.com/nocdr/nocdr/internal/topology"
 )
 
-// Result reports what Remove did. Topology and Routes are modified deep
-// copies; the inputs are never mutated.
+// Result reports what Remove did. Topology and Routes are the caller's
+// own topology and table when the input CDG was proven acyclic up front,
+// and modified deep copies of them otherwise. Either way the inputs are
+// never written.
 type Result struct {
 	Topology *topology.Topology
 	Routes   *route.Table
@@ -34,19 +36,21 @@ type Result struct {
 // topology/routes have an acyclic CDG.
 //
 // Remove first asks cdg.ProveAcyclic whether the input CDG is already
-// acyclic, and answers such an input, the common case, with plain copies
-// and no break loop. Otherwise the CDG is maintained incrementally across
-// breaks: each break's channel duplications and flow reroutes are applied
-// as localized edge updates, and the cycle re-search after it skips every
-// channel whose cycle-length bound shows it cannot hold a shorter cycle
-// than one already found. The break sequence equals that of a loop that
-// rebuilds the CDG on every break (see the differential tests).
-// opts.FullRebuild is ignored.
+// acyclic, and answers such an input, the common case, with the inputs
+// themselves and no break loop. Otherwise it breaks cycles in copies, and
+// the CDG is maintained incrementally across breaks: each break's channel
+// duplications and flow reroutes are applied as localized edge updates,
+// and the cycle re-search after it skips every channel whose cycle-length
+// bound shows it cannot hold a shorter cycle than one already found. The
+// break sequence equals that of a loop that rebuilds the CDG on every
+// break (see the differential tests). opts.FullRebuild is ignored.
 //
-// The inputs are not modified. Remove fails if a cycle edge cannot be
-// attributed to a flow (inconsistent inputs) or if opts.MaxIterations is
-// exceeded (never observed on the paper's benchmark family; the bound
-// exists to fail loudly instead of looping).
+// The inputs are never written. A caller that modifies a result whose
+// Topology is its own input clones the result first, as the library's
+// v1 wrappers do. Remove fails if a cycle edge cannot be attributed to a
+// flow (inconsistent inputs) or if opts.MaxIterations is exceeded (never
+// observed on the paper's benchmark family; the bound exists to fail
+// loudly instead of looping).
 func Remove(top *topology.Topology, tab *route.Table, opts Options) (*Result, error) {
 	return RemoveContext(context.Background(), top, tab, opts)
 }
@@ -64,7 +68,7 @@ func RemoveContext(ctx context.Context, top *topology.Topology, tab *route.Table
 		if err := canceled(ctx); err != nil {
 			return nil, err
 		}
-		return &Result{Topology: top.Clone(), Routes: tab.Clone(), InitialAcyclic: true}, nil
+		return &Result{Topology: top, Routes: tab, InitialAcyclic: true}, nil
 	}
 	return remove(ctx, top.Clone(), tab.Clone(), opts)
 }

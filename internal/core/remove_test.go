@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
@@ -51,6 +54,10 @@ func randomSetup(seed int64, nSwitch, nFlow int) (*topology.Topology, *traffic.G
 	return top, g, tab
 }
 
+// TestRemoveOnAcyclicInputIsNoop pins both entry points on a design
+// proven acyclic: nothing is broken, the result holds the inputs
+// themselves, their bytes are as they were, and a done context still
+// cancels.
 func TestRemoveOnAcyclicInputIsNoop(t *testing.T) {
 	// Two switches, one flow each way — single-hop routes create no
 	// dependencies at all.
@@ -61,12 +68,43 @@ func TestRemoveOnAcyclicInputIsNoop(t *testing.T) {
 	tab := route.NewTable(2)
 	tab.Set(0, []topology.Channel{topology.Chan(0, 0)})
 	tab.Set(1, []topology.Channel{topology.Chan(1, 0)})
+	set := route.FromTable(tab)
+	inputs := func() []byte {
+		data, err := json.Marshal([]any{top, tab, set})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	before := inputs()
 	res, err := Remove(top, tab, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.InitialAcyclic || res.AddedVCs != 0 || res.Iterations != 0 || len(res.Breaks) != 0 {
 		t.Errorf("no-op removal: %+v", res)
+	}
+	if res.Topology != top || res.Routes != tab {
+		t.Error("proven table design: result does not hold the inputs")
+	}
+	sres, err := RemoveSetContext(context.Background(), top, set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sres.InitialAcyclic || sres.AddedVCs != 0 || sres.Topology != top || sres.Routes != set {
+		t.Errorf("proven set design: initially acyclic %v, %d VCs, result holds the inputs %v",
+			sres.InitialAcyclic, sres.AddedVCs, sres.Topology == top && sres.Routes == set)
+	}
+	if after := inputs(); !bytes.Equal(before, after) {
+		t.Errorf("inputs changed during removal:\nbefore %s\nafter  %s", before, after)
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RemoveContext(done, top, tab, Options{}); !errors.Is(err, nocerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Errorf("table removal under a done context: %v, want canceled", err)
+	}
+	if _, err := RemoveSetContext(done, top, set, Options{}); !errors.Is(err, nocerr.ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Errorf("set removal under a done context: %v, want canceled", err)
 	}
 }
 

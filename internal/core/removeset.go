@@ -8,10 +8,12 @@ import (
 	"github.com/nocdr/nocdr/internal/topology"
 )
 
-// SetResult reports what RemoveSet did: modified deep copies of the
-// topology and route set whose union CDG is acyclic. Break records are
-// translated back to real flow IDs (a flow appears once per break even
-// when several of its candidate paths were rerouted).
+// SetResult reports what RemoveSet did: a topology and route set whose
+// union CDG is acyclic. They are the caller's own when the input was
+// proven acyclic up front, and modified deep copies otherwise; the inputs
+// are never written. Break records are translated back to real flow IDs
+// (a flow appears once per break even when several of its candidate
+// paths were rerouted).
 type SetResult struct {
 	Topology *topology.Topology
 	Routes   *route.RouteSet
@@ -30,15 +32,15 @@ type SetResult struct {
 // path per flow goes through the exact same code path as Remove on the
 // equivalent table and produces an identical break sequence (pinned by
 // differential tests). A set whose union CDG is proven acyclic up front
-// is answered with copies, without flattening, as in RemoveContext. The
-// inputs are never mutated. Cancellation is cooperative, as in
-// RemoveContext.
+// is answered with the inputs themselves, without flattening, as in
+// RemoveContext. The inputs are never written. Cancellation is
+// cooperative, as in RemoveContext.
 func RemoveSetContext(ctx context.Context, top *topology.Topology, set *route.RouteSet, opts Options) (*SetResult, error) {
 	if ok, _ := cdg.ProveAcyclic(top, setPaths(set)); ok {
 		if err := canceled(ctx); err != nil {
 			return nil, err
 		}
-		return &SetResult{Topology: top.Clone(), Routes: set.Clone(), InitialAcyclic: true}, nil
+		return &SetResult{Topology: top, Routes: set, InitialAcyclic: true}, nil
 	}
 	// The flattened table is a fresh copy, so the loop rewrites it in
 	// place and Unflatten adopts its paths: the set is copied once.

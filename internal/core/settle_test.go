@@ -434,8 +434,8 @@ func TestSettleEdgeCases(t *testing.T) {
 
 // TestSettleAllocsConstant bounds what an acyclic cell costs: removal on
 // a one-fault transpose preset whose union CDG starts acyclic allocates
-// a small constant — the copies of the topology and the set, the pass's
-// three arrays — whatever the cell's path count.
+// a small constant — the pass's three arrays and the result — whatever
+// the cell's path count.
 func TestSettleAllocsConstant(t *testing.T) {
 	const bound = 40
 	counts := map[int]bool{}

@@ -312,7 +312,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Simulate {
-		if err := runner.ValidateSim(req.Sim); err != nil {
+		if err := runner.ValidateSim(req.Grid, req.Sim); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -443,7 +443,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 100000
 	}
-	if err := checkSimulate(&cfg, req.Topology); err != nil {
+	if err := checkSimulate(&cfg, req.Topology, len(req.Config.Seeds), len(req.Config.Loads)); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -477,29 +477,37 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxEpochEvents bounds the sim_epoch events one variant of a simulate
-// job logs, max_cycles / epoch_cycles.
+// maxEpochEvents bounds the sim_epoch events one simulate job logs over
+// all its lanes, lanes × max_cycles / epoch_cycles. It exceeds
+// wormhole.MaxLanes, so every lane may log at least one.
 const maxEpochEvents = 10_000
 
 // checkSimulate refuses a simulate config before its job is enqueued:
 // anything the simulator would refuse, a lane over its flit budget on
-// the posted topology, and an epoch_cycles that would log more than
-// maxEpochEvents events per variant. An unset epoch_cycles gets the
-// Session's default period, lengthened where max_cycles calls for it,
-// so that a long job's event log stays within the same bound.
-func checkSimulate(cfg *nocdr.SimConfig, top *nocdr.Topology) error {
+// the posted topology, a seeds × loads product over wormhole.MaxLanes
+// (an empty axis counts as one value), and an epoch_cycles that would
+// log more than maxEpochEvents events over the job's lanes. An unset
+// epoch_cycles gets the Session's default period, lengthened where
+// max_cycles and the lane count call for it, so that a long job's event
+// log stays within the same bound.
+func checkSimulate(cfg *nocdr.SimConfig, top *nocdr.Topology, seeds, loads int) error {
 	if err := wormhole.CheckConfig(*cfg, top.TotalVCs()); err != nil {
 		return err
 	}
+	lanes, err := wormhole.CheckLanes(max(1, seeds), max(1, loads))
+	if err != nil {
+		return err
+	}
+	perLane := int64(maxEpochEvents / lanes)
 	if cfg.EpochCycles == 0 {
-		if cfg.MaxCycles/nocdr.DefaultEpochCycles > maxEpochEvents {
-			cfg.EpochCycles = (cfg.MaxCycles + maxEpochEvents - 1) / maxEpochEvents
+		if cfg.MaxCycles/nocdr.DefaultEpochCycles > perLane {
+			cfg.EpochCycles = (cfg.MaxCycles-1)/perLane + 1
 		}
 		return nil
 	}
-	if cfg.MaxCycles/cfg.EpochCycles > maxEpochEvents {
-		return fmt.Errorf("%w: epoch_cycles %d logs more than %d epoch events in max_cycles %d",
-			nocerr.ErrInvalidInput, cfg.EpochCycles, maxEpochEvents, cfg.MaxCycles)
+	if cfg.MaxCycles/cfg.EpochCycles > perLane {
+		return fmt.Errorf("%w: epoch_cycles %d logs more than %d epoch events over %d lane(s) of max_cycles %d",
+			nocerr.ErrInvalidInput, cfg.EpochCycles, maxEpochEvents, lanes, cfg.MaxCycles)
 	}
 	return nil
 }

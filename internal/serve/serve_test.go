@@ -19,6 +19,7 @@ import (
 	"github.com/nocdr/nocdr/internal/nocerr"
 	"github.com/nocdr/nocdr/internal/regular"
 	"github.com/nocdr/nocdr/internal/route"
+	"github.com/nocdr/nocdr/internal/wormhole"
 )
 
 // ringDesign builds the paper's Figure 1 four-switch ring with its four
@@ -551,13 +552,27 @@ func TestSweepRefusesMaxPathsOverBound(t *testing.T) {
 // before its job is enqueued. A buffer depth of 2^62 used to panic the
 // job worker sizing its flit block, and one of 2^31+4 to exhaust memory
 // on a two-switch design; an epoch period of one cycle logged one event
-// per simulated cycle. Each is a 400 now, and the server goes on to run
-// the next job.
+// per simulated cycle. 100 seeds × 100 loads were accepted as 10,000
+// full simulations, and one sweep cell with a million distinct loads as
+// a measurement batch of a million lanes. Each is a 400 now, and the
+// server goes on to run the next job.
 func TestSimulationBodiesBounded(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	topo, traffic, routes := foreverDesign(t)
 	simulate := func(config map[string]any) map[string]any {
 		return map[string]any{"topology": topo, "traffic": traffic, "routes": routes, "config": config}
+	}
+	// loads(n) is n distinct loads in (0, 1].
+	loads := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = float64(i+1) / float64(n)
+		}
+		return out
+	}
+	seeds := make([]int64, 100)
+	for i := range seeds {
+		seeds[i] = int64(i)
 	}
 	for _, c := range []struct {
 		name, path string
@@ -570,6 +585,11 @@ func TestSimulationBodiesBounded(t *testing.T) {
 			"grid":     map[string]any{"benchmarks": []string{"torus:4x4:uniform"}},
 			"simulate": true,
 			"sim":      map[string]any{"BufferDepth": int64(1) << 62},
+		}},
+		{"simulate, 100 seeds × 100 loads", "/v1/simulate", simulate(map[string]any{"seeds": seeds, "loads": loads(100)})},
+		{"sweep, one cell at 10^6 loads", "/v1/sweep", map[string]any{
+			"grid":     map[string]any{"benchmarks": []string{"torus:4x4:uniform"}, "loads": loads(1_000_000)},
+			"simulate": true,
 		}},
 	} {
 		var e struct {
@@ -592,31 +612,41 @@ func TestSimulationBodiesBounded(t *testing.T) {
 }
 
 // TestCheckSimulateEpochs pins the epoch bound at its edge: a set period
-// may log maxEpochEvents events per variant and no more, and an unset one
-// keeps the Session's default until max_cycles would overrun the bound,
-// then stretches to the shortest period that keeps it.
+// may log maxEpochEvents events over all the job's lanes and no more, and
+// an unset one keeps the Session's default until max_cycles would overrun
+// the bound, then stretches to the shortest period that keeps it. A
+// seeds × loads product over wormhole.MaxLanes is refused outright.
 func TestCheckSimulateEpochs(t *testing.T) {
 	var top nocdr.Topology
 	top.AddSwitch("")
 	for _, c := range []struct {
 		maxCycles, epoch int64
+		seeds, loads     int
 		want             int64 // the period the job runs with; -1 = refused
 	}{
-		{100000, 0, 0},
-		{maxEpochEvents * nocdr.DefaultEpochCycles, 0, 0},
-		{maxEpochEvents*nocdr.DefaultEpochCycles + nocdr.DefaultEpochCycles, 0, nocdr.DefaultEpochCycles + 1},
-		{4_000_000_000, 0, 400_000},
-		{maxEpochEvents * 7, 7, 7},
-		{maxEpochEvents*7 + 7, 7, -1},
-		{200000, 1, -1},
+		{100000, 0, 0, 0, 0},
+		{maxEpochEvents * nocdr.DefaultEpochCycles, 0, 0, 0, 0},
+		{maxEpochEvents*nocdr.DefaultEpochCycles + nocdr.DefaultEpochCycles, 0, 0, 0, nocdr.DefaultEpochCycles + 1},
+		{4_000_000_000, 0, 1, 1, 400_000},
+		{maxEpochEvents * 7, 7, 0, 0, 7},
+		{maxEpochEvents*7 + 7, 7, 0, 0, -1},
+		{200000, 1, 0, 0, -1},
+		// 100 lanes may log 100 events each.
+		{100 * nocdr.DefaultEpochCycles, 0, 10, 10, 0},
+		{101 * nocdr.DefaultEpochCycles, 0, 10, 10, 1010},
+		{100 * 7, 7, 100, 0, 7},
+		{100*7 + 7, 7, 0, 100, -1},
+		{10 * nocdr.DefaultEpochCycles, 0, wormhole.MaxLanes, 1, 5000},
+		{1000, 0, wormhole.MaxLanes + 1, 1, -1},
+		{1000, 0, 100, 100, -1},
 	} {
 		cfg := nocdr.SimConfig{MaxCycles: c.maxCycles, EpochCycles: c.epoch}
-		err := checkSimulate(&cfg, &top)
+		err := checkSimulate(&cfg, &top, c.seeds, c.loads)
 		switch {
 		case c.want < 0 && !errors.Is(err, nocerr.ErrInvalidInput):
-			t.Errorf("max_cycles %d, epoch_cycles %d: error %v, want ErrInvalidInput", c.maxCycles, c.epoch, err)
+			t.Errorf("max_cycles %d, epoch_cycles %d, %d×%d lanes: error %v, want ErrInvalidInput", c.maxCycles, c.epoch, c.seeds, c.loads, err)
 		case c.want >= 0 && (err != nil || cfg.EpochCycles != c.want):
-			t.Errorf("max_cycles %d, epoch_cycles %d: period %d, error %v; want %d", c.maxCycles, c.epoch, cfg.EpochCycles, err, c.want)
+			t.Errorf("max_cycles %d, epoch_cycles %d, %d×%d lanes: period %d, error %v; want %d", c.maxCycles, c.epoch, c.seeds, c.loads, cfg.EpochCycles, err, c.want)
 		}
 	}
 }

@@ -367,10 +367,12 @@ func TestBatchCancelMidRun(t *testing.T) {
 	}
 }
 
-// FuzzLockstepVariants is the nightly fuzz leg of the tentpole's
-// invariant: for arbitrary variant counts, seeds and loads, every lane
-// of a batch must match its sequential oracle byte for byte, on both
-// the table and adaptive engines.
+// FuzzLockstepVariants is the nightly fuzz leg of the batch engine: for
+// arbitrary variant counts, seeds and loads, every lane of a batch must
+// match its sequential oracle byte for byte, on both the table and
+// adaptive engines. Each oracle lane steps through the engine's
+// invariants every cycle (flit conservation, one owner per VC, buffer
+// bounds), so a run both engines get wrong the same way still fails.
 func FuzzLockstepVariants(f *testing.F) {
 	grid, err := regular.Mesh(3, 3)
 	if err != nil {
@@ -430,11 +432,7 @@ func FuzzLockstepVariants(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, serr := sim.Run()
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			if !reflect.DeepEqual(got[i], want) {
+			if want := wormhole.RunChecked(t, sim); !reflect.DeepEqual(got[i], want) {
 				t.Fatalf("variant %d (%+v) diverges from oracle\nbatch: %+v\noracle: %+v", i, v, got[i], want)
 			}
 		}

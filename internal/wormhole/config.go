@@ -45,6 +45,21 @@ const MaxBufferDepth = 1 << 16
 // largest channel count fits it at depth 16, a sweep spec's at depth 512.
 const MaxLaneFlits = 1 << 24
 
+// MaxLanes bounds the lanes one request may simulate: a batch's seeds ×
+// loads, or a simulated sweep's measurement lanes, cells × (1 + loads).
+const MaxLanes = 1 << 12
+
+// CheckLanes returns a × b, the lane count of an a-by-b cross product of
+// non-negative axis lengths, or an error wrapping nocerr.ErrInvalidInput
+// when it exceeds MaxLanes. The bound is checked before the product is
+// formed, so no count overflows, and before anything per lane exists.
+func CheckLanes(a, b int) (int, error) {
+	if a > 0 && b > MaxLanes/a {
+		return 0, fmt.Errorf("wormhole: %d × %d lanes exceed the %d one request may simulate: %w", a, b, MaxLanes, nocerr.ErrInvalidInput)
+	}
+	return a * b, nil
+}
+
 // CheckConfig returns the error New fails with on cfg, its defaults
 // applied, for a design of the given number of channels: an unusable
 // field, or a lane of more than MaxLaneFlits flit slots (wrapping

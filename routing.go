@@ -111,7 +111,14 @@ func (s *Session) DeadlockFreeSet(top *Topology, set *RouteSet) (bool, error) {
 // break sequence RemoveDeadlocks would. Inputs are never mutated.
 func (s *Session) RemoveDeadlocksSet(ctx context.Context, top *Topology, set *RouteSet) (*SetRemovalResult, error) {
 	res, err := core.RemoveSetContext(ctx, top, set, s.removalOptions())
-	return res, wrapErr(err)
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	// As in RemoveDeadlocks: a proven design comes back as the inputs.
+	if res.Topology == top {
+		res.Topology, res.Routes = top.Clone(), set.Clone()
+	}
+	return res, nil
 }
 
 // NewAdaptiveSimulator builds a flit-level simulator with per-hop

@@ -2,8 +2,10 @@
 # End-to-end smoke test of `nocdr serve`: synthesize a benchmark design,
 # submit it to /v1/remove over HTTP, poll the job to completion, and
 # assert (with jq) that the repaired design is deadlock-free. It also
-# posts a sweep over the per-flow path bound and asserts a 400 with no
-# job created. Exercises the same path the CI serve-smoke job gates.
+# posts a sweep over the per-flow path bound, a simulation of more lanes
+# than one request may run, and a simulated sweep of one cell at a
+# million loads, and asserts a 400 with no job created for each.
+# Exercises the same path the CI serve-smoke job gates.
 set -euo pipefail
 
 PORT="${PORT:-18080}"
@@ -28,18 +30,34 @@ for i in $(seq 1 50); do
 done
 curl -fsS "$BASE/healthz" | jq -e '.status == "ok"' > /dev/null
 
+# refuse PATH BODYFILE PATTERN: the POST must answer 400 reporting
+# invalid input, with PATTERN in the error, and leave the job list empty.
+refuse() {
+    STATUS=$(curl -sS -o "$DIR/refused.json" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
+        --data @"$2" "$BASE$1")
+    if [ "$STATUS" != "400" ]; then
+        echo "over-bound $1 body answered $STATUS, want 400" >&2
+        cat "$DIR/refused.json" >&2
+        exit 1
+    fi
+    jq -e --arg p "$3" '.error | test("invalid input") and test($p)' "$DIR/refused.json" > /dev/null
+    curl -fsS "$BASE/v1/jobs" | jq -e '.jobs | length == 0' > /dev/null
+    echo "   400, no job created"
+}
+
 echo "== refusing a sweep over the per-flow path bound (max_paths 2^30)"
-STATUS=$(curl -sS -o "$DIR/refused.json" -w '%{http_code}' -X POST -H 'Content-Type: application/json' \
-    --data '{"grid":{"benchmarks":["mesh:16x16:transpose"],"routings":["min-adaptive"],"max_paths":1073741824}}' \
-    "$BASE/v1/sweep")
-if [ "$STATUS" != "400" ]; then
-    echo "over-bound sweep answered $STATUS, want 400" >&2
-    cat "$DIR/refused.json" >&2
-    exit 1
-fi
-jq -e '.error | test("invalid input")' "$DIR/refused.json" > /dev/null
-curl -fsS "$BASE/v1/jobs" | jq -e '.jobs | length == 0' > /dev/null
-echo "   400, no job created"
+echo '{"grid":{"benchmarks":["mesh:16x16:transpose"],"routings":["min-adaptive"],"max_paths":1073741824}}' > "$DIR/paths.json"
+refuse /v1/sweep "$DIR/paths.json" "max-paths"
+
+echo "== refusing a simulation of 100 seeds x 100 loads (10,000 lanes)"
+jq -n --slurpfile topo "$DIR/topology.json" --slurpfile routes "$DIR/routes.json" --slurpfile traffic "$DIR/traffic.json" \
+    '{topology: $topo[0], routes: $routes[0], traffic: $traffic[0],
+      config: {max_cycles: 1000, seeds: [range(100)], loads: [range(1; 101) / 100]}}' > "$DIR/lanes.json"
+refuse /v1/simulate "$DIR/lanes.json" "lanes exceed"
+
+echo "== refusing a simulated sweep of one cell at 10^6 distinct loads"
+jq -n '{grid: {benchmarks: ["torus:4x4:uniform"], loads: [range(1; 1000001) / 1000000]}, simulate: true}' > "$DIR/loads.json"
+refuse /v1/sweep "$DIR/loads.json" "lanes exceed"
 
 echo "== submitting /v1/remove"
 jq -n --slurpfile topo "$DIR/topology.json" --slurpfile routes "$DIR/routes.json" \

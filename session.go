@@ -225,7 +225,15 @@ func (s *Session) removalOptions() RemovalOptions {
 // iterations. Inputs are never mutated.
 func (s *Session) RemoveDeadlocks(ctx context.Context, top *Topology, tab *RouteTable) (*RemovalResult, error) {
 	res, err := core.RemoveContext(ctx, top, tab, s.removalOptions())
-	return res, wrapErr(err)
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	// The removal answers a design it proves acyclic with the inputs
+	// themselves; the copies are promised here.
+	if res.Topology == top {
+		res.Topology, res.Routes = top.Clone(), tab.Clone()
+	}
+	return res, nil
 }
 
 // CostTable computes Algorithm 2's cost table for a cycle in the given

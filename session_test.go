@@ -75,6 +75,63 @@ func TestSessionDifferentialRemoval(t *testing.T) {
 	}
 }
 
+// TestRemovalReturnsCopies pins the v1 promise that a removal's result
+// is a copy, on designs the removal proves acyclic and so answers with
+// the inputs themselves: a DOR table and a west-first route set on a
+// mesh. Neither result holds an input, and writing to every result
+// leaves the inputs' bytes as they were.
+func TestRemovalReturnsCopies(t *testing.T) {
+	grid, err := Mesh(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := UniformTraffic(16, 5, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := DORRoutes(grid, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := GridRoutes(grid, g, RoutingWestFirst, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := grid.Topology
+	inputs := func() [][]byte { return [][]byte{encodeJSON(t, top), encodeJSON(t, tab), encodeJSON(t, set)} }
+	before := inputs()
+	s, ctx := NewSession(), context.Background()
+
+	res, err := s.RemoveDeadlocks(ctx, top, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.InitialAcyclic || res.Topology == top || res.Routes == tab {
+		t.Fatalf("table removal: initially acyclic %v, topology is the input %v, routes are the input %v",
+			res.InitialAcyclic, res.Topology == top, res.Routes == tab)
+	}
+	sres, err := s.RemoveDeadlocksSet(ctx, top, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sres.InitialAcyclic || sres.Topology == top || sres.Routes == set {
+		t.Fatalf("set removal: initially acyclic %v, topology is the input %v, routes are the input %v",
+			sres.InitialAcyclic, sres.Topology == top, sres.Routes == set)
+	}
+	for _, rt := range []*Topology{res.Topology, sres.Topology} {
+		if _, err := rt.AddVC(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res.Routes.Set(0, nil)
+	sres.Routes.Add(0, tab.Route(1).Channels)
+	for i, after := range inputs() {
+		if !bytes.Equal(before[i], after) {
+			t.Errorf("input %d (topology, table, set) changed with a result", i)
+		}
+	}
+}
+
 // encodeJSON serializes an artifact through its Write method for byte
 // comparison.
 func encodeJSON(t *testing.T, v interface{ Write(w io.Writer) error }) []byte {

@@ -20,10 +20,11 @@ type SimBatch = wormhole.Batch
 // load axes, the cycle budget, the adaptive selection policy, and the
 // base configuration every lane inherits.
 //
-// The batch runs the cross product Seeds × Loads, one lane per pair. An
-// empty Seeds (or Loads) axis means "the base config's value", so the
-// zero SimSpec with just Base set is exactly one base-config run —
-// Session.Simulate is that thin wrapper.
+// The batch runs the cross product Seeds × Loads, one lane per pair, and
+// refuses a product of more than 4,096 lanes with ErrInvalidInput before
+// building anything. An empty Seeds (or Loads) axis means "the base
+// config's value", so the zero SimSpec with just Base set is exactly one
+// base-config run — Session.Simulate is that thin wrapper.
 type SimSpec struct {
 	// Seeds is the injection-seed axis; empty means [Base.Seed], a 0
 	// entry means Base.Seed.
@@ -42,8 +43,9 @@ type SimSpec struct {
 }
 
 // variants expands the spec's Seeds × Loads cross product, lane-major by
-// seed.
-func (spec SimSpec) variants() []SimVariant {
+// seed. A product over wormhole.MaxLanes is refused before any lane is
+// allocated.
+func (spec SimSpec) variants() ([]SimVariant, error) {
 	seeds := spec.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{0}
@@ -52,13 +54,17 @@ func (spec SimSpec) variants() []SimVariant {
 	if len(loads) == 0 {
 		loads = []float64{0}
 	}
-	vs := make([]SimVariant, 0, len(seeds)*len(loads))
+	n, err := wormhole.CheckLanes(len(seeds), len(loads))
+	if err != nil {
+		return nil, err
+	}
+	vs := make([]SimVariant, 0, n)
 	for _, sd := range seeds {
 		for _, ld := range loads {
 			vs = append(vs, SimVariant{Seed: sd, Load: ld})
 		}
 	}
-	return vs
+	return vs, nil
 }
 
 // config folds the spec's overrides into the base configuration.
@@ -100,9 +106,9 @@ type BatchStats struct {
 // and EventSimEpoch snapshots stream to the Session's progress feed lane
 // by lane (from several lanes at once under WithParallel > 1).
 func (s *Session) SimulateBatch(ctx context.Context, top *Topology, g *TrafficGraph, tab *RouteTable, spec SimSpec) (*BatchStats, error) {
-	b, err := wormhole.NewBatch(top, g, tab, spec.config(s.simConfig(spec.Base)), spec.variants())
+	b, err := s.NewSimBatch(top, g, tab, spec)
 	if err != nil {
-		return nil, wrapErr(err)
+		return nil, err
 	}
 	out, err := b.RunContext(ctx, s.parallel)
 	if err != nil {
@@ -119,6 +125,10 @@ func (s *Session) SimulateBatch(ctx context.Context, top *Topology, g *TrafficGr
 // drive lanes themselves; the Session's progress feed is attached the
 // same way Simulate attaches it.
 func (s *Session) NewSimBatch(top *Topology, g *TrafficGraph, tab *RouteTable, spec SimSpec) (*SimBatch, error) {
-	b, err := wormhole.NewBatch(top, g, tab, spec.config(s.simConfig(spec.Base)), spec.variants())
+	vs, err := spec.variants()
+	if err != nil {
+		return nil, wrapErr(err)
+	}
+	b, err := wormhole.NewBatch(top, g, tab, spec.config(s.simConfig(spec.Base)), vs)
 	return b, wrapErr(err)
 }

@@ -137,14 +137,27 @@ func TestSimulateBatchCancel(t *testing.T) {
 }
 
 // TestSimulateBatchRejectsBadSpec covers input validation through the
-// public surface.
+// public surface: a load out of range, and more lanes than the 4,096 one
+// batch may run.
 func TestSimulateBatchRejectsBadSpec(t *testing.T) {
 	top, g, tab := simWorkload(t)
-	_, err := NewSession().SimulateBatch(context.Background(), top, g, tab, SimSpec{
-		Loads: []float64{2.0},
-		Base:  SimConfig{MaxCycles: 100},
-	})
-	if !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("load 2.0: got %v, want ErrInvalidInput", err)
+	seeds, loads := make([]int64, 65), make([]float64, 64)
+	for i := range loads {
+		loads[i] = float64(i+1) / float64(len(loads))
+	}
+	s := NewSession()
+	for _, c := range []struct {
+		name string
+		spec SimSpec
+	}{
+		{"load 2.0", SimSpec{Loads: []float64{2.0}, Base: SimConfig{MaxCycles: 100}}},
+		{"65 × 64 lanes", SimSpec{Seeds: seeds, Loads: loads, Base: SimConfig{MaxCycles: 100}}},
+	} {
+		if _, err := s.SimulateBatch(context.Background(), top, g, tab, c.spec); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: SimulateBatch: got %v, want ErrInvalidInput", c.name, err)
+		}
+		if _, err := s.NewSimBatch(top, g, tab, c.spec); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: NewSimBatch: got %v, want ErrInvalidInput", c.name, err)
+		}
 	}
 }
